@@ -14,58 +14,88 @@ namespace fgm {
 
 namespace {
 
-// An enabled net-sim config swaps the synchronous transport for the
-// discrete-event network; everything downstream only sees Transport.
-std::unique_ptr<Transport> MakeFgmTransport(const FgmConfig& config,
-                                            int num_sites) {
-  if (config.net.enabled()) {
-    return std::make_unique<sim::EventNetwork>(num_sites, config.net);
+// Only the root tier runs over the discrete-event network: the fault
+// plan's indices address the root's children, and the root links are the
+// bottleneck whose latency/loss behaviour the simulation studies. An
+// enabled net-sim config swaps that tier's synchronous transport for the
+// event network; everything downstream only sees Transport.
+std::unique_ptr<Transport> MakeTierTransport(const FgmConfig& config, int tier,
+                                             int endpoints) {
+  if (tier == 0 && config.net.enabled()) {
+    return std::make_unique<sim::EventNetwork>(endpoints, config.net);
   }
-  return MakeTransport(config.transport, num_sites);
+  return MakeTransport(config.transport, endpoints);
 }
 
 }  // namespace
 
 FgmProtocol::FgmProtocol(const ContinuousQuery* query, int num_sites,
                          FgmConfig config)
+    : FgmProtocol(query, hier::TreeTopology::Star(num_sites), config) {}
+
+FgmProtocol::FgmProtocol(const ContinuousQuery* query,
+                         const hier::TreeTopology& topo, FgmConfig config)
     : query_(query),
-      sites_k_(num_sites),
+      topo_(topo),
+      depth_(topo.depth()),
+      m_(topo.NodesAt(1)),
+      k_(topo.leaves()),
       config_(config),
-      transport_(MakeFgmTransport(config, num_sites)),
-      live_k_(num_sites),
+      live_m_(m_),
+      live_leaves_(k_),
       estimate_(query->dimension()),
       balance_(query->dimension()) {
   FGM_CHECK(query != nullptr);
-  FGM_CHECK_GE(num_sites, 1);
   FGM_CHECK_GT(config_.eps_psi, 0.0);
   FGM_CHECK_LT(config_.eps_psi, 1.0);
   FGM_CHECK_GE(config_.max_subrounds_per_round, 1);
-  sites_.reserve(static_cast<size_t>(num_sites));
-  round_drift_.reserve(static_cast<size_t>(num_sites));
-  for (int i = 0; i < num_sites; ++i) {
-    sites_.emplace_back(i, query->dimension());
-    round_drift_.emplace_back(query->dimension());
+
+  for (int t = 0; t < depth_; ++t) {
+    transports_.push_back(MakeTierTransport(config_, t, topo_.NodesAt(t + 1)));
+    // Tier 0 keeps the default stamp (0), so root-tier traces stay in the
+    // flat schema; lower tiers stamp every event/span they emit.
+    transports_.back()->network().set_tier(t);
   }
-  plan_.assign(static_cast<size_t>(num_sites), 1);
-  site_ok_.assign(static_cast<size_t>(num_sites), 1);
-  in_round_.assign(static_cast<size_t>(num_sites), 1);
-  down_since_.assign(static_cast<size_t>(num_sites), 0);
-  coord_seen_ci_.assign(static_cast<size_t>(num_sites), 0);
   if (config_.net.enabled()) {
-    sim_ = static_cast<sim::EventNetwork*>(transport_.get());
+    sim_ = static_cast<sim::EventNetwork*>(transports_[0].get());
     lossy_net_ = config_.net.lossy();
   }
+
+  sites_.reserve(static_cast<size_t>(k_));
+  for (int i = 0; i < k_; ++i) sites_.emplace_back(i, query->dimension());
+  aggs_.resize(static_cast<size_t>(depth_));
+  for (int t = 1; t < depth_; ++t) {
+    aggs_[static_cast<size_t>(t)].resize(static_cast<size_t>(topo_.NodesAt(t)));
+    for (int j = 0; j < topo_.NodesAt(t); ++j) {
+      AggNode& a = Agg(t, j);
+      a.child_begin = topo_.ChildBegin(t, j);
+      a.child_end = topo_.ChildEnd(t, j);
+      a.leaves = topo_.LeavesUnder(t, j);
+      FGM_CHECK_GE(a.fan(), 1);
+    }
+  }
+  round_drift_.reserve(static_cast<size_t>(m_));
+  for (int j = 0; j < m_; ++j) round_drift_.emplace_back(query->dimension());
+  round_updates_.assign(static_cast<size_t>(m_), 0);
+  plan_.assign(static_cast<size_t>(m_), 1);
+  child_ok_.assign(static_cast<size_t>(m_), 1);
+  in_round_.assign(static_cast<size_t>(m_), 1);
+  down_since_.assign(static_cast<size_t>(m_), 0);
+  coord_seen_ci_.assign(static_cast<size_t>(m_), 0);
+
   // Observability hooks must be live before the first round is traced.
   trace_ = config_.trace;
   timeseries_ = config_.timeseries;
   spans_ = config_.spans;
   health_ = config_.health;
   if (health_ != nullptr && trace_ != nullptr) health_->set_trace(trace_);
-  if (trace_ != nullptr) transport_->set_trace(trace_);
-  if (spans_ != nullptr) transport_->set_spans(spans_);
-  if (config_.span_wire) transport_->set_span_wire(true);
+  for (const std::unique_ptr<Transport>& transport : transports_) {
+    if (trace_ != nullptr) transport->set_trace(trace_);
+    if (spans_ != nullptr) transport->set_spans(spans_);
+    if (config_.span_wire) transport->set_span_wire(true);
+    if (config_.metrics != nullptr) transport->set_metrics(config_.metrics);
+  }
   if (config_.metrics != nullptr) {
-    transport_->set_metrics(config_.metrics);
     sketch_timer_ = config_.metrics->GetTimer("sketch_update");
     safe_fn_timer_ = config_.metrics->GetTimer("safe_fn_eval");
     if (config_.optimizer) {
@@ -94,50 +124,37 @@ void FgmProtocol::ProcessRecord(const StreamRecord& record) {
 }
 
 int64_t FgmProtocol::LocalProcess(const StreamRecord& record, double* value) {
-  FGM_CHECK(record.site >= 0 && record.site < sites_k_);
+  FGM_CHECK(record.site >= 0 && record.site < k_);
   (void)value;  // FGM events carry the counter increment, not a φ-value.
   FgmSite& site = sites_[static_cast<size_t>(record.site)];
   return site.Process(*query_, record, sketch_timer_, safe_fn_timer_);
 }
 
 bool FgmProtocol::CommitEvent(const LocalEvent& event) {
-  if (sim_ != nullptr) {
-    const size_t s = static_cast<size_t>(event.site);
-    // Sites post their CUMULATIVE per-subround counter as a one-word
-    // fire-and-forget datagram: a lost or reordered datagram is healed by
-    // any later one (the coordinator applies positive deltas only). A
-    // site outside the round — or down — keeps ingesting records into its
-    // local drift but posts nothing; its contribution reaches E at the
-    // next resync/flush.
-    if (site_ok_[s] != 0 && in_round_[s] != 0) {
-      sim_->PostCounter(event.site, CounterMsg{sites_[s].counter()},
-                        rounds_, subrounds_this_round_);
-      DrainNetwork();
-    }
-    return false;
-  }
-  if (SendCounterIncrement(event.site, event.weight)) {
-    PollAndAdvance();
-    return true;
-  }
-  return false;
+  // A site under a root child outside the round (or down, under sim)
+  // keeps ingesting records into its local drift but reports nothing; its
+  // contribution reaches E at the next resync/flush.
+  int top = event.site;
+  for (int t = depth_; t > 1; --t) top = topo_.Parent(t, top);
+  if (in_round_[static_cast<size_t>(top)] == 0) return false;
+  return ReportUnits(depth_, event.site, event.weight);
 }
 
-bool FgmProtocol::SendCounterIncrement(int site, int64_t increment) {
+bool FgmProtocol::SendCounterIncrement(int child, int64_t increment) {
   // One-word message carrying the increase to c_i.
   const CounterMsg delivered =
-      transport_->SendCounter(site, CounterMsg{increment});
+      transports_[0]->SendCounter(child, CounterMsg{increment});
   counter_total_ += delivered.increment;
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kIncrementMsg;
     e.round = rounds_;
     e.subround = subrounds_this_round_;
-    e.site = site;
+    e.site = child;
     e.counter = delivered.increment;
     trace_->Emit(e);
   }
-  return counter_total_ > sites_k_;
+  return counter_total_ > live_m_;
 }
 
 void FgmProtocol::MaterializeForCommit() {
@@ -150,7 +167,7 @@ int64_t FgmProtocol::CommitValueSeries(
     const int32_t* site_by_pos, int64_t count, const ValueSeries* series,
     const std::function<void(int64_t)>& materialize, bool fast_merge,
     int64_t* soft_interactions) {
-  commit_cursor_.assign(static_cast<size_t>(sites_k_), 0);
+  commit_cursor_.assign(static_cast<size_t>(k_), 0);
   materialize_cb_ = fast_merge ? nullptr : &materialize;
   int64_t soft = 0;
   int64_t consumed = count;
@@ -170,7 +187,7 @@ int64_t FgmProtocol::CommitValueSeries(
     if (fast_merge) {
       // The interaction runs on live end-of-window state; detection for
       // the values recorded after it defers to the next window.
-      for (int i = 0; i < sites_k_; ++i) {
+      for (int i = 0; i < k_; ++i) {
         if (in_round_[static_cast<size_t>(i)] != 0) {
           sites_[static_cast<size_t>(i)].SyncCommittedToLive();
         }
@@ -193,6 +210,284 @@ int64_t FgmProtocol::CommitValueSeries(
   return consumed;
 }
 
+// ---------------------------------------------------------------------------
+// Per-child steps: the only places where a leaf site and an aggregator
+// differ.
+
+double FgmProtocol::ChildValue(int tier, int node) {
+  if (IsLeaf(tier)) {
+    // The committed shadow value: identical to CurrentValue() in serial
+    // operation; during a value-series commit walk the evaluator has run
+    // ahead, and the shadow is the value as of the walk position.
+    return sites_[static_cast<size_t>(node)].committed_value();
+  }
+  // An aggregator reports its conservative bound v̂ ≥ Σ λφ(x_i): the
+  // parent's sum overestimates the true one, so polls and round ends can
+  // only come EARLIER than flat — safe, never late.
+  AggNode& a = Agg(tier, node);
+  a.last_reported = VHat(a);
+  return a.last_reported;
+}
+
+double FgmProtocol::PollChild(int tier, int node) {
+  Transport& link = Link(tier);
+  link.ShipControl(node, ControlMsg{ControlOp::kPollPhi});
+  return link.SendPhiValue(node, PhiValueMsg{ChildValue(tier, node)}).value;
+}
+
+int64_t FgmProtocol::ChildCounter(int child) const {
+  const size_t c = static_cast<size_t>(child);
+  return depth_ == 1 ? sites_[c].counter() : aggs_[1][c].sent_up;
+}
+
+int64_t FgmProtocol::ChildUpdates(int child) const {
+  const size_t c = static_cast<size_t>(child);
+  return depth_ == 1 ? sites_[c].updates_in_round() : round_updates_[c];
+}
+
+void FgmProtocol::InstallZone(int tier, int node, bool full) {
+  Transport& link = Link(tier);
+  if (full) {
+    // Ship E; the site reconstructs φ from it (§2.4 step 1).
+    link.ShipSafeZone(node, SafeZoneMsg{estimate_});
+  } else {
+    // Ship the 3-word cheap bound (§4.2.1).
+    link.ShipCheapZone(node, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
+                                          cheap_fn_->AtZero()});
+  }
+  if (IsLeaf(tier)) {
+    sites_[static_cast<size_t>(node)].BeginRound(
+        full ? static_cast<const SafeFunction*>(safe_fn_.get())
+             : cheap_fn_.get());
+    return;
+  }
+  // d = 0 puts the cheap bound on EVERY edge of the subtree: the whole
+  // subtree shares its root child's plan.
+  const AggNode& a = Agg(tier, node);
+  for (int c = a.child_begin; c < a.child_end; ++c) {
+    InstallZone(tier + 1, c, full);
+  }
+}
+
+void FgmProtocol::InstallQuantum(int tier, int node, double theta,
+                                 bool analytic) {
+  const QuantumMsg delivered = Link(tier).ShipQuantum(node, QuantumMsg{theta});
+  if (IsLeaf(tier)) {
+    sites_[static_cast<size_t>(node)].BeginSubround(delivered.theta);
+    return;
+  }
+  AggNode& a = Agg(tier, node);
+  a.theta_up = delivered.theta;
+  a.theta_local = a.theta_up / (2.0 * static_cast<double>(a.fan()));
+  a.counter_local = 0;
+  a.sent_up = 0;
+  if (analytic) {
+    // Round start / post-rebalance: every drift is zero, so every leaf
+    // value is λφ(0) and the subtree sums need no polls (b(0) = φ(0), so
+    // cheap-bound subtrees share the value).
+    a.z_local = lambda_ * phi_zero_ * static_cast<double>(a.leaves);
+  } else {
+    a.z_local = PollSubtree(tier, node, /*counter=*/0, "rebaseline");
+  }
+  a.z_up = a.z_local;
+  a.last_reported = a.z_up;
+  for (int c = a.child_begin; c < a.child_end; ++c) {
+    InstallQuantum(tier + 1, c, a.theta_local, analytic);
+  }
+}
+
+void FgmProtocol::InstallLambda(int tier, int node, double lambda) {
+  const LambdaMsg delivered = Link(tier).ShipLambda(node, LambdaMsg{lambda});
+  if (IsLeaf(tier)) {
+    sites_[static_cast<size_t>(node)].SetLambda(delivered.lambda);
+    return;
+  }
+  const AggNode& a = Agg(tier, node);
+  for (int c = a.child_begin; c < a.child_end; ++c) {
+    InstallLambda(tier + 1, c, delivered.lambda);
+  }
+}
+
+void FgmProtocol::RebaselineChild(int tier, int node, double theta) {
+  if (IsLeaf(tier)) {
+    sites_[static_cast<size_t>(node)].BeginSubround(theta);
+    return;
+  }
+  // The quantum is unchanged (the parent's theta_local only moves through
+  // a full InstallQuantum); the child re-anchors its export baseline on
+  // the value it just reported — its own children stay untouched, and its
+  // v̂ bound keeps holding against the fresh baseline.
+  AggNode& a = Agg(tier, node);
+  a.theta_up = theta;
+  a.z_up = a.last_reported;
+  a.sent_up = 0;
+}
+
+DriftFlushMsg FgmProtocol::FlushChild(int tier, int node) {
+  Transport& link = Link(tier);
+  link.ShipControl(node, ControlMsg{ControlOp::kFlushRequest});
+  // A site ships either the dense drift or the verbatim raw updates,
+  // whichever is smaller, plus its update count (§2.1, §4.2.4); an
+  // aggregator ships its subtree's summed drift. The message itself is
+  // the single definition of the flush cost; an empty flush is the 1-word
+  // acknowledgement (§5.4).
+  const bool leaf = IsLeaf(tier);
+  DriftFlushMsg delivered = link.SendDriftFlush(
+      node, leaf ? sites_[static_cast<size_t>(node)].MakeFlushMsg()
+                 : CollectSubtreeFlush(tier, node));
+  if (trace_ != nullptr) {
+    TraceEvent e;
+    e.kind = TraceEventKind::kDriftFlush;
+    e.tier = tier - 1;
+    e.round = rounds_;
+    e.site = node;
+    e.words = delivered.Words();
+    e.count = delivered.update_count;
+    trace_->Emit(e);
+  }
+  if (leaf && delivered.update_count > 0) {
+    sites_[static_cast<size_t>(node)].FlushReset();
+  }
+  return delivered;
+}
+
+// ---------------------------------------------------------------------------
+// Aggregators (tiers 1 .. depth-1)
+
+double FgmProtocol::PollSubtree(int tier, int node, int64_t counter,
+                                const char* reason) {
+  const AggNode& a = Agg(tier, node);
+  double z = 0.0;
+  for (int c = a.child_begin; c < a.child_end; ++c) {
+    z += PollChild(tier + 1, c);
+  }
+  if (trace_ != nullptr) {
+    TraceEvent e;
+    e.kind = TraceEventKind::kSubroundEnd;
+    e.tier = tier;
+    e.site = node;
+    e.round = rounds_;
+    e.subround = subrounds_this_round_;
+    e.psi = z;
+    e.counter = counter;
+    e.k = a.fan();
+    e.reason = reason;
+    trace_->Emit(e);
+  }
+  return z;
+}
+
+void FgmProtocol::LocalPoll(int tier, int node) {
+  AggNode& a = Agg(tier, node);
+  ++local_polls_;
+  a.z_local = PollSubtree(tier, node, a.counter_local, nullptr);
+  a.counter_local = 0;
+  for (int c = a.child_begin; c < a.child_end; ++c) {
+    const QuantumMsg delivered =
+        Link(tier + 1).ShipQuantum(c, QuantumMsg{a.theta_local});
+    RebaselineChild(tier + 1, c, delivered.theta);
+  }
+}
+
+void FgmProtocol::NoteChildUnits(int tier, int node, int64_t units) {
+  AggNode& a = Agg(tier, node);
+  a.counter_local += units;
+  ExportUp(tier, node);
+  // The export may have advanced the root subround (full cascade reset);
+  // re-read the counter rather than using a stale local.
+  if (a.counter_local > a.fan()) {
+    LocalPoll(tier, node);
+    // The re-baseline can lift v̂ (fresh z_local + full fan slack);
+    // re-export so the parent's view stays monotone-current.
+    ExportUp(tier, node);
+  }
+}
+
+void FgmProtocol::ExportUp(int tier, int node) {
+  AggNode& a = Agg(tier, node);
+  FGM_CHECK_GT(a.theta_up, 0.0);
+  const double vhat = VHat(a);
+  const int64_t u =
+      static_cast<int64_t>(std::floor((vhat - a.z_up) / a.theta_up));
+  if (u <= a.sent_up) return;  // exports are max-monotone
+  const int64_t delta = u - a.sent_up;
+  a.sent_up = u;
+  ReportUnits(tier, node, delta);
+}
+
+bool FgmProtocol::ReportUnits(int tier, int node, int64_t units) {
+  if (tier > 1) {
+    const CounterMsg delivered =
+        Link(tier).SendCounter(node, CounterMsg{units});
+    NoteChildUnits(tier - 1, topo_.Parent(tier, node), delivered.increment);
+    return false;
+  }
+  const size_t s = static_cast<size_t>(node);
+  if (sim_ != nullptr) {
+    // Root children post their CUMULATIVE per-subround counter as a
+    // one-word fire-and-forget datagram: a lost or reordered datagram is
+    // healed by any later one (the coordinator applies positive deltas
+    // only). A child that is down or outside the round posts nothing.
+    if (child_ok_[s] != 0 && in_round_[s] != 0) {
+      sim_->PostCounter(node, CounterMsg{ChildCounter(node)}, rounds_,
+                        subrounds_this_round_);
+      DrainNetwork();
+    }
+    return false;
+  }
+  if (in_round_[s] == 0) return false;
+  if (!SendCounterIncrement(node, units)) return false;
+  PollAndAdvance();
+  return true;
+}
+
+DriftFlushMsg FgmProtocol::CollectSubtreeFlush(int tier, int node) {
+  const AggNode& a = Agg(tier, node);
+  RealVector sum(query_->dimension());
+  int64_t count = 0;
+  for (int c = a.child_begin; c < a.child_end; ++c) {
+    const DriftFlushMsg delivered = FlushChild(tier + 1, c);
+    if (delivered.update_count > 0) {
+      sum += DeliveredDrift(delivered, *query_, c, &flush_scratch_);
+      count += delivered.update_count;
+    }
+  }
+  // One upward message for the whole subtree: the dense drift sum, or the
+  // 1-word acknowledgement when nothing flowed (update_count 0 encodes to
+  // the count word alone).
+  DriftFlushMsg up;
+  up.dense = true;
+  up.update_count = count;
+  up.drift = count > 0 ? std::move(sum) : RealVector(0);
+  return up;
+}
+
+void FgmProtocol::EmitTierEnds() {
+  if (tier_ends_emitted_ || trace_ == nullptr) return;
+  tier_ends_emitted_ = true;
+  for (int t = 1; t < depth_; ++t) {
+    const TrafficStats& s = transports_[static_cast<size_t>(t)]->stats();
+    TraceEvent e;
+    e.kind = TraceEventKind::kTierEnd;
+    e.tier = t;
+    e.k = transports_[static_cast<size_t>(t)]->sites();
+    e.up_words = s.upstream_words;
+    e.down_words = s.downstream_words;
+    e.up_msgs = s.upstream_messages;
+    e.down_msgs = s.downstream_messages;
+    trace_->Emit(e);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Root coordinator
+
+int64_t FgmProtocol::FullPlanCount() const {
+  int64_t full = 0;
+  for (uint8_t d : plan_) full += d;
+  return full;
+}
+
 void FgmProtocol::StartRound() {
   // Observe the finished round before any of its state is reset: plan
   // outcome vs prediction, and the round's time-series sample. The words
@@ -205,17 +500,16 @@ void FgmProtocol::StartRound() {
   if (rounds_ > 0) EmitRoundObservability();
 
   // Book the ending round's measured cost rate under its plan class
-  // (feedback guard input), then snapshot for the new round.
+  // (feedback guard input), then snapshot for the new round. Root-tier
+  // words: the root link is what the plan optimizes.
+  const TrafficStats& root = transports_[0]->stats();
   if (rounds_ > 0 && config_.optimizer) {
-    const int64_t words =
-        transport_->stats().total_words() - round_start_words_;
+    const int64_t words = root.total_words() - round_start_words_;
     const int64_t updates = total_updates_ - round_start_updates_;
     if (updates > 0) {
-      int64_t full_count = 0;
-      for (uint8_t d : plan_) full_count += d;
-      // Class 1 = "has cheap sites": even a few cheap bounds can poison a
-      // round with variability-driven subround churn.
-      const size_t cls = (full_count < sites_k_) ? 1 : 0;
+      // Class 1 = "has cheap children": even a few cheap bounds can poison
+      // a round with variability-driven subround churn.
+      const size_t cls = (FullPlanCount() < m_) ? 1 : 0;
       const double rate =
           static_cast<double>(words) / static_cast<double>(updates);
       class_cost_ewma_[cls] = class_cost_count_[cls] == 0
@@ -224,8 +518,8 @@ void FgmProtocol::StartRound() {
       ++class_cost_count_[cls];
     }
   }
-  round_start_words_ = transport_->stats().total_words();
-  round_start_words_by_kind_ = transport_->stats().words_by_kind;
+  round_start_words_ = root.total_words();
+  round_start_words_by_kind_ = root.words_by_kind;
   round_start_updates_ = total_updates_;
 
   ++rounds_;
@@ -240,31 +534,38 @@ void FgmProtocol::StartRound() {
   }
   subrounds_this_round_ = 0;
 
-  // Round membership: every site whose link is up joins. A site dropped
-  // by the dead-site deadline keeps accumulating drift locally and is
-  // re-admitted (after a flush) by the first StartRound following its
-  // rejoin. In synchronous mode every site is always a member.
+  // Round membership: every root child whose link is up joins, with its
+  // whole subtree. A child dropped by the dead-child deadline keeps
+  // accumulating drift locally and is re-admitted (after a flush) by the
+  // first StartRound following its rejoin. In synchronous mode every
+  // child is always a member.
   if (sim_ != nullptr) {
-    live_k_ = 0;
-    for (int i = 0; i < sites_k_; ++i) {
-      in_round_[static_cast<size_t>(i)] = site_ok_[static_cast<size_t>(i)];
-      live_k_ += site_ok_[static_cast<size_t>(i)] != 0 ? 1 : 0;
+    live_m_ = 0;
+    for (int j = 0; j < m_; ++j) {
+      in_round_[static_cast<size_t>(j)] = child_ok_[static_cast<size_t>(j)];
+      live_m_ += child_ok_[static_cast<size_t>(j)] != 0 ? 1 : 0;
     }
-    FGM_CHECK_GE(live_k_, 1);  // the fault plan killed every site
+    FGM_CHECK_GE(live_m_, 1);  // the fault plan killed every child
     paused_ = false;
+  }
+  live_leaves_ = 0;
+  for (int j = 0; j < m_; ++j) {
+    if (in_round_[static_cast<size_t>(j)] != 0) {
+      live_leaves_ += topo_.LeavesUnder(1, j);
+    }
   }
 
   query_value_ = query_->Evaluate(estimate_);
   thresholds_ = query_->Thresholds(estimate_);
-  // A site that is down right now keeps accumulating drift through an
-  // evaluator built against the OUTGOING round's safe function, and only
-  // rebuilds it at resync. Keep retired safe functions alive until a
-  // round starts with every site up (when no evaluator can reference
-  // them any longer). The cheap bound needs the same treatment: a site
-  // that crashed on a d = 0 plan evaluates the outgoing round's b(x)
-  // until its resync rebuilds φ.
+  // A site under a child that is down right now keeps accumulating drift
+  // through an evaluator built against the OUTGOING round's safe function,
+  // and only rebuilds it at resync. Keep retired safe functions alive
+  // until a round starts with every child up (when no evaluator can
+  // reference them any longer). The cheap bound needs the same treatment:
+  // a site that crashed on a d = 0 plan evaluates the outgoing round's
+  // b(x) until its resync rebuilds φ.
   if (sim_ != nullptr && safe_fn_ != nullptr) {
-    if (live_k_ < sites_k_) {
+    if (live_m_ < m_) {
       retired_safe_fns_.push_back(std::move(safe_fn_));
       if (cheap_fn_ != nullptr) {
         retired_safe_fns_.push_back(std::move(cheap_fn_));
@@ -276,64 +577,68 @@ void FgmProtocol::StartRound() {
   safe_fn_ = query_->MakeSafeFunction(estimate_);
   phi_zero_ = safe_fn_->AtZero();
   FGM_CHECK_LT(phi_zero_, 0.0);
+  // k·φ(0)' = live_leaves·φ(0) is the true initial ψ at every depth.
+  phi0_prime_ = depth_ == 1 ? phi_zero_
+                            : static_cast<double>(live_leaves_) * phi_zero_ /
+                                  static_cast<double>(live_m_);
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kRoundStart;
     e.round = rounds_;
-    e.k = live_k_;
-    e.psi = static_cast<double>(live_k_) * phi_zero_;
-    e.value = phi_zero_;
+    e.k = live_m_;
+    e.psi = static_cast<double>(live_m_) * phi0_prime_;
+    e.value = phi0_prime_;
     e.eps = config_.eps_psi;
     trace_->Emit(e);
   }
   cheap_fn_ =
       std::make_unique<CheapBoundFunction>(CheapBoundFunction::For(*safe_fn_));
 
-  // FGM/O: choose the per-site plan from the previous round's rates. The
-  // fixed per-round overhead covers the expected subround traffic
-  // ((3k+1) words per subround, ~log2(1/ε_ψ) subrounds) plus the
+  // FGM/O: choose the per-child plan from the previous round's rates. The
+  // fixed per-round overhead covers the expected root-link subround
+  // traffic ((3m+1) words per subround, ~log2(1/ε_ψ) subrounds) plus the
   // end-of-round poll and flush acknowledgements.
   const std::vector<SiteRates>* rates_used = nullptr;
-  // A reduced-k round (a site dead past the deadline) ships full zones to
-  // the survivors: the optimizer's cost model prices a full-k round.
-  if (config_.optimizer && have_rates_ && live_k_ == sites_k_) {
-    const double k = static_cast<double>(sites_k_);
+  // A reduced-m round (a child dead past the deadline) ships full zones
+  // to the survivors: the optimizer's cost model prices a full-m round.
+  if (config_.optimizer && have_rates_ && live_m_ == m_) {
+    const double k = static_cast<double>(m_);
     const double overhead =
         (3.0 * k + 1.0) * std::log2(1.0 / config_.eps_psi) + 4.0 * k;
     // Health-aware planning: once the monitor's EWMAs have warmed up,
-    // plan from the smoothed per-site rates (a one-round spike no longer
-    // flips the plan) and charge each site its expected shipping cost
+    // plan from the smoothed per-child rates (a one-round spike no longer
+    // flips the plan) and charge each child its expected shipping cost
     // over its live link quality.
     const bool health_rates = config_.health_planning && health_ != nullptr &&
                               health_->have_rates();
     HealthView health_view;
     const HealthView* view = nullptr;
     if (health_rates) {
-      scratch_rates_.assign(static_cast<size_t>(sites_k_), SiteRates{});
+      scratch_rates_.assign(static_cast<size_t>(m_), SiteRates{});
       double gamma_sum = 0.0;
-      for (int i = 0; i < sites_k_; ++i) {
-        if (health_->rate_rounds(i) > 0) gamma_sum += health_->rate_gamma(i);
+      for (int j = 0; j < m_; ++j) {
+        if (health_->rate_rounds(j) > 0) gamma_sum += health_->rate_gamma(j);
       }
-      for (int i = 0; i < sites_k_; ++i) {
-        SiteRates& r = scratch_rates_[static_cast<size_t>(i)];
-        if (health_->rate_rounds(i) == 0) {
+      for (int j = 0; j < m_; ++j) {
+        SiteRates& r = scratch_rates_[static_cast<size_t>(j)];
+        if (health_->rate_rounds(j) == 0) {
           r.active = false;  // never reported: excluded, forced d = 0
           continue;
         }
-        r.alpha = health_->rate_alpha(i);
-        r.beta = health_->rate_beta(i);
-        // The EWMA gammas need not sum to 1 (sites observe different
-        // round subsets); renormalize so the γ_i·τ downstream term keeps
+        r.alpha = health_->rate_alpha(j);
+        r.beta = health_->rate_beta(j);
+        // The EWMA gammas need not sum to 1 (children observe different
+        // round subsets); renormalize so the γ_j·τ downstream term keeps
         // its share-of-stream meaning.
-        r.gamma = gamma_sum > 0.0 ? health_->rate_gamma(i) / gamma_sum : 0.0;
+        r.gamma = gamma_sum > 0.0 ? health_->rate_gamma(j) / gamma_sum : 0.0;
         if (r.alpha <= 0.0) r.alpha = 1e-12;
         if (r.beta < r.alpha) r.beta = r.alpha;
         r.active = r.beta > 0.0;
       }
-      health_view.ship_cost.resize(static_cast<size_t>(sites_k_));
-      for (int i = 0; i < sites_k_; ++i) {
-        health_view.ship_cost[static_cast<size_t>(i)] =
-            health_->ShipCostFactor(i);
+      health_view.ship_cost.resize(static_cast<size_t>(m_));
+      for (int j = 0; j < m_; ++j) {
+        health_view.ship_cost[static_cast<size_t>(j)] =
+            health_->ShipCostFactor(j);
       }
       view = &health_view;
     }
@@ -357,14 +662,12 @@ void FgmProtocol::StartRound() {
     // "fooled optimizer" failure mode). Probe rounds pass unguarded.
     if (config_.optimizer_feedback &&
         rounds_ % config_.feedback_probe_period != 0) {
-      int64_t full_count = 0;
-      for (uint8_t d : plan_) full_count += d;
-      const bool has_cheap = full_count < sites_k_;
+      const bool has_cheap = FullPlanCount() < m_;
       if (has_cheap && class_cost_count_[0] > 0 &&
           class_cost_count_[1] > 0 &&
           class_cost_ewma_[1] >
               config_.feedback_margin * class_cost_ewma_[0]) {
-        plan_.assign(static_cast<size_t>(sites_k_), 1);
+        plan_.assign(static_cast<size_t>(m_), 1);
         ++cheap_overrides_;
         // The executed plan is no longer the one the model priced; its
         // prediction would audit a round that never ran.
@@ -372,7 +675,7 @@ void FgmProtocol::StartRound() {
       }
     }
   } else {
-    plan_.assign(static_cast<size_t>(sites_k_), 1);
+    plan_.assign(static_cast<size_t>(m_), 1);
     plan_predicted_ = false;
   }
   if (!plan_predicted_) {
@@ -383,25 +686,23 @@ void FgmProtocol::StartRound() {
 
   // Plan audit: what FGM/O decided and why, before the round's traffic.
   if (trace_ != nullptr && config_.optimizer) {
-    int64_t full_sites = 0;
-    for (uint8_t d : plan_) full_sites += d;
     TraceEvent e;
     e.kind = TraceEventKind::kPlanChosen;
     e.round = rounds_;
-    e.counter = full_sites;
-    e.k = sites_k_;
+    e.counter = FullPlanCount();
+    e.k = m_;
     e.pred_len = plan_pred_len_;
     e.pred_gain = plan_pred_gain_;
     e.pred_rate = plan_pred_rate_;
     trace_->Emit(e);
     if (rates_used != nullptr) {
-      for (int i = 0; i < sites_k_; ++i) {
-        const SiteRates& r = (*rates_used)[static_cast<size_t>(i)];
+      for (int j = 0; j < m_; ++j) {
+        const SiteRates& r = (*rates_used)[static_cast<size_t>(j)];
         TraceEvent s;
         s.kind = TraceEventKind::kPlanSite;
         s.round = rounds_;
-        s.site = i;
-        s.counter = plan_[static_cast<size_t>(i)];
+        s.site = j;
+        s.counter = plan_[static_cast<size_t>(j)];
         s.alpha = r.alpha;
         s.beta = r.beta;
         s.gamma = r.gamma;
@@ -410,22 +711,13 @@ void FgmProtocol::StartRound() {
     }
   }
 
-  for (int i = 0; i < sites_k_; ++i) {
-    FgmSite& site = sites_[static_cast<size_t>(i)];
-    round_drift_[static_cast<size_t>(i)].SetZero();
-    if (in_round_[static_cast<size_t>(i)] == 0) continue;
-    if (plan_[static_cast<size_t>(i)]) {
-      // Ship E; the site reconstructs φ from it (§2.4 step 1).
-      transport_->ShipSafeZone(i, SafeZoneMsg{estimate_});
-      site.BeginRound(safe_fn_.get());
-      ++full_function_ships_;
-    } else {
-      // Ship the 3-word cheap bound (§4.2.1).
-      transport_->ShipCheapZone(
-          i, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
-                          cheap_fn_->AtZero()});
-      site.BeginRound(cheap_fn_.get());
-    }
+  for (int j = 0; j < m_; ++j) {
+    round_drift_[static_cast<size_t>(j)].SetZero();
+    round_updates_[static_cast<size_t>(j)] = 0;
+    if (in_round_[static_cast<size_t>(j)] == 0) continue;
+    const bool full = plan_[static_cast<size_t>(j)] != 0;
+    InstallZone(1, j, full);
+    if (full) ++full_function_ships_;
     ++total_function_ships_;
   }
 
@@ -434,7 +726,8 @@ void FgmProtocol::StartRound() {
   psi_b_ = 0.0;
 
   // Initially ψ = kφ(0) (both φ and b share the value at zero).
-  StartSubround(static_cast<double>(live_k_) * phi_zero_);
+  StartSubround(static_cast<double>(live_m_) * phi0_prime_,
+                /*analytic=*/true);
 }
 
 void FgmProtocol::EmitRoundObservability() {
@@ -442,7 +735,7 @@ void FgmProtocol::EmitRoundObservability() {
       plan_gain_abs_err_ == nullptr && health_ == nullptr) {
     return;
   }
-  const TrafficStats& t = transport_->stats();
+  const TrafficStats& t = transports_[0]->stats();
   const int64_t round_words = t.total_words() - round_start_words_;
   const int64_t round_updates = total_updates_ - round_start_updates_;
   // Gain is measured against the centralizing baseline's one word per
@@ -465,91 +758,90 @@ void FgmProtocol::EmitRoundObservability() {
     plan_gain_rel_err_->Add(err /
                             std::max(std::fabs(actual_gain), 1.0));
   }
-  if (timeseries_ != nullptr || health_ != nullptr) {
-    static_assert(kSnapshotMsgKinds == static_cast<int>(MsgKind::kKindCount),
-                  "RunSnapshot's kind slots must cover every MsgKind");
-    RunSnapshot s;
-    s.kind = "round";
-    s.records = total_updates_;
-    s.round = rounds_;
-    s.subrounds = subrounds_this_round_;
-    s.total_subrounds = subrounds_;
-    s.psi = last_psi_;
-    s.theta = last_theta_;
-    s.lambda = lambda_;
-    s.total_words = t.total_words();
-    s.round_words = round_words;
-    for (size_t i = 0; i < s.words_by_kind.size(); ++i) {
-      s.words_by_kind[i] = t.words_by_kind[i];
-      s.round_words_by_kind[i] =
-          t.words_by_kind[i] - round_start_words_by_kind_[i];
+  if (timeseries_ == nullptr && health_ == nullptr) return;
+  static_assert(kSnapshotMsgKinds == static_cast<int>(MsgKind::kKindCount),
+                "RunSnapshot's kind slots must cover every MsgKind");
+  // Each root child is one "site" of the snapshot; on deeper trees its
+  // update and drift totals are its subtree's.
+  RunSnapshot s;
+  s.kind = "round";
+  s.records = total_updates_;
+  s.round = rounds_;
+  s.subrounds = subrounds_this_round_;
+  s.total_subrounds = subrounds_;
+  s.psi = last_psi_;
+  s.theta = last_theta_;
+  s.lambda = lambda_;
+  s.total_words = t.total_words();
+  s.round_words = round_words;
+  for (size_t i = 0; i < s.words_by_kind.size(); ++i) {
+    s.words_by_kind[i] = t.words_by_kind[i];
+    s.round_words_by_kind[i] =
+        t.words_by_kind[i] - round_start_words_by_kind_[i];
+  }
+  s.plan_full_sites = FullPlanCount();
+  s.pred_gain = plan_pred_gain_;
+  s.actual_gain = actual_gain;
+  int64_t updates_sum = 0;
+  for (int j = 0; j < m_; ++j) {
+    const int64_t u = ChildUpdates(j);
+    updates_sum += u;
+    s.site_updates_max = std::max(s.site_updates_max, u);
+    const double norm = round_drift_[static_cast<size_t>(j)].Norm();
+    if (norm > s.drift_norm_max) {
+      s.drift_norm_max = norm;
+      s.hot_site = j;
     }
-    for (uint8_t d : plan_) s.plan_full_sites += d;
-    s.pred_gain = plan_pred_gain_;
-    s.actual_gain = actual_gain;
-    int64_t updates_sum = 0;
-    for (int i = 0; i < sites_k_; ++i) {
-      const int64_t u = sites_[static_cast<size_t>(i)].updates_in_round();
-      updates_sum += u;
-      s.site_updates_max = std::max(s.site_updates_max, u);
-      const double norm = round_drift_[static_cast<size_t>(i)].Norm();
-      if (norm > s.drift_norm_max) {
-        s.drift_norm_max = norm;
-        s.hot_site = i;
-      }
-      s.drift_norm_mean += norm;
-    }
-    s.site_updates_mean =
-        static_cast<double>(updates_sum) / static_cast<double>(sites_k_);
-    s.drift_norm_mean /= static_cast<double>(sites_k_);
-    if (sim_ != nullptr) {
-      const sim::SimNetStats& n = sim_->net_stats();
-      s.in_flight_words = n.in_flight_words;
-      s.max_in_flight_words = n.max_in_flight_words;
-      s.retransmit_words = n.retransmitted_words;
-      s.dropped_words = n.dropped_words;
-      s.resyncs = n.resyncs;
-    }
-    if (timeseries_ != nullptr) timeseries_->Record(s);
-    if (health_ != nullptr) {
-      // This runs before ++rounds_ / membership / φ rebuild, so live_k_
-      // and phi_zero_ still describe the finished round — exactly the
-      // values its stop level was computed from.
-      health_->ObserveRound(s);
-      for (int i = 0; i < sites_k_; ++i) {
-        health_->ObserveSite(i, sites_[static_cast<size_t>(i)].updates_in_round(),
-                             round_drift_[static_cast<size_t>(i)].Norm());
-      }
-      if (sim_ != nullptr) {
-        const std::vector<sim::SiteNetStats>& per_site = sim_->site_stats();
-        for (int i = 0; i < sites_k_; ++i) {
-          const sim::SiteNetStats& n = per_site[static_cast<size_t>(i)];
-          SiteNetSample sample;
-          sample.delivered_msgs = n.delivered_msgs;
-          sample.delivered_words = n.delivered_words;
-          sample.dropped_msgs = n.dropped_msgs;
-          sample.dropped_words = n.dropped_words;
-          sample.retransmitted_msgs = n.retransmitted_msgs;
-          sample.retransmitted_words = n.retransmitted_words;
-          sample.latency_ticks = n.latency_ticks;
-          sample.latency_samples = n.latency_samples;
-          sample.downs = n.downs;
-          health_->ObserveNet(i, sample);
-        }
-      }
-      health_->ObservePsiMargin(
-          last_psi_,
-          config_.eps_psi * static_cast<double>(live_k_) * phi_zero_);
-      health_->ObserveOverflowRounds(overflow_rounds_);
-      health_->EvaluateAlerts(rounds_, sim_ != nullptr ? sim_->now() : 0);
+    s.drift_norm_mean += norm;
+  }
+  s.site_updates_mean =
+      static_cast<double>(updates_sum) / static_cast<double>(m_);
+  s.drift_norm_mean /= static_cast<double>(m_);
+  if (sim_ != nullptr) {
+    const sim::SimNetStats& n = sim_->net_stats();
+    s.in_flight_words = n.in_flight_words;
+    s.max_in_flight_words = n.max_in_flight_words;
+    s.retransmit_words = n.retransmitted_words;
+    s.dropped_words = n.dropped_words;
+    s.resyncs = n.resyncs;
+  }
+  if (timeseries_ != nullptr) timeseries_->Record(s);
+  if (health_ == nullptr) return;
+  // This runs before ++rounds_ / membership / φ rebuild, so live_m_ and
+  // phi0_prime_ still describe the finished round — exactly the values
+  // its stop level was computed from.
+  health_->ObserveRound(s);
+  for (int j = 0; j < m_; ++j) {
+    health_->ObserveSite(j, ChildUpdates(j),
+                         round_drift_[static_cast<size_t>(j)].Norm());
+  }
+  if (sim_ != nullptr) {
+    const std::vector<sim::SiteNetStats>& per_child = sim_->site_stats();
+    for (int j = 0; j < m_; ++j) {
+      const sim::SiteNetStats& n = per_child[static_cast<size_t>(j)];
+      SiteNetSample sample;
+      sample.delivered_msgs = n.delivered_msgs;
+      sample.delivered_words = n.delivered_words;
+      sample.dropped_msgs = n.dropped_msgs;
+      sample.dropped_words = n.dropped_words;
+      sample.retransmitted_msgs = n.retransmitted_msgs;
+      sample.retransmitted_words = n.retransmitted_words;
+      sample.latency_ticks = n.latency_ticks;
+      sample.latency_samples = n.latency_samples;
+      sample.downs = n.downs;
+      health_->ObserveNet(j, sample);
     }
   }
+  health_->ObservePsiMargin(
+      last_psi_, config_.eps_psi * static_cast<double>(live_m_) * phi0_prime_);
+  health_->ObserveOverflowRounds(overflow_rounds_);
+  health_->EvaluateAlerts(rounds_, sim_ != nullptr ? sim_->now() : 0);
 }
 
-void FgmProtocol::StartSubround(double psi_total) {
+void FgmProtocol::StartSubround(double psi_total, bool analytic) {
   FGM_CHECK_LT(psi_total, 0.0);
   last_psi_ = psi_total;
-  const double quantum = -psi_total / (2.0 * static_cast<double>(live_k_));
+  const double quantum = -psi_total / (2.0 * static_cast<double>(live_m_));
   last_theta_ = quantum;
   counter_total_ = 0;
   ++subrounds_;
@@ -568,32 +860,25 @@ void FgmProtocol::StartSubround(double psi_total) {
     e.theta = quantum;
     trace_->Emit(e);
   }
-  for (int i = 0; i < sites_k_; ++i) {
-    if (in_round_[static_cast<size_t>(i)] == 0) continue;
-    FgmSite& site = sites_[static_cast<size_t>(i)];
-    const QuantumMsg delivered =
-        transport_->ShipQuantum(i, QuantumMsg{quantum});
-    site.BeginSubround(delivered.theta);
-    coord_seen_ci_[static_cast<size_t>(i)] = 0;
+  for (int j = 0; j < m_; ++j) {
+    if (in_round_[static_cast<size_t>(j)] == 0) continue;
+    InstallQuantum(1, j, quantum, analytic);
+    coord_seen_ci_[static_cast<size_t>(j)] = 0;
   }
   if (sim_ != nullptr) last_counter_activity_ = sim_->now();
 }
 
 void FgmProtocol::PollAndAdvance(const char* reason) {
-  // Collect all φ(X_i): k one-word poll requests + k one-word replies.
+  // Collect every member's φ-value: m one-word poll requests + m one-word
+  // replies.
   double psi = 0.0;
   double delta_psi = 0.0;  // Δψ_n of §2.5.1: Σ_i (sup Φ_i,n - inf Φ_i,n)
-  for (int i = 0; i < sites_k_; ++i) {
-    if (in_round_[static_cast<size_t>(i)] == 0) continue;
-    const FgmSite& site = sites_[static_cast<size_t>(i)];
-    transport_->ShipControl(i, ControlMsg{ControlOp::kPollPhi});
-    // The committed shadow value: identical to CurrentValue() in serial
-    // operation; during a value-series commit walk the evaluator has run
-    // ahead, and the shadow is the value as of the walk position.
-    const PhiValueMsg reply =
-        transport_->SendPhiValue(i, PhiValueMsg{site.committed_value()});
-    psi += reply.value;
-    delta_psi += site.SubroundValueRange();
+  for (int j = 0; j < m_; ++j) {
+    if (in_round_[static_cast<size_t>(j)] == 0) continue;
+    psi += PollChild(1, j);
+    if (depth_ == 1) {
+      delta_psi += sites_[static_cast<size_t>(j)].SubroundValueRange();
+    }
   }
   last_psi_ = psi + psi_b_;
   if (last_psi_ != 0.0) {
@@ -616,7 +901,7 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
     trace_->Emit(e);
   }
   const double stop_level =
-      config_.eps_psi * static_cast<double>(live_k_) * phi_zero_;
+      config_.eps_psi * static_cast<double>(live_m_) * phi0_prime_;
   if (last_psi_ >= stop_level) {
     if (trace_ != nullptr) {
       TraceEvent e;
@@ -646,63 +931,48 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
     MaterializeForCommit();
     EndRound(/*already_flushed=*/false);
   } else {
-    StartSubround(last_psi_);
+    StartSubround(last_psi_, /*analytic=*/false);
   }
 }
 
 bool FgmProtocol::CheapRoundOverBudget() const {
   if (!config_.optimizer || !config_.optimizer_feedback) return false;
-  int64_t full_count = 0;
-  for (uint8_t d : plan_) full_count += d;
-  if (full_count >= sites_k_) return false;
-  const double k = static_cast<double>(sites_k_);
+  if (FullPlanCount() >= m_) return false;
+  const double k = static_cast<double>(m_);
   const double full_round_words =
       k * static_cast<double>(query_->dimension()) +
       (3.0 * k + 1.0) * std::log2(1.0 / config_.eps_psi) + 4.0 * k;
   const double spent = static_cast<double>(
-      transport_->stats().total_words() - round_start_words_);
+      transports_[0]->stats().total_words() - round_start_words_);
   return spent > config_.feedback_budget_factor * full_round_words;
 }
 
-void FgmProtocol::FlushAllSites() {
-  for (int i = 0; i < sites_k_; ++i) {
+void FgmProtocol::FlushAll() {
+  for (int j = 0; j < m_; ++j) {
+    const size_t s = static_cast<size_t>(j);
     // Non-members flush at their rejoin reconfiguration instead; a member
     // that is down (deadline-triggered round end) keeps its un-flushed
     // drift locally until it rejoins.
-    if (in_round_[static_cast<size_t>(i)] == 0) continue;
-    if (sim_ != nullptr && site_ok_[static_cast<size_t>(i)] == 0) continue;
-    FgmSite& site = sites_[static_cast<size_t>(i)];
-    transport_->ShipControl(i, ControlMsg{ControlOp::kFlushRequest});
-    // The site ships either the dense drift or the verbatim raw updates,
-    // whichever is smaller, plus its update count (§2.1, §4.2.4). The
-    // message itself is the single definition of the flush cost; an
-    // empty-stream site's flush is the 1-word acknowledgement (§5.4).
-    const DriftFlushMsg delivered =
-        transport_->SendDriftFlush(i, site.MakeFlushMsg());
-    if (trace_ != nullptr) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kDriftFlush;
-      e.round = rounds_;
-      e.site = i;
-      e.words = delivered.Words();
-      e.count = delivered.update_count;
-      trace_->Emit(e);
-    }
+    if (in_round_[s] == 0) continue;
+    if (sim_ != nullptr && child_ok_[s] == 0) continue;
+    const DriftFlushMsg delivered = FlushChild(1, j);
     if (delivered.update_count > 0) {
       const RealVector& drift =
-          DeliveredDrift(delivered, *query_, i, &flush_scratch_);
+          DeliveredDrift(delivered, *query_, j, &flush_scratch_);
       balance_ += drift;
-      round_drift_[static_cast<size_t>(i)] += drift;
-      site.FlushReset();
+      round_drift_[s] += drift;
+      round_updates_[s] += delivered.update_count;
     }
   }
 }
 
 double FgmProtocol::FindMuStar() const {
   // g(µ) = φ(B/(µk)) is monotone along the ray (φ convex, φ(0) < 0):
-  // {µ : g(µ) ≤ 0} = [µ*, ∞). Bisection on [lo, 1].
+  // {µ : g(µ) ≤ 0} = [µ*, ∞). Bisection on [lo, 1]. k counts LEAVES: the
+  // balance vector is the total drift of the live sites, and λ reaches
+  // every one of them.
   if (balance_.Norm() == 0.0) return 0.0;
-  const double k = static_cast<double>(live_k_);
+  const double k = static_cast<double>(live_leaves_);
   RealVector scaled(balance_.dim());
   auto g = [&](double mu) {
     scaled = balance_;
@@ -736,13 +1006,13 @@ void FgmProtocol::TryRebalance() {
     return;
   }
   // Rebalancing buys longer rounds at the price of extra subround
-  // overhead; when the next round's zone shipping is nearly free (e.g.
-  // the optimizer chose cheap bounds everywhere), ending the round is
-  // cheaper than stretching it.
+  // overhead; when the next round's root-link zone shipping is nearly
+  // free (e.g. the optimizer chose cheap bounds everywhere), ending the
+  // round is cheaper than stretching it.
   double plan_words = 0.0;
-  for (int i = 0; i < sites_k_; ++i) {
-    if (in_round_[static_cast<size_t>(i)] == 0) continue;
-    plan_words += plan_[static_cast<size_t>(i)]
+  for (int j = 0; j < m_; ++j) {
+    if (in_round_[static_cast<size_t>(j)] == 0) continue;
+    plan_words += plan_[static_cast<size_t>(j)]
                       ? static_cast<double>(query_->dimension())
                       : CheapBoundFunction::kShippingWords;
   }
@@ -754,12 +1024,12 @@ void FgmProtocol::TryRebalance() {
   if (config_.health_planning && health_ != nullptr) {
     min_words_per_site *= health_->RebalanceCostFactor();
   }
-  if (plan_words / static_cast<double>(live_k_) < min_words_per_site) {
+  if (plan_words / static_cast<double>(live_m_) < min_words_per_site) {
     EndRound(/*already_flushed=*/false);
     return;
   }
-  FlushAllSites();
-  const double k = static_cast<double>(live_k_);
+  FlushAll();
+  const double k = static_cast<double>(live_leaves_);
   const double mu = FindMuStar();
   const double lambda = 1.0 - mu;
   if (lambda < config_.min_lambda) {
@@ -776,9 +1046,11 @@ void FgmProtocol::TryRebalance() {
     psi_b_ = 0.0;
   }
   lambda_ = lambda;
-  // All drifts are zero after the flush, so ψ = Σλφ(0) = kλφ(0).
-  const double psi = k * lambda_ * phi_zero_;
-  const double stop_level = config_.eps_psi * k * phi_zero_;
+  // All drifts are zero after the flush, so ψ = Σλφ(0) = live_m·λ·φ(0)'
+  // — the k·λ·φ(0) + ψ_B shape the replay checker re-derives.
+  const double psi = static_cast<double>(live_m_) * lambda_ * phi0_prime_;
+  const double stop_level =
+      config_.eps_psi * static_cast<double>(live_m_) * phi0_prime_;
   if (psi + psi_b_ <= stop_level) {
     ++rebalances_;
     if (trace_ != nullptr) {
@@ -790,37 +1062,35 @@ void FgmProtocol::TryRebalance() {
       e.psi = psi + psi_b_;
       trace_->Emit(e);
     }
-    for (int i = 0; i < sites_k_; ++i) {
-      if (in_round_[static_cast<size_t>(i)] == 0) continue;
-      const LambdaMsg delivered =
-          transport_->ShipLambda(i, LambdaMsg{lambda_});
-      sites_[static_cast<size_t>(i)].SetLambda(delivered.lambda);
+    for (int j = 0; j < m_; ++j) {
+      if (in_round_[static_cast<size_t>(j)] == 0) continue;
+      InstallLambda(1, j, lambda_);
     }
-    StartSubround(psi + psi_b_);
+    StartSubround(psi + psi_b_, /*analytic=*/true);
   } else {
     EndRound(/*already_flushed=*/true);
   }
 }
 
 void FgmProtocol::EndRound(bool already_flushed) {
-  if (!already_flushed) FlushAllSites();
+  if (!already_flushed) FlushAll();
 
   // Derive the FGM/O rate estimates from this round's observations.
   if (config_.optimizer) {
-    std::vector<double> phi_end(static_cast<size_t>(sites_k_));
-    std::vector<double> drift_norm(static_cast<size_t>(sites_k_));
-    std::vector<int64_t> site_updates(static_cast<size_t>(sites_k_));
+    std::vector<double> phi_end(static_cast<size_t>(m_));
+    std::vector<double> drift_norm(static_cast<size_t>(m_));
+    std::vector<int64_t> child_updates(static_cast<size_t>(m_));
     int64_t tau = 0;
     // The cheap bound is b(x) = L‖x‖ + φ(0) (Eq. 17 with the Lipschitz
     // factor made explicit), so its growth rate scales with L.
     const double lipschitz = cheap_fn_->LipschitzBound();
-    for (int i = 0; i < sites_k_; ++i) {
-      const RealVector& x = round_drift_[static_cast<size_t>(i)];
-      phi_end[static_cast<size_t>(i)] = safe_fn_->Eval(x);
-      drift_norm[static_cast<size_t>(i)] = lipschitz * x.Norm();
-      site_updates[static_cast<size_t>(i)] =
-          sites_[static_cast<size_t>(i)].updates_in_round();
-      tau += site_updates[static_cast<size_t>(i)];
+    for (int j = 0; j < m_; ++j) {
+      const size_t s = static_cast<size_t>(j);
+      const RealVector& x = round_drift_[s];
+      phi_end[s] = safe_fn_->Eval(x);
+      drift_norm[s] = lipschitz * x.Norm();
+      child_updates[s] = ChildUpdates(j);
+      tau += child_updates[s];
     }
     if (tau > 0) {
       if (have_rates_) {
@@ -828,50 +1098,71 @@ void FgmProtocol::EndRound(bool already_flushed) {
         have_older_rates_ = true;
       }
       prev_rates_ =
-          EstimateSiteRates(phi_zero_, phi_end, drift_norm, site_updates);
+          EstimateSiteRates(phi_zero_, phi_end, drift_norm, child_updates);
       have_rates_ = true;
       if (health_ != nullptr) {
-        for (int i = 0; i < sites_k_; ++i) {
-          const SiteRates& r = prev_rates_[static_cast<size_t>(i)];
-          if (r.active) health_->ObserveRates(i, r.alpha, r.beta, r.gamma);
+        for (int j = 0; j < m_; ++j) {
+          const SiteRates& r = prev_rates_[static_cast<size_t>(j)];
+          if (r.active) health_->ObserveRates(j, r.alpha, r.beta, r.gamma);
         }
       }
     }
   }
 
-  // E absorbs the total drift of the round: E += B/k.
-  estimate_.Axpy(1.0 / static_cast<double>(sites_k_), balance_);
+  // E absorbs the total drift of the round per leaf: E += B/k.
+  estimate_.Axpy(1.0 / static_cast<double>(k_), balance_);
   StartRound();
 }
 
 bool FgmProtocol::BoundsCertified() const {
-  if (counter_total_ > live_k_) return false;
+  if (counter_total_ > live_m_) return false;
   if (sim_ == nullptr) return true;
   // Under a simulated network the subround invariant c ≤ k only covers
   // the increments the coordinator has SEEN. Certify exactly the instants
-  // where the full-k round is intact and no counter weight is pending
-  // (in flight or dropped): every site-local increment then took effect
+  // where the full-m round is intact and no counter weight is pending
+  // (in flight or dropped): every child-local increment then took effect
   // at the coordinator, so the synchronous argument applies verbatim.
-  if (paused_ || live_k_ != sites_k_) return false;
+  if (paused_ || live_m_ != m_) return false;
   return PendingCounterWeight() == 0;
 }
 
 int64_t FgmProtocol::PendingCounterWeight() const {
   int64_t pending = 0;
-  for (int i = 0; i < sites_k_; ++i) {
-    if (in_round_[static_cast<size_t>(i)] == 0) continue;
-    const int64_t delta = sites_[static_cast<size_t>(i)].counter() -
-                          coord_seen_ci_[static_cast<size_t>(i)];
+  for (int j = 0; j < m_; ++j) {
+    if (in_round_[static_cast<size_t>(j)] == 0) continue;
+    const int64_t delta =
+        ChildCounter(j) - coord_seen_ci_[static_cast<size_t>(j)];
     if (delta > 0) pending += delta;
   }
   return pending;
 }
 
 void FgmProtocol::Finish() {
-  if (sim_ == nullptr) return;
-  sim_->FinishRun();
-  DrainNetwork();
+  if (sim_ != nullptr) {
+    sim_->FinishRun();
+    DrainNetwork();
+  }
+  EmitTierEnds();
 }
+
+int64_t FgmProtocol::SubroundWords() const {
+  const TrafficStats& t = transports_[0]->stats();
+  // Quantum broadcast (k), φ-value replies (k) and counter increments
+  // (≤ k+1) — the paper's 3k+1 words per subround. Poll/flush requests
+  // are charged as kControl and excluded here.
+  return t.words_by_kind[static_cast<size_t>(MsgKind::kQuantum)] +
+         t.words_by_kind[static_cast<size_t>(MsgKind::kCounter)] +
+         t.words_by_kind[static_cast<size_t>(MsgKind::kPhiValue)];
+}
+
+double FgmProtocol::mean_full_function_fraction() const {
+  if (total_function_ships_ == 0) return 0.0;
+  return static_cast<double>(full_function_ships_) /
+         static_cast<double>(total_function_ships_);
+}
+
+// ---------------------------------------------------------------------------
+// Simulated-network machinery (the root's children are the fault domain)
 
 void FgmProtocol::SimTick() {
   sim_->Advance(1);
@@ -887,7 +1178,7 @@ void FgmProtocol::DrainNetwork() {
     HandleCounterDelivery(delivery);
     // Poll inside the drain loop: once a poll advances the subround, the
     // remaining queued datagrams carry a stale epoch and are discarded.
-    if (!paused_ && counter_total_ > live_k_) PollAndAdvance();
+    if (!paused_ && counter_total_ > live_m_) PollAndAdvance();
   }
   MaybeSilencePoll();
 }
@@ -895,7 +1186,7 @@ void FgmProtocol::DrainNetwork() {
 void FgmProtocol::HandleFault(const sim::FaultNotice& fault) {
   const size_t s = static_cast<size_t>(fault.site);
   if (!fault.up) {
-    site_ok_[s] = 0;
+    child_ok_[s] = 0;
     down_since_[s] = sim_->now();
     if (health_ != nullptr) {
       health_->NoteSiteDown(fault.site, rounds_, sim_->now());
@@ -906,17 +1197,17 @@ void FgmProtocol::HandleFault(const sim::FaultNotice& fault) {
     if (in_round_[s] != 0) paused_ = true;
     return;
   }
-  site_ok_[s] = 1;
+  child_ok_[s] = 1;
   if (health_ != nullptr) {
     health_->NoteSiteUp(fault.site, rounds_, sim_->now());
   }
   if (in_round_[s] != 0) {
-    ResyncSite(fault.site);
-    if (!AnyInRoundSiteDown()) {
+    ResyncChild(fault.site);
+    if (!AnyInRoundChildDown()) {
       paused_ = false;
-      // The interrupted subround cannot be resumed — the rejoined site's
-      // subround baseline z_i was volatile. Poll everyone and start a
-      // fresh (labelled) subround from the authoritative ψ.
+      // The interrupted subround cannot be resumed — the rejoined child's
+      // subround baseline was volatile. Poll everyone and start a fresh
+      // (labelled) subround from the authoritative ψ.
       PollAndAdvance("resync");
     }
   } else {
@@ -924,17 +1215,17 @@ void FgmProtocol::HandleFault(const sim::FaultNotice& fault) {
   }
 }
 
-bool FgmProtocol::AnyInRoundSiteDown() const {
-  for (int i = 0; i < sites_k_; ++i) {
-    if (in_round_[static_cast<size_t>(i)] != 0 &&
-        site_ok_[static_cast<size_t>(i)] == 0) {
+bool FgmProtocol::AnyInRoundChildDown() const {
+  for (int j = 0; j < m_; ++j) {
+    if (in_round_[static_cast<size_t>(j)] != 0 &&
+        child_ok_[static_cast<size_t>(j)] == 0) {
       return true;
     }
   }
   return false;
 }
 
-void FgmProtocol::ResyncSite(int site) {
+void FgmProtocol::ResyncChild(int child) {
   ResyncMsg msg;
   msg.reference = estimate_;
   msg.theta = last_theta_;
@@ -946,79 +1237,79 @@ void FgmProtocol::ResyncSite(int site) {
   if (spans_ != nullptr) {
     // Parented to the run: the handshake interrupts whatever subround is
     // open rather than nesting inside it.
-    resync_span = spans_->BeginWithParent(SpanKind::kResync, site, rounds_,
+    resync_span = spans_->BeginWithParent(SpanKind::kResync, child, rounds_,
                                           subrounds_this_round_, "rejoin",
                                           spans_->root());
   }
   if (trace_ != nullptr) {
-    // Emitted before the handshake ships: the site is up again from here
+    // Emitted before the handshake ships: the child is up again from here
     // on, and the replay checker clears its down state at this event.
     TraceEvent e;
     e.kind = TraceEventKind::kSiteResync;
-    e.site = site;
+    e.site = child;
     e.round = rounds_;
     e.words = msg.Words();
     e.t = sim_->now();
     e.reason = "rejoin";
     trace_->Emit(e);
   }
-  const ResyncMsg delivered = transport_->ShipResync(site, msg);
-  // Recovery always ships the full reference and the site rebuilds φ from
-  // it, even when its round plan was the cheap bound. Sound: b ≥ φ
-  // pointwise, so replacing one summand of the monitored Σf_i (f_i ∈
-  // {φ, b}) by φ keeps Σf_i ≥ Σφ — the threshold test stays conservative.
-  sites_[static_cast<size_t>(site)].ResyncRound(
-      safe_fn_.get(), delivered.lambda, delivered.theta);
-  plan_[static_cast<size_t>(site)] = 1;
-  // The site's per-subround counter restarted from zero; re-baseline.
+  const ResyncMsg delivered = transports_[0]->ShipResync(child, msg);
+  const size_t c = static_cast<size_t>(child);
+  if (depth_ == 1) {
+    // Recovery always ships the full reference and the site rebuilds φ
+    // from it, even when its round plan was the cheap bound. Sound: b ≥ φ
+    // pointwise, so replacing one summand of the monitored Σf_i (f_i ∈
+    // {φ, b}) by φ keeps Σf_i ≥ Σφ — the threshold test stays
+    // conservative.
+    sites_[c].ResyncRound(safe_fn_.get(), delivered.lambda, delivered.theta);
+    plan_[c] = 1;
+  } else {
+    // The subtree IS the aggregator's stable storage: its leaves kept
+    // their evaluators and drift, and no subround advanced while the
+    // round was paused, so θ is unchanged and nothing below the
+    // aggregator needs re-shipping. Re-baseline the export edge on the
+    // current conservative bound; the "resync"-labelled poll that follows
+    // (once every member is up) re-baselines the whole tree.
+    AggNode& a = Agg(1, child);
+    a.theta_up = delivered.theta;
+    a.z_up = VHat(a);
+    a.sent_up = 0;
+    a.last_reported = a.z_up;
+  }
+  // The child's per-subround counter restarted from zero; re-baseline.
   // Pre-crash datagrams still in flight for this epoch then re-apply as
   // fresh deltas — that only inflates c (an earlier poll), never misses.
-  coord_seen_ci_[static_cast<size_t>(site)] = 0;
+  coord_seen_ci_[c] = 0;
   if (spans_ != nullptr) spans_->End(resync_span);
 }
 
-void FgmProtocol::RejoinReconfigure(int site) {
-  // The returning site is not a round member (it was dropped by the
+void FgmProtocol::RejoinReconfigure(int child) {
+  // The returning child is not a round member (it was dropped by the
   // deadline). Pull its surviving drift into the balance vector before
-  // the reconfiguring round resets its evaluator, then end the reduced
-  // round — the next StartRound re-admits every up site.
+  // the reconfiguring round resets its evaluators, then end the reduced
+  // round — the next StartRound re-admits every up child.
   sim_->NoteResync();
   int64_t resync_span = 0;
   if (spans_ != nullptr) {
-    resync_span = spans_->BeginWithParent(SpanKind::kResync, site, rounds_,
+    resync_span = spans_->BeginWithParent(SpanKind::kResync, child, rounds_,
                                           subrounds_this_round_, "reconfig",
                                           spans_->root());
   }
   if (trace_ != nullptr) {
-    // Emitted before the flush exchange: the site is up again from here
+    // Emitted before the flush exchange: the child is up again from here
     // on, and the replay checker clears its down state at this event.
     TraceEvent e;
     e.kind = TraceEventKind::kSiteResync;
-    e.site = site;
+    e.site = child;
     e.round = rounds_;
     e.words = 0;
     e.t = sim_->now();
     e.reason = "reconfig";
     trace_->Emit(e);
   }
-  FgmSite& s = sites_[static_cast<size_t>(site)];
-  transport_->ShipControl(site, ControlMsg{ControlOp::kFlushRequest});
-  const DriftFlushMsg delivered =
-      transport_->SendDriftFlush(site, s.MakeFlushMsg());
-  if (trace_ != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kDriftFlush;
-    e.round = rounds_;
-    e.site = site;
-    e.words = delivered.Words();
-    e.count = delivered.update_count;
-    trace_->Emit(e);
-  }
+  const DriftFlushMsg delivered = FlushChild(1, child);
   if (delivered.update_count > 0) {
-    const RealVector& drift =
-        DeliveredDrift(delivered, *query_, site, &flush_scratch_);
-    balance_ += drift;
-    s.FlushReset();
+    balance_ += DeliveredDrift(delivered, *query_, child, &flush_scratch_);
   }
   CloseSubroundForced("reconfig");
   EndRound(/*already_flushed=*/false);
@@ -1055,9 +1346,9 @@ void FgmProtocol::HandleCounterDelivery(const sim::CounterDelivery& delivery) {
   ApplyCounterDelta(delivery.site, delivery.msg.increment, nullptr);
 }
 
-void FgmProtocol::ApplyCounterDelta(int site, int64_t cumulative,
+void FgmProtocol::ApplyCounterDelta(int child, int64_t cumulative,
                                     const char* reason) {
-  const size_t s = static_cast<size_t>(site);
+  const size_t s = static_cast<size_t>(child);
   const int64_t delta = cumulative - coord_seen_ci_[s];
   if (delta <= 0) return;  // reordered duplicate of an older cumulative
   coord_seen_ci_[s] = cumulative;
@@ -1068,7 +1359,7 @@ void FgmProtocol::ApplyCounterDelta(int site, int64_t cumulative,
     e.kind = TraceEventKind::kIncrementMsg;
     e.round = rounds_;
     e.subround = subrounds_this_round_;
-    e.site = site;
+    e.site = child;
     e.counter = delta;
     e.reason = reason;
     trace_->Emit(e);
@@ -1080,27 +1371,28 @@ void FgmProtocol::MaybeSilencePoll() {
   if (sim_->now() - last_counter_activity_ < config_.net.silence_timeout) {
     return;
   }
-  // The subround may be stalled on dropped datagrams from sites that have
-  // since gone quiet: re-poll every member's cumulative counter (request
-  // + one-word reply, charged and retransmitted like any control RPC).
+  // The subround may be stalled on dropped datagrams from children that
+  // have since gone quiet: re-poll every member's cumulative counter
+  // (request + one-word reply, charged and retransmitted like any control
+  // RPC).
   sim_->NoteTimeout();
   last_counter_activity_ = sim_->now();
-  for (int i = 0; i < sites_k_; ++i) {
-    const size_t s = static_cast<size_t>(i);
-    if (in_round_[s] == 0 || site_ok_[s] == 0) continue;
-    transport_->ShipControl(i, ControlMsg{ControlOp::kPollCounter});
+  for (int j = 0; j < m_; ++j) {
+    const size_t s = static_cast<size_t>(j);
+    if (in_round_[s] == 0 || child_ok_[s] == 0) continue;
+    transports_[0]->ShipControl(j, ControlMsg{ControlOp::kPollCounter});
     const CounterMsg reply =
-        transport_->SendCounter(i, CounterMsg{sites_[s].counter()});
-    ApplyCounterDelta(i, reply.increment, "timeout-poll");
+        transports_[0]->SendCounter(j, CounterMsg{ChildCounter(j)});
+    ApplyCounterDelta(j, reply.increment, "timeout-poll");
   }
-  if (counter_total_ > live_k_) PollAndAdvance();
+  if (counter_total_ > live_m_) PollAndAdvance();
 }
 
 void FgmProtocol::CheckDeadlines() {
   bool expired = false;
-  for (int i = 0; i < sites_k_; ++i) {
-    const size_t s = static_cast<size_t>(i);
-    if (in_round_[s] != 0 && site_ok_[s] == 0 &&
+  for (int j = 0; j < m_; ++j) {
+    const size_t s = static_cast<size_t>(j);
+    if (in_round_[s] != 0 && child_ok_[s] == 0 &&
         sim_->now() - down_since_[s] >= config_.net.dead_deadline) {
       expired = true;
       break;
@@ -1108,27 +1400,11 @@ void FgmProtocol::CheckDeadlines() {
   }
   if (!expired) return;
   // Graceful degradation: a member stayed dead past the deadline. End the
-  // round without it — FlushAllSites skips down sites (their un-flushed
+  // round without it — FlushAll skips down children (their un-flushed
   // drift survives locally and folds in at rejoin) and StartRound
-  // reconstitutes the round over the surviving sites (reduced k).
+  // reconstitutes the round over the survivors (reduced m).
   CloseSubroundForced("deadline");
   EndRound(/*already_flushed=*/false);
-}
-
-int64_t FgmProtocol::SubroundWords() const {
-  const TrafficStats& t = transport_->stats();
-  // Quantum broadcast (k), φ-value replies (k) and counter increments
-  // (≤ k+1) — the paper's 3k+1 words per subround. Poll/flush requests
-  // are charged as kControl and excluded here.
-  return t.words_by_kind[static_cast<size_t>(MsgKind::kQuantum)] +
-         t.words_by_kind[static_cast<size_t>(MsgKind::kCounter)] +
-         t.words_by_kind[static_cast<size_t>(MsgKind::kPhiValue)];
-}
-
-double FgmProtocol::mean_full_function_fraction() const {
-  if (total_function_ships_ == 0) return 0.0;
-  return static_cast<double>(full_function_ships_) /
-         static_cast<double>(total_function_ships_);
 }
 
 }  // namespace fgm

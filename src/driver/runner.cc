@@ -13,7 +13,6 @@
 #include "query/variance.h"
 #include "core/fgm_protocol.h"
 #include "gm/gm_protocol.h"
-#include "hier/hier_protocol.h"
 #include "hier/topology.h"
 #include "obs/health.h"
 #include "obs/json.h"
@@ -89,47 +88,39 @@ std::unique_ptr<ContinuousQuery> MakeQuery(const RunConfig& config) {
   return nullptr;
 }
 
-std::unique_ptr<MonitoringProtocol> MakeProtocol(
-    const RunConfig& config, const ContinuousQuery* query) {
+namespace {
+
+/// The run's topology: config.topology parsed for config.sites leaves, or
+/// the flat star when it is empty. A malformed spec dies with its
+/// one-line message.
+hier::TreeTopology RunTopology(const RunConfig& config) {
+  if (config.topology.empty()) return hier::TreeTopology::Star(config.sites);
+  hier::TreeTopology topo;
+  std::string error;
+  if (!hier::TreeTopology::Parse(config.topology, config.sites, &topo,
+                                 &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    FGM_CHECK(false);
+  }
+  return topo;
+}
+
+std::unique_ptr<MonitoringProtocol> BuildProtocol(
+    const RunConfig& config, const ContinuousQuery* query,
+    const hier::TreeTopology& topo) {
   // kAuto still honours the FGM_STRICT_WIRE environment variable.
   const TransportMode mode = config.strict_wire ? TransportMode::kSerializing
                                                 : TransportMode::kAuto;
-  if (!config.topology.empty()) {
-    hier::TreeTopology topo;
-    std::string error;
-    if (!hier::TreeTopology::Parse(config.topology, config.sites, &topo,
-                                   &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      FGM_CHECK(false);
-    }
-    if (!topo.IsFlat()) {
-      // Deep tree: aggregators run the subround protocol over their
-      // children, which only the FGM family has. GM/CENTRAL reject.
-      FGM_CHECK(config.protocol == ProtocolKind::kFgmBasic ||
-                config.protocol == ProtocolKind::kFgm ||
-                config.protocol == ProtocolKind::kFgmOpt);
-      FgmConfig fgm;
-      fgm.transport = mode;
-      fgm.net = config.net;
-      fgm.rebalance = config.protocol != ProtocolKind::kFgmBasic;
-      fgm.optimizer = config.protocol == ProtocolKind::kFgmOpt;
-      fgm.trace = config.trace;
-      fgm.metrics = config.metrics;
-      fgm.spans = config.spans;
-      fgm.span_wire = config.span_wire;
-      fgm.health = config.health;
-      fgm.health_planning = config.health_planning;
-      return std::make_unique<HierFgmProtocol>(query, topo, fgm);
-    }
-    // Depth-1 tree (fanout >= sites): exactly the flat star — fall
-    // through to the flat constructors so the run is byte-identical.
-  }
   switch (config.protocol) {
     case ProtocolKind::kCentral:
+      // Deep trees need the subround protocol at the aggregators, which
+      // only the FGM family has.
+      FGM_CHECK(topo.IsFlat());
       return std::make_unique<CentralProtocol>(query, config.sites, mode,
                                                config.trace, config.metrics,
                                                config.net);
     case ProtocolKind::kGm: {
+      FGM_CHECK(topo.IsFlat());
       GmConfig gm;
       gm.transport = mode;
       gm.net = config.net;
@@ -137,53 +128,25 @@ std::unique_ptr<MonitoringProtocol> MakeProtocol(
       gm.metrics = config.metrics;
       return std::make_unique<GmProtocol>(query, config.sites, gm);
     }
-    case ProtocolKind::kFgmBasic: {
-      FgmConfig fgm;
-      fgm.transport = mode;
-      fgm.net = config.net;
-      fgm.rebalance = false;
-      fgm.trace = config.trace;
-      fgm.metrics = config.metrics;
-      fgm.timeseries = config.timeseries;
-      fgm.spans = config.spans;
-      fgm.span_wire = config.span_wire;
-      fgm.health = config.health;
-      fgm.health_planning = config.health_planning;
-      return std::make_unique<FgmProtocol>(query, config.sites, fgm);
-    }
-    case ProtocolKind::kFgm: {
-      FgmConfig fgm;
-      fgm.transport = mode;
-      fgm.net = config.net;
-      fgm.trace = config.trace;
-      fgm.metrics = config.metrics;
-      fgm.timeseries = config.timeseries;
-      fgm.spans = config.spans;
-      fgm.span_wire = config.span_wire;
-      fgm.health = config.health;
-      fgm.health_planning = config.health_planning;
-      return std::make_unique<FgmProtocol>(query, config.sites, fgm);
-    }
-    case ProtocolKind::kFgmOpt: {
-      FgmConfig fgm;
-      fgm.transport = mode;
-      fgm.net = config.net;
-      fgm.optimizer = true;
-      fgm.trace = config.trace;
-      fgm.metrics = config.metrics;
-      fgm.timeseries = config.timeseries;
-      fgm.spans = config.spans;
-      fgm.span_wire = config.span_wire;
-      fgm.health = config.health;
-      fgm.health_planning = config.health_planning;
-      return std::make_unique<FgmProtocol>(query, config.sites, fgm);
-    }
+    case ProtocolKind::kFgmBasic:
+    case ProtocolKind::kFgm:
+    case ProtocolKind::kFgmOpt:
+      break;
   }
-  FGM_CHECK(false);
-  return nullptr;
+  FgmConfig fgm;
+  fgm.transport = mode;
+  fgm.net = config.net;
+  fgm.rebalance = config.protocol != ProtocolKind::kFgmBasic;
+  fgm.optimizer = config.protocol == ProtocolKind::kFgmOpt;
+  fgm.trace = config.trace;
+  fgm.metrics = config.metrics;
+  fgm.timeseries = config.timeseries;
+  fgm.spans = config.spans;
+  fgm.span_wire = config.span_wire;
+  fgm.health = config.health;
+  fgm.health_planning = config.health_planning;
+  return std::make_unique<FgmProtocol>(query, topo, fgm);
 }
-
-namespace {
 
 /// JSON run summary: RunResult + traffic breakdown + the metrics registry.
 void WriteMetricsFile(const std::string& path, const RunConfig& config,
@@ -279,6 +242,11 @@ void WriteMetricsFile(const std::string& path, const RunConfig& config,
 
 }  // namespace
 
+std::unique_ptr<MonitoringProtocol> MakeProtocol(
+    const RunConfig& config, const ContinuousQuery* query) {
+  return BuildProtocol(config, query, RunTopology(config));
+}
+
 RunResult Run(const RunConfig& base_config,
               const std::vector<StreamRecord>& trace) {
   const auto start = std::chrono::steady_clock::now();
@@ -321,41 +289,27 @@ RunResult Run(const RunConfig& base_config,
                         ProtocolKindName(config.protocol));
   }
 
-  // Tree topologies: the RunStart announces the spec and carries k = the
-  // root's fan-in (its effective site count) so the replay checker
-  // certifies the root tier with the flat invariants; flat runs (and
-  // depth-1 trees, which ARE the flat star) keep the historic schema.
-  hier::TreeTopology topo;
-  bool deep_tree = false;
-  if (!config.topology.empty()) {
-    std::string topo_error;
-    if (!hier::TreeTopology::Parse(config.topology, config.sites, &topo,
-                                   &topo_error)) {
-      std::fprintf(stderr, "%s\n", topo_error.c_str());
-      FGM_CHECK(false);
-    }
-    deep_tree = !topo.IsFlat();
-  }
-
   // RunStart precedes the protocol's own events (its constructor already
-  // starts the first round).
+  // starts the first round). Its k is the root's fan-in (its effective
+  // site count), so the replay checker certifies the root tier with the
+  // flat invariants; deeper trees also announce the spec and leaf count,
+  // while the flat star (any depth-1 spec) keeps the historic schema.
+  const hier::TreeTopology topo = RunTopology(config);
   if (config.trace != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kRunStart;
     e.label = ProtocolKindName(config.protocol);
-    if (deep_tree) {
-      e.k = topo.NodesAt(1);
+    e.k = topo.NodesAt(1);
+    if (!topo.IsFlat()) {
       e.reason = topo.spec().c_str();
       e.counter = topo.leaves();
-    } else {
-      e.k = config.sites;
     }
     config.trace->Emit(e);
   }
 
   std::unique_ptr<ContinuousQuery> query = MakeQuery(config);
   std::unique_ptr<MonitoringProtocol> protocol =
-      MakeProtocol(config, query.get());
+      BuildProtocol(config, query.get(), topo);
 
   // Exact ground-truth state, maintained only when verification is on.
   const bool verify = config.check_every > 0;
@@ -394,8 +348,7 @@ RunResult Run(const RunConfig& base_config,
   // cadence outside the protocol's record path; in parallel mode the
   // chunking below aligns to the snapshot boundary so the series is
   // bit-identical for every thread count.
-  FgmProtocol* fgm_proto = dynamic_cast<FgmProtocol*>(protocol.get());
-  HierFgmProtocol* hier_proto = dynamic_cast<HierFgmProtocol*>(protocol.get());
+  FgmProtocol* fgm = dynamic_cast<FgmProtocol*>(protocol.get());
   const int64_t snap_every = config.snapshot_every;
   const bool sample = config.timeseries != nullptr && snap_every > 0;
   auto interval_snapshot = [&](int64_t records) {
@@ -410,18 +363,12 @@ RunResult Run(const RunConfig& base_config,
     for (size_t i = 0; i < s.words_by_kind.size(); ++i) {
       s.words_by_kind[i] = t.words_by_kind[i];
     }
-    if (fgm_proto != nullptr) {
-      s.psi = fgm_proto->last_psi();
-      s.theta = fgm_proto->last_quantum();
-      s.lambda = fgm_proto->current_lambda();
-      s.subrounds = fgm_proto->subrounds_this_round();
-      s.total_subrounds = fgm_proto->subrounds();
-    } else if (hier_proto != nullptr) {
-      s.psi = hier_proto->last_psi();
-      s.theta = hier_proto->last_quantum();
-      s.lambda = hier_proto->current_lambda();
-      s.subrounds = hier_proto->subrounds_this_round();
-      s.total_subrounds = hier_proto->subrounds();
+    if (fgm != nullptr) {
+      s.psi = fgm->last_psi();
+      s.theta = fgm->last_quantum();
+      s.lambda = fgm->current_lambda();
+      s.subrounds = fgm->subrounds_this_round();
+      s.total_subrounds = fgm->subrounds();
     }
     if (const sim::SimNetStats* ns = protocol->net_stats()) {
       s.in_flight_words = ns->in_flight_words;
@@ -445,14 +392,8 @@ RunResult Run(const RunConfig& base_config,
   const bool live =
       health != nullptr && (!config.prom_out.empty() || live_file != nullptr);
   auto live_emit = [&](int64_t records) {
-    const int64_t total_sub =
-        fgm_proto != nullptr
-            ? fgm_proto->subrounds()
-            : (hier_proto != nullptr ? hier_proto->subrounds() : 0);
-    const double psi =
-        fgm_proto != nullptr
-            ? fgm_proto->last_psi()
-            : (hier_proto != nullptr ? hier_proto->last_psi() : 0.0);
+    const int64_t total_sub = fgm != nullptr ? fgm->subrounds() : 0;
+    const double psi = fgm != nullptr ? fgm->last_psi() : 0.0;
     health->ObserveProgress(records, protocol->rounds(), total_sub, records);
     const int64_t words = protocol->traffic().total_words();
     if (!config.prom_out.empty()) {
@@ -484,13 +425,12 @@ RunResult Run(const RunConfig& base_config,
             .count();
     const double rate =
         secs > 0.0 ? static_cast<double>(records) / secs : 0.0;
-    if (fgm_proto != nullptr || hier_proto != nullptr) {
+    if (fgm != nullptr) {
       std::fprintf(stderr,
                    "[fgm] %lld records  %.0f rec/s  round %lld  psi %.6g\n",
                    static_cast<long long>(records), rate,
                    static_cast<long long>(protocol->rounds()),
-                   fgm_proto != nullptr ? fgm_proto->last_psi()
-                                        : hier_proto->last_psi());
+                   fgm->last_psi());
     } else {
       std::fprintf(stderr, "[fgm] %lld records  %.0f rec/s  round %lld\n",
                    static_cast<long long>(records), rate,
@@ -503,11 +443,12 @@ RunResult Run(const RunConfig& base_config,
                          : nullptr;
   if (sharded != nullptr && !sharded->SupportsSpeculation()) {
     // Simulated-network runs advance a global event clock per record;
-    // speculative replay would deliver messages twice. Fall back to the
-    // serial reference loop.
+    // speculative replay would deliver messages twice. Tree runs route
+    // increments through aggregators the sharded commit path does not
+    // model. Fall back to the serial reference loop.
     std::fprintf(stderr,
                  "[fgm] %s does not support speculation here "
-                 "(simulated network); running serial\n",
+                 "(simulated network or deep tree); running serial\n",
                  result.protocol_name.c_str());
     sharded = nullptr;
   }
@@ -613,21 +554,17 @@ RunResult Run(const RunConfig& base_config,
   result.final_estimate = protocol->Estimate();
   if (verify) result.final_truth = query->Evaluate(truth);
 
-  if (auto* fgm = dynamic_cast<FgmProtocol*>(protocol.get())) {
+  if (fgm != nullptr) {
     result.subrounds = fgm->subrounds();
     result.rebalances = fgm->rebalances();
     result.overflow_rounds = fgm->overflow_rounds();
     result.mean_full_function_fraction = fgm->mean_full_function_fraction();
-  } else if (hier_proto != nullptr) {
-    result.subrounds = hier_proto->subrounds();
-    result.rebalances = hier_proto->rebalances();
-    result.overflow_rounds = hier_proto->overflow_rounds();
-    result.mean_full_function_fraction =
-        hier_proto->mean_full_function_fraction();
-    result.topology = hier_proto->topology().spec();
-    result.local_polls = hier_proto->local_polls();
-    for (int t = 0; t < hier_proto->tiers(); ++t) {
-      result.tier_traffic.push_back(hier_proto->tier_traffic(t));
+    if (fgm->tiers() > 1) {
+      result.topology = fgm->topology().spec();
+      result.local_polls = fgm->local_polls();
+      for (int t = 0; t < fgm->tiers(); ++t) {
+        result.tier_traffic.push_back(fgm->tier_traffic(t));
+      }
     }
   }
   if (const sim::SimNetStats* ns = protocol->net_stats()) {
@@ -664,16 +601,11 @@ RunResult Run(const RunConfig& base_config,
     m->GetCounter("total_words")->Add(result.traffic.total_words());
     m->GetGauge("comm_cost")->Set(result.comm_cost);
     m->GetGauge("upstream_fraction")->Set(result.upstream_fraction);
-    const CountHistogram* h = nullptr;
-    if (auto* fgm = dynamic_cast<FgmProtocol*>(protocol.get())) {
-      h = &fgm->subrounds_per_round();
-    } else if (hier_proto != nullptr) {
-      h = &hier_proto->subrounds_per_round();
-    }
-    if (h != nullptr) {
+    if (fgm != nullptr) {
+      const CountHistogram& h = fgm->subrounds_per_round();
       CountHistogram* out = m->GetHistogram("subrounds_per_round");
-      for (int64_t v = 0; v <= h->bucket_limit(); ++v) {
-        for (int64_t c = 0; c < h->CountAt(v); ++c) out->Add(v);
+      for (int64_t v = 0; v <= h.bucket_limit(); ++v) {
+        for (int64_t c = 0; c < h.CountAt(v); ++c) out->Add(v);
       }
     }
   }

@@ -1,5 +1,7 @@
 // Experiment runner: wires generator → sliding window → protocol, tracks
 // exact ground truth for verification, and reports the paper's metrics.
+// Every FGM-family run, flat or tree, is one FgmProtocol over the run's
+// hier::TreeTopology; the flat star is its depth-1 case.
 
 #ifndef FGM_DRIVER_RUNNER_H_
 #define FGM_DRIVER_RUNNER_H_
@@ -49,10 +51,11 @@ struct RunConfig {
   /// Network topology spec (src/hier). Empty = the flat star. "tree:<f>"
   /// or "tree:<f1>,<f2>,…" arranges the `sites` leaves under aggregator
   /// tiers of the given fanouts; a spec whose first level already covers
-  /// every site (fanout >= sites) IS the flat star and runs the flat
-  /// protocol byte-identically. Deep trees require an FGM-family
-  /// protocol; GM/CENTRAL have no subround machinery to compose and
-  /// reject them. Fault-plan site indices address tier-1 aggregators.
+  /// every site (fanout >= sites) is the depth-1 tree, i.e. the flat
+  /// star, byte-identical to an empty spec. Deep trees require an
+  /// FGM-family protocol; GM/CENTRAL have no subround machinery to
+  /// compose and reject them. Fault-plan site indices address the root's
+  /// children: the sites, or the tier-1 aggregators of a deep tree.
   std::string topology;
 
   // Sketch geometry (D = depth*width for Q1, 2*depth*width for Q2).
@@ -223,9 +226,10 @@ struct RunResult {
   bool net_enabled = false;
   sim::SimNetStats net;
 
-  // Tree-topology diagnostics (empty/zero on flat runs). `traffic` above
-  // then covers the ROOT tier only — the scaling-relevant number; the
-  // full per-link-tier breakdown (root-side first) is here.
+  // Tree-topology diagnostics (empty/zero at depth 1, the flat star). On
+  // deeper trees `traffic` above covers the ROOT tier only — the
+  // scaling-relevant number; the full per-link-tier breakdown (root-side
+  // first) is here.
   std::string topology;
   std::vector<TrafficStats> tier_traffic;
   int64_t local_polls = 0;  ///< aggregator-local subround polls

@@ -15,9 +15,14 @@
 //       [--topology=tree:4] [--topology=tree:8,4]
 //
 // --topology=tree:F arranges the sites under aggregator tiers of fanout
-// F (src/hier); tree:F with F >= sites IS the flat star and runs
-// byte-identically to the default. Deep trees need an FGM-family
+// F (src/hier); the one FGM coordinator runs over the tree's root, and
+// tree:F with F >= sites is its depth-1 case, the flat star,
+// byte-identical to the default. Deep trees need an FGM-family
 // protocol; fault-plan site indices then address tier-1 aggregators.
+//
+// Flag values are validated before the run starts (site/sketch sizes,
+// ε, drop rate, latency spec, fault plan, topology): a bad value prints
+// one line on stderr and exits 2.
 //
 // --threads > 1 runs the sharded parallel engine (exec/); traffic,
 // traces, results and time series are bit-identical to --threads=1.
@@ -47,11 +52,14 @@
 // offline; tools/fgm_report renders the trace+metrics+timeseries triple
 // into a run report and cross-checks them against each other.
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "driver/runner.h"
 #include "hier/topology.h"
+#include "sim/net_config.h"
 #include "stream/worldcup.h"
 #include "util/flags.h"
 
@@ -74,6 +82,80 @@ bool ParseQuery(const std::string& name, fgm::QueryKind* kind) {
   else if (name == "variance") *kind = fgm::QueryKind::kVariance;
   else if (name == "quantile") *kind = fgm::QueryKind::kQuantile;
   else return false;
+  return true;
+}
+
+bool Reject(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  return false;
+}
+
+/// Value checks the flag parser cannot make. Each bad value would
+/// otherwise die in an FGM_CHECK deep inside the run; here it costs one
+/// line on stderr (the caller exits 2).
+bool ValidateValues(const fgm::RunConfig& config,
+                    const std::string& protocol) {
+  if (config.sites < 1) return Reject("--sites must be at least 1");
+  const bool sketch = config.query == fgm::QueryKind::kSelfJoin ||
+                      config.query == fgm::QueryKind::kJoin;
+  if (config.depth < 1 || (sketch && config.depth % 2 == 0)) {
+    return Reject("--depth must be an odd number >= 1, got " +
+                  std::to_string(config.depth));
+  }
+  if (config.width < 1) return Reject("--width must be at least 1");
+  const bool below_one = config.query == fgm::QueryKind::kQuantile;
+  if (!std::isfinite(config.epsilon) || config.epsilon <= 0.0 ||
+      (below_one && config.epsilon >= 1.0)) {
+    return Reject(std::string("--eps must be a finite number > 0") +
+                  (below_one ? " and < 1" : ""));
+  }
+  if (!(config.net.drop >= 0.0 && config.net.drop < 1.0)) {
+    return Reject("--net_drop must be in [0, 1)");
+  }
+  fgm::sim::LatencySpec latency;
+  if (!fgm::sim::ParseLatencySpec(config.net.latency, &latency)) {
+    return Reject("--net_latency: bad spec '" + config.net.latency +
+                  "' (0, fixed:T, uniform:A-B with 0 <= A <= B, exp:M with "
+                  "M > 0)");
+  }
+  if (config.net.retransmit_timeout < 1 || config.net.silence_timeout < 1 ||
+      config.net.dead_deadline < 1) {
+    return Reject(
+        "--net_timeout, --net_silence and --net_deadline must be at least 1");
+  }
+  const bool fgm_family = config.protocol != fgm::ProtocolKind::kCentral &&
+                          config.protocol != fgm::ProtocolKind::kGm;
+  // Fault-plan indices address the root's children: the sites, or the
+  // tier-1 aggregators of a deeper tree.
+  int fault_domains = config.sites;
+  if (!config.topology.empty()) {
+    fgm::hier::TreeTopology topo;
+    std::string error;
+    if (!fgm::hier::TreeTopology::Parse(config.topology, config.sites, &topo,
+                                        &error)) {
+      return Reject(error);
+    }
+    if (!topo.IsFlat() && !fgm_family) {
+      return Reject("--topology=" + config.topology + ": " + protocol +
+                    " has no subround protocol to run at aggregators; deep "
+                    "trees need an FGM-family protocol");
+    }
+    fault_domains = topo.NodesAt(1);
+  }
+  if (!config.net.fault_plan.empty()) {
+    if (!fgm_family) {
+      return Reject("--fault_plan: " + protocol +
+                    " has no crash handshake; fault plans need an "
+                    "FGM-family protocol");
+    }
+    std::vector<fgm::sim::FaultTransition> transitions;
+    if (!fgm::sim::ParseFaultPlan(config.net.fault_plan, fault_domains,
+                                  &transitions)) {
+      return Reject("--fault_plan: bad plan '" + config.net.fault_plan +
+                    "' (malformed, overlapping, or a site outside [0, " +
+                    std::to_string(fault_domains) + "))");
+    }
+  }
   return true;
 }
 
@@ -158,26 +240,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Topology validation up front: parse errors and unsupported
-  // protocol/topology combinations die here with a one-line message
-  // instead of an FGM_CHECK deep inside the run.
-  if (!config.topology.empty()) {
-    fgm::hier::TreeTopology topo;
-    std::string error;
-    if (!fgm::hier::TreeTopology::Parse(config.topology, config.sites, &topo,
-                                        &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
-    if (!topo.IsFlat() && (config.protocol == fgm::ProtocolKind::kCentral ||
-                           config.protocol == fgm::ProtocolKind::kGm)) {
-      std::fprintf(stderr,
-                   "--topology=%s: %s has no subround protocol to run at "
-                   "aggregators; deep trees need an FGM-family protocol\n",
-                   config.topology.c_str(), protocol.c_str());
-      return 2;
-    }
-  }
+  if (!ValidateValues(config, protocol)) return 2;
 
   fgm::WorldCupConfig wc;
   wc.sites = config.sites;

@@ -107,6 +107,15 @@ bool TreeTopology::Parse(const std::string& spec, int leaves,
   return true;
 }
 
+TreeTopology TreeTopology::Star(int leaves) {
+  FGM_CHECK_GE(leaves, 1);
+  TreeTopology topo;
+  topo.counts_ = {1, leaves};
+  topo.fanouts_ = {leaves};
+  topo.spec_ = "tree:" + std::to_string(leaves);
+  return topo;
+}
+
 int TreeTopology::ChildBegin(int tier, int node) const {
   FGM_CHECK(tier >= 0 && tier < depth());
   const int64_t np = counts_[static_cast<size_t>(tier)];

@@ -1,4 +1,5 @@
-// Tree topologies for hierarchical FGM (src/hier).
+// Tree topologies for hierarchical FGM (src/hier). FgmProtocol
+// (core/fgm_protocol.h) runs over one; the flat star is depth 1.
 //
 // A TreeTopology arranges the k leaf sites under a root through zero or
 // more aggregator tiers. Tier 0 is the root (always one node), tier
@@ -42,6 +43,10 @@ class TreeTopology {
   /// diagnostic in `*error`.
   static bool Parse(const std::string& spec, int leaves, TreeTopology* out,
                     std::string* error);
+
+  /// The flat star: the root parents all `leaves` sites directly
+  /// (depth 1). Unlike Parse, accepts a single leaf.
+  static TreeTopology Star(int leaves);
 
   /// Number of edges on a root → leaf path (= number of link tiers).
   /// depth() == 1 is the flat star: no aggregators, root parents the

@@ -20,11 +20,18 @@
 //     aggregator under loss and latency jitter costs resyncs or a
 //     reduced-m round, never a missed bound.
 //
+//  5. Pinned tree behaviour — every deep-tree run above also matches
+//     recorded per-tier words/messages, round/subround/rebalance/local-
+//     poll counts and the exact bits of its final estimate, so a change
+//     to the tree protocol's behaviour cannot pass unnoticed.
+//
 // `ctest -L hier` runs this suite plus the runner → trace_check --tiers
-// fixture.
+// and runner → fgm_report fixtures.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -222,6 +229,43 @@ RunResult RunToFile(RunConfig config, const std::vector<StreamRecord>& trace,
   return result;
 }
 
+/// Up/down words and messages of one link tier.
+struct TierPin {
+  int64_t up_words;
+  int64_t down_words;
+  int64_t up_msgs;
+  int64_t down_msgs;
+};
+
+/// A tree run's outcome at the bit level: per-link-tier traffic (root
+/// side first), the protocol counters, and the final estimate's bits.
+struct TreePin {
+  std::vector<TierPin> tiers;
+  int64_t rounds;
+  int64_t subrounds;
+  int64_t rebalances;
+  int64_t local_polls;
+  uint64_t estimate_bits;
+};
+
+void ExpectPinned(const RunResult& r, const TreePin& pin) {
+  ASSERT_EQ(r.tier_traffic.size(), pin.tiers.size());
+  for (size_t t = 0; t < pin.tiers.size(); ++t) {
+    const TrafficStats& s = r.tier_traffic[t];
+    EXPECT_EQ(s.upstream_words, pin.tiers[t].up_words) << "tier " << t;
+    EXPECT_EQ(s.downstream_words, pin.tiers[t].down_words) << "tier " << t;
+    EXPECT_EQ(s.upstream_messages, pin.tiers[t].up_msgs) << "tier " << t;
+    EXPECT_EQ(s.downstream_messages, pin.tiers[t].down_msgs) << "tier " << t;
+  }
+  EXPECT_EQ(r.rounds, pin.rounds);
+  EXPECT_EQ(r.subrounds, pin.subrounds);
+  EXPECT_EQ(r.rebalances, pin.rebalances);
+  EXPECT_EQ(r.local_polls, pin.local_polls);
+  uint64_t bits = 0;
+  std::memcpy(&bits, &r.final_estimate, sizeof bits);
+  EXPECT_EQ(bits, pin.estimate_bits) << "final_estimate " << r.final_estimate;
+}
+
 // ---------------------------------------------------------------------
 // Flat equivalence: a depth-1 tree is the flat star, bit for bit.
 
@@ -265,7 +309,8 @@ std::string ProtocolParamName(
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, DepthOneTreeIsFlat,
-                         ::testing::Values(ProtocolKind::kFgm,
+                         ::testing::Values(ProtocolKind::kFgmBasic,
+                                           ProtocolKind::kFgm,
                                            ProtocolKind::kFgmOpt,
                                            ProtocolKind::kGm),
                          ProtocolParamName);
@@ -302,6 +347,29 @@ TEST(DeepTree, TwoTierSelfJoinMonitorsWithCertifiedTrace) {
       RunInMemory(TreeConfig(ProtocolKind::kFgm, 16, ""), trace);
   EXPECT_LT(tree.traffic.total_words(), flat.result.traffic.total_words());
   EXPECT_EQ(tree.rounds, flat.result.rounds);
+
+  ExpectPinned(tree, {{{164516, 311696, 12624, 9296},
+                       {665432, 60826, 57864, 31456}},
+                      127, 1099, 353, 1879, 0x40f5b7f6a0000000});
+}
+
+TEST(DeepTree, BasicProtocolTwoTierMonitorsWithCertifiedTrace) {
+  const std::vector<StreamRecord> trace = TestTrace(16, 30000);
+  const std::string path = ::testing::TempDir() + "/hier_basic.jsonl";
+
+  ReplayReport report;
+  const RunResult tree =
+      RunToFile(TreeConfig(ProtocolKind::kFgmBasic, 16, "tree:4"), trace,
+                path, &report);
+
+  EXPECT_EQ(tree.max_violation, 0.0);
+  EXPECT_EQ(tree.topology, "tree:4,4");
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_GT(report.tier_ends, 0);
+  EXPECT_EQ(tree.rebalances, 0);
+  ExpectPinned(tree, {{{209628, 192044, 7504, 6344},
+                       {850024, 55295, 41528, 25569}},
+                      169, 770, 0, 1775, 0x40f6494b10000000});
 }
 
 TEST(DeepTree, ThreeTierTreeMonitorsWithCertifiedTrace) {
@@ -321,6 +389,10 @@ TEST(DeepTree, ThreeTierTreeMonitorsWithCertifiedTrace) {
   EXPECT_GT(tree.tier_traffic[2].total_words(), 0);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.tier_ends, 0);
+  ExpectPinned(tree, {{{113646, 339495, 11388, 8895},
+                       {347631, 601496, 40857, 24596},
+                       {1040913, 93435, 120591, 64303}},
+                      114, 1337, 448, 7498, 0x40ddc3665d68ffa5});
 }
 
 TEST(DeepTree, OptimizerProtocolPlansAtRootGranularity) {
@@ -336,6 +408,9 @@ TEST(DeepTree, OptimizerProtocolPlansAtRootGranularity) {
   EXPECT_EQ(tree.topology, "tree:8,8");
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.plans, 0) << "FGM/O must still emit plan events";
+  ExpectPinned(tree, {{{249936, 663221, 34208, 23321},
+                       {2041248, 185007, 315424, 155008}},
+                      118, 1613, 408, 4710, 0x40b4c39cf0000000});
 }
 
 // ---------------------------------------------------------------------
@@ -345,6 +420,26 @@ TEST(DeepTree, OptimizerProtocolPlansAtRootGranularity) {
 using HierChaosParam = std::tuple<double, const char*>;
 
 class HierChaosGrid : public ::testing::TestWithParam<HierChaosParam> {};
+
+/// Pinned outcome of each grid point, indexed [drop/0.1][latency].
+const TreePin& ChaosPin(double drop, const std::string& latency) {
+  static const TreePin kPins[3][2] = {
+      {{{{116204, 202226, 5275, 6026}, {488624, 55636, 44908, 27925}},
+        94, 448, 126, 3410, 0x40f5393530000000},
+       {{{98077, 148882, 3593, 5182}, {418300, 53978, 40364, 26425}},
+        80, 308, 67, 3536, 0x40f4f9a150000000}},
+      {{{{89118, 145370, 3903, 4670}, {342344, 50399, 33776, 22383}},
+        65, 311, 66, 2731, 0x40f5b11050000000},
+       {{{87110, 122711, 3390, 4511}, {332556, 50412, 33556, 22683}},
+        63, 275, 43, 2893, 0x40f53b0260000000}},
+      {{{{93147, 146079, 3746, 4479}, {306796, 49997, 31716, 21507}},
+        58, 257, 52, 2725, 0x40f676fd50000000},
+       {{{87142, 138080, 3123, 4280}, {305984, 48854, 30904, 21281}},
+        58, 216, 42, 2808, 0x40f50120d0000000}},
+  };
+  const int row = static_cast<int>(drop * 10.0 + 0.5);
+  return kPins[row][latency == "fixed:4" ? 0 : 1];
+}
 
 TEST_P(HierChaosGrid, AggregatorCrashNeverCostsCorrectness) {
   const double drop = std::get<0>(GetParam());
@@ -372,6 +467,7 @@ TEST_P(HierChaosGrid, AggregatorCrashNeverCostsCorrectness) {
   EXPECT_GE(tree.net.resyncs, 1);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.tier_ends, 0);
+  ExpectPinned(tree, ChaosPin(drop, latency));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -404,6 +500,9 @@ TEST(HierFaults, AggregatorPastDeadlineDegradesToReducedKAndRecovers) {
   EXPECT_EQ(tree.max_violation, 0.0);
   EXPECT_EQ(tree.net.site_downs, 1);
   EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectPinned(tree, {{{88185, 121707, 3269, 4407},
+                       {330432, 49770, 32628, 22121}},
+                      64, 265, 44, 2832, 0x40f50c3660000000});
 }
 
 // ---------------------------------------------------------------------
