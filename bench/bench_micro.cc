@@ -131,84 +131,92 @@ void BM_JoinEvaluatorUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinEvaluatorUpdate)->Arg(500)->Arg(5000);
 
+// The FGM record-path benchmarks below replay one fixed, pre-generated
+// record sequence per iteration through a freshly built protocol (and
+// fresh sinks), so every iteration does identical work — the rounds,
+// subrounds and rebalances of the same stream prefix — and ns/op (per
+// sequence) does not drift with --benchmark_min_time.
+constexpr int kRecordsPerIteration = 20000;
+
+std::vector<StreamRecord> RecordSequence(int k) {
+  Xoshiro256ss rng(9);
+  std::vector<StreamRecord> records(kRecordsPerIteration);
+  for (StreamRecord& rec : records) {
+    rec.site = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(k)));
+    rec.cid = rng.NextBounded(1000000);
+  }
+  return records;
+}
+
+void ReplaySequence(const SelfJoinQuery& query, int k, const FgmConfig& config,
+                    const std::vector<StreamRecord>& records) {
+  FgmProtocol protocol(&query, k, config);
+  for (const StreamRecord& rec : records) protocol.ProcessRecord(rec);
+  int64_t words = protocol.traffic().total_words();
+  benchmark::DoNotOptimize(words);
+}
+
 void BM_FgmProcessRecord(benchmark::State& state) {
   auto proj = Projection(5, 500);
   SelfJoinQuery query(proj, 0.1);
-  FgmConfig config;
   const int k = static_cast<int>(state.range(0));
-  FgmProtocol protocol(&query, k, config);
-  Xoshiro256ss rng(9);
-  StreamRecord rec;
+  const std::vector<StreamRecord> records = RecordSequence(k);
   for (auto _ : state) {
-    rec.site = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(k)));
-    rec.cid = rng.NextBounded(1000000);
-    protocol.ProcessRecord(rec);
+    ReplaySequence(query, k, FgmConfig{}, records);
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kRecordsPerIteration);
 }
 BENCHMARK(BM_FgmProcessRecord)->Arg(4)->Arg(27);
 
-// The same loop with observability enabled: a counting trace sink, a
+// The same replay with observability enabled: a counting trace sink, a
 // metrics registry and a run-health time series installed through
 // FgmConfig. BM_FgmProcessRecord above runs with all three null, so its
 // hooks cost one pointer test each; the delta between the two benchmarks
 // is the full price of enabled observability (event construction, virtual
-// dispatch, timer reads, round-boundary sampling).
+// dispatch, round-boundary sampling).
 void BM_FgmProcessRecordTraced(benchmark::State& state) {
   auto proj = Projection(5, 500);
   SelfJoinQuery query(proj, 0.1);
-  CountingTraceSink sink;
-  MetricsRegistry metrics;
-  TimeSeries timeseries(1024);
-  FgmConfig config;
-  config.trace = &sink;
-  config.metrics = &metrics;
-  config.timeseries = &timeseries;
   const int k = static_cast<int>(state.range(0));
-  FgmProtocol protocol(&query, k, config);
-  Xoshiro256ss rng(9);
-  StreamRecord rec;
+  const std::vector<StreamRecord> records = RecordSequence(k);
   for (auto _ : state) {
-    rec.site = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(k)));
-    rec.cid = rng.NextBounded(1000000);
-    protocol.ProcessRecord(rec);
+    CountingTraceSink sink;
+    MetricsRegistry metrics;
+    TimeSeries timeseries(1024);
+    FgmConfig config;
+    config.trace = &sink;
+    config.metrics = &metrics;
+    config.timeseries = &timeseries;
+    ReplaySequence(query, k, config, records);
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kRecordsPerIteration);
 }
 BENCHMARK(BM_FgmProcessRecordTraced)->Arg(4)->Arg(27);
 
-// The record loop with ONLY the causal span sink (obs/span.h) installed.
+// The replay with ONLY the causal span sink (obs/span.h) installed.
 // BM_FgmProcessRecord runs the same hooks against a null SpanSink* (one
 // pointer test each), so the delta prices enabled span collection —
 // round/subround scopes plus one point span per wire message.
 void BM_FgmProcessRecordSpans(benchmark::State& state) {
   auto proj = Projection(5, 500);
   SelfJoinQuery query(proj, 0.1);
-  SpanSink spans;
-  FgmConfig config;
-  config.spans = &spans;
   const int k = static_cast<int>(state.range(0));
-  FgmProtocol protocol(&query, k, config);
-  Xoshiro256ss rng(9);
-  StreamRecord rec;
+  const std::vector<StreamRecord> records = RecordSequence(k);
   for (auto _ : state) {
-    rec.site = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(k)));
-    rec.cid = rng.NextBounded(1000000);
-    protocol.ProcessRecord(rec);
+    SpanSink spans;
+    FgmConfig config;
+    config.spans = &spans;
+    ReplaySequence(query, k, config, records);
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kRecordsPerIteration);
 }
 BENCHMARK(BM_FgmProcessRecordSpans)->Arg(4)->Arg(27);
 
-// Serial vs. parallel end-to-end runs over the k × threads grid, plus a
-// fast_merge point at the top thread count. Written to
-// BENCH_parallel_speedup.json; wall-clock speedups depend on the host
+// Serial vs. parallel end-to-end runs over the k × threads grid. Written
+// to BENCH_parallel_speedup.json; wall-clock speedups depend on the host
 // core count (a 1-core machine reports ≈1.0 or below by construction,
-// which is why the report carries a `host_cores` scalar — CI applies its
-// speedup minimums only on multi-core runners), while the default-mode
-// traffic equality is checked unconditionally. fast_merge runs are
-// deliberately excluded from the equality check: they trade bit-identity
-// for commit throughput (see exec/parallel_runner.h).
+// which is why the report carries a `host_cores` scalar), while traffic
+// equality with the serial run is checked unconditionally.
 void RunParallelSpeedupGrid() {
   bench::JsonReport::Get().Init("parallel_speedup");
   const unsigned cores = std::thread::hardware_concurrency();
@@ -224,7 +232,7 @@ void RunParallelSpeedupGrid() {
     const std::vector<StreamRecord> trace = GenerateWorldCupTrace(wc);
     double serial_wall = 0.0;
     int64_t serial_words = 0;
-    const auto one_run = [&](int threads, bool fast_merge) {
+    const auto one_run = [&](int threads) {
       RunConfig config;
       config.query = QueryKind::kSelfJoin;
       config.protocol = ProtocolKind::kFgm;
@@ -232,12 +240,11 @@ void RunParallelSpeedupGrid() {
       config.depth = 5;
       config.width = 300;
       config.threads = threads;
-      config.fast_merge = fast_merge;
       const RunResult r = Run(config, trace);
       if (threads == 1) {
         serial_wall = r.wall_seconds;
         serial_words = r.traffic.total_words();
-      } else if (!fast_merge && r.traffic.total_words() != serial_words) {
+      } else if (r.traffic.total_words() != serial_words) {
         std::fprintf(stderr,
                      "parallel run diverged from serial traffic "
                      "(k=%d threads=%d)\n",
@@ -246,16 +253,13 @@ void RunParallelSpeedupGrid() {
       }
       const double speedup =
           r.wall_seconds > 0.0 ? serial_wall / r.wall_seconds : 0.0;
-      const std::string label = "k=" + std::to_string(k) +
-                                ",threads=" + std::to_string(threads) +
-                                (fast_merge ? ",fast_merge" : "");
-      std::printf("  k=%-3d threads=%d%s wall=%.3fs speedup=%.2fx\n", k,
-                  threads, fast_merge ? " fast_merge" : "", r.wall_seconds,
-                  speedup);
+      const std::string label =
+          "k=" + std::to_string(k) + ",threads=" + std::to_string(threads);
+      std::printf("  k=%-3d threads=%d wall=%.3fs speedup=%.2fx\n", k,
+                  threads, r.wall_seconds, speedup);
       bench::JsonReport::Get().AddEntry(
           label, {{"k", static_cast<double>(k)},
                   {"threads", static_cast<double>(threads)},
-                  {"fast_merge", fast_merge ? 1.0 : 0.0},
                   {"wall_seconds", r.wall_seconds},
                   {"speedup", speedup},
                   {"windows", static_cast<double>(r.parallel_windows)},
@@ -264,8 +268,7 @@ void RunParallelSpeedupGrid() {
                   {"wasted", static_cast<double>(r.wasted_records)},
                   {"soft_commits", static_cast<double>(r.soft_commits)}});
     };
-    for (int threads : {1, 2, 4, 8}) one_run(threads, false);
-    one_run(8, true);
+    for (int threads : {1, 2, 4, 8}) one_run(threads);
   }
 }
 
@@ -316,20 +319,25 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   // Disabled-path sanity number: the observability hooks' cost when every
-  // sink is null, relative to the same loop with them installed.
-  const double off = reporter.NsPerOp("BM_FgmProcessRecord/27");
-  const double on = reporter.NsPerOp("BM_FgmProcessRecordTraced/27");
+  // sink is null, relative to the same replay with them installed. The
+  // record-path benchmarks time a whole sequence per op; the overheads
+  // are per record.
+  const double per_record = 1.0 / fgm::kRecordsPerIteration;
+  const double off = reporter.NsPerOp("BM_FgmProcessRecord/27") * per_record;
+  const double on =
+      reporter.NsPerOp("BM_FgmProcessRecordTraced/27") * per_record;
   if (off > 0.0 && on > 0.0) {
     micro.AddScalar("obs_enabled_overhead_ns_per_op", on - off);
-    std::printf("observability overhead (k=27): %.1f ns/op disabled-path "
-                "baseline, %.1f ns/op enabled (+%.1f)\n",
+    std::printf("observability overhead (k=27): %.1f ns/record "
+                "disabled-path baseline, %.1f ns/record enabled (+%.1f)\n",
                 off, on, on - off);
   }
-  const double spans_on = reporter.NsPerOp("BM_FgmProcessRecordSpans/27");
+  const double spans_on =
+      reporter.NsPerOp("BM_FgmProcessRecordSpans/27") * per_record;
   if (off > 0.0 && spans_on > 0.0) {
     micro.AddScalar("spans_enabled_overhead_ns_per_op", spans_on - off);
-    std::printf("span overhead (k=27): %.1f ns/op spans enabled (+%.1f over "
-                "the disabled path)\n",
+    std::printf("span overhead (k=27): %.1f ns/record spans enabled (+%.1f "
+                "over the disabled path)\n",
                 spans_on, spans_on - off);
   }
   micro.Write();

@@ -1,6 +1,5 @@
 #include "baseline/central.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -8,7 +7,6 @@ namespace fgm {
 
 CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
                                  TransportMode transport, TraceSink* trace,
-                                 MetricsRegistry* metrics,
                                  const sim::NetSimConfig& net)
     : query_(query),
       sites_k_(num_sites),
@@ -25,10 +23,6 @@ CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
     sim_ = static_cast<sim::EventNetwork*>(transport_.get());
   }
   if (trace != nullptr) transport_->set_trace(trace);
-  if (metrics != nullptr) {
-    transport_->set_metrics(metrics);
-    sketch_timer_ = metrics->GetTimer("sketch_update");
-  }
 }
 
 void CentralProtocol::ProcessRecord(const StreamRecord& record) {
@@ -39,10 +33,7 @@ void CentralProtocol::ProcessRecord(const StreamRecord& record) {
   const RawUpdateMsg delivered = transport_->SendRawUpdate(
       record.site, RawUpdateMsg::FromRecord(record));
   delta_scratch_.clear();
-  {
-    ScopedTimer timed(sketch_timer_);
-    query_->MapRecord(delivered.ToRecord(record.site), &delta_scratch_);
-  }
+  query_->MapRecord(delivered.ToRecord(record.site), &delta_scratch_);
   // Global state is the *average* of local states (§2.1): each update
   // contributes its deltas scaled by 1/k.
   const double inv_k = 1.0 / static_cast<double>(sites_k_);

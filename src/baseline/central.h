@@ -23,15 +23,14 @@ namespace fgm {
 
 class CentralProtocol : public MonitoringProtocol {
  public:
-  /// `trace` / `metrics` are non-owning observability hooks (obs/);
-  /// nullptr (the default) disables them. An enabled `net` config runs
+  /// `trace` is a non-owning observability hook (obs/); nullptr (the
+  /// default) disables it. An enabled `net` config runs
   /// the raw-update stream over the event-simulated network (RPC
   /// discipline: every update is retransmitted until delivered, so the
   /// estimate stays exact); fault plans are rejected.
   CentralProtocol(const ContinuousQuery* query, int num_sites,
                   TransportMode transport = TransportMode::kAuto,
                   TraceSink* trace = nullptr,
-                  MetricsRegistry* metrics = nullptr,
                   const sim::NetSimConfig& net = {});
 
   std::string name() const override { return "CENTRAL"; }
@@ -56,7 +55,6 @@ class CentralProtocol : public MonitoringProtocol {
   int sites_k_;
   std::unique_ptr<Transport> transport_;
   sim::EventNetwork* sim_ = nullptr;  // non-owning view into transport_
-  WallTimer* sketch_timer_ = nullptr;
   RealVector state_;  // exact global state, scaled by 1/k
   std::vector<CellUpdate> delta_scratch_;
 };

@@ -15,7 +15,6 @@ class MetricsRegistry;
 class SpanSink;
 class TimeSeries;
 class TraceSink;
-class WallTimer;
 
 struct FgmConfig {
   /// How protocol messages travel: counting-only (fast simulation) or the
@@ -91,8 +90,9 @@ struct FgmConfig {
   /// default) disables tracing and every hook reduces to one branch.
   TraceSink* trace = nullptr;
 
-  /// Metrics registry (obs/metrics.h) receiving the per-phase wall
-  /// timers. Non-owning; nullptr disables.
+  /// Metrics registry (obs/metrics.h) receiving the FGM/O plan-audit
+  /// error stats (plan_gain_abs_err / plan_gain_rel_err). Non-owning;
+  /// nullptr disables.
   MetricsRegistry* metrics = nullptr;
 
   /// Run-health time series (obs/timeseries.h): one RunSnapshot per

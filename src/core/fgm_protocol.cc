@@ -93,15 +93,10 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
     if (trace_ != nullptr) transport->set_trace(trace_);
     if (spans_ != nullptr) transport->set_spans(spans_);
     if (config_.span_wire) transport->set_span_wire(true);
-    if (config_.metrics != nullptr) transport->set_metrics(config_.metrics);
   }
-  if (config_.metrics != nullptr) {
-    sketch_timer_ = config_.metrics->GetTimer("sketch_update");
-    safe_fn_timer_ = config_.metrics->GetTimer("safe_fn_eval");
-    if (config_.optimizer) {
-      plan_gain_abs_err_ = config_.metrics->GetStats("plan_gain_abs_err");
-      plan_gain_rel_err_ = config_.metrics->GetStats("plan_gain_rel_err");
-    }
+  if (config_.metrics != nullptr && config_.optimizer) {
+    plan_gain_abs_err_ = config_.metrics->GetStats("plan_gain_abs_err");
+    plan_gain_rel_err_ = config_.metrics->GetStats("plan_gain_rel_err");
   }
   StartRound();
   // The very first round has no previous round to count against; its
@@ -116,28 +111,18 @@ std::string FgmProtocol::name() const {
 
 void FgmProtocol::ProcessRecord(const StreamRecord& record) {
   if (sim_ != nullptr) SimTick();
-  const int64_t increment = LocalProcess(record, nullptr);
-  CommitRecords(1);
-  if (increment > 0) {
-    CommitEvent(LocalEvent{0, record.site, increment, 0.0});
-  }
-}
-
-int64_t FgmProtocol::LocalProcess(const StreamRecord& record, double* value) {
   FGM_CHECK(record.site >= 0 && record.site < k_);
-  (void)value;  // FGM events carry the counter increment, not a φ-value.
-  FgmSite& site = sites_[static_cast<size_t>(record.site)];
-  return site.Process(*query_, record, sketch_timer_, safe_fn_timer_);
-}
-
-bool FgmProtocol::CommitEvent(const LocalEvent& event) {
+  const int64_t increment =
+      sites_[static_cast<size_t>(record.site)].Process(*query_, record);
+  ++total_updates_;
+  if (increment <= 0) return;
   // A site under a root child outside the round (or down, under sim)
   // keeps ingesting records into its local drift but reports nothing; its
   // contribution reaches E at the next resync/flush.
-  int top = event.site;
+  int top = record.site;
   for (int t = depth_; t > 1; --t) top = topo_.Parent(t, top);
-  if (in_round_[static_cast<size_t>(top)] == 0) return false;
-  return ReportUnits(depth_, event.site, event.weight);
+  if (in_round_[static_cast<size_t>(top)] == 0) return;
+  ReportUnits(depth_, record.site, increment);
 }
 
 bool FgmProtocol::SendCounterIncrement(int child, int64_t increment) {
@@ -165,36 +150,22 @@ void FgmProtocol::MaterializeForCommit() {
 
 int64_t FgmProtocol::CommitValueSeries(
     const int32_t* site_by_pos, int64_t count, const ValueSeries* series,
-    const std::function<void(int64_t)>& materialize, bool fast_merge,
+    const std::function<void(int64_t)>& materialize,
     int64_t* soft_interactions) {
   commit_cursor_.assign(static_cast<size_t>(k_), 0);
-  materialize_cb_ = fast_merge ? nullptr : &materialize;
+  materialize_cb_ = &materialize;
   int64_t soft = 0;
   int64_t consumed = count;
-  // Fast merge commits the whole window wholesale; account it upfront so
-  // a poll mid-walk sees every window record (deferral semantics).
-  if (fast_merge) total_updates_ += count;
   for (int64_t pos = 0; pos < count; ++pos) {
     const size_t shard = static_cast<size_t>(site_by_pos[pos]);
     FGM_CHECK_LT(commit_cursor_[shard], series[shard].count);
     const double v =
         series[shard].values[static_cast<size_t>(commit_cursor_[shard]++)];
     const int64_t increment = sites_[shard].CommitValue(v);
-    if (!fast_merge) ++total_updates_;
+    ++total_updates_;
     if (increment <= 0) continue;
     commit_pos_ = pos;
     if (!SendCounterIncrement(static_cast<int>(shard), increment)) continue;
-    if (fast_merge) {
-      // The interaction runs on live end-of-window state; detection for
-      // the values recorded after it defers to the next window.
-      for (int i = 0; i < k_; ++i) {
-        if (in_round_[static_cast<size_t>(i)] != 0) {
-          sites_[static_cast<size_t>(i)].SyncCommittedToLive();
-        }
-      }
-      PollAndAdvance();
-      break;
-    }
     commit_hard_ = false;
     PollAndAdvance();
     if (commit_hard_) {
@@ -415,12 +386,12 @@ void FgmProtocol::ExportUp(int tier, int node) {
   ReportUnits(tier, node, delta);
 }
 
-bool FgmProtocol::ReportUnits(int tier, int node, int64_t units) {
+void FgmProtocol::ReportUnits(int tier, int node, int64_t units) {
   if (tier > 1) {
     const CounterMsg delivered =
         Link(tier).SendCounter(node, CounterMsg{units});
     NoteChildUnits(tier - 1, topo_.Parent(tier, node), delivered.increment);
-    return false;
+    return;
   }
   const size_t s = static_cast<size_t>(node);
   if (sim_ != nullptr) {
@@ -433,12 +404,10 @@ bool FgmProtocol::ReportUnits(int tier, int node, int64_t units) {
                         subrounds_this_round_);
       DrainNetwork();
     }
-    return false;
+    return;
   }
-  if (in_round_[s] == 0) return false;
-  if (!SendCounterIncrement(node, units)) return false;
-  PollAndAdvance();
-  return true;
+  if (in_round_[s] == 0) return;
+  if (SendCounterIncrement(node, units)) PollAndAdvance();
 }
 
 DriftFlushMsg FgmProtocol::CollectSubtreeFlush(int tier, int node) {

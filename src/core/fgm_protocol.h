@@ -52,14 +52,15 @@
 // export (its subtree kept running and is its stable storage); a child
 // dead past the deadline drops out of the round (reduced-m rounds).
 //
-// The sharded-execution hooks (exec/sharded.h) run at depth 1 over a
-// synchronous transport only.
+// Value-series speculation (exec/parallel_runner.h) runs at depth 1 over
+// a synchronous transport only; see CommitValueSeries.
 
 #ifndef FGM_CORE_FGM_PROTOCOL_H_
 #define FGM_CORE_FGM_PROTOCOL_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,7 +68,6 @@
 #include "core/fgm_config.h"
 #include "core/fgm_site.h"
 #include "core/optimizer.h"
-#include "exec/sharded.h"
 #include "hier/topology.h"
 #include "net/network.h"
 #include "net/protocol.h"
@@ -80,7 +80,14 @@
 
 namespace fgm {
 
-class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
+/// One site's recorded post-update values for a speculation window,
+/// aligned with the site's window records in stream order.
+struct ValueSeries {
+  const double* values = nullptr;
+  int64_t count = 0;
+};
+
+class FgmProtocol : public MonitoringProtocol {
  public:
   /// The flat star over `num_sites` sites. `query` must outlive the
   /// protocol.
@@ -161,44 +168,59 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   /// The root-tier transport (testing hook).
   const Transport& transport() const { return *transports_[0]; }
 
-  // ShardedProtocol — one shard per site. Speculation may raise up to
-  // k - c + 1 more counter-increment weight before the commit path is
-  // guaranteed to trigger PollAndAdvance (counter_total_ > k).
-  int shard_count() const override { return k_; }
-  int64_t SpeculationBudget() const override {
-    return static_cast<int64_t>(m_) - counter_total_ + 1;
-  }
-  int64_t LocalProcess(const StreamRecord& record, double* value) override;
-  void CommitRecords(int64_t count) override { total_updates_ += count; }
-  /// Reports a site's counter increment up the tree. The return value
-  /// (the root polled) is exact at depth 1, where the sharded engine runs.
-  bool CommitEvent(const LocalEvent& event) override;
-  void SaveCheckpoint(int shard) override {
+  // Value-series speculation, one shard per site (exec/parallel_runner.h).
+  // Between coordinator interactions the sites are independent, and the
+  // counter rule is scalar in the post-update value v = λφ(X_i/λ): an
+  // increment depends only on v and the subround baseline (z_i, θ, c_i),
+  // and starting a new subround touches ONLY that baseline, never the
+  // drift. So workers fold whole per-site batches into the drift and
+  // record every v (SpeculateShard), and the coordinator replays the rule
+  // over the recorded values in global stream order (CommitValueSeries),
+  // crossing subrounds softly. Only interactions that read true drift
+  // state (rebalance, round end, subround overflow) materialize the sites
+  // and end the window; the checkpoint hooks make that rollback exact.
+
+  /// False over a simulated network (the event queue advances with every
+  /// record, so speculation would reorder deliveries) and on deeper trees
+  /// (increments route through aggregators); the runner then runs serial.
+  bool SupportsSpeculation() const { return sim_ == nullptr && depth_ == 1; }
+
+  /// Snapshots / restores site `shard`'s evaluator-side state
+  /// bit-exactly. RestoreCheckpoint consumes the checkpoint (at most one
+  /// restore per save).
+  void SaveCheckpoint(int shard) {
     sites_[static_cast<size_t>(shard)].SaveCheckpoint();
   }
-  void RestoreCheckpoint(int shard) override {
+  void RestoreCheckpoint(int shard) {
     sites_[static_cast<size_t>(shard)].RestoreCheckpoint();
   }
-  bool SupportsSpeculation() const override {
-    return sim_ == nullptr && depth_ == 1;
+
+  /// Worker side, for one site: processes base[positions[j]] for j in
+  /// [0, n) in order and writes each record's post-update value into
+  /// values[j]. Never evaluates the counter rule — that is
+  /// CommitValueSeries' job. Thread-safe across DIFFERENT sites.
+  void SpeculateShard(int shard, const StreamRecord* base,
+                      const int64_t* positions, int64_t n, double* values) {
+    sites_[static_cast<size_t>(shard)].SpeculateBatch(*query_, base,
+                                                      positions, n, values);
   }
 
-  // Value-series speculation (exec/sharded.h): the counter rule is scalar
-  // in the post-update value v = λφ(X_i/λ), so workers record v-series
-  // and the coordinator walk replays the rule over them, crossing
-  // subrounds softly. Only rebalance / round end / overflow materialize.
-  bool SupportsValueSeries() const override { return SupportsSpeculation(); }
-  void SpeculateShard(int shard, const StreamRecord* base,
-                      const int64_t* positions, int64_t n,
-                      double* values) override {
-    sites_[static_cast<size_t>(shard)].SpeculateBatch(
-        *query_, base, positions, n, values, sketch_timer_, safe_fn_timer_);
-  }
+  /// Coordinator side: commits a speculated window in global stream
+  /// order. site_by_pos[p] names the site of window position p and
+  /// series[site] holds that site's recorded values (consumed in order).
+  /// Advances the committed scalar state — counter rule, traffic, traces,
+  /// record accounting — bit-identically to the serial run, and calls
+  /// materialize(p) immediately before any interaction that must read
+  /// true site drift state; the callee rebuilds every site's drift as of
+  /// position p. Returns the number of records committed: `count` when
+  /// the window completed (possibly crossing several subrounds softly),
+  /// else the position just past the materialized interaction.
+  /// `*soft_interactions` (may be null) receives the soft coordinator
+  /// interactions committed inside the window.
   int64_t CommitValueSeries(const int32_t* site_by_pos, int64_t count,
                             const ValueSeries* series,
                             const std::function<void(int64_t)>& materialize,
-                            bool fast_merge,
-                            int64_t* soft_interactions) override;
+                            int64_t* soft_interactions);
 
  private:
   /// One mid-tier aggregator's protocol state. The node is a local
@@ -264,7 +286,7 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   bool SendCounterIncrement(int child, int64_t increment);
   /// Inside a value-series commit walk: rebuilds true site drift state as
   /// of the current walk position before a hard coordinator interaction.
-  /// No-op outside a walk (serial / sim operation) and under fast merge.
+  /// No-op outside a walk (serial / sim operation).
   void MaterializeForCommit();
 
   // Per-child steps.
@@ -312,8 +334,7 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   /// Child (tier, node) reports `units` fresh quantum units to its parent:
   /// a synchronous increment below the root; at the root a counter
   /// datagram under sim, else a synchronous increment that may poll.
-  /// Returns true when the root polled on this report.
-  bool ReportUnits(int tier, int node, int64_t units);
+  void ReportUnits(int tier, int node, int64_t units);
   /// Collects subtree (tier, node)'s drift: flush requests to every
   /// child, drifts summed, returned as ONE dense upward message (or the
   /// 1-word empty acknowledgement).
@@ -390,8 +411,6 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   HealthMonitor* health_ = nullptr;
   int64_t round_span_ = 0;     ///< open kRound span id (0 = none)
   int64_t subround_span_ = 0;  ///< open kSubround span id (0 = none)
-  WallTimer* sketch_timer_ = nullptr;
-  WallTimer* safe_fn_timer_ = nullptr;
   RunningStats* plan_gain_abs_err_ = nullptr;
   RunningStats* plan_gain_rel_err_ = nullptr;
 
@@ -421,7 +440,7 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   double psi_b_ = 0.0;
 
   // Value-series commit-walk state (non-null / live only inside
-  // CommitValueSeries; see exec/sharded.h).
+  // CommitValueSeries).
   const std::function<void(int64_t)>* materialize_cb_ = nullptr;
   int64_t commit_pos_ = -1;   ///< walk position of the in-flight event
   bool commit_hard_ = false;  ///< the last poll materialized (hard)

@@ -1,5 +1,6 @@
 #include "core/fgm_site.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -65,14 +66,9 @@ void FgmSite::BeginSubround(double quantum) {
 }
 
 int64_t FgmSite::Process(const ContinuousQuery& query,
-                         const StreamRecord& record, WallTimer* sketch_timer,
-                         WallTimer* safe_fn_timer) {
+                         const StreamRecord& record) {
   deltas_.clear();
-  {
-    ScopedTimer timed(sketch_timer);
-    query.MapRecord(record, &deltas_);
-  }
-  ScopedTimer timed(safe_fn_timer);
+  query.MapRecord(record, &deltas_);
   return ApplyUpdate(record, deltas_);
 }
 
@@ -117,8 +113,7 @@ int64_t FgmSite::CommitValue(double v) {
 void FgmSite::SpeculateBatch(const ContinuousQuery& query,
                              const StreamRecord* base,
                              const int64_t* positions, int64_t n,
-                             double* values, WallTimer* sketch_timer,
-                             WallTimer* safe_fn_timer) {
+                             double* values) {
   // Map in blocks so the scratch buffer stays cache-resident while still
   // amortizing the projection's row-major hash pass.
   constexpr int64_t kMapBlock = 512;
@@ -126,12 +121,8 @@ void FgmSite::SpeculateBatch(const ContinuousQuery& query,
     const int64_t m = std::min(kMapBlock, n - start);
     batch_deltas_.clear();
     batch_ends_.clear();
-    {
-      ScopedTimer timed(sketch_timer);
-      query.MapRecordBatch(base, positions + start, m, &batch_deltas_,
-                           &batch_ends_);
-    }
-    ScopedTimer timed(safe_fn_timer);
+    query.MapRecordBatch(base, positions + start, m, &batch_deltas_,
+                         &batch_ends_);
     size_t delta_begin = 0;
     for (int64_t j = 0; j < m; ++j) {
       log_.Record(base[positions[start + j]], dim_);
@@ -141,18 +132,6 @@ void FgmSite::SpeculateBatch(const ContinuousQuery& query,
       delta_begin = delta_end;
     }
   }
-}
-
-void FgmSite::ReplayUpdate(const ContinuousQuery& query,
-                           const StreamRecord& record) {
-  deltas_.clear();
-  query.MapRecord(record, &deltas_);
-  log_.Record(record, dim_);
-  for (const CellUpdate& u : deltas_) {
-    evaluator_->ApplyDelta(u.index, u.delta);
-  }
-  ++updates_since_flush_;
-  ++updates_in_round_;
 }
 
 void FgmSite::FlushReset() {

@@ -8,7 +8,7 @@
 // perspective λφ(X_i/λ) instead (§4.1).
 //
 // The per-update work is split in two halves so the parallel engine can
-// speculate (value-series model, exec/sharded.h):
+// speculate (value-series model, FgmProtocol::CommitValueSeries):
 //   * the EVALUATOR side — map the record, apply the deltas, compute the
 //     post-update value v = λφ(X_i/λ) (SpeculateBatch / ApplyDeltasValue).
 //     This half never reads the subround scalars (z_i, θ, c_i), so it can
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "net/wire.h"
-#include "obs/metrics.h"
 #include "query/query.h"
 #include "safezone/safe_function.h"
 #include "sketch/fast_agms.h"
@@ -62,9 +61,8 @@ class FgmSite {
   /// Maps one local stream record through the query's sketch projection
   /// (into per-site scratch — safe to call concurrently across sites) and
   /// applies the resulting deltas; returns the counter increment to
-  /// report (0 = stay silent). Timers may be null.
-  int64_t Process(const ContinuousQuery& query, const StreamRecord& record,
-                  WallTimer* sketch_timer, WallTimer* safe_fn_timer);
+  /// report (0 = stay silent).
+  int64_t Process(const ContinuousQuery& query, const StreamRecord& record);
 
   /// Applies the deltas of one local stream update and returns the
   /// counter increment to report (0 = stay silent). The record is logged
@@ -85,27 +83,16 @@ class FgmSite {
   /// CommitValue() in order (possibly interleaved with other sites under a
   /// global order) to reproduce serial behavior bit-exactly.
   void SpeculateBatch(const ContinuousQuery& query, const StreamRecord* base,
-                      const int64_t* positions, int64_t n, double* values,
-                      WallTimer* sketch_timer, WallTimer* safe_fn_timer);
+                      const int64_t* positions, int64_t n, double* values);
 
   /// Commit half: runs the counter rule on one post-update value and
   /// advances the committed shadow value and the subround value range.
   /// Returns the counter increment to report (0 = stay silent).
   int64_t CommitValue(double v);
 
-  /// Re-applies one record after RestoreCheckpoint(): map + log + deltas
-  /// + update counters, skipping the value computation (the commit side
-  /// already consumed this record's value). Leaves the evaluator
-  /// bit-identical to a serial Process() of the same record.
-  void ReplayUpdate(const ContinuousQuery& query, const StreamRecord& record);
-
   /// Last committed value — what the coordinator may read mid-speculation
   /// in place of CurrentValue() (the evaluator may have run ahead).
   double committed_value() const { return committed_v_; }
-
-  /// Declares the evaluator state committed (e.g. fast-merge mode, where
-  /// speculated records are committed wholesale without a value walk).
-  void SyncCommittedToLive() { committed_v_ = CurrentValue(); }
 
   /// The value the site currently reports: λφ(X_i/λ).
   double CurrentValue() const { return evaluator_->ValueAtScale(lambda_); }

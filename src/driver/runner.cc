@@ -117,15 +117,13 @@ std::unique_ptr<MonitoringProtocol> BuildProtocol(
       // only the FGM family has.
       FGM_CHECK(topo.IsFlat());
       return std::make_unique<CentralProtocol>(query, config.sites, mode,
-                                               config.trace, config.metrics,
-                                               config.net);
+                                               config.trace, config.net);
     case ProtocolKind::kGm: {
       FGM_CHECK(topo.IsFlat());
       GmConfig gm;
       gm.transport = mode;
       gm.net = config.net;
       gm.trace = config.trace;
-      gm.metrics = config.metrics;
       return std::make_unique<GmProtocol>(query, config.sites, gm);
     }
     case ProtocolKind::kFgmBasic:
@@ -274,11 +272,14 @@ RunResult Run(const RunConfig& base_config,
     own_spans = std::make_unique<SpanSink>();
     config.spans = own_spans.get();
   }
+  // The coordinator feeds the health monitor one entry per root child:
+  // the sites, or the tier-1 aggregators of a deeper tree.
+  const hier::TreeTopology topo = RunTopology(config);
   std::unique_ptr<HealthMonitor> own_health;
   if (config.health == nullptr &&
       (!config.prom_out.empty() || !config.live_out.empty() ||
        config.health_planning)) {
-    own_health = std::make_unique<HealthMonitor>(config.sites);
+    own_health = std::make_unique<HealthMonitor>(topo.NodesAt(1));
     config.health = own_health.get();
   }
   // The run span must be open before the protocol's constructor starts
@@ -294,7 +295,6 @@ RunResult Run(const RunConfig& base_config,
   // site count), so the replay checker certifies the root tier with the
   // flat invariants; deeper trees also announce the spec and leaf count,
   // while the flat star (any depth-1 spec) keeps the historic schema.
-  const hier::TreeTopology topo = RunTopology(config);
   if (config.trace != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kRunStart;
@@ -438,27 +438,27 @@ RunResult Run(const RunConfig& base_config,
     }
   };
 
-  ShardedProtocol* sharded =
-      config.threads > 1 ? dynamic_cast<ShardedProtocol*>(protocol.get())
-                         : nullptr;
-  if (sharded != nullptr && !sharded->SupportsSpeculation()) {
-    // Simulated-network runs advance a global event clock per record;
-    // speculative replay would deliver messages twice. Tree runs route
-    // increments through aggregators the sharded commit path does not
-    // model. Fall back to the serial reference loop.
+  const bool parallel =
+      config.threads > 1 && fgm != nullptr && fgm->SupportsSpeculation();
+  if (config.threads > 1 && !parallel) {
+    // Only flat FGM over a synchronous network speculates. GM turns every
+    // local violation into a synchronization and CENTRAL into a message,
+    // so there is nothing to run ahead of; simulated-network runs advance
+    // a global event clock per record (replay would deliver messages
+    // twice); tree runs route increments through aggregators the commit
+    // walk does not model. Fall back to the serial reference loop.
     std::fprintf(stderr,
                  "[fgm] %s does not support speculation here "
-                 "(simulated network or deep tree); running serial\n",
+                 "(GM, CENTRAL, simulated network or deep tree); "
+                 "running serial\n",
                  result.protocol_name.c_str());
-    sharded = nullptr;
   }
-  if (sharded != nullptr) {
+  if (parallel) {
     ParallelRunnerOptions opts;
     opts.threads = config.threads;
-    opts.fast_merge = config.fast_merge;
     opts.metrics = config.metrics;
     opts.spans = config.spans;
-    ParallelRunner par(sharded, opts);
+    ParallelRunner par(fgm, opts);
     std::vector<StreamRecord> chunk;
     // Matches ParallelRunnerOptions::max_horizon, so the adaptive horizon
     // can actually reach its ceiling in quiet phases.

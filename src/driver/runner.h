@@ -86,16 +86,11 @@ struct RunConfig {
   /// many events (0 = never). Verification is O(D) per check.
   int64_t check_every = 0;
 
-  /// Worker threads for the sharded execution engine (exec/). 1 = the
+  /// Worker threads for FGM's value-series speculation (exec/). 1 = the
   /// serial reference loop. Results are bit-identical for every thread
-  /// count; CENTRAL has no sharded implementation and always runs serial.
+  /// count; GM, CENTRAL, simulated networks and deep trees always run
+  /// the serial loop.
   int threads = 1;
-
-  /// Relaxed parallel merge (exec/parallel_runner.h): trades bit-identity
-  /// for commit throughput. Traffic statistics stay deterministic for a
-  /// fixed stream but may differ from the serial run — verify with
-  /// fgm_report. Only meaningful with threads > 1.
-  bool fast_merge = false;
 
   /// Route every protocol message through the serializing transport, which
   /// encodes, size-checks, decodes and verifies each one (strict wire

@@ -24,11 +24,9 @@
 // ε, drop rate, latency spec, fault plan, topology): a bad value prints
 // one line on stderr and exits 2.
 //
-// --threads > 1 runs the sharded parallel engine (exec/); traffic,
-// traces, results and time series are bit-identical to --threads=1.
-// --fast_merge opts into the relaxed merge (no checkpoints/replay):
-// deterministic for a fixed stream, but traffic statistics may differ
-// slightly from serial — cross-check with tools/fgm_report.
+// --threads > 1 runs FGM's value-series speculation (exec/); traffic,
+// traces, results and time series are bit-identical to --threads=1. GM
+// and CENTRAL run the serial loop under any --threads.
 //
 // --net_latency / --net_drop / --fault_plan run the protocol over the
 // discrete-event network simulator (src/sim): per-link latency
@@ -193,7 +191,6 @@ int main(int argc, char** argv) {
                                                                     : 300));
   config.check_every = flags.GetCount("check_every", 5000);
   config.threads = static_cast<int>(flags.GetCount("threads", 1));
-  config.fast_merge = flags.GetBool("fast_merge", false);
   config.trace_out = flags.GetString("trace_out", "");
   config.metrics_out = flags.GetString("metrics_out", "");
   config.timeseries_out = flags.GetString("timeseries_out", "");
@@ -227,7 +224,6 @@ int main(int argc, char** argv) {
           "--query=selfjoin|join|fp|variance|quantile [--sites=N] "
           "[--updates=N] [--eps=E] [--window=S] [--count_window=N] "
           "[--depth=N] [--width=N] [--check_every=N] [--threads=N] "
-          "[--fast_merge] "
           "[--trace_out=F] [--metrics_out=F] [--timeseries_out=F] "
           "[--spans_out=F] [--span_wire] "
           "[--snapshot_every=N] [--timeseries_cap=N] [--progress=N] "
@@ -261,13 +257,12 @@ int main(int argc, char** argv) {
       100.0 * r.upstream_fraction, r.max_violation);
   if (r.threads_used > 1) {
     std::printf("parallel: threads=%d windows=%lld barriers=%lld "
-                "replayed=%lld wasted=%lld soft=%lld%s\n",
+                "replayed=%lld wasted=%lld soft=%lld\n",
                 r.threads_used, static_cast<long long>(r.parallel_windows),
                 static_cast<long long>(r.parallel_barriers),
                 static_cast<long long>(r.replayed_records),
                 static_cast<long long>(r.wasted_records),
-                static_cast<long long>(r.soft_commits),
-                config.fast_merge ? " fast_merge" : "");
+                static_cast<long long>(r.soft_commits));
   }
   if (r.net_enabled) {
     std::printf(

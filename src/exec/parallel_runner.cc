@@ -1,7 +1,6 @@
 #include "exec/parallel_runner.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "obs/metrics.h"
@@ -10,16 +9,15 @@
 
 namespace fgm {
 
-ParallelRunner::ParallelRunner(ShardedProtocol* protocol,
+ParallelRunner::ParallelRunner(FgmProtocol* protocol,
                                ParallelRunnerOptions options)
     : protocol_(protocol),
       opts_(options),
       pool_(options.threads),
-      use_values_(protocol->SupportsValueSeries()),
-      shards_(static_cast<size_t>(protocol->shard_count())),
-      series_(static_cast<size_t>(protocol->shard_count())),
+      shards_(static_cast<size_t>(protocol->topology().leaves())),
+      series_(static_cast<size_t>(protocol->topology().leaves())),
       horizon_(options.min_horizon, options.max_horizon) {
-  FGM_CHECK(protocol != nullptr);
+  FGM_CHECK(protocol->SupportsSpeculation());
   if (opts_.metrics != nullptr) {
     MetricsRegistry* m = opts_.metrics;
     spec_windows_ = m->GetCounter("spec_windows");
@@ -55,9 +53,7 @@ void ParallelRunner::Process(const StreamRecord* records, int64_t count) {
     const int64_t window = std::min(horizon_.horizon(), count - done);
     int64_t soft = 0;
     bool hard = false;
-    const int64_t consumed =
-        use_values_ ? RunValueWindow(records + done, window, &soft, &hard)
-                    : RunEventWindow(records + done, window, &hard);
+    const int64_t consumed = RunWindow(records + done, window, &soft, &hard);
     FGM_CHECK_GE(consumed, 1);
     done += consumed;
     horizon_.OnWindow(consumed, window, hard);
@@ -73,11 +69,11 @@ int64_t ParallelRunner::BeginWindow(const StreamRecord* records,
     spec_horizon_stats_->Add(static_cast<double>(count));
   }
   active_.clear();
-  if (use_values_) site_of_.resize(static_cast<size_t>(count));
+  site_of_.resize(static_cast<size_t>(count));
   for (int64_t pos = 0; pos < count; ++pos) {
     const int32_t s = records[pos].site;
     FGM_CHECK(s >= 0 && s < static_cast<int32_t>(shards_.size()));
-    if (use_values_) site_of_[static_cast<size_t>(pos)] = s;
+    site_of_[static_cast<size_t>(pos)] = s;
     Shard& shard = shards_[static_cast<size_t>(s)];
     if (shard.positions.empty()) active_.push_back(s);
     shard.positions.push_back(pos);
@@ -105,7 +101,7 @@ void ParallelRunner::EmitShardSpans(int64_t window_span) {
     seg.site = s;
     seg.begin = shard.span_begin;
     seg.end = std::max(shard.span_end, shard.span_begin);
-    seg.count = shard.processed;
+    seg.count = static_cast<int64_t>(shard.positions.size());
     spans->EmitComplete(seg);
     Span wait;
     wait.kind = SpanKind::kBarrierWait;
@@ -134,33 +130,23 @@ void ParallelRunner::EndWindow(int64_t window_span, int64_t commit_begin,
     Shard& shard = shards_[static_cast<size_t>(s)];
     shard.positions.clear();
     shard.values.clear();
-    shard.events.clear();
-    shard.processed = 0;
     shard.replay_prefix = 0;
     shard.span_begin = 0;
     shard.span_end = 0;
   }
 }
 
-// ---------------------------------------------------------------------------
-// Value-series path
-// ---------------------------------------------------------------------------
-
-int64_t ParallelRunner::RunValueWindow(const StreamRecord* records,
-                                       int64_t count, int64_t* soft,
-                                       bool* hard) {
+int64_t ParallelRunner::RunWindow(const StreamRecord* records, int64_t count,
+                                  int64_t* soft, bool* hard) {
   const int64_t window_span = BeginWindow(records, count);
   SpanSink* const spans = opts_.spans;
 
-  // Checkpoints guard the hard-barrier rollback; fast merge never rolls
-  // back, so it skips the per-window evaluator clone entirely.
-  if (!opts_.fast_merge) {
-    for (int s : active_) protocol_->SaveCheckpoint(s);
-  }
+  // Checkpoints guard the hard-barrier rollback.
+  for (int s : active_) protocol_->SaveCheckpoint(s);
 
   // Speculate: every active shard folds its WHOLE window batch into its
   // drift and records the per-record value series. No early stop — the
-  // event rule runs at commit, over the recorded values.
+  // counter rule runs at commit, over the recorded values.
   {
     ScopedTimer t(spec_speculate_timer_);
     pool_.ParallelFor(static_cast<int>(active_.size()), [&](int j) {
@@ -171,7 +157,6 @@ int64_t ParallelRunner::RunValueWindow(const StreamRecord* records,
       shard.values.resize(static_cast<size_t>(n));
       protocol_->SpeculateShard(s, records, shard.positions.data(), n,
                                 shard.values.data());
-      shard.processed = n;
       if (spans != nullptr) shard.span_end = spans->Now();
     });
   }
@@ -179,8 +164,8 @@ int64_t ParallelRunner::RunValueWindow(const StreamRecord* records,
   if (spec_speculated_ != nullptr) spec_speculated_->Add(count);
 
   // Commit walk: the protocol zips the per-shard value series back into
-  // global stream order (per-shard cursors — no sort) and replays its
-  // scalar event rule; hard interactions call back into
+  // global stream order (per-shard cursors — no sort) and replays the
+  // scalar counter rule; hard interactions call back into
   // MaterializeShards before reading drift state.
   for (int s : active_) {
     const Shard& shard = shards_[static_cast<size_t>(s)];
@@ -197,7 +182,7 @@ int64_t ParallelRunner::RunValueWindow(const StreamRecord* records,
     consumed = protocol_->CommitValueSeries(
         site_of_.data(), count, series_.data(),
         [&](int64_t pos) { MaterializeShards(records, pos, window_span); },
-        opts_.fast_merge, soft);
+        soft);
   }
   FGM_CHECK_GE(consumed, 1);
   *hard = consumed < count;
@@ -261,189 +246,6 @@ void ParallelRunner::MaterializeShards(const StreamRecord* records,
       spans->EmitComplete(replay);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Event/barrier path (protocols without value-series support, e.g. GM)
-// ---------------------------------------------------------------------------
-
-int64_t ParallelRunner::RunEventWindow(const StreamRecord* records,
-                                       int64_t count, bool* hard) {
-  const int64_t window_span = BeginWindow(records, count);
-  SpanSink* const spans = opts_.spans;
-  // Under fast merge every shard processes its whole batch (no early
-  // stop) and nothing ever rolls back.
-  const int64_t budget =
-      opts_.fast_merge ? std::numeric_limits<int64_t>::max()
-                       : protocol_->SpeculationBudget();
-  FGM_CHECK_GE(budget, 1);
-  if (!opts_.fast_merge) {
-    for (int s : active_) protocol_->SaveCheckpoint(s);
-  }
-
-  // Speculate: every active shard advances through its own records. A
-  // shard stops once its OWN event weight reaches the budget — the merged
-  // crossing can only be at or before that position, so every event below
-  // the barrier is guaranteed to have been gathered.
-  {
-    ScopedTimer t(spec_speculate_timer_);
-    pool_.ParallelFor(static_cast<int>(active_.size()), [&](int j) {
-      const int s = active_[static_cast<size_t>(j)];
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      if (spans != nullptr) shard.span_begin = spans->Now();
-      shard.processed = protocol_->LocalProcessBatch(
-          records, shard.positions.data(),
-          static_cast<int64_t>(shard.positions.size()), budget,
-          static_cast<int32_t>(s), &shard.events);
-      if (spans != nullptr) shard.span_end = spans->Now();
-    });
-  }
-  EmitShardSpans(window_span);
-  if (spec_speculated_ != nullptr) {
-    int64_t processed = 0;
-    for (int s : active_) processed += shards_[static_cast<size_t>(s)].processed;
-    spec_speculated_->Add(processed);
-  }
-
-  // Zipper-merge the per-shard event lists (each already ascending in
-  // position) into global order — deterministic, no sort.
-  merged_.clear();
-  merge_cursor_.assign(shards_.size(), 0);
-  for (;;) {
-    int best = -1;
-    int64_t best_pos = 0;
-    for (int s : active_) {
-      const Shard& shard = shards_[static_cast<size_t>(s)];
-      const size_t cur = merge_cursor_[static_cast<size_t>(s)];
-      if (cur >= shard.events.size()) continue;
-      const int64_t p = shard.events[cur].pos;
-      if (best < 0 || p < best_pos) {
-        best = s;
-        best_pos = p;
-      }
-    }
-    if (best < 0) break;
-    merged_.push_back(
-        shards_[static_cast<size_t>(best)]
-            .events[merge_cursor_[static_cast<size_t>(best)]++]);
-  }
-
-  int64_t consumed;
-  int64_t commit_begin = 0;
-  const int64_t replayed_before = replayed_;
-  const int64_t wasted_before = wasted_;
-  ScopedTimer commit_timer(spec_commit_timer_);
-  if (opts_.fast_merge) {
-    // Relaxed commit: the whole window commits; events replay in order
-    // until the first one that triggers a coordinator interaction (which
-    // runs on live end-of-window state); the rest are stale — detection
-    // defers to the sites' next records.
-    if (spans != nullptr) commit_begin = spans->Now();
-    protocol_->CommitRecords(count);
-    for (const LocalEvent& event : merged_) {
-      if (protocol_->CommitEvent(event)) break;
-    }
-    consumed = count;
-    *hard = false;
-    EndWindow(window_span, commit_begin, consumed);
-    if (spec_committed_ != nullptr) spec_committed_->Add(consumed);
-    return consumed;
-  }
-
-  // The barrier is the first position where the accumulated weight meets
-  // the budget — exactly where the serial run enters the coordinator.
-  int64_t barrier = -1;
-  size_t barrier_idx = 0;
-  int64_t cum = 0;
-  for (size_t i = 0; i < merged_.size(); ++i) {
-    cum += merged_[i].weight;
-    if (cum >= budget) {
-      barrier = merged_[i].pos;
-      barrier_idx = i;
-      break;
-    }
-  }
-
-  if (barrier < 0) {
-    // No coordinator interaction in this window: all speculation commits.
-    // No shard can have stopped early (its own weight alone would have
-    // crossed the budget), so the whole window was processed.
-    for (int s : active_) {
-      const Shard& shard = shards_[static_cast<size_t>(s)];
-      FGM_CHECK_EQ(shard.processed,
-                   static_cast<int64_t>(shard.positions.size()));
-    }
-    if (spans != nullptr) commit_begin = spans->Now();
-    protocol_->CommitRecords(count);
-    for (const LocalEvent& event : merged_) {
-      const bool fired = protocol_->CommitEvent(event);
-      FGM_CHECK(!fired);
-    }
-    consumed = count;
-  } else {
-    ++barriers_;
-    replay_shards_.clear();
-    for (int s : active_) {
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      const auto prefix_end = std::upper_bound(shard.positions.begin(),
-                                               shard.positions.end(), barrier);
-      shard.replay_prefix = prefix_end - shard.positions.begin();
-      wasted_ += shard.processed - shard.replay_prefix;
-      if (shard.processed > shard.replay_prefix) replay_shards_.push_back(s);
-    }
-    // Roll back every shard that ran past the barrier and replay its
-    // records up to it, in parallel — the replays are independent per
-    // shard and the replayed events (already zipper-merged above) land
-    // in the shard's own spent event buffer. Replay from the bit-exact
-    // checkpoint repeats the identical operations, so the restored
-    // state matches the serial run.
-    pool_.ParallelFor(static_cast<int>(replay_shards_.size()), [&](int j) {
-      const int s = replay_shards_[static_cast<size_t>(j)];
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      if (spans != nullptr) shard.span_begin = spans->Now();
-      protocol_->RestoreCheckpoint(s);
-      if (shard.replay_prefix > 0) {
-        shard.events.clear();
-        protocol_->LocalProcessBatch(records, shard.positions.data(),
-                                     shard.replay_prefix,
-                                     std::numeric_limits<int64_t>::max(),
-                                     static_cast<int32_t>(s), &shard.events);
-      }
-      if (spans != nullptr) shard.span_end = spans->Now();
-    });
-    for (int s : replay_shards_) {
-      const Shard& shard = shards_[static_cast<size_t>(s)];
-      replayed_ += shard.replay_prefix;
-      if (spans != nullptr) {
-        Span replay;
-        replay.kind = SpanKind::kReplay;
-        replay.parent = window_span;
-        replay.site = s;
-        replay.begin = shard.span_begin;
-        replay.end = std::max(shard.span_end, shard.span_begin);
-        replay.count = shard.replay_prefix;
-        spans->EmitComplete(replay);
-      }
-    }
-    if (spans != nullptr) commit_begin = spans->Now();
-    protocol_->CommitRecords(barrier + 1);
-    for (size_t i = 0; i <= barrier_idx; ++i) {
-      const bool fired = protocol_->CommitEvent(merged_[i]);
-      FGM_CHECK_EQ(fired, i == barrier_idx);
-    }
-    consumed = barrier + 1;
-  }
-  *hard = barrier >= 0;
-  if (spec_committed_ != nullptr) {
-    spec_committed_->Add(consumed);
-    if (barrier >= 0) {
-      spec_barriers_->Add(1);
-      spec_replayed_->Add(replayed_ - replayed_before);
-      spec_wasted_->Add(wasted_ - wasted_before);
-    }
-  }
-  EndWindow(window_span, commit_begin, consumed);
-  return consumed;
 }
 
 }  // namespace fgm

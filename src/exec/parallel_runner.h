@@ -1,31 +1,20 @@
-// Speculate-and-replay parallel driver for ShardedProtocols.
+// Speculate-and-replay parallel driver for FGM's value-series speculation.
 //
 // The runner advances all sites concurrently inside a speculation window
 // and commits the coordinator-visible work serially in global stream
 // order, producing traffic statistics and event traces that are
-// bit-identical to the single-threaded run (see exec/sharded.h for the
-// contract and DESIGN.md §5d/§5h for the argument). Two commit paths:
-//
-//   * value-series (protocols with SupportsValueSeries, e.g. FGM):
-//     workers fold whole per-shard batches into the drift and record the
-//     per-record value sequence; the coordinator replays the scalar event
-//     rule over the recorded values (a linear zipper over the per-shard
-//     series — no sort, no per-event rollback). Subround crossings commit
-//     softly; only rare hard interactions (rebalance, round end) restore
-//     checkpoints and replay the committed prefix.
-//   * event/barrier (legacy, e.g. GM): workers gather events, the runner
-//     zipper-merges them by position, finds the first budget crossing,
-//     rolls overshooting shards back and replays to the barrier.
+// bit-identical to the single-threaded run (see
+// FgmProtocol::CommitValueSeries for the contract and DESIGN.md §5d/§5h
+// for the argument). Workers fold whole per-site batches into the drift
+// and record the per-record value sequence; the coordinator replays the
+// scalar counter rule over the recorded values (a linear zipper over the
+// per-site series — no sort, no per-event rollback). Subround crossings
+// commit softly; only rare hard interactions (rebalance, round end)
+// restore checkpoints and replay the committed prefix.
 //
 // The window length (speculation horizon) adapts via HorizonController:
 // re-centered on the observed hard-barrier gap, doubled on clean windows,
 // floored by the committed soft-interaction density.
-//
-// With `fast_merge` (opt-in) bit-identity is relaxed to
-// traffic-stat-identity: no checkpoints, no replay — a window always
-// commits whole, and coordinator interactions run on live end-of-window
-// site state (event detection past the interaction defers to the next
-// window). Deterministic for a fixed stream, independent of thread count.
 
 #ifndef FGM_EXEC_PARALLEL_RUNNER_H_
 #define FGM_EXEC_PARALLEL_RUNNER_H_
@@ -33,8 +22,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/fgm_protocol.h"
 #include "exec/horizon.h"
-#include "exec/sharded.h"
 #include "exec/thread_pool.h"
 #include "stream/record.h"
 
@@ -53,8 +42,6 @@ struct ParallelRunnerOptions {
   /// Bounds for the adaptive speculation horizon (records per window).
   int64_t min_horizon = 128;
   int64_t max_horizon = 65536;
-  /// Relax bit-identity to traffic-stat-identity (see header comment).
-  bool fast_merge = false;
   /// Speculation accounting sink (non-owning; nullptr = off). Instrument
   /// pointers are resolved once at construction; all bookkeeping happens
   /// at window granularity — never per record — so the record path is
@@ -69,8 +56,8 @@ struct ParallelRunnerOptions {
 
 class ParallelRunner {
  public:
-  /// `protocol` must outlive the runner.
-  ParallelRunner(ShardedProtocol* protocol, ParallelRunnerOptions options);
+  /// `protocol` must outlive the runner and SupportsSpeculation().
+  ParallelRunner(FgmProtocol* protocol, ParallelRunnerOptions options);
 
   /// Feeds `count` records to the protocol. After the call returns the
   /// protocol state equals the serial state after ProcessRecord on each
@@ -98,9 +85,7 @@ class ParallelRunner {
  private:
   struct Shard {
     std::vector<int64_t> positions;  ///< window positions, ascending
-    std::vector<double> values;      ///< recorded value series (v-path)
-    std::vector<LocalEvent> events;  ///< events found (event path)
-    int64_t processed = 0;           ///< prefix of `positions` processed
+    std::vector<double> values;      ///< recorded value series
     int64_t replay_prefix = 0;       ///< committed prefix to replay
     int64_t span_begin = 0;  ///< worker-stamped speculate segment start
     int64_t span_end = 0;    ///< worker-stamped speculate segment end
@@ -108,10 +93,8 @@ class ParallelRunner {
 
   /// Runs one speculation window; returns how many leading records were
   /// committed. Sets *hard when the window ended at a hard barrier.
-  int64_t RunValueWindow(const StreamRecord* records, int64_t count,
-                         int64_t* soft, bool* hard);
-  int64_t RunEventWindow(const StreamRecord* records, int64_t count,
-                         bool* hard);
+  int64_t RunWindow(const StreamRecord* records, int64_t count, int64_t* soft,
+                    bool* hard);
 
   /// Distributes window records to shards (fills site_of_ / positions /
   /// active_) and opens the window span. Returns the span id (0 = off).
@@ -121,26 +104,23 @@ class ParallelRunner {
   /// Closes the window: commit span, window span, shard scratch reset.
   void EndWindow(int64_t window_span, int64_t commit_begin, int64_t consumed);
 
-  /// Hard-barrier materialization (value path): every active shard that
-  /// speculated past `pos` restores its checkpoint and replays its
-  /// committed prefix. The replays are independent per shard and run on
-  /// the pool; replay output lands in the shard's own (already consumed)
-  /// value buffer, so no shared scratch is touched by workers.
+  /// Hard-barrier materialization: every active shard that speculated
+  /// past `pos` restores its checkpoint and replays its committed prefix.
+  /// The replays are independent per shard and run on the pool; replay
+  /// output lands in the shard's own (already consumed) value buffer, so
+  /// no shared scratch is touched by workers.
   void MaterializeShards(const StreamRecord* records, int64_t pos,
                          int64_t window_span);
 
-  ShardedProtocol* protocol_;
+  FgmProtocol* protocol_;
   ParallelRunnerOptions opts_;
   ThreadPool pool_;
-  bool use_values_;
 
   std::vector<Shard> shards_;
   std::vector<int> active_;          ///< shard ids with records this window
   std::vector<int32_t> site_of_;     ///< window position -> shard id
   std::vector<ValueSeries> series_;  ///< per-shard view into Shard::values
   std::vector<int> replay_shards_;   ///< shards rolled back this barrier
-  std::vector<LocalEvent> merged_;         ///< event path: zipper output
-  std::vector<size_t> merge_cursor_;       ///< event-path zipper cursors
 
   HorizonController horizon_;
 

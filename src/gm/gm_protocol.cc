@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -45,11 +44,6 @@ GmProtocol::GmProtocol(const ContinuousQuery* query, int num_sites,
   }
   trace_ = config_.trace;
   if (trace_ != nullptr) transport_->set_trace(trace_);
-  if (config_.metrics != nullptr) {
-    transport_->set_metrics(config_.metrics);
-    sketch_timer_ = config_.metrics->GetTimer("sketch_update");
-    safe_fn_timer_ = config_.metrics->GetTimer("safe_fn_eval");
-  }
   StartRound();
 }
 
@@ -82,109 +76,28 @@ void GmProtocol::StartRound() {
 
 void GmProtocol::ProcessRecord(const StreamRecord& record) {
   if (sim_ != nullptr) sim_->Advance(1);
-  double value = 0.0;
-  const int64_t weight = LocalProcess(record, &value);
-  if (weight > 0) {
-    CommitEvent(LocalEvent{0, record.site, weight, value});
-  }
-}
-
-int64_t GmProtocol::LocalProcess(const StreamRecord& record, double* value) {
   FGM_CHECK(record.site >= 0 && record.site < sites_k_);
   Site& site = sites_[static_cast<size_t>(record.site)];
-  site.scratch.clear();
-  {
-    ScopedTimer timed(sketch_timer_);
-    query_->MapRecord(record, &site.scratch);
-  }
+  delta_scratch_.clear();
+  query_->MapRecord(record, &delta_scratch_);
   site.log.Record(record, query_->dimension());
-  double v;
-  {
-    ScopedTimer timed(safe_fn_timer_);
-    for (const CellUpdate& u : site.scratch) {
-      site.evaluator->ApplyDelta(u.index, u.delta);
-    }
-    v = site.evaluator->Value();
+  for (const CellUpdate& u : delta_scratch_) {
+    site.evaluator->ApplyDelta(u.index, u.delta);
   }
+  const double v = site.evaluator->Value();
   ++site.updates_since_known;
-  if (value != nullptr) *value = v;
-  return v > 0.0 ? 1 : 0;
-}
-
-int64_t GmProtocol::LocalProcessBatch(const StreamRecord* base,
-                                      const int64_t* positions, int64_t n,
-                                      int64_t budget, int32_t shard,
-                                      std::vector<LocalEvent>* events) {
-  Site& site = sites_[static_cast<size_t>(shard)];
-  int64_t own_weight = 0;
-  int64_t processed = 0;
-  // Map in blocks through the batched projection, then apply per record:
-  // the violation test needs each record's post-update value, but the
-  // hash-family work amortizes over the whole block.
-  constexpr int64_t kMapBlock = 512;
-  std::vector<CellUpdate>& deltas = site.scratch;
-  std::vector<size_t> ends;
-  for (int64_t start = 0; start < n && own_weight < budget;
-       start += kMapBlock) {
-    const int64_t m = std::min(kMapBlock, n - start);
-    deltas.clear();
-    ends.clear();
-    {
-      ScopedTimer timed(sketch_timer_);
-      query_->MapRecordBatch(base, positions + start, m, &deltas, &ends);
-    }
-    ScopedTimer timed(safe_fn_timer_);
-    size_t delta_begin = 0;
-    for (int64_t j = 0; j < m; ++j) {
-      const int64_t pos = positions[start + j];
-      site.log.Record(base[pos], query_->dimension());
-      const size_t delta_end = ends[static_cast<size_t>(j)];
-      for (size_t u = delta_begin; u < delta_end; ++u) {
-        site.evaluator->ApplyDelta(deltas[u].index, deltas[u].delta);
-      }
-      delta_begin = delta_end;
-      const double v = site.evaluator->Value();
-      ++site.updates_since_known;
-      ++processed;
-      if (v > 0.0) {
-        events->push_back(LocalEvent{pos, shard, 1, v});
-        if (++own_weight >= budget) break;
-      }
-    }
-  }
-  return processed;
-}
-
-bool GmProtocol::CommitEvent(const LocalEvent& event) {
+  if (!(v > 0.0)) return;  // inside the safe zone
   ++violations_;
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kThresholdCross;
     e.round = full_syncs_;
-    e.site = event.site;
-    e.value = event.value;
+    e.site = record.site;
+    e.value = v;
     e.label = "local-violation";
     trace_->Emit(e);
   }
-  HandleViolation(event.site);
-  return true;
-}
-
-void GmProtocol::SaveCheckpoint(int shard) {
-  Site& site = sites_[static_cast<size_t>(shard)];
-  site.saved_evaluator = site.evaluator->Clone();
-  site.saved_mark = site.log.MarkPosition();
-  site.saved_updates_since_known = site.updates_since_known;
-  site.checkpoint_valid = true;
-}
-
-void GmProtocol::RestoreCheckpoint(int shard) {
-  Site& site = sites_[static_cast<size_t>(shard)];
-  FGM_CHECK(site.checkpoint_valid);
-  site.evaluator = std::move(site.saved_evaluator);
-  site.log.Rewind(site.saved_mark);
-  site.updates_since_known = site.saved_updates_since_known;
-  site.checkpoint_valid = false;
+  HandleViolation(record.site);
 }
 
 const RealVector& GmProtocol::CollectDrift(int site_id) {

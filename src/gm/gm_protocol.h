@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/sharded.h"
 #include "net/network.h"
 #include "net/protocol.h"
 #include "net/transport.h"
@@ -57,13 +56,12 @@ struct GmConfig {
   /// Seed for the random selection of rebalancing peers.
   uint64_t seed = 0x6d67;  // "gm"
 
-  /// Structured event sink / metrics registry (obs/); non-owning,
-  /// nullptr disables (see FgmConfig::trace).
+  /// Structured event sink (obs/); non-owning, nullptr disables (see
+  /// FgmConfig::trace).
   TraceSink* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
 };
 
-class GmProtocol : public MonitoringProtocol, public ShardedProtocol {
+class GmProtocol : public MonitoringProtocol {
  public:
   GmProtocol(const ContinuousQuery* query, int num_sites, GmConfig config);
 
@@ -89,20 +87,6 @@ class GmProtocol : public MonitoringProtocol, public ShardedProtocol {
   /// The transport carrying this protocol's messages (testing hook).
   const Transport& transport() const { return *transport_; }
 
-  // ShardedProtocol — one shard per site. Any single local violation
-  // triggers coordinator interaction, so the speculation budget is 1.
-  int shard_count() const override { return sites_k_; }
-  int64_t SpeculationBudget() const override { return 1; }
-  int64_t LocalProcess(const StreamRecord& record, double* value) override;
-  int64_t LocalProcessBatch(const StreamRecord* base, const int64_t* positions,
-                            int64_t n, int64_t budget, int32_t shard,
-                            std::vector<LocalEvent>* events) override;
-  void CommitRecords(int64_t count) override { (void)count; }
-  bool CommitEvent(const LocalEvent& event) override;
-  void SaveCheckpoint(int shard) override;
-  void RestoreCheckpoint(int shard) override;
-  bool SupportsSpeculation() const override { return sim_ == nullptr; }
-
  private:
   struct Site {
     std::unique_ptr<DriftEvaluator> evaluator;
@@ -115,13 +99,6 @@ class GmProtocol : public MonitoringProtocol, public ShardedProtocol {
     /// reproduces the site's drift bit-exactly (GM drifts are cumulative,
     /// unlike FGM's flush-and-reset).
     RealVector known;
-    /// Per-site sketch-delta scratch (safe for concurrent LocalProcess).
-    std::vector<CellUpdate> scratch;
-    /// Speculation checkpoint (`known` only moves at commits; not saved).
-    std::unique_ptr<DriftEvaluator> saved_evaluator;
-    RawUpdateLog::Mark saved_mark;
-    int64_t saved_updates_since_known = 0;
-    bool checkpoint_valid = false;
   };
 
   void StartRound();
@@ -139,8 +116,6 @@ class GmProtocol : public MonitoringProtocol, public ShardedProtocol {
 
   // Observability (non-owning; null when disabled).
   TraceSink* trace_ = nullptr;
-  WallTimer* sketch_timer_ = nullptr;
-  WallTimer* safe_fn_timer_ = nullptr;
 
   RealVector estimate_;
   double query_value_ = 0.0;
@@ -148,6 +123,7 @@ class GmProtocol : public MonitoringProtocol, public ShardedProtocol {
   std::unique_ptr<SafeFunction> safe_fn_;
 
   std::vector<Site> sites_;
+  std::vector<CellUpdate> delta_scratch_;
 
   int64_t full_syncs_ = 0;
   int64_t violations_ = 0;

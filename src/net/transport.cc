@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/check.h"
 
@@ -184,13 +183,9 @@ class SerializingTransport final : public Transport {
   Msg RoundTrip(const Msg& msg, int64_t charged_words, DecodeFn decode,
                 ChargeFn charge) {
     WordBuffer wire;
-    {
-      ScopedTimer timed(encode_timer_);
-      msg.Encode(&wire);
-    }
+    msg.Encode(&wire);
     FGM_CHECK_EQ(static_cast<int64_t>(wire.size_words()), charged_words);
     charge(charged_words + SpanWireExtra());
-    ScopedTimer timed(decode_timer_);
     // Decode sees the payload only — a receiver strips the known trailing
     // span-id word before decoding (some payloads infer their length from
     // the buffer size).
@@ -211,13 +206,6 @@ class SerializingTransport final : public Transport {
 };
 
 }  // namespace
-
-void Transport::set_metrics(MetricsRegistry* metrics) {
-  encode_timer_ =
-      metrics != nullptr ? metrics->GetTimer("wire_encode") : nullptr;
-  decode_timer_ =
-      metrics != nullptr ? metrics->GetTimer("wire_decode") : nullptr;
-}
 
 TransportMode ResolveTransportMode(TransportMode mode) {
   if (mode != TransportMode::kAuto) return mode;

@@ -32,9 +32,6 @@
 
 namespace fgm {
 
-class MetricsRegistry;
-class WallTimer;
-
 /// Resolves kAuto against the FGM_STRICT_WIRE environment variable.
 TransportMode ResolveTransportMode(TransportMode mode);
 
@@ -70,10 +67,6 @@ class Transport {
   /// bit-identical with spans compiled in.
   void set_span_wire(bool on) { span_wire_ = on; }
 
-  /// Registers the wire_encode / wire_decode wall timers with `metrics`
-  /// (nullptr detaches). Only the serializing path does timed work.
-  void set_metrics(MetricsRegistry* metrics);
-
   // Coordinator → site. Each call charges the message's words and returns
   // the message as the site receives it.
   virtual SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) = 0;
@@ -95,8 +88,6 @@ class Transport {
   int64_t SpanWireExtra() const { return span_wire_ ? 1 : 0; }
 
   SimNetwork network_;
-  WallTimer* encode_timer_ = nullptr;
-  WallTimer* decode_timer_ = nullptr;
   SpanSink* spans_ = nullptr;
   bool span_wire_ = false;
 };

@@ -123,6 +123,8 @@ struct SiteNetSample {
 
 class HealthMonitor {
  public:
+  /// `sites` counts the coordinator's root children: the sites of a flat
+  /// run, the tier-1 aggregators of a tree.
   explicit HealthMonitor(int sites, const HealthConfig& config = {});
 
   /// Alert transitions are emitted to this sink (non-owning, may be null:

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -284,6 +286,37 @@ TEST(HealthEndToEnd, HealthPlanningKeepsGuaranteeUnderChaos) {
   const RunResult r = ::fgm::Run(config, SmallTrace(30000));
   EXPECT_EQ(r.max_violation, 0.0);
   EXPECT_GT(r.rounds, 0);
+}
+
+// The coordinator feeds the monitor one entry per ROOT CHILD, so a tree
+// run's exposition must label exactly the tier-1 aggregators — not one
+// phantom site per leaf, and not a rebalance cost factor diluted by them.
+TEST(HealthEndToEnd, TreeRunMonitorsRootChildren) {
+  RunConfig config = SmallConfig();
+  config.protocol = ProtocolKind::kFgmOpt;
+  config.sites = 64;
+  config.topology = "tree:8";
+  config.check_every = 0;
+  config.net.latency = "fixed:4";
+  config.net.drop = 0.3;
+  config.health_planning = true;
+  config.prom_out = ::testing::TempDir() + "tree_health.prom";
+  WorldCupConfig wc;
+  wc.sites = config.sites;
+  wc.total_updates = 30000;
+  const RunResult r = ::fgm::Run(config, GenerateWorldCupTrace(wc));
+  EXPECT_GT(r.rounds, 0);
+
+  std::ifstream in(config.prom_out);
+  ASSERT_TRUE(in) << config.prom_out;
+  std::set<std::string> sites;
+  for (std::string line; std::getline(in, line);) {
+    const size_t at = line.find("site=\"");
+    if (line.rfind("fgm_site_", 0) != 0 || at == std::string::npos) continue;
+    const size_t begin = at + 6;
+    sites.insert(line.substr(begin, line.find('"', begin) - begin));
+  }
+  EXPECT_EQ(sites.size(), 8u);
 }
 
 }  // namespace

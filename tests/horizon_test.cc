@@ -1,7 +1,7 @@
 // Unit tests for the adaptive speculation-horizon controller
 // (exec/horizon.h) and the speculation-efficiency invariants of the
 // parallel runner: every speculated record is either committed or
-// wasted, replay never exceeds commit, and fast_merge never rolls back.
+// wasted, and replay never exceeds commit.
 
 #include <gtest/gtest.h>
 
@@ -155,7 +155,7 @@ struct SpecRun {
   RunResult result;
 };
 
-SpecRun RunWithMetrics(ProtocolKind protocol, int threads, bool fast_merge) {
+SpecRun RunWithMetrics(ProtocolKind protocol, int threads) {
   RunConfig config;
   config.protocol = protocol;
   config.query = QueryKind::kSelfJoin;
@@ -163,7 +163,6 @@ SpecRun RunWithMetrics(ProtocolKind protocol, int threads, bool fast_merge) {
   config.depth = 5;
   config.width = 60;
   config.threads = threads;
-  config.fast_merge = fast_merge;
   SpecRun out;
   out.metrics = std::make_unique<MetricsRegistry>();
   config.metrics = out.metrics.get();
@@ -199,26 +198,9 @@ void ExpectEfficiencyInvariants(const SpecRun& run) {
 TEST(SpeculationEfficiency, InvariantHoldsOnValueSeriesPath) {
   // FGM supports value-series speculation: soft subround crossings must
   // show up, and the accounting must balance.
-  const SpecRun run = RunWithMetrics(ProtocolKind::kFgm, 4, false);
+  const SpecRun run = RunWithMetrics(ProtocolKind::kFgm, 4);
   EXPECT_GT(run.result.parallel_windows, 0);
   EXPECT_GT(run.result.soft_commits, 0);
-  ExpectEfficiencyInvariants(run);
-}
-
-TEST(SpeculationEfficiency, InvariantHoldsOnEventPath) {
-  // GM runs the event/barrier path (no value series); same conservation.
-  const SpecRun run = RunWithMetrics(ProtocolKind::kGm, 4, false);
-  EXPECT_GT(run.result.parallel_windows, 0);
-  EXPECT_EQ(run.result.soft_commits, 0);
-  ExpectEfficiencyInvariants(run);
-}
-
-TEST(SpeculationEfficiency, FastMergeNeverRollsBack) {
-  const SpecRun run = RunWithMetrics(ProtocolKind::kFgm, 4, true);
-  EXPECT_GT(run.result.parallel_windows, 0);
-  EXPECT_EQ(run.result.parallel_barriers, 0);
-  EXPECT_EQ(run.result.replayed_records, 0);
-  EXPECT_EQ(run.result.wasted_records, 0);
   ExpectEfficiencyInvariants(run);
 }
 

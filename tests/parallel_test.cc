@@ -1,11 +1,12 @@
-// Determinism suite for the sharded parallel execution engine (exec/).
+// Determinism suite for FGM's value-series speculation engine (exec/).
 //
-// The contract under test: for every protocol with a sharded
-// implementation and every thread count, the parallel run is
-// bit-identical to the serial run — same traffic words and messages per
-// message kind, same rounds/subrounds/rebalances, same final estimate,
-// and the same JSONL trace line for line. `ctest -L parallel` runs this
-// suite; a -DFGM_SANITIZE=thread build runs it under TSan.
+// The contract under test: for FGM and FGM/O at every thread count, the
+// parallel run is bit-identical to the serial run — same traffic words
+// and messages per message kind, same rounds/subrounds/rebalances, same
+// final estimate, and the same JSONL trace line for line. GM and
+// CENTRAL run the serial loop under any thread count. `ctest -L
+// parallel` runs this suite; a -DFGM_SANITIZE=thread build runs it under
+// TSan.
 
 #include <gtest/gtest.h>
 
@@ -243,9 +244,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple(ProtocolKind::kFgm, QueryKind::kSelfJoin),
         std::make_tuple(ProtocolKind::kFgm, QueryKind::kJoin),
-        std::make_tuple(ProtocolKind::kFgmOpt, QueryKind::kSelfJoin),
-        std::make_tuple(ProtocolKind::kGm, QueryKind::kSelfJoin),
-        std::make_tuple(ProtocolKind::kGm, QueryKind::kJoin)),
+        std::make_tuple(ProtocolKind::kFgmOpt, QueryKind::kSelfJoin)),
     ParallelParamName);
 
 // The run-health time series must also be bit-identical for every thread
@@ -324,15 +323,20 @@ TEST(ParallelDeterminism, SpeculationMetricsPublishedAtWindowGranularity) {
 }
 
 TEST(ParallelDeterminism, CentralFallsBackToSerial) {
-  // CENTRAL has no sharded implementation; --threads must degrade to the
-  // serial loop, not crash or change results.
-  const RunOutput serial = RunOnce(ProtocolKind::kCentral,
-                                   QueryKind::kSelfJoin, 1);
-  const RunOutput parallel = RunOnce(ProtocolKind::kCentral,
-                                     QueryKind::kSelfJoin, 8);
-  EXPECT_EQ(parallel.result.threads_used, 1);
-  EXPECT_EQ(parallel.result.parallel_windows, 0);
-  ExpectIdentical(serial, parallel, "central");
+  // CENTRAL and GM do not speculate (every GM local violation is a
+  // synchronization); --threads must degrade to the serial loop, not
+  // crash or change results.
+  for (ProtocolKind protocol : {ProtocolKind::kCentral, ProtocolKind::kGm}) {
+    for (QueryKind query : {QueryKind::kSelfJoin, QueryKind::kJoin}) {
+      const RunOutput serial = RunOnce(protocol, query, 1);
+      const RunOutput parallel = RunOnce(protocol, query, 4);
+      EXPECT_EQ(parallel.result.threads_used, 1);
+      EXPECT_EQ(parallel.result.parallel_windows, 0);
+      ExpectIdentical(serial, parallel,
+                      std::string(ProtocolKindName(protocol)) +
+                          (query == QueryKind::kSelfJoin ? " Q1" : " Q2"));
+    }
+  }
 }
 
 TEST(ParallelDeterminism, ParanoidModeHoldsUnderParallelExecution) {
@@ -347,8 +351,8 @@ TEST(ParallelDeterminism, ParanoidModeHoldsUnderParallelExecution) {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity on the batched fast paths: spans enabled, simulated
-// network chaos, and the documented fast_merge relaxation.
+// Bit-identity on the batched fast path with spans enabled, and the
+// serial fallback under simulated network chaos.
 
 RunOutput RunOnceWithSpans(ProtocolKind protocol, int threads) {
   RunConfig config;
@@ -381,11 +385,11 @@ RunOutput RunOnceWithSpans(ProtocolKind protocol, int threads) {
 
 // Span collection timestamps worker segments but must not perturb the
 // protocol: with span_wire off, traffic and traces stay bit-identical to
-// serial for every protocol that shards (the window/shard/replay spans
-// themselves are wall-clock data, so only their presence is asserted).
+// serial for every protocol that speculates (the window/shard/replay
+// spans themselves are wall-clock data, so only their presence is
+// asserted).
 TEST(ParallelDeterminism, SpansEnabledStaysBitIdentical) {
-  for (ProtocolKind protocol :
-       {ProtocolKind::kFgm, ProtocolKind::kFgmOpt, ProtocolKind::kGm}) {
+  for (ProtocolKind protocol : {ProtocolKind::kFgm, ProtocolKind::kFgmOpt}) {
     const RunOutput serial = RunOnceWithSpans(protocol, 1);
     for (int threads : {2, 8}) {
       const RunOutput parallel = RunOnceWithSpans(protocol, threads);
@@ -436,42 +440,6 @@ TEST(ParallelDeterminism, SimulatedNetworkChaosFallsBackBitIdentical) {
   EXPECT_EQ(parallel.result.threads_used, 1);
   EXPECT_EQ(parallel.result.parallel_windows, 0);
   ExpectIdentical(serial, parallel, "sim chaos");
-}
-
-// fast_merge gives up bit-identity with serial (coordinator interactions
-// run on live end-of-window state) but must stay deterministic for a
-// fixed stream: two runs at the same thread count agree bit for bit, no
-// window ever rolls back, and the monitoring output remains sane.
-TEST(ParallelDeterminism, FastMergeDeterministicAndNeverRollsBack) {
-  auto run_fast = [](int threads) {
-    RunConfig config;
-    config.protocol = ProtocolKind::kFgm;
-    config.query = QueryKind::kSelfJoin;
-    config.sites = 5;
-    config.depth = 5;
-    config.width = 60;
-    config.threads = threads;
-    config.fast_merge = true;
-    WorldCupConfig wc;
-    wc.sites = config.sites;
-    wc.total_updates = 30000;
-    return ::fgm::Run(config, GenerateWorldCupTrace(wc));
-  };
-  const RunResult a = run_fast(4);
-  const RunResult b = run_fast(4);
-  EXPECT_GT(a.parallel_windows, 0);
-  EXPECT_EQ(a.parallel_barriers, 0);
-  EXPECT_EQ(a.replayed_records, 0);
-  EXPECT_EQ(a.wasted_records, 0);
-  EXPECT_EQ(a.traffic.total_words(), b.traffic.total_words());
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.final_estimate, b.final_estimate);
-  EXPECT_EQ(a.events, b.events);
-  // Same exact ground truth as any other mode; the estimate still tracks
-  // it (loosely — fast merge defers some violations to the next window).
-  EXPECT_EQ(a.final_truth, b.final_truth);
-  EXPECT_GT(a.rounds, 0);
-  EXPECT_GT(a.final_estimate, 0.0);
 }
 
 }  // namespace

@@ -23,14 +23,6 @@
 // field force-gated) without loosening the bit-exact --tol=0 gate on
 // everything else.
 //
-// --min_field=label.field=V[;label.field=V...] gates the CURRENT report
-// against an absolute floor, independent of the baseline: the run with
-// x-label `label` must exist and its `field` must be >= V. The list is
-// ';'-separated because run labels contain commas
-// (e.g. --min_field="k=8,threads=8.speedup=3.0"). This is how CI
-// enforces parallel speedup on multi-core runners while the committed
-// baseline stays honest about the machine that produced it.
-//
 // --update inverts the gate: instead of diffing, it validates the
 // current report (parseable JSON with a "bench" name) and copies its
 // bytes over the baseline path, creating it if absent. This is the one
@@ -94,39 +86,6 @@ bool ParseFieldTols(const std::string& spec,
     if (end == nullptr || *end != '\0' || value < 0.0) return false;
     (*out)[name] = value;
     pos = comma + 1;
-  }
-  return true;
-}
-
-/// One absolute-minimum rule from --min_field.
-struct MinRule {
-  std::string label;  ///< run x-label ("k=8,threads=8")
-  std::string field;  ///< numeric field inside the run ("speedup")
-  double value;       ///< required minimum (inclusive)
-};
-
-/// Parses "label.field=V[;label.field=V...]" (';'-separated — labels
-/// contain commas). The field is the segment between the last '.' before
-/// the last '=' and that '='; field names contain neither.
-bool ParseFieldMins(const std::string& spec, std::vector<MinRule>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t semi = spec.find(';', pos);
-    if (semi == std::string::npos) semi = spec.size();
-    const std::string item = spec.substr(pos, semi - pos);
-    const size_t eq = item.rfind('=');
-    if (eq == std::string::npos || eq + 1 >= item.size()) return false;
-    const size_t dot = item.rfind('.', eq);
-    if (dot == std::string::npos || dot == 0) return false;
-    MinRule rule;
-    rule.label = item.substr(0, dot);
-    rule.field = item.substr(dot + 1, eq - dot - 1);
-    if (rule.field.empty()) return false;
-    char* end = nullptr;
-    rule.value = std::strtod(item.c_str() + eq + 1, &end);
-    if (end == nullptr || *end != '\0') return false;
-    out->push_back(rule);
-    pos = semi + 1;
   }
   return true;
 }
@@ -229,15 +188,9 @@ int main(int argc, char** argv) {
   if (!tol_field.empty()) {
     tol_field_ok = ParseFieldTols(tol_field, &gate.field_tols);
   }
-  const std::string min_field = flags.GetString("min_field", "");
-  std::vector<MinRule> min_rules;
-  bool min_field_ok = true;
-  if (!min_field.empty()) {
-    min_field_ok = ParseFieldMins(min_field, &min_rules);
-  }
   const std::vector<std::string> unknown = flags.Unparsed();
   if (!unknown.empty() || baseline_path.empty() || current_path.empty() ||
-      !tol_field_ok || !min_field_ok) {
+      !tol_field_ok) {
     for (const std::string& name : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
     }
@@ -245,16 +198,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad --tol_field=%s (want name=T[,name=T...])\n",
                    tol_field.c_str());
     }
-    if (!min_field_ok) {
-      std::fprintf(stderr,
-                   "bad --min_field=%s (want label.field=V[;label.field=V])\n",
-                   min_field.c_str());
-    }
     std::fprintf(stderr,
                  "usage: bench_gate --baseline=BENCH_x.json "
                  "--current=BENCH_x.json [--tol=0.02] [--time_tol=0] "
-                 "[--tol_field=name=T[,name=T...]] "
-                 "[--min_field=label.field=V[;...]] [--update] [--verbose]\n");
+                 "[--tol_field=name=T[,name=T...]] [--update] [--verbose]\n");
     return 2;
   }
 
@@ -337,33 +284,6 @@ int main(int argc, char** argv) {
     }
   } else if (base_runs != nullptr) {
     gate.Fail("current report has no runs array");
-  }
-
-  // Absolute floors on the current report (--min_field): independent of
-  // the baseline, so a CI runner can demand speedup the baseline machine
-  // could not deliver.
-  for (const MinRule& rule : min_rules) {
-    ++gate.compared;
-    const std::string where = "run[" + rule.label + "]." + rule.field;
-    const fgm::JsonNode* run =
-        cur_runs != nullptr ? FindRun(*cur_runs, rule.label) : nullptr;
-    if (run == nullptr) {
-      gate.Fail("min rule: run \"" + rule.label +
-                "\" missing from current report");
-      continue;
-    }
-    const fgm::JsonNode* field = run->Find(rule.field);
-    if (field == nullptr || field->type != fgm::JsonNode::Type::kNumber) {
-      gate.Fail("min rule: " + where + " missing or non-numeric");
-      continue;
-    }
-    const double value = field->AsDouble();
-    const bool ok = value >= rule.value;
-    if (gate.verbose || !ok) {
-      std::printf("%s %s: cur=%.6g (min %.6g)\n", ok ? "ok  " : "FAIL",
-                  where.c_str(), value, rule.value);
-    }
-    if (!ok) gate.Fail(where + " below required minimum");
   }
 
   const fgm::JsonNode* base_scalars = baseline.Find("scalars");
