@@ -10,9 +10,7 @@ CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
                                  const sim::NetSimConfig& net)
     : query_(query),
       sites_k_(num_sites),
-      transport_(net.enabled()
-                     ? std::make_unique<sim::EventNetwork>(num_sites, net)
-                     : MakeTransport(transport, num_sites)),
+      transport_(sim::MakeTransport(transport, net, num_sites)),
       state_(query->dimension()) {
   FGM_CHECK(query != nullptr);
   FGM_CHECK_GE(num_sites, 1);
@@ -30,7 +28,7 @@ void CentralProtocol::ProcessRecord(const StreamRecord& record) {
   if (sim_ != nullptr) sim_->Advance(1);
   // The update crosses the wire verbatim; the coordinator projects the
   // DELIVERED record (normally 1 word; 2 for keys beyond 62 bits).
-  const RawUpdateMsg delivered = transport_->SendRawUpdate(
+  const RawUpdateMsg delivered = transport_->Send(
       record.site, RawUpdateMsg::FromRecord(record));
   delta_scratch_.clear();
   query_->MapRecord(delivered.ToRecord(record.site), &delta_scratch_);

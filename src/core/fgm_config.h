@@ -47,23 +47,6 @@ struct FgmConfig {
   /// instead of reusing the last round's verbatim.
   bool optimizer_second_order = false;
 
-  /// Feedback guard for the optimizer (§4.2.5 notes the crude linear
-  /// model "will often be fooled"): the coordinator keeps an EWMA of the
-  /// measured words-per-update of mostly-cheap vs mostly-full rounds and
-  /// overrides a cheap plan with the all-full plan when cheap rounds have
-  /// demonstrably cost more (by feedback_margin). Every
-  /// feedback_probe_period-th round the model's choice passes through
-  /// unguarded so the estimate can recover after workload shifts.
-  bool optimizer_feedback = true;
-  double feedback_margin = 1.1;
-  int64_t feedback_probe_period = 16;
-
-  /// Runaway-cheap-round cutoff: a mostly-cheap round that has already
-  /// spent more than this many times the cost of a full-zone round
-  /// (k·D + expected subround overhead) is ended early, bounding the
-  /// damage of a mispredicted plan to O(k·D) words.
-  double feedback_budget_factor = 4.0;
-
   /// Rebalancing is abandoned (the round ends) when the recomputed scale
   /// λ = 1 - µ* drops below this. Must exceed eps_psi.
   double min_lambda = 0.05;
@@ -74,9 +57,6 @@ struct FgmConfig {
   /// conservatively-chosen heuristic). The round is ended directly when
   /// the current plan's average upstream words per site falls below this.
   double rebalance_min_words_per_site = 16.0;
-
-  /// Bisection tolerance for µ* as a fraction of |φ(0)|.
-  double bisection_tol = 1e-3;
 
   /// Cap on subrounds per round — a runaway-loop backstop only. Hitting
   /// it forces the round to end (counted in overflow_rounds()) instead of
@@ -108,7 +88,7 @@ struct FgmConfig {
   SpanSink* spans = nullptr;
 
   /// Ships the innermost open span's id as one extra word on every wire
-  /// message (charged and, on serializing paths, actually encoded). Off
+  /// message (charged and, in strict mode, actually encoded). Off
   /// by default so default traffic stays bit-identical.
   bool span_wire = false;
 

@@ -14,18 +14,24 @@ namespace fgm {
 
 namespace {
 
-// Only the root tier runs over the discrete-event network: the fault
-// plan's indices address the root's children, and the root links are the
-// bottleneck whose latency/loss behaviour the simulation studies. An
-// enabled net-sim config swaps that tier's synchronous transport for the
-// event network; everything downstream only sees Transport.
-std::unique_ptr<Transport> MakeTierTransport(const FgmConfig& config, int tier,
-                                             int endpoints) {
-  if (tier == 0 && config.net.enabled()) {
-    return std::make_unique<sim::EventNetwork>(endpoints, config.net);
-  }
-  return MakeTransport(config.transport, endpoints);
-}
+// Feedback guard for the optimizer (§4.2.5 notes the crude linear model
+// "will often be fooled"): the coordinator keeps an EWMA of the measured
+// words-per-update of mostly-cheap vs mostly-full rounds and overrides a
+// cheap plan with the all-full plan when cheap rounds have demonstrably
+// cost more (by kFeedbackMargin). Every kFeedbackProbePeriod-th round the
+// model's choice passes through unguarded so the estimate can recover
+// after workload shifts.
+constexpr double kFeedbackMargin = 1.1;
+constexpr int64_t kFeedbackProbePeriod = 16;
+
+// Runaway-cheap-round cutoff: a mostly-cheap round that has already spent
+// more than this many times the cost of a full-zone round (k·D + expected
+// subround overhead) is ended early, bounding the damage of a mispredicted
+// plan to O(k·D) words.
+constexpr double kFeedbackBudgetFactor = 4.0;
+
+// Bisection tolerance for µ* as a fraction of |φ(0)|.
+constexpr double kBisectionTol = 1e-3;
 
 }  // namespace
 
@@ -51,10 +57,15 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
   FGM_CHECK_GE(config_.max_subrounds_per_round, 1);
 
   for (int t = 0; t < depth_; ++t) {
-    transports_.push_back(MakeTierTransport(config_, t, topo_.NodesAt(t + 1)));
+    // Only the root tier runs over the discrete-event network: the fault
+    // plan's indices address the root's children, and the root links are
+    // the bottleneck whose latency/loss behaviour the simulation studies.
+    transports_.push_back(sim::MakeTransport(
+        config_.transport, t == 0 ? config_.net : sim::NetSimConfig{},
+        topo_.NodesAt(t + 1)));
     // Tier 0 keeps the default stamp (0), so root-tier traces stay in the
     // flat schema; lower tiers stamp every event/span they emit.
-    transports_.back()->network().set_tier(t);
+    transports_.back()->set_tier(t);
   }
   if (config_.net.enabled()) {
     sim_ = static_cast<sim::EventNetwork*>(transports_[0].get());
@@ -128,7 +139,7 @@ void FgmProtocol::ProcessRecord(const StreamRecord& record) {
 bool FgmProtocol::SendCounterIncrement(int child, int64_t increment) {
   // One-word message carrying the increase to c_i.
   const CounterMsg delivered =
-      transports_[0]->SendCounter(child, CounterMsg{increment});
+      transports_[0]->Send(child, CounterMsg{increment});
   counter_total_ += delivered.increment;
   if (trace_ != nullptr) {
     TraceEvent e;
@@ -202,8 +213,8 @@ double FgmProtocol::ChildValue(int tier, int node) {
 
 double FgmProtocol::PollChild(int tier, int node) {
   Transport& link = Link(tier);
-  link.ShipControl(node, ControlMsg{ControlOp::kPollPhi});
-  return link.SendPhiValue(node, PhiValueMsg{ChildValue(tier, node)}).value;
+  link.Ship(node, ControlMsg{ControlOp::kPollPhi});
+  return link.Send(node, PhiValueMsg{ChildValue(tier, node)}).value;
 }
 
 int64_t FgmProtocol::ChildCounter(int child) const {
@@ -220,11 +231,11 @@ void FgmProtocol::InstallZone(int tier, int node, bool full) {
   Transport& link = Link(tier);
   if (full) {
     // Ship E; the site reconstructs φ from it (§2.4 step 1).
-    link.ShipSafeZone(node, SafeZoneMsg{estimate_});
+    link.Ship(node, SafeZoneMsg{estimate_});
   } else {
     // Ship the 3-word cheap bound (§4.2.1).
-    link.ShipCheapZone(node, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
-                                          cheap_fn_->AtZero()});
+    link.Ship(node, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
+                                 cheap_fn_->AtZero()});
   }
   if (IsLeaf(tier)) {
     sites_[static_cast<size_t>(node)].BeginRound(
@@ -242,7 +253,7 @@ void FgmProtocol::InstallZone(int tier, int node, bool full) {
 
 void FgmProtocol::InstallQuantum(int tier, int node, double theta,
                                  bool analytic) {
-  const QuantumMsg delivered = Link(tier).ShipQuantum(node, QuantumMsg{theta});
+  const QuantumMsg delivered = Link(tier).Ship(node, QuantumMsg{theta});
   if (IsLeaf(tier)) {
     sites_[static_cast<size_t>(node)].BeginSubround(delivered.theta);
     return;
@@ -268,7 +279,7 @@ void FgmProtocol::InstallQuantum(int tier, int node, double theta,
 }
 
 void FgmProtocol::InstallLambda(int tier, int node, double lambda) {
-  const LambdaMsg delivered = Link(tier).ShipLambda(node, LambdaMsg{lambda});
+  const LambdaMsg delivered = Link(tier).Ship(node, LambdaMsg{lambda});
   if (IsLeaf(tier)) {
     sites_[static_cast<size_t>(node)].SetLambda(delivered.lambda);
     return;
@@ -296,14 +307,14 @@ void FgmProtocol::RebaselineChild(int tier, int node, double theta) {
 
 DriftFlushMsg FgmProtocol::FlushChild(int tier, int node) {
   Transport& link = Link(tier);
-  link.ShipControl(node, ControlMsg{ControlOp::kFlushRequest});
+  link.Ship(node, ControlMsg{ControlOp::kFlushRequest});
   // A site ships either the dense drift or the verbatim raw updates,
   // whichever is smaller, plus its update count (§2.1, §4.2.4); an
   // aggregator ships its subtree's summed drift. The message itself is
   // the single definition of the flush cost; an empty flush is the 1-word
   // acknowledgement (§5.4).
   const bool leaf = IsLeaf(tier);
-  DriftFlushMsg delivered = link.SendDriftFlush(
+  DriftFlushMsg delivered = link.Send(
       node, leaf ? sites_[static_cast<size_t>(node)].MakeFlushMsg()
                  : CollectSubtreeFlush(tier, node));
   if (trace_ != nullptr) {
@@ -355,7 +366,7 @@ void FgmProtocol::LocalPoll(int tier, int node) {
   a.counter_local = 0;
   for (int c = a.child_begin; c < a.child_end; ++c) {
     const QuantumMsg delivered =
-        Link(tier + 1).ShipQuantum(c, QuantumMsg{a.theta_local});
+        Link(tier + 1).Ship(c, QuantumMsg{a.theta_local});
     RebaselineChild(tier + 1, c, delivered.theta);
   }
 }
@@ -388,8 +399,7 @@ void FgmProtocol::ExportUp(int tier, int node) {
 
 void FgmProtocol::ReportUnits(int tier, int node, int64_t units) {
   if (tier > 1) {
-    const CounterMsg delivered =
-        Link(tier).SendCounter(node, CounterMsg{units});
+    const CounterMsg delivered = Link(tier).Send(node, CounterMsg{units});
     NoteChildUnits(tier - 1, topo_.Parent(tier, node), delivered.increment);
     return;
   }
@@ -629,13 +639,11 @@ void FgmProtocol::StartRound() {
     // Feedback guard: if mostly-cheap rounds have measurably cost more
     // per update than mostly-full rounds, override a cheap plan (§4.2.5's
     // "fooled optimizer" failure mode). Probe rounds pass unguarded.
-    if (config_.optimizer_feedback &&
-        rounds_ % config_.feedback_probe_period != 0) {
+    if (rounds_ % kFeedbackProbePeriod != 0) {
       const bool has_cheap = FullPlanCount() < m_;
       if (has_cheap && class_cost_count_[0] > 0 &&
           class_cost_count_[1] > 0 &&
-          class_cost_ewma_[1] >
-              config_.feedback_margin * class_cost_ewma_[0]) {
+          class_cost_ewma_[1] > kFeedbackMargin * class_cost_ewma_[0]) {
         plan_.assign(static_cast<size_t>(m_), 1);
         ++cheap_overrides_;
         // The executed plan is no longer the one the model priced; its
@@ -905,7 +913,7 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
 }
 
 bool FgmProtocol::CheapRoundOverBudget() const {
-  if (!config_.optimizer || !config_.optimizer_feedback) return false;
+  if (!config_.optimizer) return false;
   if (FullPlanCount() >= m_) return false;
   const double k = static_cast<double>(m_);
   const double full_round_words =
@@ -913,7 +921,7 @@ bool FgmProtocol::CheapRoundOverBudget() const {
       (3.0 * k + 1.0) * std::log2(1.0 / config_.eps_psi) + 4.0 * k;
   const double spent = static_cast<double>(
       transports_[0]->stats().total_words() - round_start_words_);
-  return spent > config_.feedback_budget_factor * full_round_words;
+  return spent > kFeedbackBudgetFactor * full_round_words;
 }
 
 void FgmProtocol::FlushAll() {
@@ -951,7 +959,7 @@ double FgmProtocol::FindMuStar() const {
   if (g(1.0) >= 0.0) return 1.0;
   double lo = 1e-6, hi = 1.0;
   if (g(lo) < 0.0) return 0.0;  // B/k direction never leaves the zone
-  const double tol = config_.bisection_tol * std::fabs(phi_zero_);
+  const double tol = kBisectionTol * std::fabs(phi_zero_);
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
     const double v = g(mid);
@@ -1222,7 +1230,7 @@ void FgmProtocol::ResyncChild(int child) {
     e.reason = "rejoin";
     trace_->Emit(e);
   }
-  const ResyncMsg delivered = transports_[0]->ShipResync(child, msg);
+  const ResyncMsg delivered = transports_[0]->Ship(child, msg);
   const size_t c = static_cast<size_t>(child);
   if (depth_ == 1) {
     // Recovery always ships the full reference and the site rebuilds φ
@@ -1349,9 +1357,9 @@ void FgmProtocol::MaybeSilencePoll() {
   for (int j = 0; j < m_; ++j) {
     const size_t s = static_cast<size_t>(j);
     if (in_round_[s] == 0 || child_ok_[s] == 0) continue;
-    transports_[0]->ShipControl(j, ControlMsg{ControlOp::kPollCounter});
+    transports_[0]->Ship(j, ControlMsg{ControlOp::kPollCounter});
     const CounterMsg reply =
-        transports_[0]->SendCounter(j, CounterMsg{ChildCounter(j)});
+        transports_[0]->Send(j, CounterMsg{ChildCounter(j)});
     ApplyCounterDelta(j, reply.increment, "timeout-poll");
   }
   if (counter_total_ > live_m_) PollAndAdvance();

@@ -273,7 +273,7 @@ class FgmProtocol : public MonitoringProtocol {
   void TryRebalance();
   void EndRound(bool already_flushed);
   /// True when a mostly-cheap round has outspent its budget (see
-  /// FgmConfig::feedback_budget_factor).
+  /// kFeedbackBudgetFactor in fgm_protocol.cc).
   bool CheapRoundOverBudget() const;
   /// Root side of the end-of-round / rebalance flush over every member.
   void FlushAll();
@@ -472,7 +472,7 @@ class FgmProtocol : public MonitoringProtocol {
   mutable std::vector<SiteRates> scratch_rates_;
 
   // Optimizer feedback guard: measured words/update of mostly-full vs
-  // mostly-cheap rounds (EWMA), see FgmConfig::optimizer_feedback.
+  // mostly-cheap rounds (EWMA), see kFeedbackMargin in fgm_protocol.cc.
   int64_t round_start_words_ = 0;
   int64_t round_start_updates_ = 0;
   int64_t total_updates_ = 0;

@@ -92,9 +92,9 @@ struct RunConfig {
   /// the serial loop.
   int threads = 1;
 
-  /// Route every protocol message through the serializing transport, which
-  /// encodes, size-checks, decodes and verifies each one (strict wire
-  /// accounting). Off: the transport follows FGM_STRICT_WIRE.
+  /// Run every transport strict: each protocol message is encoded,
+  /// size-checked, decoded and verified (strict wire accounting). Off: the
+  /// transport follows FGM_STRICT_WIRE.
   bool strict_wire = false;
 
   /// Simulated-network parameters (src/sim). When enabled() the protocol

@@ -37,9 +37,9 @@
 // plans require an FGM protocol. Simulated runs force --threads=1.
 //
 // --spans_out writes causal spans (obs/span.h) as Chrome Trace Event
-// JSON loadable in Perfetto; --span_wire additionally charges (and, on
-// serializing paths, encodes) the open span's id as one trailing word
-// per message. Both default off; default traffic is bit-identical.
+// JSON loadable in Perfetto; --span_wire additionally charges (and, in
+// strict mode, encodes) the open span's id as one trailing word per
+// message. Both default off; default traffic is bit-identical.
 //
 // --trace_out writes the structured JSONL event trace (obs/trace.h);
 // --metrics_out writes a JSON summary of the RunResult plus the metrics
@@ -50,6 +50,7 @@
 // offline; tools/fgm_report renders the trace+metrics+timeseries triple
 // into a run report and cross-checks them against each other.
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -179,18 +180,29 @@ int main(int argc, char** argv) {
                  query.c_str());
     return 2;
   }
-  config.sites = static_cast<int>(flags.GetCount("sites", 27));
+  // Count flags stored as int: a value past INT_MAX would wrap (2^32 + 5
+  // sites would run as 5 sites), so it is rejected before narrowing.
+  std::string too_large;
+  auto int_count = [&](const char* name, int64_t default_value) {
+    const int64_t value = flags.GetCount(name, default_value);
+    if (value <= INT_MAX) return static_cast<int>(value);
+    if (too_large.empty()) {
+      too_large = std::string("--") + name + " must be at most " +
+                  std::to_string(INT_MAX) + ", got " + std::to_string(value);
+    }
+    return 0;
+  };
+  config.sites = int_count("sites", 27);
   config.topology = flags.GetString("topology", "");
   const int64_t updates = flags.GetCount("updates", 400000);
   config.epsilon = flags.GetDouble("eps", 0.1);
   config.window_seconds = flags.GetDouble("window", 14400.0);
   config.count_window = flags.GetCount("count_window", 0);
-  config.depth = static_cast<int>(flags.GetCount("depth", 5));
-  config.width = static_cast<int>(
-      flags.GetCount("width", config.query == fgm::QueryKind::kJoin ? 150
-                                                                    : 300));
+  config.depth = int_count("depth", 5);
+  config.width = int_count(
+      "width", config.query == fgm::QueryKind::kJoin ? 150 : 300);
   config.check_every = flags.GetCount("check_every", 5000);
-  config.threads = static_cast<int>(flags.GetCount("threads", 1));
+  config.threads = int_count("threads", 1);
   config.trace_out = flags.GetString("trace_out", "");
   config.metrics_out = flags.GetString("metrics_out", "");
   config.timeseries_out = flags.GetString("timeseries_out", "");
@@ -236,6 +248,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (!too_large.empty()) {
+    std::fprintf(stderr, "%s\n", too_large.c_str());
+    return 2;
+  }
   if (!ValidateValues(config, protocol)) return 2;
 
   fgm::WorldCupConfig wc;

@@ -14,24 +14,12 @@ void LoadDrift(DriftEvaluator* evaluator, const RealVector& value) {
   }
 }
 
-namespace {
-
-std::unique_ptr<Transport> MakeGmTransport(const GmConfig& config,
-                                           int num_sites) {
-  if (config.net.enabled()) {
-    return std::make_unique<sim::EventNetwork>(num_sites, config.net);
-  }
-  return MakeTransport(config.transport, num_sites);
-}
-
-}  // namespace
-
 GmProtocol::GmProtocol(const ContinuousQuery* query, int num_sites,
                        GmConfig config)
     : query_(query),
       sites_k_(num_sites),
       config_(config),
-      transport_(MakeGmTransport(config, num_sites)),
+      transport_(sim::MakeTransport(config.transport, config.net, num_sites)),
       rng_(config.seed),
       estimate_(query->dimension()),
       sites_(static_cast<size_t>(num_sites)) {
@@ -63,7 +51,7 @@ void GmProtocol::StartRound() {
     trace_->Emit(e);
   }
   for (int i = 0; i < sites_k_; ++i) {
-    transport_->ShipSafeZone(i, SafeZoneMsg{estimate_});
+    transport_->Ship(i, SafeZoneMsg{estimate_});
     Site& site = sites_[static_cast<size_t>(i)];
     // Wrapped with the FGM_PARANOID cross-check when the env var is set.
     site.evaluator =
@@ -104,7 +92,7 @@ const RealVector& GmProtocol::CollectDrift(int site_id) {
   Site& site = sites_[static_cast<size_t>(site_id)];
   // The site ships the cheaper of its dense drift and the raw updates
   // since the coordinator last knew it (§2.1's min(D, n) + 1 accounting).
-  const DriftFlushMsg delivered = transport_->SendDriftFlush(
+  const DriftFlushMsg delivered = transport_->Send(
       site_id, DriftFlushMsg::ForFlush(site.evaluator->drift(),
                                        site.updates_since_known, site.log));
   if (trace_ != nullptr) {
@@ -133,7 +121,7 @@ void GmProtocol::HandleViolation(int violator) {
   const double k = static_cast<double>(sites_k_);
 
   // The violator reports itself (1 control word) and ships its drift.
-  transport_->SendControl(violator, ControlMsg{ControlOp::kViolation});
+  transport_->Send(violator, ControlMsg{ControlOp::kViolation});
   RealVector sum = CollectDrift(violator);
   std::vector<int> collected = {violator};
 
@@ -153,8 +141,8 @@ void GmProtocol::HandleViolation(int violator) {
     std::vector<double> phi(static_cast<size_t>(sites_k_), 0.0);
     for (int i = 0; i < sites_k_; ++i) {
       if (i == violator) continue;
-      transport_->ShipControl(i, ControlMsg{ControlOp::kPollPhi});
-      const PhiValueMsg reply = transport_->SendPhiValue(
+      transport_->Ship(i, ControlMsg{ControlOp::kPollPhi});
+      const PhiValueMsg reply = transport_->Send(
           i, PhiValueMsg{sites_[static_cast<size_t>(i)].evaluator->Value()});
       phi[static_cast<size_t>(i)] = reply.value;
     }
@@ -175,7 +163,7 @@ void GmProtocol::HandleViolation(int violator) {
     size_t next_peer = 0;
     while (!balanced() && next_peer < peers.size()) {
       const int peer = peers[next_peer++];
-      transport_->ShipControl(peer, ControlMsg{ControlOp::kDriftRequest});
+      transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
       sum += CollectDrift(peer);
       collected.push_back(peer);
     }
@@ -195,7 +183,7 @@ void GmProtocol::HandleViolation(int violator) {
       }
       for (int site_id : collected) {
         const SafeZoneMsg delivered =
-            transport_->ShipSafeZone(site_id, SafeZoneMsg{avg});
+            transport_->Ship(site_id, SafeZoneMsg{avg});
         Site& site = sites_[static_cast<size_t>(site_id)];
         LoadDrift(site.evaluator.get(), delivered.reference);
         site.known = delivered.reference;
@@ -206,14 +194,14 @@ void GmProtocol::HandleViolation(int violator) {
     // Collect any stragglers for the full sync.
     while (next_peer < peers.size()) {
       const int peer = peers[next_peer++];
-      transport_->ShipControl(peer, ControlMsg{ControlOp::kDriftRequest});
+      transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
       sum += CollectDrift(peer);
       collected.push_back(peer);
     }
   } else {
     // Without rebalancing, collect everything for the full sync.
     for (int peer : peers) {
-      transport_->ShipControl(peer, ControlMsg{ControlOp::kDriftRequest});
+      transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
       sum += CollectDrift(peer);
       collected.push_back(peer);
     }

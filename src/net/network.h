@@ -1,38 +1,25 @@
-// Simulated network between child endpoints and their parent (hub), with
-// word-level traffic accounting.
-//
-// Addressing is general (from, to) endpoint pairs, with the constraint
-// that one endpoint of every message is the hub — i.e. each SimNetwork
-// instance models one star. The flat protocols use a single star (k
-// sites, hub = the coordinator); tree topologies (src/hier) stack one
-// SimNetwork per tier, where tier t's hub side is played by the tier-t
-// parent nodes and the child endpoints are their children, so a message
-// between node `from` at tier t and node `to` at tier t+1 is charged on
-// tier t's network under the child's endpoint id. set_tier() stamps the
-// tier onto the emitted trace events.
+// Vocabulary of the message path: how messages travel (TransportMode),
+// what they are for (MsgKind), and what they cost (TrafficStats).
 //
 // Terminology follows the paper (§2.2): *downstream* messages flow from
 // child endpoints to the parent, *upstream* messages from the parent to
 // children. Each message consists of words (one word stores one real
-// number or one counter). Protocols are executed synchronously in the
-// simulation; SimNetwork only records what WOULD have been transmitted,
-// which is the quantity the paper's evaluation measures.
+// number or one counter). net/transport.h books every message into a
+// TrafficStats; that booking is the quantity the paper's evaluation
+// measures.
 
 #ifndef FGM_NET_NETWORK_H_
 #define FGM_NET_NETWORK_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace fgm {
 
-class SpanSink;
-class TraceSink;
-
 /// How protocol messages travel (see net/transport.h). kAuto resolves to
 /// kSerializing when the FGM_STRICT_WIRE environment variable is set to a
-/// nonzero value, else kCounting.
+/// nonzero value, else kCounting; kSerializing sets Transport::strict().
 enum class TransportMode : int {
   kAuto = 0,
   kCounting,     ///< charge word counts only (the fast simulation path)
@@ -73,52 +60,6 @@ struct TrafficStats {
                            static_cast<double>(total)
                      : 0.0;
   }
-};
-
-class SimNetwork {
- public:
-  explicit SimNetwork(int sites);
-
-  int sites() const { return sites_; }
-
-  /// Records a child-endpoint → parent message. `site` is the child
-  /// endpoint id (the (from, to) pair is (site, hub)).
-  void Downstream(int site, MsgKind kind, int64_t words);
-
-  /// Records a parent → child-endpoint message ((from, to) = (hub, site)).
-  void Upstream(int site, MsgKind kind, int64_t words);
-
-  /// Parent → every child endpoint (k individual messages; no multicast,
-  /// matching the paper's model).
-  void Broadcast(MsgKind kind, int64_t words_per_site);
-
-  const TrafficStats& stats() const { return stats_; }
-
-  /// Tree tier this star carries (src/hier): stamped onto every emitted
-  /// kMsgSent event and message span. Flat runs leave it 0 (the root
-  /// star), keeping their traces byte-identical.
-  void set_tier(int tier) { tier_ = tier; }
-  int tier() const { return tier_; }
-
-  /// Installs an event sink that receives one kMsgSent event per recorded
-  /// message (nullptr disables tracing; the default).
-  void set_trace(TraceSink* trace) { trace_ = trace; }
-
-  /// Installs a span sink that receives one kMsg span per recorded message
-  /// (nullptr disables spans; the default). Under sim::EventNetwork the
-  /// event network emits richer latency-stamped spans itself and leaves
-  /// this unset.
-  void set_spans(SpanSink* spans) { spans_ = spans; }
-
- private:
-  void EmitMsg(int site, MsgKind kind, int64_t words, int dir);
-  void EmitSpan(int site, MsgKind kind, int64_t words, int dir);
-
-  int sites_;
-  int tier_ = 0;
-  TrafficStats stats_;
-  TraceSink* trace_ = nullptr;
-  SpanSink* spans_ = nullptr;
 };
 
 }  // namespace fgm

@@ -1,99 +1,220 @@
-// Message-path transport with strict accounting.
+// The one message path. Every coordinator ↔ child message of the
+// protocols travels through a Transport as a typed wire message
+// (net/wire.h): Ship carries it parent → child, Send child → parent, and
+// the message's type fixes the MsgKind it books under and how the
+// receiver decodes it.
 //
-// All coordinator ↔ site interactions of the protocols go through this
-// interface as typed wire messages (net/wire.h). Two implementations:
+// Transport books each message once: its words into TrafficStats (the
+// paper's cost model, §2.2), one kMsgSent trace event and one kMsg span,
+// stamped with the star's tree tier. The strict flag (TransportMode
+// kSerializing, or FGM_STRICT_WIRE under kAuto) picks how the payload
+// crosses:
 //
-//  * CountingTransport — the fast simulation path: charges each message's
-//    word count to SimNetwork and hands the message through unchanged.
-//  * SerializingTransport — the strict path: ENCODES every message into a
-//    WordBuffer, cross-checks the encoded size against the charged word
-//    count, DECODES a fresh copy, verifies the decode re-encodes to the
-//    identical bits, and delivers the decoded copy. Any divergence
-//    between the cost model and the real wire format aborts loudly
-//    (FGM_CHECK), which is the point: the paper's headline metric is
-//    words on the wire, so a drift between "charged" and "transmitted"
-//    must be impossible to miss.
+//  * counting — the fast simulation path: the message is handed through
+//    unchanged.
+//  * strict — the message is ENCODED into a WordBuffer, the encoded size
+//    is checked against the charged word count, a fresh copy is DECODED,
+//    the decode is verified to re-encode to the identical bits, and the
+//    decoded copy is delivered. Any divergence between the cost model and
+//    the real wire format aborts loudly (FGM_CHECK), which is the point:
+//    the paper's headline metric is words on the wire, so a drift between
+//    "charged" and "transmitted" must be impossible to miss.
 //
 // Both modes charge identical word counts from the same message objects,
-// so reported costs are bit-identical across modes; strict mode only adds
-// the encode/decode/verify work. sim::EventNetwork (src/sim) implements
-// this same interface over a discrete-event queue with latency, loss and
-// fault injection; a future socket backend would slot in the same way.
+// so reported costs are bit-identical across modes. The link itself is
+// one virtual hook, Deliver: the synchronous link books the message
+// once; sim::EventNetwork (src/sim) overrides it with latency, loss and
+// retransmission, and always runs strict. sim::MakeTransport builds the
+// right one for a run.
 
 #ifndef FGM_NET_TRANSPORT_H_
 #define FGM_NET_TRANSPORT_H_
 
-#include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/network.h"
 #include "net/wire.h"
 #include "query/query.h"
+#include "util/check.h"
 #include "util/real_vector.h"
 
 namespace fgm {
 
-/// Resolves kAuto against the FGM_STRICT_WIRE environment variable.
-TransportMode ResolveTransportMode(TransportMode mode);
+class SpanSink;
+class TraceSink;
+
+// What a message's type fixes on the wire. First, the cost-breakdown
+// class it books under.
+inline MsgKind KindOf(const SafeZoneMsg&) { return MsgKind::kSafeZone; }
+// Cheap bounds are safe-zone shipments in the cost breakdown.
+inline MsgKind KindOf(const CheapZoneMsg&) { return MsgKind::kSafeZone; }
+inline MsgKind KindOf(const QuantumMsg&) { return MsgKind::kQuantum; }
+inline MsgKind KindOf(const LambdaMsg&) { return MsgKind::kLambda; }
+inline MsgKind KindOf(const ControlMsg&) { return MsgKind::kControl; }
+inline MsgKind KindOf(const ResyncMsg&) { return MsgKind::kResync; }
+inline MsgKind KindOf(const CounterMsg&) { return MsgKind::kCounter; }
+inline MsgKind KindOf(const PhiValueMsg&) { return MsgKind::kPhiValue; }
+inline MsgKind KindOf(const DriftFlushMsg&) { return MsgKind::kDriftFlush; }
+inline MsgKind KindOf(const RawUpdateMsg&) { return MsgKind::kRawUpdate; }
+
+// Second, its payload size in words ...
+template <typename Msg>
+int64_t WireWords(const Msg& msg) {
+  if constexpr (requires { msg.Words(); }) {
+    return msg.Words();
+  } else {
+    return Msg::kWords;
+  }
+}
+
+// ... and how the receiver decodes it. Zone and resync payloads decode at
+// the dimension the receiver already knows (the query's), so a truncated
+// payload fails the decode instead of arriving as a shorter vector.
+template <typename Msg>
+Msg DecodeAs(const WordBuffer& in, const Msg&) {
+  return Msg::Decode(in);
+}
+inline SafeZoneMsg DecodeAs(const WordBuffer& in, const SafeZoneMsg& sent) {
+  return SafeZoneMsg::Decode(in, sent.reference.dim());
+}
+inline ResyncMsg DecodeAs(const WordBuffer& in, const ResyncMsg& sent) {
+  return ResyncMsg::Decode(in, sent.reference.dim());
+}
+inline RawUpdateMsg DecodeAs(const WordBuffer& in, const RawUpdateMsg&) {
+  return RawUpdateMsg::Decode(in, 0);
+}
 
 class Transport {
  public:
-  explicit Transport(int sites) : network_(sites) {}
+  /// The synchronous star between one parent and `sites` child endpoints.
+  /// kAuto resolves against the FGM_STRICT_WIRE environment variable.
+  Transport(int sites, TransportMode mode);
   virtual ~Transport() = default;
 
-  int sites() const { return network_.sites(); }
-  const TrafficStats& stats() const { return network_.stats(); }
-  /// The traffic-accounting star under this transport. Exposed so tree
-  /// topologies (src/hier) can stamp each per-tier transport with its
-  /// tier (SimNetwork::set_tier) before wiring sinks.
-  SimNetwork& network() { return network_; }
-  virtual const char* name() const = 0;
+  int sites() const { return sites_; }
+  /// True when every message takes the strict encode/decode round trip.
+  bool strict() const { return strict_; }
+  const TrafficStats& stats() const { return stats_; }
 
-  /// Forwards per-message kMsgSent events to `trace` (nullptr disables).
-  /// Virtual: the event-network backend also emits delivery/drop events.
-  virtual void set_trace(TraceSink* trace) { network_.set_trace(trace); }
+  /// Tree tier this star carries (src/hier): stamped onto every kMsgSent
+  /// event and message span. The root star keeps 0, so flat traces stay
+  /// in the flat schema.
+  void set_tier(int tier) { tier_ = tier; }
 
-  /// Forwards per-message spans to `spans` (nullptr disables). Virtual:
-  /// the event-network backend emits latency-stamped spans itself instead
-  /// of the point spans SimNetwork records.
-  virtual void set_spans(SpanSink* spans) {
-    spans_ = spans;
-    network_.set_spans(spans);
-  }
+  /// Sends one kMsgSent event per booked message to `trace` (nullptr
+  /// disables; the default). The event network also emits its delivery,
+  /// drop and fault events there.
+  void set_trace(TraceSink* trace) { trace_ = trace; }
+
+  /// Sends the link's spans to `spans` (nullptr disables; the default):
+  /// a point kMsg span per message on the synchronous link, and the
+  /// sink is rebased onto the link's clock when it has one (the event
+  /// network's simulated ticks).
+  void set_spans(SpanSink* spans);
 
   /// Enables the span-id wire envelope: every message carries the id of
-  /// the innermost open span as one trailing word, charged like any other
-  /// payload word (and, on the serializing path, actually encoded so the
-  /// charge stays provably honest). Off by default — default traffic is
+  /// the span it belongs to as one trailing word, charged like any other
+  /// payload word (and, in strict mode, actually encoded so the charge
+  /// stays provably honest). Off by default — default traffic is
   /// bit-identical with spans compiled in.
   void set_span_wire(bool on) { span_wire_ = on; }
 
-  // Coordinator → site. Each call charges the message's words and returns
-  // the message as the site receives it.
-  virtual SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) = 0;
-  virtual CheapZoneMsg ShipCheapZone(int site, CheapZoneMsg msg) = 0;
-  virtual QuantumMsg ShipQuantum(int site, QuantumMsg msg) = 0;
-  virtual LambdaMsg ShipLambda(int site, LambdaMsg msg) = 0;
-  virtual ControlMsg ShipControl(int site, ControlMsg msg) = 0;
-  virtual ResyncMsg ShipResync(int site, ResyncMsg msg) = 0;
+  /// Parent → child: charges the message's words and returns the message
+  /// as the child receives it.
+  template <typename Msg>
+  Msg Ship(int child, Msg msg) {
+    return Carry(child, +1, std::move(msg));
+  }
 
-  // Site → coordinator.
-  virtual ControlMsg SendControl(int site, ControlMsg msg) = 0;
-  virtual CounterMsg SendCounter(int site, CounterMsg msg) = 0;
-  virtual PhiValueMsg SendPhiValue(int site, PhiValueMsg msg) = 0;
-  virtual DriftFlushMsg SendDriftFlush(int site, DriftFlushMsg msg) = 0;
-  virtual RawUpdateMsg SendRawUpdate(int site, RawUpdateMsg msg) = 0;
+  /// Child → parent.
+  template <typename Msg>
+  Msg Send(int child, Msg msg) {
+    return Carry(child, -1, std::move(msg));
+  }
 
  protected:
+  /// Carries one message of `words` wire words (envelope included) over
+  /// `child`'s link, parent → child for dir = +1 and child → parent for
+  /// dir = -1, and returns the id of the span its envelope word names.
+  /// The synchronous link books it once, under the innermost open span.
+  virtual int64_t Deliver(int child, int dir, MsgKind kind, int64_t words);
+
+  /// Books one message: its words into the traffic stats, and the
+  /// kMsgSent event.
+  void Book(int child, int dir, MsgKind kind, int64_t words);
+
+  /// The strict round trip: encode, check the encoded size against the
+  /// charged words, `carry(wire_words)` the message across (it returns
+  /// the envelope's span id), decode, check the decode re-encodes —
+  /// envelope word included — to identical bits, and deliver the decoded
+  /// copy.
+  template <typename Msg, typename CarryFn>
+  Msg RoundTrip(const Msg& msg, CarryFn carry);
+
   /// Extra words per message charged by the span-id envelope.
   int64_t SpanWireExtra() const { return span_wire_ ? 1 : 0; }
 
-  SimNetwork network_;
+  TraceSink* trace_ = nullptr;
   SpanSink* spans_ = nullptr;
+  /// The link's own clock, when it has one; set_spans rebases the sink
+  /// onto it.
+  const int64_t* clock_ = nullptr;
+
+ private:
+  template <typename Msg>
+  Msg Carry(int child, int dir, Msg msg);
+
+  // Kept out of Book and Deliver, so a message with tracing and spans off
+  // pays for no event or span construction.
+  void EmitSent(int child, int dir, MsgKind kind, int64_t words);
+  /// Emits the point kMsg span and returns the innermost open span.
+  int64_t EmitPointSpan(int child, int dir, MsgKind kind, int64_t words);
+
+  int sites_;
+  bool strict_;
   bool span_wire_ = false;
+  int tier_ = 0;
+  TrafficStats stats_;
 };
 
-/// Builds the transport for `mode` (kAuto resolves via the environment).
-std::unique_ptr<Transport> MakeTransport(TransportMode mode, int sites);
+template <typename Msg, typename CarryFn>
+Msg Transport::RoundTrip(const Msg& msg, CarryFn carry) {
+  WordBuffer wire;
+  msg.Encode(&wire);
+  const int64_t words = WireWords(msg);
+  FGM_CHECK_EQ(static_cast<int64_t>(wire.size_words()), words);
+  const int64_t span_id = carry(words + SpanWireExtra());
+  // Decode sees the payload only — a receiver strips the known trailing
+  // span-id word before decoding (some payloads infer their length from
+  // the buffer size).
+  Msg decoded = DecodeAs(wire, msg);
+  WordBuffer reencoded;
+  decoded.Encode(&reencoded);
+  if (span_wire_) {
+    // The span-id envelope is one trailing word, actually appended to the
+    // wire bits so the +1 charge is backed by transmitted words, and
+    // cross-checked bit-exactly like the payload.
+    wire.PutCount(span_id);
+    reencoded.PutCount(span_id);
+  }
+  FGM_CHECK(wire.SameBits(reencoded));
+  return decoded;
+}
+
+// Declared inline so the counting path folds into the caller, leaving
+// one indirect call (Deliver) per message.
+template <typename Msg>
+inline Msg Transport::Carry(int child, int dir, Msg msg) {
+  const MsgKind kind = KindOf(msg);
+  if (!strict_) {
+    Deliver(child, dir, kind, WireWords(msg) + SpanWireExtra());
+    return msg;
+  }
+  return RoundTrip(msg, [&](int64_t words) {
+    return Deliver(child, dir, kind, words);
+  });
+}
 
 /// Re-projects verbatim raw updates through the shared query, summing the
 /// resulting deltas into `out` (which must be zeroed, query-dimensioned) —

@@ -4,9 +4,8 @@
 // enough for one real number. This header makes those counts concrete:
 // every message type has an explicit encoding into a word buffer, and the
 // transport layer (net/transport.h) cross-checks that the encoded sizes
-// equal the word counts charged to SimNetwork — in strict mode every
-// message is actually encoded, decoded and delivered from the decoded
-// copy. A deployment on a real transport can serialize exactly these
+// equal the word counts it charges — in strict mode every message is
+// actually encoded, decoded and delivered from the decoded copy. A deployment on a real transport can serialize exactly these
 // structures.
 //
 // Drift transfers use whichever representation is smaller (§2.1): the

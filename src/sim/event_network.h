@@ -1,30 +1,25 @@
-// Discrete-event network simulator behind the Transport interface.
+// Discrete-event network simulator behind Transport.
 //
 // EventNetwork carries the *real* serialized wire messages of
 // net/wire.h over simulated links with per-link latency distributions,
 // bandwidth caps, reordering jitter, probabilistic drop and scheduled
-// endpoint outages — every message is encoded, size-checked against the
-// charged word count, decoded and bit-verified exactly like the strict
-// SerializingTransport, then delayed (and possibly lost) before
-// delivery.
+// endpoint outages. It always runs strict: every message takes
+// Transport's encode → size-check → decode → bit-verify round trip, and
+// only the link delivery between child endpoint and parent is overridden
+// — delayed, possibly lost, and charged once per attempt.
 //
-// Addressing is by general (from, to) endpoint ids, with one structural
-// constraint: each EventNetwork instance models the links between one
-// parent (endpoint id kParent) and its child endpoints, i.e. one star.
-// The flat protocols run a single star whose children are the k sites;
-// tree topologies (src/hier) route along tree edges by running their
-// faulty tier's links through an EventNetwork whose child endpoints are
-// that tier's aggregators. The Transport overrides are the flat
-// two-endpoint fast path: Ship* = (kParent, site), Send*/PostCounter =
-// (site, kParent); both resolve through the same (from, to) router.
+// One instance models the links of one star: the root's children and the
+// root. Only the root tier of a run goes over the simulator (the fault
+// plan addresses the root's children), so every RPC runs between a child
+// and the root and every datagram flows child → root.
 //
 // Two delivery disciplines:
 //
-//  * RPC (all Ship* / Send* calls): the caller blocks while the simulated
-//    clock advances by the sampled delay; a lost message is detected by
-//    timeout and retransmitted (each attempt is charged — retransmissions
-//    are real words on the wire). This models the request/response
-//    control plane (zone shipments, polls, flushes).
+//  * RPC (every Ship / Send): the caller blocks while the simulated clock
+//    advances by the sampled delay; a lost message is detected by timeout
+//    and retransmitted (each attempt is charged — retransmissions are
+//    real words on the wire). This models the request/response control
+//    plane (zone shipments, polls, flushes).
 //  * Async (PostCounter): FGM's subround counter increments are
 //    fire-and-forget datagrams. They sit in the event queue until their
 //    due tick and are drained by the protocol at safe points
@@ -47,6 +42,7 @@
 #define FGM_SIM_EVENT_NETWORK_H_
 
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -56,15 +52,9 @@
 
 namespace fgm {
 
-class TraceSink;
 enum class TraceEventKind : int;
 
 namespace sim {
-
-/// The parent endpoint id in (from, to) addressing: the hub every child
-/// endpoint of a star talks to (the coordinator in a flat run; the
-/// tier's parent node in a tree topology).
-inline constexpr int kParent = -1;
 
 /// Aggregate counters for a simulated run. Message/word counts obey
 /// conservation per direction: sent = delivered + dropped (the replay
@@ -104,9 +94,7 @@ struct SiteNetStats {
 
 /// A counter datagram handed to the protocol at its due tick.
 struct CounterDelivery {
-  int site = 0;       ///< child endpoint id of the carrying link
-  int from = 0;       ///< sending endpoint (kParent = the hub)
-  int to = kParent;   ///< receiving endpoint
+  int site = 0;          ///< sending child endpoint
   CounterMsg msg{0};
   int64_t round = 0;     ///< epoch the datagram was sent in
   int64_t subround = 0;
@@ -125,38 +113,10 @@ class EventNetwork final : public Transport {
  public:
   EventNetwork(int sites, const NetSimConfig& config);
 
-  const char* name() const override { return "event-sim"; }
-  void set_trace(TraceSink* trace) override;
-  /// Registers the span sink and rebases it onto the simulated clock.
-  /// Does NOT forward to the inner SimNetwork: the event network emits
-  /// its own latency-stamped kRpc / kMsg / kDatagram spans per attempt,
-  /// so the point spans SimNetwork would add per charge must stay off.
-  void set_spans(SpanSink* spans) override;
-
-  // Transport interface — blocking RPCs over the simulated links.
-  SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) override;
-  CheapZoneMsg ShipCheapZone(int site, CheapZoneMsg msg) override;
-  QuantumMsg ShipQuantum(int site, QuantumMsg msg) override;
-  LambdaMsg ShipLambda(int site, LambdaMsg msg) override;
-  ControlMsg ShipControl(int site, ControlMsg msg) override;
-  ResyncMsg ShipResync(int site, ResyncMsg msg) override;
-  ControlMsg SendControl(int site, ControlMsg msg) override;
-  CounterMsg SendCounter(int site, CounterMsg msg) override;
-  PhiValueMsg SendPhiValue(int site, PhiValueMsg msg) override;
-  DriftFlushMsg SendDriftFlush(int site, DriftFlushMsg msg) override;
-  RawUpdateMsg SendRawUpdate(int site, RawUpdateMsg msg) override;
-
-  /// Fire-and-forget counter datagram between endpoints (from, to), one
-  /// of which must be kParent. Charges one word, samples loss and delay,
-  /// and queues the delivery. The sending child endpoint must be up.
-  void PostCounter(int from, int to, CounterMsg msg, int64_t round,
-                   int64_t subround);
-
-  /// Flat fast path: (site, kParent), i.e. site → coordinator.
-  void PostCounter(int site, CounterMsg msg, int64_t round,
-                   int64_t subround) {
-    PostCounter(site, kParent, msg, round, subround);
-  }
+  /// Fire-and-forget counter datagram, site → root. Charges one word,
+  /// samples loss and delay, and queues the delivery. The site must be
+  /// up.
+  void PostCounter(int site, CounterMsg msg, int64_t round, int64_t subround);
 
   /// Pops the next datagram whose due tick has been reached, in
   /// (due, send order) — jitter beyond the base latency produces genuine
@@ -204,35 +164,17 @@ class EventNetwork final : public Transport {
     }
   };
 
-  /// A resolved (from, to) endpoint pair: the child whose link carries
-  /// the message, and the direction (+1 parent → child, -1 child →
-  /// parent).
-  struct Route {
-    int child;
-    int dir;
-  };
-  /// Resolves general (from, to) addressing against this star: exactly
-  /// one endpoint must be kParent, the other a valid child id.
-  Route Resolve(int from, int to) const;
+  /// The RPC: opens its kRpc span, then charges, samples and delays
+  /// one attempt after another until one is delivered. Returns the RPC's
+  /// span id, which the envelope word carries.
+  int64_t Deliver(int child, int dir, MsgKind kind, int64_t words) override;
 
-  /// Strict encode → size-check → charge → decode → bit-verify, plus the
-  /// simulated delay and drop/retransmit loop, between endpoints
-  /// (from, to).
-  template <typename Msg, typename DecodeFn>
-  Msg Rpc(int from, int to, MsgKind kind, const Msg& msg,
-          int64_t charged_words, DecodeFn decode);
-
-  /// Encode/verify without network semantics (shared by Rpc/PostCounter).
-  template <typename Msg, typename DecodeFn>
-  Msg CheckedRoundTrip(const Msg& msg, int64_t charged_words,
-                       DecodeFn decode);
-
-  void Charge(Route route, MsgKind kind, int64_t words);
   bool SampleDrop();
   int64_t SampleLatency();
   int64_t TransferTicks(int64_t words) const;
-  void EmitNetEvent(TraceEventKind kind, Route route, MsgKind msg_kind,
-                    int64_t words, int64_t t, const char* reason);
+  void EmitNetEvent(TraceEventKind kind, int site, int dir,
+                    MsgKind msg_kind, int64_t words, int64_t t,
+                    const char* reason);
 
   NetSimConfig config_;
   LatencySpec latency_;
@@ -245,10 +187,15 @@ class EventNetwork final : public Transport {
   size_t next_transition_ = 0;
   std::priority_queue<Envelope, std::vector<Envelope>, EnvelopeLater>
       queue_;
-  TraceSink* trace_ = nullptr;
   SimNetStats net_stats_;
   std::vector<SiteNetStats> site_stats_;
 };
+
+/// The transport of a run's root star: the event network when `net` is
+/// enabled, else the synchronous link in `mode`.
+std::unique_ptr<Transport> MakeTransport(TransportMode mode,
+                                         const NetSimConfig& net,
+                                         int endpoints);
 
 }  // namespace sim
 }  // namespace fgm

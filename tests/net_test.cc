@@ -1,4 +1,5 @@
-// Tests for the simulated network's traffic accounting.
+// Tests for the message-path vocabulary (net/network.h). Traffic booking
+// is exercised through Transport in transport_test.
 
 #include <gtest/gtest.h>
 
@@ -6,46 +7,6 @@
 
 namespace fgm {
 namespace {
-
-TEST(SimNetwork, DirectionsAndTotals) {
-  SimNetwork net(3);
-  net.Downstream(0, MsgKind::kCounter, 1);
-  net.Downstream(1, MsgKind::kDriftFlush, 100);
-  net.Upstream(2, MsgKind::kSafeZone, 500);
-  const TrafficStats& s = net.stats();
-  EXPECT_EQ(s.downstream_words, 101);
-  EXPECT_EQ(s.upstream_words, 500);
-  EXPECT_EQ(s.downstream_messages, 2);
-  EXPECT_EQ(s.upstream_messages, 1);
-  EXPECT_EQ(s.total_words(), 601);
-  EXPECT_EQ(s.total_messages(), 3);
-  EXPECT_NEAR(s.upstream_fraction(), 500.0 / 601.0, 1e-12);
-}
-
-TEST(SimNetwork, BroadcastChargesEverySiteSeparately) {
-  // The paper's model has no multicast: shipping θ to k sites costs k
-  // one-word messages.
-  SimNetwork net(5);
-  net.Broadcast(MsgKind::kQuantum, 1);
-  EXPECT_EQ(net.stats().upstream_words, 5);
-  EXPECT_EQ(net.stats().upstream_messages, 5);
-}
-
-TEST(SimNetwork, WordsByKindBreakdown) {
-  SimNetwork net(2);
-  net.Upstream(0, MsgKind::kSafeZone, 10);
-  net.Upstream(1, MsgKind::kSafeZone, 10);
-  net.Downstream(0, MsgKind::kPhiValue, 1);
-  const TrafficStats& s = net.stats();
-  EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kSafeZone)], 20);
-  EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kPhiValue)], 1);
-  EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kCounter)], 0);
-}
-
-TEST(SimNetwork, ZeroTrafficFractionIsZero) {
-  SimNetwork net(1);
-  EXPECT_DOUBLE_EQ(net.stats().upstream_fraction(), 0.0);
-}
 
 TEST(MsgKindNames, AllDistinct) {
   for (int a = 0; a < static_cast<int>(MsgKind::kKindCount); ++a) {

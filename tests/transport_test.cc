@@ -1,5 +1,6 @@
-// Transport-layer tests: unit round trips through the serializing
-// transport, and the headline parity property — a full protocol run
+// Transport-layer tests: unit round trips through the strict transport,
+// traffic booking, the per-message contract of every backend, and the
+// headline parity property — a full protocol run
 // charges bit-identical traffic and produces bit-identical estimates
 // whether messages are merely counted or actually encoded, size-checked,
 // decoded and delivered (strict wire accounting).
@@ -16,6 +17,9 @@
 #include "gm/gm_protocol.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/span.h"
+#include "obs/trace.h"
+#include "sim/event_network.h"
 #include "stream/window.h"
 #include "stream/worldcup.h"
 
@@ -67,59 +71,59 @@ void ExpectSameTraffic(const TrafficStats& counting,
 // Unit round trips: each typed send charges exactly the encoded size and
 // delivers an identical message.
 
-TEST(SerializingTransport, ChargesExactlyTheEncodedWords) {
-  auto transport = MakeTransport(TransportMode::kSerializing, 4);
-  EXPECT_STREQ(transport->name(), "serializing");
+TEST(StrictTransport, ChargesExactlyTheEncodedWords) {
+  Transport transport(4, TransportMode::kSerializing);
+  EXPECT_TRUE(transport.strict());
 
   RealVector e(10);
   e[3] = 2.5;
-  const SafeZoneMsg zone = transport->ShipSafeZone(0, SafeZoneMsg{e});
+  const SafeZoneMsg zone = transport.Ship(0, SafeZoneMsg{e});
   EXPECT_DOUBLE_EQ(zone.reference[3], 2.5);
-  EXPECT_EQ(transport->stats().upstream_words, 10);
+  EXPECT_EQ(transport.stats().upstream_words, 10);
 
   const CheapZoneMsg cheap =
-      transport->ShipCheapZone(1, CheapZoneMsg{1.5, 1.0, -4.0});
+      transport.Ship(1, CheapZoneMsg{1.5, 1.0, -4.0});
   EXPECT_DOUBLE_EQ(cheap.offset, -4.0);
-  EXPECT_EQ(transport->stats().upstream_words, 13);
-  EXPECT_EQ(transport->stats()
+  EXPECT_EQ(transport.stats().upstream_words, 13);
+  EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kSafeZone)],
             13);
 
-  EXPECT_DOUBLE_EQ(transport->ShipQuantum(2, QuantumMsg{0.25}).theta, 0.25);
-  EXPECT_DOUBLE_EQ(transport->ShipLambda(3, LambdaMsg{0.5}).lambda, 0.5);
-  EXPECT_EQ(transport->ShipControl(0, ControlMsg{ControlOp::kPollPhi}).op,
+  EXPECT_DOUBLE_EQ(transport.Ship(2, QuantumMsg{0.25}).theta, 0.25);
+  EXPECT_DOUBLE_EQ(transport.Ship(3, LambdaMsg{0.5}).lambda, 0.5);
+  EXPECT_EQ(transport.Ship(0, ControlMsg{ControlOp::kPollPhi}).op,
             ControlOp::kPollPhi);
-  EXPECT_EQ(transport->SendControl(0, ControlMsg{ControlOp::kViolation}).op,
+  EXPECT_EQ(transport.Send(0, ControlMsg{ControlOp::kViolation}).op,
             ControlOp::kViolation);
   const int64_t big = (int64_t{1} << 53) + 7;
-  EXPECT_EQ(transport->SendCounter(1, CounterMsg{big}).increment, big);
-  EXPECT_DOUBLE_EQ(transport->SendPhiValue(2, PhiValueMsg{-0.75}).value,
+  EXPECT_EQ(transport.Send(1, CounterMsg{big}).increment, big);
+  EXPECT_DOUBLE_EQ(transport.Send(2, PhiValueMsg{-0.75}).value,
                    -0.75);
-  EXPECT_EQ(transport->stats().upstream_words, 16);
-  EXPECT_EQ(transport->stats().downstream_words, 3);
+  EXPECT_EQ(transport.stats().upstream_words, 16);
+  EXPECT_EQ(transport.stats().downstream_words, 3);
 
   RawUpdateMsg raw;
   raw.key = uint64_t{1} << 63;  // 2-word key
-  const RawUpdateMsg raw_delivered = transport->SendRawUpdate(0, raw);
+  const RawUpdateMsg raw_delivered = transport.Send(0, raw);
   EXPECT_EQ(raw_delivered.key, uint64_t{1} << 63);
-  EXPECT_EQ(transport->stats()
+  EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kRawUpdate)],
             2);
 }
 
-TEST(SerializingTransport, DriftFlushDeliversWhatWasEncoded) {
-  auto transport = MakeTransport(TransportMode::kSerializing, 2);
+TEST(StrictTransport, DriftFlushDeliversWhatWasEncoded) {
+  Transport transport(2, TransportMode::kSerializing);
 
   // Dense: the drift crosses the wire.
   DriftFlushMsg dense;
   dense.update_count = 9;
   dense.dense = true;
   dense.drift = RealVector{1.0, -2.0, 0.5};
-  const DriftFlushMsg dense_got = transport->SendDriftFlush(0, dense);
+  const DriftFlushMsg dense_got = transport.Send(0, dense);
   EXPECT_TRUE(dense_got.dense);
   EXPECT_EQ(dense_got.drift.dim(), 3u);
   EXPECT_DOUBLE_EQ(dense_got.drift[1], -2.0);
-  EXPECT_EQ(transport->stats()
+  EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
             4);
 
@@ -132,19 +136,19 @@ TEST(SerializingTransport, DriftFlushDeliversWhatWasEncoded) {
   RawUpdateMsg u;
   u.key = 42;
   verbatim.raw = {u};
-  const DriftFlushMsg verbatim_got = transport->SendDriftFlush(1, verbatim);
+  const DriftFlushMsg verbatim_got = transport.Send(1, verbatim);
   EXPECT_FALSE(verbatim_got.dense);
   EXPECT_EQ(verbatim_got.drift.dim(), 0u);
   ASSERT_EQ(verbatim_got.raw.size(), 1u);
   EXPECT_EQ(verbatim_got.raw[0].key, 42u);
-  EXPECT_EQ(transport->stats()
+  EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
             4 + 2);
 }
 
 TEST(Transport, CountingModeDeliversUnchanged) {
-  auto transport = MakeTransport(TransportMode::kCounting, 2);
-  EXPECT_STREQ(transport->name(), "counting");
+  Transport transport(2, TransportMode::kCounting);
+  EXPECT_FALSE(transport.strict());
   DriftFlushMsg verbatim;
   verbatim.update_count = 1;
   verbatim.dense = false;
@@ -154,12 +158,245 @@ TEST(Transport, CountingModeDeliversUnchanged) {
   verbatim.raw = {u};
   // The fast path hands the message through as-is (the local drift stays
   // available), but charges the same wire words as strict mode.
-  const DriftFlushMsg got = transport->SendDriftFlush(0, verbatim);
+  const DriftFlushMsg got = transport.Send(0, verbatim);
   EXPECT_EQ(got.drift.dim(), 1u);
-  EXPECT_EQ(transport->stats()
+  EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
             2);
 }
+
+// Booking: directions, totals and the by-kind breakdown. kAuto, so the
+// strict-wire rerun books the same through the round trip.
+
+TEST(Transport, DirectionsAndTotals) {
+  Transport transport(3, TransportMode::kAuto);
+  transport.Send(0, CounterMsg{1});
+  DriftFlushMsg flush;
+  flush.drift = RealVector(99);
+  transport.Send(1, flush);  // count + 99 dense words
+  transport.Ship(2, SafeZoneMsg{RealVector(500)});
+  const TrafficStats& s = transport.stats();
+  EXPECT_EQ(s.downstream_words, 101);
+  EXPECT_EQ(s.upstream_words, 500);
+  EXPECT_EQ(s.downstream_messages, 2);
+  EXPECT_EQ(s.upstream_messages, 1);
+  EXPECT_EQ(s.total_words(), 601);
+  EXPECT_EQ(s.total_messages(), 3);
+  EXPECT_NEAR(s.upstream_fraction(), 500.0 / 601.0, 1e-12);
+}
+
+TEST(Transport, EveryChildIsChargedSeparately) {
+  // The paper's model has no multicast: shipping θ to k sites costs k
+  // one-word messages.
+  Transport transport(5, TransportMode::kAuto);
+  for (int c = 0; c < 5; ++c) transport.Ship(c, QuantumMsg{0.5});
+  EXPECT_EQ(transport.stats().upstream_words, 5);
+  EXPECT_EQ(transport.stats().upstream_messages, 5);
+}
+
+TEST(Transport, WordsByKindBreakdown) {
+  Transport transport(2, TransportMode::kAuto);
+  transport.Ship(0, SafeZoneMsg{RealVector(10)});
+  transport.Ship(1, SafeZoneMsg{RealVector(10)});
+  transport.Send(0, PhiValueMsg{1.0});
+  const TrafficStats& s = transport.stats();
+  EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kSafeZone)], 20);
+  EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kPhiValue)], 1);
+  EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kCounter)], 0);
+}
+
+TEST(Transport, ZeroTrafficFractionIsZero) {
+  Transport transport(1, TransportMode::kAuto);
+  EXPECT_DOUBLE_EQ(transport.stats().upstream_fraction(), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Per-message contract of every backend: one message of each of the ten
+// wire structs, in each direction the protocols send it (ControlMsg goes
+// both ways), through the counting link, the strict link and the event
+// network in null and in lossy mode, with the span-id envelope off and
+// on. Counting, strict and null mode book identical traffic and kMsgSent
+// events; a lossy link books the message's words once per attempt; every
+// backend delivers the payload bit-equal to what was sent.
+
+enum class Backend { kCounting, kStrict, kSimNull, kSimLossy };
+
+struct ContractCase {
+  const char* label;
+  Backend backend;
+  bool span_wire;
+};
+
+// The backend-binding shim: how a test builds a transport and moves one
+// typed message across it.
+std::unique_ptr<Transport> MakeBackend(Backend backend, int sites) {
+  TransportMode mode = TransportMode::kCounting;
+  sim::NetSimConfig net;
+  switch (backend) {
+    case Backend::kCounting:
+      break;
+    case Backend::kStrict:
+      mode = TransportMode::kSerializing;
+      break;
+    case Backend::kSimNull:
+      net.latency = "0";
+      break;
+    case Backend::kSimLossy:
+      net.latency = "fixed:3";
+      net.drop = 0.3;
+      net.seed = 77;
+      break;
+  }
+  return sim::MakeTransport(mode, net, sites);
+}
+
+// Parent → child.
+template <typename Msg>
+Msg CarryDown(Transport* t, int c, const Msg& m) {
+  return t->Ship(c, m);
+}
+
+// Child → parent.
+template <typename Msg>
+Msg CarryUp(Transport* t, int c, const Msg& m) {
+  return t->Send(c, m);
+}
+
+struct Booked {
+  TrafficStats traffic;
+  std::vector<TraceEvent> sent;  // the kMsgSent events, in order
+};
+
+Booked SendEveryMessage(const ContractCase& param) {
+  const int sites = 3;
+  std::unique_ptr<Transport> transport = MakeBackend(param.backend, sites);
+  const auto* net = dynamic_cast<const sim::EventNetwork*>(transport.get());
+  MemoryTraceSink trace;
+  SpanSink spans;
+  transport->set_trace(&trace);
+  transport->set_spans(&spans);
+  transport->set_span_wire(param.span_wire);
+  // The envelope word names the innermost open span (or the RPC's).
+  spans.Begin(SpanKind::kRun);
+
+  int sent_so_far = 0;
+  int64_t booked_words = 0;
+  // Checks one delivery: the payload crossed bit-equal (a verbatim drift
+  // flush encodes its raw updates only, so those are what must match),
+  // and the link booked its wire words once per attempt.
+  auto check = [&](int child, int dir, const auto& msg, const auto& got) {
+    WordBuffer want_bits;
+    WordBuffer got_bits;
+    msg.Encode(&want_bits);
+    got.Encode(&got_bits);
+    EXPECT_TRUE(want_bits.SameBits(got_bits)) << "message " << sent_so_far;
+    const int64_t words = static_cast<int64_t>(want_bits.size_words()) +
+                          (param.span_wire ? 1 : 0);
+    int64_t attempts = 0;
+    for (const TraceEvent& e : trace.events_log()) {
+      if (e.kind != TraceEventKind::kMsgSent) continue;
+      if (attempts++ < sent_so_far) continue;
+      EXPECT_EQ(e.site, child);
+      EXPECT_EQ(e.dir, dir);
+      EXPECT_EQ(e.words, words);
+    }
+    attempts -= sent_so_far;
+    EXPECT_GE(attempts, 1);
+    if (param.backend != Backend::kSimLossy) {
+      EXPECT_EQ(attempts, 1);
+    }
+    sent_so_far += static_cast<int>(attempts);
+    booked_words += attempts * words;
+    EXPECT_EQ(transport->stats().total_messages(), sent_so_far);
+    EXPECT_EQ(transport->stats().total_words(), booked_words);
+  };
+  auto down = [&](int child, const auto& msg) {
+    check(child, +1, msg, CarryDown(transport.get(), child, msg));
+  };
+  auto up = [&](int child, const auto& msg) {
+    check(child, -1, msg, CarryUp(transport.get(), child, msg));
+  };
+
+  down(0, SafeZoneMsg{RealVector{0.5, -1.25, 3.0}});
+  down(1, CheapZoneMsg{1.5, 1.0, -4.0});
+  down(2, QuantumMsg{0.25});
+  down(0, LambdaMsg{0.5});
+  down(1, ControlMsg{ControlOp::kPollPhi});
+  ResyncMsg resync;
+  resync.reference = RealVector{2.0, 0.0, -7.5};
+  resync.theta = -0.5;
+  resync.round = 4;
+  resync.subround = 2;
+  down(2, resync);
+  up(0, ControlMsg{ControlOp::kViolation});
+  up(1, CounterMsg{(int64_t{1} << 53) + 7});
+  up(2, PhiValueMsg{-0.75});
+  DriftFlushMsg dense;
+  dense.update_count = 9;
+  dense.drift = RealVector{1.0, -2.0, 0.5};
+  up(0, dense);
+  DriftFlushMsg verbatim;
+  verbatim.update_count = 2;
+  verbatim.dense = false;
+  verbatim.drift = RealVector{7.0, 0.0, 0.0};  // sender-local only
+  verbatim.raw.resize(2);
+  verbatim.raw[0].key = 42;
+  verbatim.raw[1].key = uint64_t{1} << 63;  // a 2-word update
+  verbatim.raw[1].is_delete = true;
+  up(1, verbatim);
+  RawUpdateMsg raw;
+  raw.key = uint64_t{1} << 62;
+  up(2, raw);
+
+  Booked out;
+  out.traffic = transport->stats();
+  for (const TraceEvent& e : trace.events_log()) {
+    if (e.kind == TraceEventKind::kMsgSent) out.sent.push_back(e);
+  }
+  if (param.backend == Backend::kSimLossy) {
+    // Every attempt after the first is a retransmission of the same words.
+    EXPECT_EQ(net->net_stats().retransmitted_msgs, sent_so_far - 12);
+    EXPECT_GT(net->net_stats().retransmitted_msgs, 0);
+  }
+  return out;
+}
+
+class MessageContract : public ::testing::TestWithParam<ContractCase> {};
+
+TEST_P(MessageContract, BooksAndDeliversEveryWireStruct) {
+  const ContractCase& param = GetParam();
+  const Booked got = SendEveryMessage(param);
+  if (param.backend == Backend::kSimLossy) return;
+  const Booked counting =
+      SendEveryMessage(ContractCase{"ref", Backend::kCounting, param.span_wire});
+  ExpectSameTraffic(counting.traffic, got.traffic);
+  EXPECT_EQ(got.traffic.total_messages(), 12);
+  ASSERT_EQ(counting.sent.size(), got.sent.size());
+  for (size_t i = 0; i < got.sent.size(); ++i) {
+    EXPECT_EQ(counting.sent[i].site, got.sent[i].site) << i;
+    EXPECT_EQ(counting.sent[i].dir, got.sent[i].dir) << i;
+    EXPECT_EQ(counting.sent[i].words, got.sent[i].words) << i;
+    EXPECT_EQ(counting.sent[i].tier, got.sent[i].tier) << i;
+    EXPECT_STREQ(counting.sent[i].label, got.sent[i].label) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, MessageContract,
+    ::testing::Values(ContractCase{"counting", Backend::kCounting, false},
+                      ContractCase{"strict", Backend::kStrict, false},
+                      ContractCase{"sim_null", Backend::kSimNull, false},
+                      ContractCase{"sim_lossy", Backend::kSimLossy, false},
+                      ContractCase{"counting_span_wire", Backend::kCounting,
+                                   true},
+                      ContractCase{"strict_span_wire", Backend::kStrict, true},
+                      ContractCase{"sim_null_span_wire", Backend::kSimNull,
+                                   true},
+                      ContractCase{"sim_lossy_span_wire", Backend::kSimLossy,
+                                   true}),
+    [](const ::testing::TestParamInfo<ContractCase>& info) {
+      return std::string(info.param.label);
+    });
 
 // ---------------------------------------------------------------------
 // Parity: counting and serializing runs of every protocol are
@@ -194,8 +431,8 @@ TEST_P(FgmParity, CountingAndSerializingRunsAreBitIdentical) {
   Drive(&counting, trace, param.window);
   Drive(&strict, trace, param.window);
 
-  EXPECT_STREQ(counting.transport().name(), "counting");
-  EXPECT_STREQ(strict.transport().name(), "serializing");
+  EXPECT_FALSE(counting.transport().strict());
+  EXPECT_TRUE(strict.transport().strict());
   ExpectSameTraffic(counting.traffic(), strict.traffic());
   EXPECT_EQ(counting.rounds(), strict.rounds());
   EXPECT_EQ(counting.subrounds(), strict.subrounds());

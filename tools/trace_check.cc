@@ -4,7 +4,9 @@
 //
 // Exit code 0 when every trace satisfies the protocol invariants
 // (ψ-certification, quantum arithmetic, counter totals, wire-word
-// accounting), 1 when any violation is found, 2 on usage errors.
+// accounting) and ends in its RunEnd event, 1 when any violation is found
+// or a trace is empty or cut short (a runner that dies before RunEnd
+// leaves a tail-truncated trace), 2 on usage errors.
 //
 // With --spans=S.json the Chrome Trace Event span file a runner wrote via
 // --spans_out is checked too (obs/span.h CheckSpans): every span closed,
@@ -55,6 +57,11 @@ int main(int argc, char** argv) {
     const fgm::ReplayReport report = fgm::CheckTraceFile(path);
     std::printf("%s: %s\n", path.c_str(), report.Summary().c_str());
     ok = ok && report.ok();
+    if (!report.saw_run_end) {
+      std::printf("FAIL: %s has no RunEnd event (empty or truncated)\n",
+                  path.c_str());
+      ok = false;
+    }
     // Spans instrument every link tier, so on tree runs the conservation
     // target is the root-tier RunEnd totals plus the certified TierEnd
     // ledgers.
