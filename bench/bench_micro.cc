@@ -63,8 +63,10 @@ void BM_SketchUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchUpdate)->Args({5, 500})->Args({7, 1000})->Args({7, 5000});
 
-// Row-major batched ingestion (FastAgms::UpdateBatch); bit-identical to
-// the per-record loop above, measured per update for the same geometry.
+// Batched ingestion (FastAgms::UpdateBatch): the same per-key kernel as
+// the per-record loop above, over a fixed 1024-key batch without the
+// per-call random draw; bit-identical, measured per update for the same
+// geometry.
 void BM_SketchUpdateBatch(benchmark::State& state) {
   auto proj = Projection(static_cast<int>(state.range(0)),
                          static_cast<int>(state.range(1)));

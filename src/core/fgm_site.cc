@@ -86,12 +86,9 @@ int64_t FgmSite::ApplyUpdate(const std::vector<CellUpdate>& deltas) {
 }
 
 double FgmSite::ApplyDeltasValue(const CellUpdate* deltas, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    evaluator_->ApplyDelta(deltas[i].index, deltas[i].delta);
-  }
   ++updates_since_flush_;
   ++updates_in_round_;
-  return CurrentValue();
+  return evaluator_->ApplyDeltas(deltas, n, lambda_);
 }
 
 int64_t FgmSite::CommitValue(double v) {
@@ -114,8 +111,7 @@ void FgmSite::SpeculateBatch(const ContinuousQuery& query,
                              const StreamRecord* base,
                              const int64_t* positions, int64_t n,
                              double* values) {
-  // Map in blocks so the scratch buffer stays cache-resident while still
-  // amortizing the projection's row-major hash pass.
+  // Map in blocks so the scratch buffer stays cache-resident.
   constexpr int64_t kMapBlock = 512;
   for (int64_t start = 0; start < n; start += kMapBlock) {
     const int64_t m = std::min(kMapBlock, n - start);

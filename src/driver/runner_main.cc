@@ -102,6 +102,11 @@ bool ValidateValues(const fgm::RunConfig& config,
                   std::to_string(config.depth));
   }
   if (config.width < 1) return Reject("--width must be at least 1");
+  // A NaN window compares false against 0 and would quietly run the
+  // cash-register model; an infinite one would never expire a record.
+  if (!std::isfinite(config.window_seconds)) {
+    return Reject("--window must be a finite number of seconds");
+  }
   const bool below_one = config.query == fgm::QueryKind::kQuantile;
   if (!std::isfinite(config.epsilon) || config.epsilon <= 0.0 ||
       (below_one && config.epsilon >= 1.0)) {

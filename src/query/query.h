@@ -53,9 +53,9 @@ class ContinuousQuery {
   /// and pushes the post-record out->size() onto `ends` (so record j's
   /// deltas are [j == 0 ? start : ends[j-1], ends[j])). The deltas are
   /// bit-identical to n sequential MapRecord calls; projection-backed
-  /// queries override this with a row-major batch that amortizes the
-  /// hash-family work (the FastAgms::UpdateBatch idiom). Thread-safe:
-  /// touches only caller-provided buffers.
+  /// queries override this to map whole blocks of keys through
+  /// AgmsProjection::MapBatch. Thread-safe: touches only caller-provided
+  /// buffers.
   virtual void MapRecordBatch(const StreamRecord* base,
                               const int64_t* positions, int64_t n,
                               std::vector<CellUpdate>* out,

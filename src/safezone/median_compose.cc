@@ -10,43 +10,26 @@ namespace fgm {
 
 MedianComposition::MedianComposition(std::vector<double> weights,
                                      int subset_size)
-    : weights_(std::move(weights)), subset_size_(subset_size) {
-  const int n = static_cast<int>(weights_.size());
+    : rows_(weights.size()), subset_size_(subset_size) {
+  const int n = static_cast<int>(weights.size());
   FGM_CHECK_GE(subset_size, 1);
   FGM_CHECK_LE(subset_size, n);
-  for (double w : weights_) FGM_CHECK_GT(w, 0.0);
+  for (double w : weights) FGM_CHECK_GT(w, 0.0);
 
   at_zero_ = std::numeric_limits<double>::infinity();
   for (const std::vector<int>& rows : EnumerateSubsets(n, subset_size)) {
-    Subset s;
-    s.rows = rows;
     double sq = 0.0;
     for (int r : rows) {
-      const double w = weights_[static_cast<size_t>(r)];
-      s.weight.push_back(w);
+      const double w = weights[static_cast<size_t>(r)];
+      subset_rows_.push_back(r);
+      subset_weights_.push_back(w);
       sq += w * w;
     }
-    s.inv_norm = 1.0 / std::sqrt(sq);
+    inv_norm_.push_back(1.0 / std::sqrt(sq));
     // At zero, φ_i(0) = -w_i, so the subset value is -√(Σw²).
     at_zero_ = std::min(at_zero_, std::sqrt(sq));
-    subsets_.push_back(std::move(s));
   }
   at_zero_ = -at_zero_;
-}
-
-double MedianComposition::Compose(
-    const std::vector<double>& row_values) const {
-  FGM_CHECK_EQ(row_values.size(), weights_.size());
-  double best = -std::numeric_limits<double>::infinity();
-  for (const Subset& s : subsets_) {
-    double acc = 0.0;
-    for (size_t j = 0; j < s.rows.size(); ++j) {
-      acc += s.weight[j] * row_values[static_cast<size_t>(s.rows[j])];
-    }
-    const double value = acc * s.inv_norm;
-    if (value > best) best = value;
-  }
-  return best;
 }
 
 }  // namespace fgm

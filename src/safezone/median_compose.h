@@ -23,7 +23,11 @@
 #ifndef FGM_SAFEZONE_MEDIAN_COMPOSE_H_
 #define FGM_SAFEZONE_MEDIAN_COMPOSE_H_
 
+#include <cstddef>
+#include <limits>
 #include <vector>
+
+#include "util/check.h"
 
 namespace fgm {
 
@@ -37,7 +41,7 @@ class MedianComposition {
   /// sentinel). Used when one side of a two-sided bound is trivially true.
   MedianComposition() = default;
 
-  bool empty() const { return subsets_.empty(); }
+  bool empty() const { return inv_norm_.empty(); }
   int subset_size() const { return subset_size_; }
 
   /// Composed value given the current per-row values (same order as the
@@ -48,17 +52,33 @@ class MedianComposition {
   double AtZero() const { return at_zero_; }
 
  private:
-  struct Subset {
-    std::vector<int> rows;       // indices into the weights vector
-    std::vector<double> weight;  // w_i for those rows
-    double inv_norm;             // 1/√(Σ w_i²)
-  };
-
-  std::vector<double> weights_;
+  size_t rows_ = 0;  // |D|, the number of weights
   int subset_size_ = 0;
-  std::vector<Subset> subsets_;
+  // Subset s occupies entries [s·m, (s+1)·m) of the two flat arrays
+  // (m = subset_size_): its row indices into the weights, and their w_i.
+  std::vector<int> subset_rows_;
+  std::vector<double> subset_weights_;
+  std::vector<double> inv_norm_;  // 1/√(Σ w_i²) per subset
   double at_zero_ = 0.0;
 };
+
+inline double MedianComposition::Compose(
+    const std::vector<double>& row_values) const {
+  FGM_CHECK_EQ(row_values.size(), rows_);
+  double best = -std::numeric_limits<double>::infinity();
+  const size_t m = static_cast<size_t>(subset_size_);
+  const int* rows = subset_rows_.data();
+  const double* weights = subset_weights_.data();
+  for (size_t s = 0; s < inv_norm_.size(); ++s, rows += m, weights += m) {
+    double acc = 0.0;
+    for (size_t j = 0; j < m; ++j) {
+      acc += weights[j] * row_values[static_cast<size_t>(rows[j])];
+    }
+    const double value = acc * inv_norm_[s];
+    if (value > best) best = value;
+  }
+  return best;
+}
 
 }  // namespace fgm
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "sketch/fast_agms.h"
 #include "util/check.h"
 
 namespace fgm {
@@ -15,6 +16,12 @@ double PerspectiveEval(const SafeFunction& fn, const RealVector& x,
   RealVector scaled = x;
   scaled *= 1.0 / lambda;
   return lambda * fn.Eval(scaled);
+}
+
+double DriftEvaluator::ApplyDeltas(const CellUpdate* cells, size_t n,
+                                   double lambda) {
+  for (size_t i = 0; i < n; ++i) ApplyDelta(cells[i].index, cells[i].delta);
+  return ValueAtScale(lambda);
 }
 
 double NaiveDriftEvaluator::ValueAtScale(double lambda) const {

@@ -32,6 +32,8 @@
 
 namespace fgm {
 
+struct CellUpdate;
+
 /// Mutable, site-local incremental evaluator of a safe function. Owns the
 /// drift vector it evaluates at.
 class DriftEvaluator {
@@ -40,6 +42,13 @@ class DriftEvaluator {
 
   /// x[index] += delta, updating internal derived quantities.
   virtual void ApplyDelta(size_t index, double delta) = 0;
+
+  /// One site step: applies cells[0..n) in order, as n ApplyDelta calls
+  /// would, and returns ValueAtScale(lambda) at the new drift. The
+  /// default is exactly that loop; evaluators on the per-record path
+  /// override it with one call that fuses the two.
+  virtual double ApplyDeltas(const CellUpdate* cells, size_t n,
+                             double lambda);
 
   /// φ(x) at the current drift.
   virtual double Value() const = 0;

@@ -6,6 +6,13 @@
 #include "util/rng.h"
 
 namespace fgm {
+namespace {
+
+// ±1 by the sign hash's low bit. A load instead of a branch: the bit is a
+// coin flip per row, so a branch would mispredict half the time.
+constexpr double kSignByBit[2] = {-1.0, +1.0};
+
+}  // namespace
 
 AgmsProjection::AgmsProjection(int depth, int width, uint64_t seed)
     : depth_(depth), width_(width) {
@@ -14,60 +21,67 @@ AgmsProjection::AgmsProjection(int depth, int width, uint64_t seed)
   Xoshiro256ss rng(seed);
   bucket_.reserve(static_cast<size_t>(depth));
   sign_.reserve(static_cast<size_t>(depth));
+  rows_.reserve(static_cast<size_t>(depth));
   for (int r = 0; r < depth; ++r) {
     bucket_.emplace_back(rng, static_cast<uint32_t>(width));
     sign_.emplace_back(rng);
+    const PairwiseHash& b = bucket_.back().poly();
+    const FourwiseHash& s = sign_.back().poly();
+    rows_.push_back(
+        RowCoeffs{{b.coeff(0), b.coeff(1)},
+                  {s.coeff(0), s.coeff(1), s.coeff(2), s.coeff(3)}});
+  }
+}
+
+void AgmsProjection::MapInto(uint64_t key, double weight,
+                             CellUpdate* out) const {
+  using Wide = __uint128_t;
+  const uint64_t x = PairwiseHash::Mod(key);
+  const uint64_t x2 = PairwiseHash::MulMod(x, x);
+  const uint64_t x3 = PairwiseHash::MulMod(x2, x);
+  const uint64_t width = static_cast<uint64_t>(width_);
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    // Each product of two residues is < 2^122, so neither sum reaches
+    // 2^124; one reduction gives the canonical residue Horner computes.
+    const RowCoeffs& c = rows_[r];
+    const uint64_t bucket =
+        MersenneReduce(Wide{c.bucket[1]} * x + c.bucket[0]) % width;
+    const uint64_t sign =
+        MersenneReduce(Wide{c.sign[3]} * x3 + Wide{c.sign[2]} * x2 +
+                       Wide{c.sign[1]} * x + c.sign[0]);
+    out[r] = CellUpdate{r * width + bucket, kSignByBit[sign & 1] * weight};
   }
 }
 
 void AgmsProjection::Map(uint64_t key, double weight,
                          std::vector<CellUpdate>* out) const {
-  out->reserve(out->size() + static_cast<size_t>(depth_));
-  for (int r = 0; r < depth_; ++r) {
-    const uint32_t b = Bucket(r, key);
-    const int s = Sign(r, key);
-    out->push_back(CellUpdate{CellIndex(r, b), s * weight});
-  }
+  const size_t before = out->size();
+  out->resize(before + static_cast<size_t>(depth_));
+  MapInto(key, weight, out->data() + before);
 }
 
 void AgmsProjection::MapBatch(const uint64_t* keys, const double* weights,
                               size_t count, CellUpdate* out) const {
-  for (int r = 0; r < depth_; ++r) {
-    // Row-major keeps one row's hash family hot across the whole batch
-    // (the FastAgms::UpdateBatch idiom); the record-major store keeps the
-    // per-record delta slices contiguous for the consumer.
-    const BucketHash& bucket = bucket_[static_cast<size_t>(r)];
-    const SignHash& sign = sign_[static_cast<size_t>(r)];
-    for (size_t j = 0; j < count; ++j) {
-      out[j * static_cast<size_t>(depth_) + static_cast<size_t>(r)] =
-          CellUpdate{CellIndex(r, bucket(keys[j])),
-                     sign(keys[j]) * weights[j]};
-    }
+  const size_t depth = static_cast<size_t>(depth_);
+  for (size_t j = 0; j < count; ++j) {
+    MapInto(keys[j], weights[j], out + j * depth);
   }
 }
 
 FastAgms::FastAgms(std::shared_ptr<const AgmsProjection> projection)
     : projection_(std::move(projection)),
-      state_(projection_->dimension()) {}
+      state_(projection_->dimension()),
+      cells_(static_cast<size_t>(projection_->depth())) {}
 
 void FastAgms::Update(uint64_t key, double weight) {
-  const AgmsProjection& p = *projection_;
-  for (int r = 0; r < p.depth(); ++r) {
-    state_[p.CellIndex(r, p.Bucket(r, key))] += p.Sign(r, key) * weight;
-  }
+  UpdateBatch(&key, &weight, 1);
 }
 
 void FastAgms::UpdateBatch(const uint64_t* keys, const double* weights,
                            size_t count) {
-  const AgmsProjection& p = *projection_;
-  const int d = p.depth();
-  for (int r = 0; r < d; ++r) {
-    // A cell is owned by exactly one row, so processing the batch one row
-    // at a time preserves the per-cell addition order of Update().
-    for (size_t i = 0; i < count; ++i) {
-      state_[p.CellIndex(r, p.Bucket(r, keys[i]))] +=
-          p.Sign(r, keys[i]) * weights[i];
-    }
+  for (size_t i = 0; i < count; ++i) {
+    projection_->MapInto(keys[i], weights[i], cells_.data());
+    for (const CellUpdate& c : cells_) state_[c.index] += c.delta;
   }
 }
 

@@ -56,24 +56,37 @@ class AgmsProjection {
     return static_cast<size_t>(row) * static_cast<size_t>(width_) + bucket;
   }
 
+  /// The per-key kernel every mapping path runs: writes the `depth` cell
+  /// updates of one stream update to out[0..depth), row by row. The key
+  /// is reduced mod 2^61 - 1 once and its powers x, x², x³ are shared by
+  /// all rows; each row's bucket and sign polynomial is one sum of
+  /// independent products, reduced once (MersenneReduce). Every cell
+  /// equals CellIndex(r, Bucket(r, key)) and Sign(r, key) * weight.
+  void MapInto(uint64_t key, double weight, CellUpdate* out) const;
+
   /// Appends the `depth` cell updates for one stream update to `out`
   /// (does not clear `out`).
   void Map(uint64_t key, double weight, std::vector<CellUpdate>* out) const;
 
-  /// Batched Map: projects `count` updates in one row-major pass (all
-  /// records through row 0's hash family, then row 1, ...) while writing
-  /// record-major — out[j * depth + d] is record j's row-d cell, exactly
-  /// the CellUpdate values Map() emits in the same per-record order, so
-  /// consuming the output record by record is bit-identical to per-record
-  /// Map() calls. `out` must hold count * depth entries.
+  /// Batched Map, record-major: out[j * depth + d] is record j's row-d
+  /// cell, the CellUpdate values Map() emits for record j. `out` must hold
+  /// count * depth entries.
   void MapBatch(const uint64_t* keys, const double* weights, size_t count,
                 CellUpdate* out) const;
 
  private:
+  /// Row r's polynomial coefficients, copied from bucket_[r] and sign_[r]
+  /// so MapInto reads one row's hashes from one place.
+  struct RowCoeffs {
+    uint64_t bucket[2];  // b0 + b1·x
+    uint64_t sign[4];    // s0 + s1·x + s2·x² + s3·x³
+  };
+
   int depth_;
   int width_;
-  std::vector<BucketHash> bucket_;
-  std::vector<SignHash> sign_;
+  std::vector<BucketHash> bucket_;  // Horner reference for Bucket()
+  std::vector<SignHash> sign_;      // Horner reference for Sign()
+  std::vector<RowCoeffs> rows_;
 };
 
 /// A sketch: shared projection + owned counter state.
@@ -88,11 +101,8 @@ class FastAgms {
   /// Applies one stream update.
   void Update(uint64_t key, double weight);
 
-  /// Applies `count` stream updates in one pass, row-major: all rows walk
-  /// the batch in record order, so each cell sees exactly the additions
-  /// it would see under per-record Update() in the same order — the
-  /// result is bit-identical. The row-major loop keeps one row's hash
-  /// family hot and touches the state vector sequentially.
+  /// Applies `count` stream updates in record order, bit-identical to
+  /// `count` Update() calls.
   void UpdateBatch(const uint64_t* keys, const double* weights, size_t count);
 
   /// Self-join (F2) estimate: median over rows of the row squared norm.
@@ -105,6 +115,7 @@ class FastAgms {
  private:
   std::shared_ptr<const AgmsProjection> projection_;
   RealVector state_;
+  std::vector<CellUpdate> cells_;  // one update's cells (MapInto scratch)
 };
 
 /// Median of `values` (odd sizes take the middle element; even sizes the

@@ -11,8 +11,9 @@ SlidingWindowStream::SlidingWindowStream(
 }
 
 const StreamRecord* SlidingWindowStream::Next() {
-  const bool have_insert = next_insert_ < trace_->size();
-  const bool have_delete = window_ > 0 && !pending_deletes_.empty();
+  const std::vector<StreamRecord>& trace = *trace_;
+  const bool have_insert = next_insert_ < trace.size();
+  const bool have_delete = window_ > 0 && next_delete_ < next_insert_;
 
   if (!have_insert && !have_delete) return nullptr;
 
@@ -20,24 +21,19 @@ const StreamRecord* SlidingWindowStream::Next() {
   if (have_insert && have_delete) {
     // Deletes fire at original time + window; break ties in favor of the
     // delete so the window is never larger than TW.
-    emit_delete = pending_deletes_.front().time <=
-                  (*trace_)[next_insert_].time;
+    emit_delete =
+        trace[next_delete_].time + window_ <= trace[next_insert_].time;
   } else {
     emit_delete = have_delete;
   }
 
   if (emit_delete) {
-    current_ = pending_deletes_.front();
-    pending_deletes_.pop_front();
+    current_ = trace[next_delete_++];
+    current_.time += window_;
+    current_.weight = -1.0;
     ++deletes_;
   } else {
-    current_ = (*trace_)[next_insert_++];
-    if (window_ > 0) {
-      StreamRecord del = current_;
-      del.time += window_;
-      del.weight = -1.0;
-      pending_deletes_.push_back(del);
-    }
+    current_ = trace[next_insert_++];
     ++inserts_;
   }
   ++produced_;

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "stream/record.h"
@@ -26,6 +25,9 @@ namespace fgm {
 ///
 /// A nonpositive window means "no window" (cash-register model: inserts
 /// only). Deletion of a record at time t is issued at time t + TW.
+/// Deletes fire in insert order, so the pending deletes are always the
+/// trace slice [next_delete_, next_insert_): the stream keeps two indices
+/// into the trace and copies nothing. The trace must outlive the stream.
 class SlidingWindowStream {
  public:
   SlidingWindowStream(const std::vector<StreamRecord>* trace,
@@ -46,7 +48,7 @@ class SlidingWindowStream {
   const std::vector<StreamRecord>* trace_;
   double window_;
   size_t next_insert_ = 0;
-  std::deque<StreamRecord> pending_deletes_;  // in expiry-time order
+  size_t next_delete_ = 0;  // oldest insert whose delete is pending
   StreamRecord current_;
   int64_t produced_ = 0;
   int64_t inserts_ = 0;

@@ -34,14 +34,28 @@ int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   read_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  char* end = nullptr;
+  const int64_t value = std::strtoll(it->second.c_str(), &end, 10);
+  if (end == it->second.c_str() || *end != '\0') {
+    errors_.push_back("--" + name + " expects an integer, got \"" +
+                      it->second + "\"");
+    return default_value;
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
   read_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  char* end = nullptr;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (end == it->second.c_str() || *end != '\0') {
+    errors_.push_back("--" + name + " expects a number, got \"" +
+                      it->second + "\"");
+    return default_value;
+  }
+  return value;
 }
 
 std::string Flags::GetString(const std::string& name,
@@ -61,22 +75,11 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
 
 int64_t Flags::GetCount(const std::string& name,
                         int64_t default_value) const {
-  read_[name] = true;
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  const int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    errors_.push_back("--" + name + " expects an integer, got \"" +
-                      it->second + "\"");
-    return default_value;
-  }
-  if (value < 0) {
-    errors_.push_back("--" + name + " must be non-negative, got " +
-                      it->second);
-    return default_value;
-  }
-  return value;
+  const int64_t value = GetInt(name, default_value);
+  if (value >= 0 || !Has(name)) return value;
+  errors_.push_back("--" + name + " must be non-negative, got " +
+                    values_.at(name));
+  return default_value;
 }
 
 bool Flags::Validate(const char* usage) const {

@@ -2,9 +2,11 @@
 //
 // Accepts `--name=value` and `--name value` forms plus bare `--name` for
 // booleans. Unknown flags are collected and reported by Unparsed() so
-// binaries can reject typos; count-like options read through GetCount()
-// reject negative or non-numeric values, and Validate() turns either
-// problem into a usage message on stderr.
+// binaries can reject typos. A numeric value must parse completely
+// ("14400s", "0.1x" and "abc" are errors, not 14400, 0.1 and 0), and
+// count-like options read through GetCount() also reject negative
+// values; Validate() turns any of these problems into a usage message on
+// stderr.
 
 #ifndef FGM_UTIL_FLAGS_H_
 #define FGM_UTIL_FLAGS_H_
@@ -22,19 +24,20 @@ class Flags {
 
   bool Has(const std::string& name) const;
 
+  /// Numeric getters. A value that does not parse completely is recorded
+  /// for Validate() and the default is returned in its place.
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
-  /// Like GetInt, but for count-like options where a negative (or
-  /// non-numeric) value is a usage error: the bad value is recorded and
-  /// surfaced by Validate(), and the default is returned in its place.
+  /// Like GetInt, but for count-like options where a negative value is
+  /// also a usage error.
   int64_t GetCount(const std::string& name, int64_t default_value) const;
 
   /// True when every provided flag was consumed by a getter and every
-  /// GetCount value was valid. Otherwise prints one line per problem
+  /// numeric value was valid. Otherwise prints one line per problem
   /// (unknown flag / bad value) followed by `usage` to stderr and
   /// returns false; callers exit with a usage error.
   bool Validate(const char* usage) const;

@@ -3,7 +3,10 @@
 // Fast-AGMS sketches need a pairwise-independent bucket hash and a 4-wise
 // independent ±1 sign hash per row (Cormode & Garofalakis, VLDB'05). Both
 // are provided by PolyHash, a degree-(k-1) polynomial with random
-// coefficients evaluated modulo p = 2^61 - 1.
+// coefficients evaluated modulo p = 2^61 - 1 by Horner's rule.
+// MersenneReduce lets a caller evaluate the same polynomials as one sum of
+// independent products instead (sketch/fast_agms.cc); PolyHash stays the
+// reference that path is tested against.
 
 #ifndef FGM_UTIL_HASH_H_
 #define FGM_UTIL_HASH_H_
@@ -58,9 +61,23 @@ class PolyHash {
     return AddMod(lo, Mod(hi));
   }
 
+  /// Coefficient of x^i, in [0, p).
+  uint64_t coeff(int i) const { return coeff_[static_cast<size_t>(i)]; }
+
  private:
   std::array<uint64_t, Degree + 1> coeff_;
 };
+
+/// The canonical residue of `x` modulo p = 2^61 - 1, in [0, p), for any
+/// x < 2^124. 2^61 ≡ 1 (mod p), so the high bits fold onto the low ones
+/// in one 64-bit add. A product of two residues is below 2^122, so a sum
+/// of up to four of them reduces in one call, and since the residue is
+/// unique it equals what Horner's rule reaches one MulMod at a time.
+inline uint64_t MersenneReduce(__uint128_t x) {
+  constexpr uint64_t p = PolyHash<1>::kMersennePrime;
+  return PolyHash<1>::Mod((static_cast<uint64_t>(x) & p) +
+                          static_cast<uint64_t>(x >> 61));
+}
 
 /// Pairwise-independent hash (degree-1 polynomial).
 using PairwiseHash = PolyHash<1>;
@@ -80,6 +97,8 @@ class BucketHash {
     return static_cast<uint32_t>(hash_(x) % buckets_);
   }
 
+  const PairwiseHash& poly() const { return hash_; }
+
  private:
   PairwiseHash hash_;
   uint32_t buckets_;
@@ -92,6 +111,8 @@ class SignHash {
   explicit SignHash(Xoshiro256ss& rng) : hash_(rng) {}
 
   int operator()(uint64_t x) const { return (hash_(x) & 1) ? +1 : -1; }
+
+  const FourwiseHash& poly() const { return hash_; }
 
  private:
   FourwiseHash hash_;

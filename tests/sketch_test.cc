@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sketch/fast_agms.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace fgm {
@@ -63,6 +64,70 @@ TEST(FastAgms, UpdateMatchesMap) {
   }
   for (size_t i = 0; i < sketch.state().dim(); ++i) {
     EXPECT_DOUBLE_EQ(sketch.state()[i], manual.state()[i]);
+  }
+}
+
+// Every path that hashes a key (Map, MapBatch, Update, UpdateBatch) must
+// land each update in exactly the cell and sign the per-row reference
+// hashes, Bucket() and Sign(), give it.
+TEST(AgmsProjection, MapEqualsPerRowReferenceHashes) {
+  constexpr uint64_t p = PolyHash<1>::kMersennePrime;
+  std::vector<uint64_t> keys = {0,     p - 1, p, p + 1, 2 * p,
+                                uint64_t{1} << 62, ~uint64_t{0}};
+  Xoshiro256ss rng(2024);
+  for (int i = 0; i < 20000; ++i) keys.push_back(rng());
+  std::vector<double> weights(keys.size());
+  for (size_t j = 0; j < keys.size(); ++j) {
+    weights[j] = j % 3 == 0 ? -1.0 : 1.0 + 0.5 * static_cast<double>(j % 7);
+  }
+
+  int64_t cells = 0;
+  std::vector<CellUpdate> map_out;
+  std::vector<CellUpdate> batch_out;
+  for (int depth : {1, 3, 5, 7, 9}) {
+    for (int width : {1, 2, 3, 111, 65537, 2147483647}) {
+      for (uint64_t seed : {uint64_t{0xA65}, uint64_t{1}, uint64_t{99}}) {
+        const AgmsProjection proj(depth, width, seed);
+        const size_t d = static_cast<size_t>(depth);
+        batch_out.assign(keys.size() * d, CellUpdate{0, 0.0});
+        proj.MapBatch(keys.data(), weights.data(), keys.size(),
+                      batch_out.data());
+        for (size_t j = 0; j < keys.size(); ++j) {
+          map_out.clear();
+          proj.Map(keys[j], weights[j], &map_out);
+          ASSERT_EQ(map_out.size(), d);
+          for (int r = 0; r < depth; ++r) {
+            const size_t index = proj.CellIndex(r, proj.Bucket(r, keys[j]));
+            const double delta = proj.Sign(r, keys[j]) * weights[j];
+            const CellUpdate& m = map_out[static_cast<size_t>(r)];
+            const CellUpdate& b = batch_out[j * d + static_cast<size_t>(r)];
+            ASSERT_EQ(m.index, index) << "depth " << depth << " width "
+                                      << width << " key " << keys[j];
+            ASSERT_EQ(m.delta, delta);
+            ASSERT_EQ(b.index, index);
+            ASSERT_EQ(b.delta, delta);
+            ++cells;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, 25 * 6 * 3 * static_cast<int64_t>(keys.size()));
+
+  // Update and UpdateBatch add the same cells in record order.
+  auto proj = MakeProjection(5, 111, 0xA65);
+  FastAgms reference(proj), single(proj), batched(proj);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    for (int r = 0; r < 5; ++r) {
+      const size_t index = proj->CellIndex(r, proj->Bucket(r, keys[j]));
+      reference.mutable_state()[index] += proj->Sign(r, keys[j]) * weights[j];
+    }
+    single.Update(keys[j], weights[j]);
+  }
+  batched.UpdateBatch(keys.data(), weights.data(), keys.size());
+  for (size_t i = 0; i < reference.state().dim(); ++i) {
+    ASSERT_EQ(single.state()[i], reference.state()[i]);
+    ASSERT_EQ(batched.state()[i], reference.state()[i]);
   }
 }
 

@@ -327,7 +327,9 @@ TEST_P(SpanChaosGrid, EverySpanClosesAndWordsConserve) {
     if (s.kind == "rpc") saw_rpc = true;
   }
   EXPECT_TRUE(saw_rpc);
-  if (out.result.net.resyncs > 0) EXPECT_TRUE(saw_resync);
+  if (out.result.net.resyncs > 0) {
+    EXPECT_TRUE(saw_resync);
+  }
   if (drop > 0.0) {
     const CriticalPathSummary cp = SummarizeCriticalPath(out.spans);
     EXPECT_EQ(cp.retransmits, out.result.net.retransmitted_msgs);

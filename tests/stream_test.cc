@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <deque>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "stream/partition.h"
 #include "stream/window.h"
 #include "stream/worldcup.h"
+#include "util/rng.h"
 
 namespace fgm {
 namespace {
@@ -31,7 +35,9 @@ TEST(WorldCup, DeterministicAndSorted) {
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].cid, b[i].cid);
     ASSERT_EQ(a[i].site, b[i].site);
-    if (i > 0) ASSERT_GE(a[i].time, a[i - 1].time);
+    if (i > 0) {
+      ASSERT_GE(a[i].time, a[i - 1].time);
+    }
     ASSERT_GE(a[i].time, 0.0);
     ASSERT_LE(a[i].time, 10000.0);
     ASSERT_DOUBLE_EQ(a[i].weight, 1.0);
@@ -134,6 +140,118 @@ TEST(SlidingWindow, WindowContentsNeverOlderThanTw) {
     }
     for (double t : live_times) ASSERT_GE(t, rec->time - tw - 1e-9);
   }
+}
+
+// The pending-delete deque SlidingWindowStream once kept: every insert
+// pushes its delete (time + TW, weight -1), and the front delete fires
+// when it is due no later than the next insert. Kept as the reference
+// model for the index-based window.
+class DequeWindowReference {
+ public:
+  DequeWindowReference(const std::vector<StreamRecord>* trace, double window)
+      : trace_(trace), window_(window) {}
+
+  const StreamRecord* Next() {
+    const bool have_insert = next_insert_ < trace_->size();
+    const bool have_delete = window_ > 0 && !pending_deletes_.empty();
+    if (!have_insert && !have_delete) return nullptr;
+    bool emit_delete;
+    if (have_insert && have_delete) {
+      emit_delete =
+          pending_deletes_.front().time <= (*trace_)[next_insert_].time;
+    } else {
+      emit_delete = have_delete;
+    }
+    if (emit_delete) {
+      current_ = pending_deletes_.front();
+      pending_deletes_.pop_front();
+      ++deletes_;
+    } else {
+      current_ = (*trace_)[next_insert_++];
+      if (window_ > 0) {
+        StreamRecord del = current_;
+        del.time += window_;
+        del.weight = -1.0;
+        pending_deletes_.push_back(del);
+      }
+      ++inserts_;
+    }
+    ++produced_;
+    return &current_;
+  }
+
+  int64_t produced() const { return produced_; }
+  int64_t inserts() const { return inserts_; }
+  int64_t deletes() const { return deletes_; }
+
+ private:
+  const std::vector<StreamRecord>* trace_;
+  double window_;
+  size_t next_insert_ = 0;
+  std::deque<StreamRecord> pending_deletes_;
+  StreamRecord current_;
+  int64_t produced_ = 0;
+  int64_t inserts_ = 0;
+  int64_t deletes_ = 0;
+};
+
+/// A random trace of up to 60 records. Times come from a small integer
+/// grid (so ties are common) plus an optional fraction; `sorted` sorts
+/// them, otherwise they stay in draw order.
+std::vector<StreamRecord> RandomTrace(Xoshiro256ss& rng, bool sorted) {
+  std::vector<StreamRecord> trace(rng.NextBounded(61));
+  for (StreamRecord& rec : trace) {
+    rec.time = static_cast<double>(rng.NextBounded(12));
+    if (rng.NextBounded(2) == 0) rec.time += 0.25 * rng.NextBounded(4);
+    rec.site = static_cast<int32_t>(rng.NextBounded(5));
+    rec.cid = rng.NextBounded(1000);
+    rec.type = static_cast<FileType>(rng.NextBounded(kNumFileTypes));
+  }
+  if (sorted) {
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const StreamRecord& a, const StreamRecord& b) {
+                       return a.time < b.time;
+                     });
+  }
+  return trace;
+}
+
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(SlidingWindow, MatchesDequeReferenceOnRandomTraces) {
+  // StreamRecord has padding, so events compare field by field.
+  const double windows[] = {0.0, -3.0, 0.5, 2.0, 7.25, 1e9,
+                            std::numeric_limits<double>::quiet_NaN()};
+  Xoshiro256ss rng(20260417);
+  int64_t compared = 0;
+  for (int t = 0; t < 600; ++t) {
+    const std::vector<StreamRecord> trace = RandomTrace(rng, t % 2 == 0);
+    for (double window : windows) {
+      SlidingWindowStream events(&trace, window);
+      DequeWindowReference reference(&trace, window);
+      for (;;) {
+        const StreamRecord* got = events.Next();
+        const StreamRecord* want = reference.Next();
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "trace " << t << " window " << window << " event " << compared;
+        if (want == nullptr) break;
+        ASSERT_TRUE(SameDouble(got->time, want->time));
+        ASSERT_EQ(got->site, want->site);
+        ASSERT_EQ(got->cid, want->cid);
+        ASSERT_EQ(got->type, want->type);
+        ASSERT_TRUE(SameDouble(got->weight, want->weight));
+        ++compared;
+      }
+      EXPECT_EQ(events.produced(), reference.produced());
+      EXPECT_EQ(events.inserts(), reference.inserts());
+      EXPECT_EQ(events.deletes(), reference.deletes());
+      // The end of stream is sticky.
+      EXPECT_EQ(events.Next(), nullptr);
+    }
+  }
+  EXPECT_GT(compared, 100000);
 }
 
 TEST(CountWindow, KeepsExactlyCapacity) {

@@ -159,6 +159,26 @@ TEST(PolyHash, ModArithmeticMatchesNaive) {
   }
 }
 
+TEST(PolyHash, MersenneReduceMatchesNaive) {
+  // Sums of four products of residues, as the sketch kernel forms them,
+  // plus the edges of the documented input range x < 2^124.
+  Xoshiro256ss rng(37);
+  constexpr uint64_t p = PolyHash<1>::kMersennePrime;
+  using Wide = __uint128_t;
+  const Wide edges[] = {0, 1, p - 1, p, p + 1, Wide{p} * p,
+                        4 * Wide{p - 1} * (p - 1), (Wide{1} << 124) - 1};
+  for (const Wide x : edges) {
+    EXPECT_EQ(MersenneReduce(x), static_cast<uint64_t>(x % p));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    Wide sum = 0;
+    for (int t = 0; t < 4; ++t) {
+      sum += Wide{rng.NextBounded(p)} * rng.NextBounded(p);
+    }
+    ASSERT_EQ(MersenneReduce(sum), static_cast<uint64_t>(sum % p));
+  }
+}
+
 TEST(RealVector, BasicOps) {
   RealVector a{1.0, 2.0, 3.0};
   RealVector b{4.0, -5.0, 6.0};
@@ -293,6 +313,22 @@ TEST(Flags, GetIntStillPermitsNegatives) {
   Flags f = MakeFlags({"--delta=-12"});
   EXPECT_EQ(f.GetInt("delta", 0), -12);
   EXPECT_TRUE(f.Validate(""));
+}
+
+TEST(Flags, GetDoubleAndGetIntRejectPartialParses) {
+  Flags f = MakeFlags({"--window=14400s", "--eps=0.1x", "--net_drop=abc",
+                       "--net_seed=abc", "--offset=-4", "--scale=2.5e-3"});
+  // The default comes back in place of each value that does not parse
+  // completely...
+  EXPECT_EQ(f.GetDouble("window", 7.0), 7.0);
+  EXPECT_EQ(f.GetDouble("eps", 0.5), 0.5);
+  EXPECT_EQ(f.GetDouble("net_drop", 0.25), 0.25);
+  EXPECT_EQ(f.GetInt("net_seed", 11), 11);
+  // ...complete values still parse, signs and exponents included...
+  EXPECT_EQ(f.GetInt("offset", 0), -4);
+  EXPECT_DOUBLE_EQ(f.GetDouble("scale", 0.0), 2.5e-3);
+  // ...and Validate reports the usage errors.
+  EXPECT_FALSE(f.Validate(""));
 }
 
 TEST(CountHistogram, QuantileZeroIsMinimumObservedBucket) {

@@ -188,12 +188,10 @@ int main(int argc, char** argv) {
   if (!tol_field.empty()) {
     tol_field_ok = ParseFieldTols(tol_field, &gate.field_tols);
   }
-  const std::vector<std::string> unknown = flags.Unparsed();
-  if (!unknown.empty() || baseline_path.empty() || current_path.empty() ||
-      !tol_field_ok) {
-    for (const std::string& name : unknown) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-    }
+  // Validate prints one line per unknown flag or malformed value, so a
+  // mistyped --tol cannot fall back to a looser default unnoticed.
+  if (!flags.Validate(nullptr) || baseline_path.empty() ||
+      current_path.empty() || !tol_field_ok) {
     if (!tol_field_ok) {
       std::fprintf(stderr, "bad --tol_field=%s (want name=T[,name=T...])\n",
                    tol_field.c_str());

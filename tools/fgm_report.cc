@@ -1276,11 +1276,8 @@ int main(int argc, char** argv) {
   if (trace_path.empty() && !flags.positional().empty()) {
     trace_path = flags.positional().front();
   }
-  const std::vector<std::string> unknown = flags.Unparsed();
-  if (!unknown.empty() || trace_path.empty()) {
-    for (const std::string& name : unknown) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-    }
+  // Validate prints one line per unknown flag or malformed value.
+  if (!flags.Validate(nullptr) || trace_path.empty()) {
     std::fprintf(stderr,
                  "usage: fgm_report --trace=trace.jsonl "
                  "[--metrics=metrics.json] [--timeseries=ts.json] "
