@@ -19,7 +19,6 @@
 #include "bench_common.h"
 #include "core/fgm_protocol.h"
 #include "driver/runner.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -170,10 +169,10 @@ void BM_FgmProcessRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_FgmProcessRecord)->Arg(4)->Arg(27);
 
-// The same replay with observability enabled: a counting trace sink, a
-// metrics registry and a run-health time series installed through
-// FgmConfig. BM_FgmProcessRecord above runs with all three null, so its
-// hooks cost one pointer test each; the delta between the two benchmarks
+// The same replay with observability enabled: a counting trace sink and
+// a run-health time series installed through FgmConfig.
+// BM_FgmProcessRecord above runs with both null, so its hooks cost one
+// pointer test each; the delta between the two benchmarks
 // is the full price of enabled observability (event construction, virtual
 // dispatch, round-boundary sampling).
 void BM_FgmProcessRecordTraced(benchmark::State& state) {
@@ -183,11 +182,9 @@ void BM_FgmProcessRecordTraced(benchmark::State& state) {
   const std::vector<StreamRecord> records = RecordSequence(k);
   for (auto _ : state) {
     CountingTraceSink sink;
-    MetricsRegistry metrics;
     TimeSeries timeseries(1024);
     FgmConfig config;
     config.trace = &sink;
-    config.metrics = &metrics;
     config.timeseries = &timeseries;
     ReplaySequence(query, k, config, records);
   }

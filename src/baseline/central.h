@@ -38,7 +38,7 @@ class CentralProtocol : public MonitoringProtocol {
   const RealVector& GlobalEstimate() const override { return state_; }
   double Estimate() const override;
   ThresholdPair CurrentThresholds() const override;
-  const TrafficStats& traffic() const override { return transport_->stats(); }
+  const Transport& transport() const override { return *transport_; }
   int64_t rounds() const override { return 0; }
   void Finish() override {
     if (sim_ != nullptr) sim_->FinishRun();
@@ -46,9 +46,6 @@ class CentralProtocol : public MonitoringProtocol {
   const sim::SimNetStats* net_stats() const override {
     return sim_ != nullptr ? &sim_->net_stats() : nullptr;
   }
-
-  /// The transport carrying this protocol's messages (testing hook).
-  const Transport& transport() const { return *transport_; }
 
  private:
   const ContinuousQuery* query_;

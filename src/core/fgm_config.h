@@ -11,7 +11,6 @@
 namespace fgm {
 
 class HealthMonitor;
-class MetricsRegistry;
 class SpanSink;
 class TimeSeries;
 class TraceSink;
@@ -69,11 +68,6 @@ struct FgmConfig {
   /// Structured event sink (obs/trace.h). Non-owning; nullptr (the
   /// default) disables tracing and every hook reduces to one branch.
   TraceSink* trace = nullptr;
-
-  /// Metrics registry (obs/metrics.h) receiving the FGM/O plan-audit
-  /// error stats (plan_gain_abs_err / plan_gain_rel_err). Non-owning;
-  /// nullptr disables.
-  MetricsRegistry* metrics = nullptr;
 
   /// Run-health time series (obs/timeseries.h): one RunSnapshot per
   /// completed round (words by kind, ψ/θ/λ, plan audit, site skew).

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/health.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -104,10 +103,6 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
     if (trace_ != nullptr) transport->set_trace(trace_);
     if (spans_ != nullptr) transport->set_spans(spans_);
     if (config_.span_wire) transport->set_span_wire(true);
-  }
-  if (config_.metrics != nullptr && config_.optimizer) {
-    plan_gain_abs_err_ = config_.metrics->GetStats("plan_gain_abs_err");
-    plan_gain_rel_err_ = config_.metrics->GetStats("plan_gain_rel_err");
   }
   StartRound();
   // The very first round has no previous round to count against; its
@@ -708,8 +703,8 @@ void FgmProtocol::StartRound() {
 }
 
 void FgmProtocol::EmitRoundObservability() {
-  if (trace_ == nullptr && timeseries_ == nullptr &&
-      plan_gain_abs_err_ == nullptr && health_ == nullptr) {
+  if (trace_ == nullptr && timeseries_ == nullptr && !plan_predicted_ &&
+      health_ == nullptr) {
     return;
   }
   const TrafficStats& t = transports_[0]->stats();
@@ -729,11 +724,10 @@ void FgmProtocol::EmitRoundObservability() {
     e.actual_gain = actual_gain;
     trace_->Emit(e);
   }
-  if (plan_gain_abs_err_ != nullptr && plan_predicted_) {
+  if (plan_predicted_) {
     const double err = std::fabs(plan_pred_gain_ - actual_gain);
-    plan_gain_abs_err_->Add(err);
-    plan_gain_rel_err_->Add(err /
-                            std::max(std::fabs(actual_gain), 1.0));
+    plan_gain_abs_err_.Add(err);
+    plan_gain_rel_err_.Add(err / std::max(std::fabs(actual_gain), 1.0));
   }
   if (timeseries_ == nullptr && health_ == nullptr) return;
   static_assert(kSnapshotMsgKinds == static_cast<int>(MsgKind::kKindCount),
@@ -788,24 +782,15 @@ void FgmProtocol::EmitRoundObservability() {
   // phi0_prime_ still describe the finished round — exactly the values
   // its stop level was computed from.
   health_->ObserveRound(s);
-  for (int j = 0; j < m_; ++j) {
-    health_->ObserveSite(j, ChildUpdates(j),
-                         round_drift_[static_cast<size_t>(j)].Norm());
-  }
   if (sim_ != nullptr) {
     const std::vector<sim::SiteNetStats>& per_child = sim_->site_stats();
     for (int j = 0; j < m_; ++j) {
       const sim::SiteNetStats& n = per_child[static_cast<size_t>(j)];
       SiteNetSample sample;
       sample.delivered_msgs = n.delivered_msgs;
-      sample.delivered_words = n.delivered_words;
       sample.dropped_msgs = n.dropped_msgs;
-      sample.dropped_words = n.dropped_words;
-      sample.retransmitted_msgs = n.retransmitted_msgs;
-      sample.retransmitted_words = n.retransmitted_words;
       sample.latency_ticks = n.latency_ticks;
       sample.latency_samples = n.latency_samples;
-      sample.downs = n.downs;
       health_->ObserveNet(j, sample);
     }
   }

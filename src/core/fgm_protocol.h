@@ -102,12 +102,10 @@ class FgmProtocol : public MonitoringProtocol {
   const RealVector& GlobalEstimate() const override { return estimate_; }
   double Estimate() const override { return query_value_; }
   ThresholdPair CurrentThresholds() const override { return thresholds_; }
-  /// Root-tier traffic: the coordinator's own links (all of them at
-  /// depth 1), the bottleneck the paper's evaluation measures. Lower
-  /// tiers are reported by tier_traffic().
-  const TrafficStats& traffic() const override {
-    return transports_[0]->stats();
-  }
+  /// Root tier: the coordinator's own links (all of them at depth 1),
+  /// whose traffic() is the bottleneck the paper's evaluation measures.
+  /// Lower tiers are reported by tier_traffic().
+  const Transport& transport() const override { return *transports_[0]; }
   int64_t rounds() const override { return rounds_; }
   bool BoundsCertified() const override;
   void Finish() override;
@@ -131,6 +129,10 @@ class FgmProtocol : public MonitoringProtocol {
   const CountHistogram& subrounds_per_round() const {
     return subround_histogram_;
   }
+  /// FGM/O plan audit: |predicted − actual gain| per predicted round, and
+  /// the same error relative to max(|actual gain|, 1).
+  const RunningStats& plan_gain_abs_err() const { return plan_gain_abs_err_; }
+  const RunningStats& plan_gain_rel_err() const { return plan_gain_rel_err_; }
   /// Fraction of root children given the full safe function, averaged
   /// over rounds (diagnostics for the FGM/O optimizer).
   double mean_full_function_fraction() const;
@@ -164,9 +166,6 @@ class FgmProtocol : public MonitoringProtocol {
   /// Rounds forcibly ended because the subround cap was hit (graceful
   /// degradation instead of aborting the run).
   int64_t overflow_rounds() const { return overflow_rounds_; }
-
-  /// The root-tier transport (testing hook).
-  const Transport& transport() const { return *transports_[0]; }
 
   // Value-series speculation, one shard per site (exec/parallel_runner.h).
   // Between coordinator interactions the sites are independent, and the
@@ -411,8 +410,6 @@ class FgmProtocol : public MonitoringProtocol {
   HealthMonitor* health_ = nullptr;
   int64_t round_span_ = 0;     ///< open kRound span id (0 = none)
   int64_t subround_span_ = 0;  ///< open kSubround span id (0 = none)
-  RunningStats* plan_gain_abs_err_ = nullptr;
-  RunningStats* plan_gain_rel_err_ = nullptr;
 
   RealVector estimate_;  // E
   double query_value_ = 0.0;
@@ -487,6 +484,8 @@ class FgmProtocol : public MonitoringProtocol {
   int64_t overflow_rounds_ = 0;
   int64_t local_polls_ = 0;
   CountHistogram subround_histogram_{64};
+  RunningStats plan_gain_abs_err_;
+  RunningStats plan_gain_rel_err_;
   int64_t full_function_ships_ = 0;
   int64_t total_function_ships_ = 0;
   bool tier_ends_emitted_ = false;

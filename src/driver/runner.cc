@@ -16,7 +16,6 @@
 #include "hier/topology.h"
 #include "obs/health.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -69,14 +68,10 @@ std::unique_ptr<ContinuousQuery> MakeQuery(const RunConfig& config) {
       return std::make_unique<JoinQuery>(projection, config.epsilon,
                                          config.threshold_floor);
     }
-    case QueryKind::kFpNorm: {
-      const auto mode = config.fp_two_sided
-                            ? FpNormQuery::Mode::kTwoSided
-                            : FpNormQuery::Mode::kMonotoneUpper;
-      return std::make_unique<FpNormQuery>(config.fp_dimension, config.fp_p,
-                                           config.epsilon, mode,
-                                           config.threshold_floor);
-    }
+    case QueryKind::kFpNorm:
+      return std::make_unique<FpNormQuery>(
+          config.fp_dimension, config.fp_p, config.epsilon,
+          FpNormQuery::Mode::kTwoSided, config.threshold_floor);
     case QueryKind::kVariance:
       return std::make_unique<VarianceQuery>(config.epsilon);
     case QueryKind::kQuantile:
@@ -89,6 +84,9 @@ std::unique_ptr<ContinuousQuery> MakeQuery(const RunConfig& config) {
 }
 
 namespace {
+
+/// Newest samples a private --timeseries_out series keeps.
+constexpr size_t kTimeSeriesSamples = 4096;
 
 /// The run's topology: config.topology parsed for config.sites leaves, or
 /// the flat star when it is empty. A malformed spec dies with its
@@ -137,7 +135,6 @@ std::unique_ptr<MonitoringProtocol> BuildProtocol(
   fgm.rebalance = config.protocol != ProtocolKind::kFgmBasic;
   fgm.optimizer = config.protocol == ProtocolKind::kFgmOpt;
   fgm.trace = config.trace;
-  fgm.metrics = config.metrics;
   fgm.timeseries = config.timeseries;
   fgm.spans = config.spans;
   fgm.span_wire = config.span_wire;
@@ -146,10 +143,42 @@ std::unique_ptr<MonitoringProtocol> BuildProtocol(
   return std::make_unique<FgmProtocol>(query, topo, fgm);
 }
 
-/// JSON run summary: RunResult + traffic breakdown + the metrics registry.
+void WriteStats(JsonWriter* w, const std::string& name,
+                const RunningStats& s) {
+  w->Key(name);
+  w->BeginObject();
+  w->Field("count", s.count());
+  w->Field("mean", s.mean());
+  w->Field("stddev", s.stddev());
+  w->Field("min", s.min());
+  w->Field("max", s.max());
+  w->EndObject();
+}
+
+void WriteHistogram(JsonWriter* w, const std::string& name,
+                    const CountHistogram& h) {
+  w->Key(name);
+  w->BeginObject();
+  w->Field("total", h.total());
+  w->Field("mean", h.Mean());
+  w->Field("max", h.max_observed());
+  w->Field("p50", h.Quantile(0.5));
+  w->Field("p95", h.Quantile(0.95));
+  w->Key("buckets");
+  w->BeginObject();
+  for (int64_t v = 0; v <= h.bucket_limit(); ++v) {
+    if (h.CountAt(v) == 0) continue;
+    // The last bucket aggregates every value >= bucket_limit.
+    w->Field(v == h.bucket_limit() ? "overflow" : std::to_string(v),
+             h.CountAt(v));
+  }
+  w->EndObject();
+  w->EndObject();
+}
+
+/// JSON run summary: the RunResult with its traffic breakdown.
 void WriteMetricsFile(const std::string& path, const RunConfig& config,
-                      const RunResult& result,
-                      const MetricsRegistry& registry) {
+                      const RunResult& result) {
   JsonWriter w;
   w.BeginObject();
   w.Key("run");
@@ -157,7 +186,7 @@ void WriteMetricsFile(const std::string& path, const RunConfig& config,
   w.Field("protocol", result.protocol_name);
   w.Field("query", result.query_name);
   w.Field("sites", static_cast<int64_t>(config.sites));
-  w.Field("strict_wire", config.strict_wire);
+  w.Field("strict_wire", result.strict_wire);
   w.Field("events", result.events);
   w.Field("rounds", result.rounds);
   w.Field("subrounds", result.subrounds);
@@ -226,8 +255,30 @@ void WriteMetricsFile(const std::string& path, const RunConfig& config,
             result.traffic.words_by_kind[i]);
   }
   w.EndObject();
-  w.Key("metrics");
-  registry.WriteJson(&w);
+  if (result.subrounds_per_round.total() > 0) {
+    WriteHistogram(&w, "subrounds_per_round", result.subrounds_per_round);
+  }
+  if (result.plan_gain_abs_err.count() > 0) {
+    w.Key("plan_gain");
+    w.BeginObject();
+    WriteStats(&w, "abs_err", result.plan_gain_abs_err);
+    WriteStats(&w, "rel_err", result.plan_gain_rel_err);
+    w.EndObject();
+  }
+  if (result.threads_used > 1) {
+    // Windows, barriers and replayed records are in "run" above.
+    w.Key("speculation");
+    w.BeginObject();
+    w.Field("wasted_records", result.wasted_records);
+    w.Field("soft_commits", result.soft_commits);
+    w.Key("thread_tasks");
+    w.BeginArray();
+    for (const int64_t n : result.thread_tasks) w.Int(n);
+    w.EndArray();
+    w.Field("speculate_s", result.speculate_seconds);
+    w.Field("commit_s", result.commit_seconds);
+    w.EndObject();
+  }
   w.EndObject();
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -255,15 +306,9 @@ RunResult Run(const RunConfig& base_config,
     file_sink = std::make_unique<JsonlTraceSink>(config.trace_out);
     config.trace = file_sink.get();
   }
-  std::unique_ptr<MetricsRegistry> own_metrics;
-  if (config.metrics == nullptr && !config.metrics_out.empty()) {
-    own_metrics = std::make_unique<MetricsRegistry>();
-    config.metrics = own_metrics.get();
-  }
   std::unique_ptr<TimeSeries> own_timeseries;
   if (config.timeseries == nullptr && !config.timeseries_out.empty()) {
-    own_timeseries = std::make_unique<TimeSeries>(static_cast<size_t>(
-        std::max<int64_t>(config.timeseries_capacity, 1)));
+    own_timeseries = std::make_unique<TimeSeries>(kTimeSeriesSamples);
     config.timeseries = own_timeseries.get();
   }
 
@@ -394,7 +439,7 @@ RunResult Run(const RunConfig& base_config,
   auto live_emit = [&](int64_t records) {
     const int64_t total_sub = fgm != nullptr ? fgm->subrounds() : 0;
     const double psi = fgm != nullptr ? fgm->last_psi() : 0.0;
-    health->ObserveProgress(records, protocol->rounds(), total_sub, records);
+    health->ObserveProgress(protocol->rounds(), total_sub, records);
     const int64_t words = protocol->traffic().total_words();
     if (!config.prom_out.empty()) {
       health->WritePrometheus(config.prom_out, records, protocol->rounds(),
@@ -456,20 +501,17 @@ RunResult Run(const RunConfig& base_config,
   if (parallel) {
     ParallelRunnerOptions opts;
     opts.threads = config.threads;
-    opts.metrics = config.metrics;
     opts.spans = config.spans;
     ParallelRunner par(fgm, opts);
     std::vector<StreamRecord> chunk;
-    // Matches ParallelRunnerOptions::max_horizon, so the adaptive horizon
-    // can actually reach its ceiling in quiet phases.
-    constexpr int64_t kChunkCap = 65536;
     bool exhausted = false;
     while (!exhausted) {
       chunk.clear();
       // Chunks never straddle a verification or snapshot boundary, so
       // every check and interval sample observes the protocol exactly
-      // where the serial loop would.
-      int64_t limit = kChunkCap;
+      // where the serial loop would. A full chunk lets the adaptive
+      // horizon reach its ceiling in quiet phases.
+      int64_t limit = kMaxHorizon;
       if (verify) {
         limit = std::min(limit,
                          config.check_every - (n % config.check_every));
@@ -509,13 +551,15 @@ RunResult Run(const RunConfig& base_config,
       }
       if (should_stop()) break;
     }
-    par.PublishThreadStats();
     result.threads_used = par.threads();
     result.parallel_windows = par.windows();
     result.parallel_barriers = par.barriers();
     result.replayed_records = par.replayed_records();
     result.wasted_records = par.wasted_records();
     result.soft_commits = par.soft_commits();
+    result.thread_tasks = par.thread_tasks();
+    result.speculate_seconds = par.speculate_seconds();
+    result.commit_seconds = par.commit_seconds();
   } else {
     while (const StreamRecord* rec = next_event()) {
       protocol->ProcessRecord(*rec);
@@ -553,12 +597,16 @@ RunResult Run(const RunConfig& base_config,
   result.upstream_fraction = result.traffic.upstream_fraction();
   result.final_estimate = protocol->Estimate();
   if (verify) result.final_truth = query->Evaluate(truth);
+  result.strict_wire = protocol->transport().strict();
 
   if (fgm != nullptr) {
     result.subrounds = fgm->subrounds();
     result.rebalances = fgm->rebalances();
     result.overflow_rounds = fgm->overflow_rounds();
     result.mean_full_function_fraction = fgm->mean_full_function_fraction();
+    result.subrounds_per_round = fgm->subrounds_per_round();
+    result.plan_gain_abs_err = fgm->plan_gain_abs_err();
+    result.plan_gain_rel_err = fgm->plan_gain_rel_err();
     if (fgm->tiers() > 1) {
       result.topology = fgm->topology().spec();
       result.local_polls = fgm->local_polls();
@@ -592,25 +640,8 @@ RunResult Run(const RunConfig& base_config,
     e.down_msgs = result.traffic.downstream_messages;
     config.trace->Emit(e);
   }
-  if (config.metrics != nullptr) {
-    MetricsRegistry* m = config.metrics;
-    m->GetCounter("events")->Add(result.events);
-    m->GetCounter("rounds")->Add(result.rounds);
-    m->GetCounter("subrounds")->Add(result.subrounds);
-    m->GetCounter("rebalances")->Add(result.rebalances);
-    m->GetCounter("total_words")->Add(result.traffic.total_words());
-    m->GetGauge("comm_cost")->Set(result.comm_cost);
-    m->GetGauge("upstream_fraction")->Set(result.upstream_fraction);
-    if (fgm != nullptr) {
-      const CountHistogram& h = fgm->subrounds_per_round();
-      CountHistogram* out = m->GetHistogram("subrounds_per_round");
-      for (int64_t v = 0; v <= h.bucket_limit(); ++v) {
-        for (int64_t c = 0; c < h.CountAt(v); ++c) out->Add(v);
-      }
-    }
-  }
-  if (!config.metrics_out.empty() && config.metrics != nullptr) {
-    WriteMetricsFile(config.metrics_out, config, result, *config.metrics);
+  if (!config.metrics_out.empty()) {
+    WriteMetricsFile(config.metrics_out, config, result);
   }
   if (!config.timeseries_out.empty() && config.timeseries != nullptr) {
     config.timeseries->WriteFile(config.timeseries_out);

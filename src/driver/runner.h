@@ -15,11 +15,11 @@
 #include "query/query.h"
 #include "sim/event_network.h"
 #include "stream/record.h"
+#include "util/stats.h"
 
 namespace fgm {
 
 class HealthMonitor;
-class MetricsRegistry;
 class SpanSink;
 class TimeSeries;
 class TraceSink;
@@ -63,10 +63,9 @@ struct RunConfig {
   int width = 500;
   uint64_t sketch_seed = 0xA65;
 
-  // F_p query parameters.
+  // F_p query parameters (the two-sided ‖S‖_p band).
   double fp_p = 2.0;
   size_t fp_dimension = 1024;
-  bool fp_two_sided = true;
 
   double epsilon = 0.1;
   double threshold_floor = 1.0;
@@ -110,14 +109,14 @@ struct RunConfig {
   /// is null; the run brackets the protocol's events with RunStart/RunEnd.
   std::string trace_out;
 
-  /// Write a JSON summary (RunResult + metrics registry) here
-  /// (empty = off). A private registry is created when `metrics` is null.
+  /// Write the RunResult as a JSON summary here (empty = off).
   std::string metrics_out;
 
   /// Write the run-health time series (obs/timeseries.h) here as JSON
-  /// (empty = off). A private TimeSeries is created when `timeseries` is
-  /// null. FGM protocols add one sample per completed round; the driver
-  /// adds "interval" samples every snapshot_every records.
+  /// (empty = off). A private TimeSeries of the newest 4096 samples is
+  /// created when `timeseries` is null. FGM protocols add one sample per
+  /// completed round; the driver adds "interval" samples every
+  /// snapshot_every records.
   std::string timeseries_out;
 
   /// Take an extra "interval" snapshot every this many records (0 = round
@@ -125,9 +124,6 @@ struct RunConfig {
   /// boundary, so samples land at identical record counts for every
   /// thread count and the series stays bit-identical.
   int64_t snapshot_every = 0;
-
-  /// Ring-buffer capacity of the time series (oldest samples drop).
-  int64_t timeseries_capacity = 4096;
 
   /// Print a stderr heartbeat every this many records (0 = silent):
   /// records processed, records/s, current round and ψ.
@@ -172,9 +168,8 @@ struct RunConfig {
   int64_t die_at = 0;
 
   /// Caller-provided sinks (non-owning; take precedence over the paths
-  /// above for event/metric collection).
+  /// above for event collection).
   TraceSink* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
   TimeSeries* timeseries = nullptr;
   SpanSink* spans = nullptr;
   HealthMonitor* health = nullptr;
@@ -202,12 +197,21 @@ struct RunResult {
 
   double wall_seconds = 0.0;
 
+  /// Every root-tier message took the strict round trip (--strict_wire,
+  /// FGM_STRICT_WIRE=1, or a simulated network).
+  bool strict_wire = false;
+
   // FGM-specific diagnostics (0 for other protocols).
   int64_t subrounds = 0;
   int64_t rebalances = 0;
   /// Rounds force-ended at the subround cap instead of aborting.
   int64_t overflow_rounds = 0;
   double mean_full_function_fraction = 0.0;
+  CountHistogram subrounds_per_round;  ///< per completed round
+  /// FGM/O plan audit: |predicted − actual gain| per predicted round,
+  /// absolute and relative to max(|actual gain|, 1).
+  RunningStats plan_gain_abs_err;
+  RunningStats plan_gain_rel_err;
 
   // Parallel-runner diagnostics (zero on the serial path).
   int threads_used = 1;
@@ -216,6 +220,9 @@ struct RunResult {
   int64_t replayed_records = 0;
   int64_t wasted_records = 0;
   int64_t soft_commits = 0;
+  std::vector<int64_t> thread_tasks;  ///< shard tasks run per thread
+  double speculate_seconds = 0.0;     ///< wall time speculating
+  double commit_seconds = 0.0;        ///< wall time in the commit walk
 
   // Simulated-network diagnostics (all zero on synchronous transports).
   bool net_enabled = false;

@@ -6,12 +6,10 @@
 //       [--threads=1] [--trace_out=trace.jsonl]
 //       [--metrics_out=metrics.json] [--timeseries_out=ts.json]
 //       [--spans_out=spans.json] [--span_wire]
-//       [--snapshot_every=0] [--timeseries_cap=4096] [--progress=0]
-//       [--strict_wire]
+//       [--snapshot_every=0] [--progress=0] [--strict_wire]
 //       [--net_latency=fixed:4] [--net_drop=0.1] [--net_seed=N]
 //       [--fault_plan="crash:site=2,at=50000,rejoin=80000"]
-//       [--net_bandwidth=0] [--net_reorder=0] [--net_timeout=64]
-//       [--net_silence=256] [--net_deadline=4096]
+//       [--net_timeout=64] [--net_silence=256] [--net_deadline=4096]
 //       [--topology=tree:4] [--topology=tree:8,4]
 //
 // --topology=tree:F arranges the sites under aggregator tiers of fanout
@@ -42,10 +40,10 @@
 // message. Both default off; default traffic is bit-identical.
 //
 // --trace_out writes the structured JSONL event trace (obs/trace.h);
-// --metrics_out writes a JSON summary of the RunResult plus the metrics
-// registry; --timeseries_out writes the per-round run-health series
-// (obs/timeseries.h), with extra interval samples every
-// --snapshot_every records. --progress=N prints a stderr heartbeat
+// --metrics_out writes the RunResult as a JSON summary;
+// --timeseries_out writes the newest 4096 samples of the per-round
+// run-health series (obs/timeseries.h), with extra interval samples
+// every --snapshot_every records. --progress=N prints a stderr heartbeat
 // every N records. tools/trace_check re-verifies a written trace
 // offline; tools/fgm_report renders the trace+metrics+timeseries triple
 // into a run report and cross-checks them against each other.
@@ -214,7 +212,6 @@ int main(int argc, char** argv) {
   config.spans_out = flags.GetString("spans_out", "");
   config.span_wire = flags.GetBool("span_wire", false);
   config.snapshot_every = flags.GetCount("snapshot_every", 0);
-  config.timeseries_capacity = flags.GetCount("timeseries_cap", 4096);
   config.progress_every = flags.GetCount("progress", 0);
   config.prom_out = flags.GetString("prom_out", "");
   config.live_out = flags.GetString("live_out", "");
@@ -227,8 +224,6 @@ int main(int argc, char** argv) {
   config.net.seed = static_cast<uint64_t>(
       flags.GetInt("net_seed", static_cast<int64_t>(config.net.seed)));
   config.net.fault_plan = flags.GetString("fault_plan", "");
-  config.net.bandwidth = flags.GetCount("net_bandwidth", 0);
-  config.net.reorder_window = flags.GetCount("net_reorder", 0);
   config.net.retransmit_timeout =
       flags.GetCount("net_timeout", config.net.retransmit_timeout);
   config.net.silence_timeout =
@@ -243,13 +238,13 @@ int main(int argc, char** argv) {
           "[--depth=N] [--width=N] [--check_every=N] [--threads=N] "
           "[--trace_out=F] [--metrics_out=F] [--timeseries_out=F] "
           "[--spans_out=F] [--span_wire] "
-          "[--snapshot_every=N] [--timeseries_cap=N] [--progress=N] "
+          "[--snapshot_every=N] [--progress=N] "
           "[--prom_out=F] [--live_out=F] [--live_every=N] "
           "[--health_plan] [--die_at=N] "
           "[--strict_wire] [--net_latency=SPEC] [--net_drop=P] "
-          "[--net_seed=N] [--fault_plan=PLAN] [--net_bandwidth=N] "
-          "[--net_reorder=N] [--net_timeout=N] [--net_silence=N] "
-          "[--net_deadline=N] [--topology=tree:F[,F2,…]]")) {
+          "[--net_seed=N] [--fault_plan=PLAN] [--net_timeout=N] "
+          "[--net_silence=N] [--net_deadline=N] "
+          "[--topology=tree:F[,F2,…]]")) {
     return 2;
   }
 

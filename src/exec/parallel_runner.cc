@@ -1,13 +1,22 @@
 #include "exec/parallel_runner.h"
 
 #include <algorithm>
-#include <string>
+#include <chrono>
 
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/check.h"
 
 namespace fgm {
+
+namespace {
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+}  // namespace
 
 ParallelRunner::ParallelRunner(FgmProtocol* protocol,
                                ParallelRunnerOptions options)
@@ -16,35 +25,8 @@ ParallelRunner::ParallelRunner(FgmProtocol* protocol,
       pool_(options.threads),
       shards_(static_cast<size_t>(protocol->topology().leaves())),
       series_(static_cast<size_t>(protocol->topology().leaves())),
-      horizon_(options.min_horizon, options.max_horizon) {
+      horizon_(kMinHorizon, kMaxHorizon) {
   FGM_CHECK(protocol->SupportsSpeculation());
-  if (opts_.metrics != nullptr) {
-    MetricsRegistry* m = opts_.metrics;
-    spec_windows_ = m->GetCounter("spec_windows");
-    spec_barriers_ = m->GetCounter("spec_barriers");
-    spec_speculated_ = m->GetCounter("spec_records_speculated");
-    spec_committed_ = m->GetCounter("spec_records_committed");
-    spec_replayed_ = m->GetCounter("spec_records_replayed");
-    spec_wasted_ = m->GetCounter("spec_records_wasted");
-    spec_soft_ = m->GetCounter("spec_soft_commits");
-    spec_speculate_timer_ = m->GetTimer("spec_speculate");
-    spec_commit_timer_ = m->GetTimer("spec_commit");
-    spec_horizon_stats_ = m->GetStats("spec_horizon_per_window");
-    spec_horizon_ = m->GetGauge("spec_horizon");
-  }
-}
-
-void ParallelRunner::PublishThreadStats() {
-  if (opts_.metrics == nullptr) return;
-  const std::vector<int64_t> tally = pool_.TaskTally();
-  for (size_t i = 0; i < tally.size(); ++i) {
-    opts_.metrics
-        ->GetGauge("spec_thread" + std::to_string(i) + "_tasks")
-        ->Set(static_cast<double>(tally[i]));
-  }
-  if (spec_horizon_ != nullptr) {
-    spec_horizon_->Set(static_cast<double>(horizon_.horizon()));
-  }
 }
 
 void ParallelRunner::Process(const StreamRecord* records, int64_t count) {
@@ -64,10 +46,6 @@ void ParallelRunner::Process(const StreamRecord* records, int64_t count) {
 int64_t ParallelRunner::BeginWindow(const StreamRecord* records,
                                     int64_t count) {
   ++windows_;
-  if (spec_windows_ != nullptr) {
-    spec_windows_->Add(1);
-    spec_horizon_stats_->Add(static_cast<double>(count));
-  }
   active_.clear();
   site_of_.resize(static_cast<size_t>(count));
   for (int64_t pos = 0; pos < count; ++pos) {
@@ -78,6 +56,15 @@ int64_t ParallelRunner::BeginWindow(const StreamRecord* records,
     if (shard.positions.empty()) active_.push_back(s);
     shard.positions.push_back(pos);
   }
+  // The shards' positions partition the window, so every speculated
+  // record is either committed or wasted past a barrier
+  // (speculated = committed + wasted).
+  int64_t placed = 0;
+  for (int s : active_) {
+    placed += static_cast<int64_t>(
+        shards_[static_cast<size_t>(s)].positions.size());
+  }
+  FGM_CHECK_EQ(placed, count);
   if (opts_.spans == nullptr) return 0;
   // Explicitly parented to the run: the commit below may open protocol
   // round/subround scopes that stay open across windows, so the stack
@@ -147,21 +134,19 @@ int64_t ParallelRunner::RunWindow(const StreamRecord* records, int64_t count,
   // Speculate: every active shard folds its WHOLE window batch into its
   // drift and records the per-record value series. No early stop — the
   // counter rule runs at commit, over the recorded values.
-  {
-    ScopedTimer t(spec_speculate_timer_);
-    pool_.ParallelFor(static_cast<int>(active_.size()), [&](int j) {
-      const int s = active_[static_cast<size_t>(j)];
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      if (spans != nullptr) shard.span_begin = spans->Now();
-      const int64_t n = static_cast<int64_t>(shard.positions.size());
-      shard.values.resize(static_cast<size_t>(n));
-      protocol_->SpeculateShard(s, records, shard.positions.data(), n,
-                                shard.values.data());
-      if (spans != nullptr) shard.span_end = spans->Now();
-    });
-  }
+  const auto speculate_start = std::chrono::steady_clock::now();
+  pool_.ParallelFor(static_cast<int>(active_.size()), [&](int j) {
+    const int s = active_[static_cast<size_t>(j)];
+    Shard& shard = shards_[static_cast<size_t>(s)];
+    if (spans != nullptr) shard.span_begin = spans->Now();
+    const int64_t n = static_cast<int64_t>(shard.positions.size());
+    shard.values.resize(static_cast<size_t>(n));
+    protocol_->SpeculateShard(s, records, shard.positions.data(), n,
+                              shard.values.data());
+    if (spans != nullptr) shard.span_end = spans->Now();
+  });
+  speculate_seconds_ += SecondsSince(speculate_start);
   EmitShardSpans(window_span);
-  if (spec_speculated_ != nullptr) spec_speculated_->Add(count);
 
   // Commit walk: the protocol zips the per-shard value series back into
   // global stream order (per-shard cursors — no sort) and replays the
@@ -172,32 +157,18 @@ int64_t ParallelRunner::RunWindow(const StreamRecord* records, int64_t count,
     series_[static_cast<size_t>(s)] = ValueSeries{
         shard.values.data(), static_cast<int64_t>(shard.values.size())};
   }
-  const int64_t replayed_before = replayed_;
-  const int64_t wasted_before = wasted_;
   int64_t commit_begin = 0;
   if (spans != nullptr) commit_begin = spans->Now();
-  int64_t consumed;
-  {
-    ScopedTimer t(spec_commit_timer_);
-    consumed = protocol_->CommitValueSeries(
-        site_of_.data(), count, series_.data(),
-        [&](int64_t pos) { MaterializeShards(records, pos, window_span); },
-        soft);
-  }
+  const auto commit_start = std::chrono::steady_clock::now();
+  const int64_t consumed = protocol_->CommitValueSeries(
+      site_of_.data(), count, series_.data(),
+      [&](int64_t pos) { MaterializeShards(records, pos, window_span); },
+      soft);
+  commit_seconds_ += SecondsSince(commit_start);
   FGM_CHECK_GE(consumed, 1);
   *hard = consumed < count;
   if (*hard) ++barriers_;
   soft_commits_ += *soft;
-
-  if (spec_committed_ != nullptr) {
-    spec_committed_->Add(consumed);
-    spec_soft_->Add(*soft);
-    if (*hard) {
-      spec_barriers_->Add(1);
-      spec_replayed_->Add(replayed_ - replayed_before);
-      spec_wasted_->Add(wasted_ - wasted_before);
-    }
-  }
   EndWindow(window_span, commit_begin, consumed);
   return consumed;
 }

@@ -29,24 +29,15 @@
 
 namespace fgm {
 
-class Counter;
-class Gauge;
-class MetricsRegistry;
-class RunningStats;
 class SpanSink;
-class WallTimer;
+
+/// Bounds of the adaptive speculation horizon (records per window).
+constexpr int64_t kMinHorizon = 128;
+constexpr int64_t kMaxHorizon = 65536;
 
 struct ParallelRunnerOptions {
   /// Total worker parallelism including the calling thread.
   int threads = 1;
-  /// Bounds for the adaptive speculation horizon (records per window).
-  int64_t min_horizon = 128;
-  int64_t max_horizon = 65536;
-  /// Speculation accounting sink (non-owning; nullptr = off). Instrument
-  /// pointers are resolved once at construction; all bookkeeping happens
-  /// at window granularity — never per record — so the record path is
-  /// unchanged whether or not a registry is attached.
-  MetricsRegistry* metrics = nullptr;
   /// Causal span sink (non-owning; nullptr = off): one kSpeculate span
   /// per window with per-shard speculate / barrier-wait / replay children
   /// and the serial commit segment. Workers only stamp two timestamps
@@ -76,11 +67,12 @@ class ParallelRunner {
   /// (value-series subround crossings).
   int64_t soft_commits() const { return soft_commits_; }
   int threads() const { return pool_.threads(); }
-
-  /// Publishes the per-thread shard-task split and the final horizon to
-  /// the registry (gauges `spec_thread<i>_tasks`, `spec_horizon`). Called
-  /// once after a run; no-op without a registry.
-  void PublishThreadStats();
+  /// Shard tasks each thread ran (slot 0 is the calling thread).
+  std::vector<int64_t> thread_tasks() const { return pool_.TaskTally(); }
+  /// Wall time in the parallel speculate phase and in the serial commit
+  /// walk (replays included), summed over windows.
+  double speculate_seconds() const { return speculate_seconds_; }
+  double commit_seconds() const { return commit_seconds_; }
 
  private:
   struct Shard {
@@ -129,20 +121,8 @@ class ParallelRunner {
   int64_t replayed_ = 0;
   int64_t wasted_ = 0;
   int64_t soft_commits_ = 0;
-
-  // Speculation accounting instruments (null when no registry; each use
-  // is a pointer test at window granularity).
-  Counter* spec_windows_ = nullptr;
-  Counter* spec_barriers_ = nullptr;
-  Counter* spec_speculated_ = nullptr;  ///< records processed speculatively
-  Counter* spec_committed_ = nullptr;   ///< records committed
-  Counter* spec_replayed_ = nullptr;    ///< records replayed after rollback
-  Counter* spec_wasted_ = nullptr;      ///< records discarded past barriers
-  Counter* spec_soft_ = nullptr;        ///< soft interactions committed
-  WallTimer* spec_speculate_timer_ = nullptr;
-  WallTimer* spec_commit_timer_ = nullptr;
-  RunningStats* spec_horizon_stats_ = nullptr;  ///< horizon per window
-  Gauge* spec_horizon_ = nullptr;               ///< final adapted horizon
+  double speculate_seconds_ = 0.0;
+  double commit_seconds_ = 0.0;
 };
 
 }  // namespace fgm

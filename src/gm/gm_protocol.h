@@ -72,7 +72,7 @@ class GmProtocol : public MonitoringProtocol {
   const RealVector& GlobalEstimate() const override { return estimate_; }
   double Estimate() const override { return query_value_; }
   ThresholdPair CurrentThresholds() const override { return thresholds_; }
-  const TrafficStats& traffic() const override { return transport_->stats(); }
+  const Transport& transport() const override { return *transport_; }
   int64_t rounds() const override { return full_syncs_; }
   void Finish() override {
     if (sim_ != nullptr) sim_->FinishRun();
@@ -83,9 +83,6 @@ class GmProtocol : public MonitoringProtocol {
 
   int64_t violations() const { return violations_; }
   int64_t partial_rebalances() const { return partial_rebalances_; }
-
-  /// The transport carrying this protocol's messages (testing hook).
-  const Transport& transport() const { return *transport_; }
 
  private:
   struct Site {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "net/network.h"
+#include "net/transport.h"
 #include "query/query.h"
 #include "stream/record.h"
 #include "util/real_vector.h"
@@ -41,8 +42,11 @@ class MonitoringProtocol {
   /// the protocol maintains Q(S_global) ∈ [lo, hi] while quiescent.
   virtual ThresholdPair CurrentThresholds() const = 0;
 
-  /// Communication performed so far.
-  virtual const TrafficStats& traffic() const = 0;
+  /// The transport of the coordinator's own links (the root tier).
+  virtual const Transport& transport() const = 0;
+
+  /// Communication performed so far on those links.
+  const TrafficStats& traffic() const { return transport().stats(); }
 
   /// Number of synchronization rounds so far.
   virtual int64_t rounds() const = 0;

@@ -30,30 +30,11 @@ const char* AlertRuleName(AlertRule rule) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(int sites, const HealthConfig& config)
+HealthMonitor::HealthMonitor(int sites)
     : sites_(sites),
-      config_(config),
       site_(static_cast<size_t>(sites)),
       kind_words_(kSnapshotMsgKinds) {
   FGM_CHECK_GE(sites, 1);
-  const double a = config_.ewma_alpha;
-  for (SiteHealth& s : site_) {
-    s.rate_alpha.set_alpha(a);
-    s.rate_beta.set_alpha(a);
-    s.rate_gamma.set_alpha(a);
-    s.updates.set_alpha(a);
-    s.drift_norm.set_alpha(a);
-    s.drop_frac.set_alpha(a);
-    s.latency.set_alpha(a);
-    s.retransmit_frac.set_alpha(a);
-  }
-  round_records_.set_alpha(a);
-  round_subrounds_.set_alpha(a);
-  round_words_.set_alpha(a);
-  for (Ewma& e : kind_words_) e.set_alpha(a);
-  psi_overshoot_.set_alpha(a);
-  overflow_rate_.set_alpha(a);
-  speculation_waste_.set_alpha(a);
 }
 
 void HealthMonitor::ObserveRound(const RunSnapshot& snapshot) {
@@ -68,22 +49,12 @@ void HealthMonitor::ObserveRound(const RunSnapshot& snapshot) {
   }
 }
 
-void HealthMonitor::ObserveSite(int site, int64_t updates,
-                                double drift_norm) {
-  FGM_CHECK(site >= 0 && site < sites_);
-  SiteHealth& s = site_[static_cast<size_t>(site)];
-  s.updates.Observe(static_cast<double>(updates));
-  s.drift_norm.Observe(drift_norm);
-}
-
 void HealthMonitor::ObserveNet(int site, const SiteNetSample& cumulative) {
   FGM_CHECK(site >= 0 && site < sites_);
   SiteHealth& s = site_[static_cast<size_t>(site)];
   const SiteNetSample& prev = s.last;
   const int64_t delivered = cumulative.delivered_msgs - prev.delivered_msgs;
   const int64_t dropped = cumulative.dropped_msgs - prev.dropped_msgs;
-  const int64_t retrans =
-      cumulative.retransmitted_msgs - prev.retransmitted_msgs;
   const int64_t lat_ticks = cumulative.latency_ticks - prev.latency_ticks;
   const int64_t lat_samples =
       cumulative.latency_samples - prev.latency_samples;
@@ -93,9 +64,6 @@ void HealthMonitor::ObserveNet(int site, const SiteNetSample& cumulative) {
   if (delivered + dropped > 0) {
     s.drop_frac.Observe(static_cast<double>(dropped) /
                         static_cast<double>(delivered + dropped));
-    s.retransmit_frac.Observe(
-        static_cast<double>(retrans) /
-        static_cast<double>(delivered > 0 ? delivered : 1));
   }
   if (lat_samples > 0) {
     s.latency.Observe(static_cast<double>(lat_ticks) /
@@ -139,9 +107,8 @@ void HealthMonitor::ObserveSpeculation(int64_t committed_updates,
   last_spec_wasted_ = wasted_updates;
 }
 
-void HealthMonitor::ObserveProgress(int64_t records, int64_t round,
-                                    int64_t total_subrounds, int64_t t) {
-  (void)records;
+void HealthMonitor::ObserveProgress(int64_t round, int64_t total_subrounds,
+                                    int64_t t) {
   if (total_subrounds == progress_subrounds_) {
     ++stagnant_samples_;
   } else {
@@ -149,10 +116,9 @@ void HealthMonitor::ObserveProgress(int64_t records, int64_t round,
     progress_subrounds_ = total_subrounds;
   }
   SetActive(AlertRule::kStuckSubround, -1,
-            stagnant_samples_ >= config_.stuck_progress_samples,
+            stagnant_samples_ >= kStuckProgressSamples,
             static_cast<double>(stagnant_samples_),
-            static_cast<double>(config_.stuck_progress_samples), round, t,
-            nullptr);
+            static_cast<double>(kStuckProgressSamples), round, t, nullptr);
 }
 
 void HealthMonitor::NoteSiteDown(int site, int64_t round, int64_t t) {
@@ -175,9 +141,8 @@ void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
     const SiteHealth& s = site_[static_cast<size_t>(i)];
     if (s.drop_frac.samples() == 0) continue;
     const bool was = alert_active(AlertRule::kLossyLink, i);
-    const double thr = was
-        ? config_.lossy_drop_threshold * config_.clear_factor
-        : config_.lossy_drop_threshold;
+    const double thr =
+        was ? kLossyDropThreshold * kClearFactor : kLossyDropThreshold;
     SetActive(AlertRule::kLossyLink, i, s.drop_frac.value() >= thr,
               s.drop_frac.value(), thr, round, t, nullptr);
   }
@@ -189,7 +154,7 @@ void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
   double fleet_lat = 0.0;
   int fleet_n = 0;
   for (const SiteHealth& s : site_) {
-    if (s.latency.samples() >= config_.straggler_min_samples) {
+    if (s.latency.samples() >= kStragglerMinSamples) {
       fleet_lat += s.latency.value();
       ++fleet_n;
     }
@@ -200,11 +165,11 @@ void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
       for (int i = 0; i < sites_; ++i) {
         const SiteHealth& s = site_[static_cast<size_t>(i)];
         if (s.down) continue;
-        if (s.latency.samples() < config_.straggler_min_samples) continue;
+        if (s.latency.samples() < kStragglerMinSamples) continue;
         const bool was = alert_active(AlertRule::kStragglerSite, i);
-        const double factor = was
-            ? config_.straggler_latency_factor * config_.clear_factor
-            : config_.straggler_latency_factor;
+        const double factor =
+            was ? kStragglerLatencyFactor * kClearFactor
+                : kStragglerLatencyFactor;
         SetActive(AlertRule::kStragglerSite, i,
                   s.latency.value() >= factor * mean, s.latency.value(),
                   factor * mean, round, t, "slow");
@@ -213,21 +178,19 @@ void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
   }
 
   // psi_margin (run-global): systematic overshoot past the stop level.
-  if (psi_overshoot_.samples() >= config_.min_rounds) {
+  if (psi_overshoot_.samples() >= kMinRounds) {
     const bool was = alert_active(AlertRule::kPsiMargin, -1);
-    const double thr = was
-        ? config_.psi_margin_threshold * config_.clear_factor
-        : config_.psi_margin_threshold;
+    const double thr =
+        was ? kPsiMarginThreshold * kClearFactor : kPsiMarginThreshold;
     SetActive(AlertRule::kPsiMargin, -1, psi_overshoot_.value() >= thr,
               psi_overshoot_.value(), thr, round, t, nullptr);
   }
 
   // budget_overflow (run-global): too many rounds end on the backstop.
-  if (overflow_rate_.samples() >= config_.min_rounds) {
+  if (overflow_rate_.samples() >= kMinRounds) {
     const bool was = alert_active(AlertRule::kBudgetOverflow, -1);
-    const double thr = was
-        ? config_.overflow_threshold * config_.clear_factor
-        : config_.overflow_threshold;
+    const double thr =
+        was ? kOverflowThreshold * kClearFactor : kOverflowThreshold;
     SetActive(AlertRule::kBudgetOverflow, -1, overflow_rate_.value() >= thr,
               overflow_rate_.value(), thr, round, t, nullptr);
   }
@@ -235,7 +198,7 @@ void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
 
 bool HealthMonitor::have_rates() const {
   for (const SiteHealth& s : site_) {
-    if (s.rate_rounds >= config_.min_rounds) return true;
+    if (s.rate_rounds >= kMinRounds) return true;
   }
   return false;
 }
@@ -264,7 +227,7 @@ bool HealthMonitor::site_down(int site) const {
 
 double HealthMonitor::ShipCostFactor(int site) const {
   const SiteHealth& s = site_[static_cast<size_t>(site)];
-  if (s.down) return config_.max_ship_cost;
+  if (s.down) return kMaxShipCost;
   double cost = 1.0;
   if (s.drop_frac.samples() > 0) {
     // Expected attempts per delivered message on a link dropping fraction
@@ -273,7 +236,7 @@ double HealthMonitor::ShipCostFactor(int site) const {
     cost = 1.0 / (1.0 - p);
   }
   if (cost < 1.0) cost = 1.0;
-  if (cost > config_.max_ship_cost) cost = config_.max_ship_cost;
+  if (cost > kMaxShipCost) cost = kMaxShipCost;
   return cost;
 }
 

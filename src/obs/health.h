@@ -5,10 +5,11 @@
 // HealthMonitor consumes the same round-boundary RunSnapshot stream (plus
 // a handful of protocol-side observations) and maintains exponentially
 // weighted moving averages of the quantities that characterise run
-// health: per-site update/drift skew and FGM/O rate estimates, per-kind
-// word rates, round/subround cadence, speculation waste, and — over the
-// simulated network — per-site drop/latency/retransmission signals
-// attributed from sim::SiteNetStats.
+// health: per-site FGM/O rate estimates, per-kind word rates,
+// round/subround cadence, speculation waste, and — over the simulated
+// network — per-site drop and latency signals attributed from
+// sim::SiteNetStats. Every EWMA folds with weight 0.3, and the alert
+// thresholds below are fixed constants.
 //
 // On top of the estimators sits a small declarative alert-rule engine.
 // Each rule is a named predicate over the EWMAs with hysteresis (an alert
@@ -43,7 +44,7 @@
 //
 // Layering: obs cannot depend on sim or core, so the per-site network
 // sample is mirrored here as a plain struct (SiteNetSample) and the
-// protocol copies sim::SiteNetStats fields across when feeding.
+// protocol copies the sim::SiteNetStats fields it reads across.
 
 #ifndef FGM_OBS_HEALTH_H_
 #define FGM_OBS_HEALTH_H_
@@ -61,19 +62,19 @@ namespace fgm {
 class TraceSink;
 
 /// One exponentially weighted moving average. The first sample seeds the
-/// value directly; later samples fold in with weight `alpha`.
+/// value directly; later samples fold in with weight kAlpha.
 class Ewma {
  public:
+  static constexpr double kAlpha = 0.3;
+
   void Observe(double x) {
-    value_ = samples_ == 0 ? x : alpha_ * x + (1.0 - alpha_) * value_;
+    value_ = samples_ == 0 ? x : kAlpha * x + (1.0 - kAlpha) * value_;
     ++samples_;
   }
-  void set_alpha(double alpha) { alpha_ = alpha; }
   double value() const { return value_; }
   int64_t samples() const { return samples_; }
 
  private:
-  double alpha_ = 0.3;
   double value_ = 0.0;
   int64_t samples_ = 0;
 };
@@ -91,41 +92,33 @@ enum class AlertRule : int {
 
 const char* AlertRuleName(AlertRule rule);
 
-/// Thresholds and smoothing constants for the monitor. The defaults are
-/// deliberately conservative: alerts mean "act", not "glance".
-struct HealthConfig {
-  double ewma_alpha = 0.3;   ///< weight of the newest sample in each EWMA
-  int64_t min_rounds = 3;    ///< rate-EWMA warmup before have_rates()
-
-  double lossy_drop_threshold = 0.15;      ///< drop fraction ⇒ lossy_link
-  double straggler_latency_factor = 3.0;   ///< site latency vs fleet mean
-  int64_t straggler_min_samples = 8;       ///< latency samples before judging
-  double psi_margin_threshold = 0.25;      ///< overshoot fraction of |stop|
-  double overflow_threshold = 0.25;        ///< EWMA of overflow indicator
-  int64_t stuck_progress_samples = 3;      ///< stagnant heartbeats ⇒ stuck
-  double clear_factor = 0.5;  ///< hysteresis: clear below threshold·this
-  double max_ship_cost = 4.0; ///< clamp on per-site cost inflation
-};
-
-/// Mirror of sim::SiteNetStats (obs cannot include sim headers). All
-/// counts are cumulative; the monitor diffs successive samples itself.
+/// The sim::SiteNetStats fields the monitor reads (obs cannot include
+/// sim headers). All counts are cumulative; the monitor diffs successive
+/// samples itself.
 struct SiteNetSample {
   int64_t delivered_msgs = 0;
-  int64_t delivered_words = 0;
   int64_t dropped_msgs = 0;
-  int64_t dropped_words = 0;
-  int64_t retransmitted_msgs = 0;
-  int64_t retransmitted_words = 0;
   int64_t latency_ticks = 0;
   int64_t latency_samples = 0;
-  int64_t downs = 0;
 };
 
 class HealthMonitor {
  public:
+  // Thresholds, deliberately conservative: alerts mean "act", not
+  // "glance".
+  static constexpr int64_t kMinRounds = 3;  ///< EWMA warmup, in rounds
+  static constexpr double kLossyDropThreshold = 0.15;     ///< lossy_link
+  static constexpr double kStragglerLatencyFactor = 3.0;  ///< vs fleet mean
+  static constexpr int64_t kStragglerMinSamples = 8;  ///< before judging
+  static constexpr double kPsiMarginThreshold = 0.25;  ///< of |stop level|
+  static constexpr double kOverflowThreshold = 0.25;  ///< overflow EWMA
+  static constexpr int64_t kStuckProgressSamples = 3;  ///< stagnant beats
+  static constexpr double kClearFactor = 0.5;  ///< clear below thr·this
+  static constexpr double kMaxShipCost = 4.0;  ///< per-site cost clamp
+
   /// `sites` counts the coordinator's root children: the sites of a flat
   /// run, the tier-1 aggregators of a tree.
-  explicit HealthMonitor(int sites, const HealthConfig& config = {});
+  explicit HealthMonitor(int sites);
 
   /// Alert transitions are emitted to this sink (non-owning, may be null:
   /// the monitor still tracks state, only the events are suppressed).
@@ -133,10 +126,8 @@ class HealthMonitor {
 
   // ---- Feeding (round boundaries / heartbeat points only) ------------
 
-  /// One completed round: cadence, per-kind word rates, plan audit.
+  /// One completed round: cadence and per-kind word rates.
   void ObserveRound(const RunSnapshot& snapshot);
-  /// One site's contribution to the finished round.
-  void ObserveSite(int site, int64_t updates, double drift_norm);
   /// Cumulative per-site network counters (mirrored sim::SiteNetStats).
   void ObserveNet(int site, const SiteNetSample& cumulative);
   /// The optimizer's measured α/β/γ for one site, one round.
@@ -147,9 +138,9 @@ class HealthMonitor {
   void ObserveOverflowRounds(int64_t cumulative_overflow_rounds);
   /// Parallel-engine speculation outcome (cumulative update counts).
   void ObserveSpeculation(int64_t committed_updates, int64_t wasted_updates);
-  /// Record-cadence heartbeat: drives the stuck_subround rule.
-  void ObserveProgress(int64_t records, int64_t round,
-                       int64_t total_subrounds, int64_t t);
+  /// Record-cadence heartbeat at record `t`: drives the stuck_subround
+  /// rule.
+  void ObserveProgress(int64_t round, int64_t total_subrounds, int64_t t);
   /// Deterministic straggler transitions from the crash/rejoin handshake.
   void NoteSiteDown(int site, int64_t round, int64_t t);
   void NoteSiteUp(int site, int64_t round, int64_t t);
@@ -162,9 +153,8 @@ class HealthMonitor {
   // ---- Views ---------------------------------------------------------
 
   int sites() const { return sites_; }
-  const HealthConfig& config() const { return config_; }
 
-  /// True once every rate EWMA has at least min_rounds samples on some
+  /// True once every rate EWMA has at least kMinRounds samples on some
   /// site (sites that never reported stay inactive in the plan anyway).
   bool have_rates() const;
   double rate_alpha(int site) const;
@@ -177,7 +167,7 @@ class HealthMonitor {
   bool site_down(int site) const;
 
   /// Multiplicative cost factor for shipping the D-word full function to
-  /// `site`: 1 on a clean link, up to max_ship_cost on lossy/slow/down
+  /// `site`: 1 on a clean link, up to kMaxShipCost on lossy/slow/down
   /// links (a dropped shipment is retransmitted — real words).
   double ShipCostFactor(int site) const;
   /// Fleet-mean ship cost: scales the rebalance profitability bar (a
@@ -211,11 +201,9 @@ class HealthMonitor {
  private:
   struct SiteHealth {
     Ewma rate_alpha, rate_beta, rate_gamma;
-    Ewma updates, drift_norm;
-    Ewma drop_frac;        ///< per-round dropped/(delivered+dropped) msgs
-    Ewma latency;          ///< per-round mean delivery delay in ticks
-    Ewma retransmit_frac;  ///< per-round retransmitted/delivered msgs
-    SiteNetSample last;    ///< cumulative baseline for diffing
+    Ewma drop_frac;      ///< per-round dropped/(delivered+dropped) msgs
+    Ewma latency;        ///< per-round mean delivery delay in ticks
+    SiteNetSample last;  ///< cumulative baseline for diffing
     bool down = false;
     int64_t rate_rounds = 0;
   };
@@ -227,7 +215,6 @@ class HealthMonitor {
                  const char* reason);
 
   const int sites_;
-  const HealthConfig config_;
   TraceSink* trace_ = nullptr;
 
   std::vector<SiteHealth> site_;

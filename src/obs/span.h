@@ -67,8 +67,8 @@ struct Span {
   int64_t words = 0;   ///< charged wire words (kMsg/kDatagram: exact)
   int64_t count = 0;   ///< attempts (kRpc), records (shard segments)
   int dir = 0;         ///< +1 coordinator → site, -1 site → coordinator
-  int64_t queue = 0;   ///< ticks queued before transit (reorder jitter)
-  int64_t transit = 0; ///< ticks on the wire (latency + transfer)
+  int64_t queue = 0;   ///< ticks queued before transit (always 0)
+  int64_t transit = 0; ///< ticks on the wire (the sampled latency)
   int64_t drain = 0;   ///< ticks between arrival and the protocol drain
   /// Tree topologies (src/hier): the tier whose machinery this span
   /// belongs to. 0 = the root star (flat runs never set it; not

@@ -26,15 +26,12 @@ EventNetwork::EventNetwork(int sites, const NetSimConfig& config)
       site_stats_(static_cast<size_t>(sites)) {
   FGM_CHECK(ParseLatencySpec(config.latency, &latency_));
   FGM_CHECK(config.drop >= 0.0 && config.drop < 1.0);
-  FGM_CHECK_GE(config.bandwidth, 0);
-  FGM_CHECK_GE(config.reorder_window, 0);
   FGM_CHECK_GE(config.retransmit_timeout, 1);
   FGM_CHECK_GE(config.silence_timeout, 1);
   FGM_CHECK_GE(config.dead_deadline, 1);
   FGM_CHECK(ParseFaultPlan(config.fault_plan, sites, &transitions_));
   null_ = latency_.kind == LatencySpec::Kind::kZero && config.drop == 0.0 &&
-          transitions_.empty() && config.bandwidth == 0 &&
-          config.reorder_window == 0;
+          transitions_.empty();
   // Spans on these links are stamped in simulated ticks.
   clock_ = &now_;
 }
@@ -68,11 +65,6 @@ int64_t EventNetwork::SampleLatency() {
   }
   FGM_CHECK(false);
   return 0;
-}
-
-int64_t EventNetwork::TransferTicks(int64_t words) const {
-  if (config_.bandwidth <= 0) return 0;
-  return (words + config_.bandwidth - 1) / config_.bandwidth;
 }
 
 void EventNetwork::EmitNetEvent(TraceEventKind kind, int site, int dir,
@@ -110,14 +102,11 @@ int64_t EventNetwork::Deliver(int child, int dir, MsgKind kind,
     if (attempt > 0) {
       ++net_stats_.retransmitted_msgs;
       net_stats_.retransmitted_words += words;
-      ++ss.retransmitted_msgs;
-      ss.retransmitted_words += words;
     }
     if (SampleDrop()) {
       ++net_stats_.dropped_msgs;
       net_stats_.dropped_words += words;
       ++ss.dropped_msgs;
-      ss.dropped_words += words;
       EmitNetEvent(TraceEventKind::kMsgDropped, child, dir, kind, words, now_,
                    "loss");
       if (spans_ != nullptr) {
@@ -138,13 +127,12 @@ int64_t EventNetwork::Deliver(int child, int dir, MsgKind kind,
       Advance(config_.retransmit_timeout);
       continue;
     }
-    const int64_t delay = SampleLatency() + TransferTicks(words);
+    const int64_t delay = SampleLatency();
     const int64_t sent = now_;
     Advance(delay);
     ++net_stats_.delivered_msgs;
     net_stats_.delivered_words += words;
     ++ss.delivered_msgs;
-    ss.delivered_words += words;
     ss.latency_ticks += delay;
     ++ss.latency_samples;
     EmitNetEvent(TraceEventKind::kMsgDelivered, child, dir, kind, words, now_,
@@ -180,9 +168,7 @@ void EventNetwork::PostCounter(int site, CounterMsg msg, int64_t round,
   if (SampleDrop()) {
     ++net_stats_.dropped_msgs;
     net_stats_.dropped_words += wire_words;
-    SiteNetStats& ss = site_stats_[static_cast<size_t>(site)];
-    ++ss.dropped_msgs;
-    ss.dropped_words += wire_words;
+    ++site_stats_[static_cast<size_t>(site)].dropped_msgs;
     EmitNetEvent(TraceEventKind::kMsgDropped, site, -1, MsgKind::kCounter,
                  wire_words, now_, "loss");
     if (spans_ != nullptr) {
@@ -204,12 +190,8 @@ void EventNetwork::PostCounter(int site, CounterMsg msg, int64_t round,
     }
     return;  // no retransmission: cumulative counters self-heal
   }
-  int64_t delay = SampleLatency() + TransferTicks(wire_words);
-  if (config_.reorder_window > 0) {
-    delay += rng_.NextInt(0, config_.reorder_window);
-  }
   Envelope env;
-  env.due = now_ + delay;
+  env.due = now_ + SampleLatency();
   env.seq = next_seq_++;
   env.delivery.site = site;
   env.delivery.msg = decoded;
@@ -234,7 +216,6 @@ bool EventNetwork::PopCounter(CounterDelivery* out) {
   net_stats_.delivered_words += wire_words;
   SiteNetStats& ss = site_stats_[static_cast<size_t>(out->site)];
   ++ss.delivered_msgs;
-  ss.delivered_words += wire_words;
   ss.latency_ticks += out->due - out->posted;
   ++ss.latency_samples;
   EmitNetEvent(TraceEventKind::kMsgDelivered, out->site, -1,
@@ -273,7 +254,6 @@ bool EventNetwork::PopFault(FaultNotice* out) {
   out->reason = t.reason;
   if (!t.up) {
     ++net_stats_.site_downs;
-    ++site_stats_[static_cast<size_t>(t.site)].downs;
     if (trace_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kSiteDown;

@@ -2,11 +2,11 @@
 //
 // EventNetwork carries the *real* serialized wire messages of
 // net/wire.h over simulated links with per-link latency distributions,
-// bandwidth caps, reordering jitter, probabilistic drop and scheduled
-// endpoint outages. It always runs strict: every message takes
-// Transport's encode → size-check → decode → bit-verify round trip, and
-// only the link delivery between child endpoint and parent is overridden
-// — delayed, possibly lost, and charged once per attempt.
+// probabilistic drop and scheduled endpoint outages. It always runs
+// strict: every message takes Transport's encode → size-check → decode →
+// bit-verify round trip, and only the link delivery between child
+// endpoint and parent is overridden — delayed, possibly lost, and charged
+// once per attempt.
 //
 // One instance models the links of one star: the root's children and the
 // root. Only the root tier of a run goes over the simulator (the fault
@@ -27,13 +27,13 @@
 //    cumulative per-subround counters, so a later datagram or a
 //    coordinator re-poll heals the gap.
 //
-// Determinism: one seeded generator drives drops, latencies and jitter in
+// Determinism: one seeded generator drives drops and latencies in
 // program order; the same config and stream reproduce a run bit-exactly.
 // Fault-plan transitions take effect when the protocol drains them
 // (PopFault) — i.e. at record granularity — never in the middle of an
 // RPC, which keeps the site set stable across a multi-message exchange.
 //
-// Null mode (zero latency, no loss, no faults, no jitter/bandwidth):
+// Null mode (zero latency, no loss, no faults):
 // every datagram is due immediately, no randomness is consumed, and the
 // MsgDelivered/MsgDropped trace events are suppressed, so traces and
 // TrafficStats are bit-identical to the synchronous transports.
@@ -78,18 +78,13 @@ struct SimNetStats {
 /// Per-site attribution of the aggregate counters above. Maintained
 /// alongside SimNetStats at zero extra randomness (pure bookkeeping on
 /// the same events), so enabling consumers never perturbs a seeded run.
-/// The health monitor (obs/health.h) derives per-site drop-rate,
-/// latency and retransmission EWMAs from these cumulative counts.
+/// The health monitor (obs/health.h) derives per-site drop-rate and
+/// latency EWMAs from these cumulative counts.
 struct SiteNetStats {
   int64_t delivered_msgs = 0;
-  int64_t delivered_words = 0;
   int64_t dropped_msgs = 0;
-  int64_t dropped_words = 0;
-  int64_t retransmitted_msgs = 0;
-  int64_t retransmitted_words = 0;
   int64_t latency_ticks = 0;    ///< summed post→delivery delays
   int64_t latency_samples = 0;  ///< deliveries contributing to the above
-  int64_t downs = 0;            ///< down transitions for this site
 };
 
 /// A counter datagram handed to the protocol at its due tick.
@@ -119,8 +114,8 @@ class EventNetwork final : public Transport {
   void PostCounter(int site, CounterMsg msg, int64_t round, int64_t subround);
 
   /// Pops the next datagram whose due tick has been reached, in
-  /// (due, send order) — jitter beyond the base latency produces genuine
-  /// reordering. Returns false when nothing is deliverable yet.
+  /// (due, send order) — random latencies produce genuine reordering.
+  /// Returns false when nothing is deliverable yet.
   bool PopCounter(CounterDelivery* out);
 
   /// Pops the next fault transition scheduled at or before the current
@@ -171,7 +166,6 @@ class EventNetwork final : public Transport {
 
   bool SampleDrop();
   int64_t SampleLatency();
-  int64_t TransferTicks(int64_t words) const;
   void EmitNetEvent(TraceEventKind kind, int site, int dir,
                     MsgKind msg_kind, int64_t words, int64_t t,
                     const char* reason);

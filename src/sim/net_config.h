@@ -8,7 +8,9 @@
 // leaves the simulator OFF: protocols use the synchronous transports of
 // net/transport.h. `--net_latency 0` turns the event queue ON with zero
 // delay, which must be (and is tested to be) bit-identical to the
-// synchronous path — the simulator's null mode.
+// synchronous path — the simulator's null mode. A message's delay is its
+// sampled latency alone: links have no bandwidth cap and no extra reorder
+// jitter.
 
 #ifndef FGM_SIM_NET_CONFIG_H_
 #define FGM_SIM_NET_CONFIG_H_
@@ -64,8 +66,6 @@ struct NetSimConfig {
   double drop = 0.0;       ///< iid per-message loss probability in [0, 1)
   uint64_t seed = 0x5eedf00dULL;
   std::string fault_plan;  ///< see ParseFaultPlan; "" = no faults
-  int64_t bandwidth = 0;       ///< link words per tick; 0 = unlimited
-  int64_t reorder_window = 0;  ///< extra uniform delivery jitter in ticks
   int64_t retransmit_timeout = 64;  ///< ticks before an RPC resends
   int64_t silence_timeout = 256;    ///< ticks of counter silence before a
                                     ///< coordinator re-poll (lossy runs)

@@ -22,14 +22,13 @@ namespace {
 
 TEST(Ewma, FirstSampleSeedsThenFoldsDeterministically) {
   Ewma e;
-  e.set_alpha(0.5);
   EXPECT_EQ(e.samples(), 0);
   e.Observe(10.0);
   EXPECT_DOUBLE_EQ(e.value(), 10.0);  // first sample seeds, no decay
   e.Observe(20.0);
-  EXPECT_DOUBLE_EQ(e.value(), 15.0);
+  EXPECT_DOUBLE_EQ(e.value(), 13.0);  // 0.3·20 + 0.7·10
   e.Observe(20.0);
-  EXPECT_DOUBLE_EQ(e.value(), 17.5);
+  EXPECT_DOUBLE_EQ(e.value(), 15.1);  // 0.3·20 + 0.7·13
   EXPECT_EQ(e.samples(), 3);
 }
 
@@ -37,9 +36,7 @@ SiteNetSample Sample(int64_t delivered, int64_t dropped,
                      int64_t latency_ticks, int64_t latency_samples) {
   SiteNetSample s;
   s.delivered_msgs = delivered;
-  s.delivered_words = delivered * 4;
   s.dropped_msgs = dropped;
-  s.dropped_words = dropped * 4;
   s.latency_ticks = latency_ticks;
   s.latency_samples = latency_samples;
   return s;
@@ -47,7 +44,7 @@ SiteNetSample Sample(int64_t delivered, int64_t dropped,
 
 TEST(HealthMonitor, LossyLinkRaisesAndClearsWithHysteresis) {
   HealthMonitor hm(3);
-  const double thr = hm.config().lossy_drop_threshold;
+  const double thr = HealthMonitor::kLossyDropThreshold;
 
   // Site 1 drops 40% of its messages for one round: EWMA seeds at 0.4,
   // well over the 0.15 threshold.
@@ -65,7 +62,7 @@ TEST(HealthMonitor, LossyLinkRaisesAndClearsWithHysteresis) {
   cum.latency_samples += 100;
   hm.ObserveNet(1, cum);
   hm.EvaluateAlerts(2, 200);
-  ASSERT_GT(hm.drop_fraction(1), thr * hm.config().clear_factor);
+  ASSERT_GT(hm.drop_fraction(1), thr * HealthMonitor::kClearFactor);
   EXPECT_TRUE(hm.alert_active(AlertRule::kLossyLink, 1));
   EXPECT_EQ(hm.alerts_cleared(), 0);
 
@@ -79,7 +76,7 @@ TEST(HealthMonitor, LossyLinkRaisesAndClearsWithHysteresis) {
     if (!hm.alert_active(AlertRule::kLossyLink, 1)) break;
   }
   EXPECT_FALSE(hm.alert_active(AlertRule::kLossyLink, 1));
-  EXPECT_LT(hm.drop_fraction(1), thr * hm.config().clear_factor);
+  EXPECT_LT(hm.drop_fraction(1), thr * HealthMonitor::kClearFactor);
   EXPECT_EQ(hm.alerts_raised(), 1);
   EXPECT_EQ(hm.alerts_cleared(), 1);
 }
@@ -128,14 +125,11 @@ TEST(HealthMonitor, PsiMarginAlertNeedsWarmup) {
 
 TEST(HealthMonitor, StuckSubroundRaisesAndClears) {
   HealthMonitor hm(3);
-  const int64_t need = hm.config().stuck_progress_samples;
-  hm.ObserveProgress(/*records=*/1000, /*round=*/1, /*total_subrounds=*/5,
-                     /*t=*/1);
-  for (int64_t i = 0; i < need; ++i) {
-    hm.ObserveProgress(1000 * (i + 2), 1, 5, i + 2);
-  }
+  const int64_t need = HealthMonitor::kStuckProgressSamples;
+  hm.ObserveProgress(/*round=*/1, /*total_subrounds=*/5, /*t=*/1);
+  for (int64_t i = 0; i < need; ++i) hm.ObserveProgress(1, 5, i + 2);
   EXPECT_TRUE(hm.alert_active(AlertRule::kStuckSubround, -1));
-  hm.ObserveProgress(9000, 2, 6, 99);  // subrounds advanced: recovers
+  hm.ObserveProgress(2, 6, 99);  // subrounds advanced: recovers
   EXPECT_FALSE(hm.alert_active(AlertRule::kStuckSubround, -1));
 }
 
@@ -148,7 +142,7 @@ TEST(HealthMonitor, ShipCostReflectsLinkQuality) {
   EXPECT_NEAR(hm.ShipCostFactor(1), 2.0, 1e-9);
 
   hm.NoteSiteDown(2, 1, 1);
-  EXPECT_DOUBLE_EQ(hm.ShipCostFactor(2), hm.config().max_ship_cost);
+  EXPECT_DOUBLE_EQ(hm.ShipCostFactor(2), HealthMonitor::kMaxShipCost);
   EXPECT_GT(hm.RebalanceCostFactor(), 1.0);
 }
 

@@ -1,6 +1,6 @@
 // Observability layer: trace-sink event ordering under a real multi-round
-// FGM run, the metrics registry and its JSON export, and the JSONL event
-// schema (golden lines + parse round-trip).
+// FGM run, the runner's metrics.json summary, and the JSONL event schema
+// (golden lines + parse round-trip).
 
 #include <cmath>
 #include <cstdint>
@@ -14,14 +14,16 @@
 #include <gtest/gtest.h>
 
 #include "core/fgm_protocol.h"
+#include "driver/runner.h"
+#include "net/transport.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/replay.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "query/query.h"
 #include "sketch/fast_agms.h"
 #include "stream/record.h"
+#include "stream/worldcup.h"
 #include "util/rng.h"
 
 namespace fgm {
@@ -95,57 +97,6 @@ TEST(TraceSink, FgmRunEventOrdering) {
   EXPECT_EQ(subround_starts, protocol.subrounds());
   EXPECT_EQ(rebalances, protocol.rebalances());
   EXPECT_EQ(sink.events(), static_cast<int64_t>(events.size()));
-}
-
-TEST(MetricsRegistry, InstrumentsAndPointerStability) {
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("rounds");
-  c->Add(3);
-  c->Add();
-  EXPECT_EQ(c->value(), 4);
-  EXPECT_EQ(registry.GetCounter("rounds"), c) << "same name, same instrument";
-
-  registry.GetGauge("comm_cost")->Set(0.25);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("comm_cost")->value(), 0.25);
-
-  RunningStats* s = registry.GetStats("psi");
-  s->Add(1.0);
-  s->Add(3.0);
-  EXPECT_DOUBLE_EQ(s->mean(), 2.0);
-
-  CountHistogram* h = registry.GetHistogram("subrounds_per_round");
-  h->Add(7);
-  h->Add(7);
-  h->Add(9);
-  EXPECT_EQ(h->total(), 3);
-
-  WallTimer* t = registry.GetTimer("sketch_update");
-  t->AddSeconds(0.5);
-  EXPECT_EQ(t->count(), 1);
-}
-
-TEST(MetricsRegistry, JsonExportCarriesEveryInstrument) {
-  MetricsRegistry registry;
-  registry.GetCounter("events")->Add(42);
-  registry.GetGauge("cost")->Set(0.5);
-  registry.GetStats("psi")->Add(2.0);
-  registry.GetHistogram("rounds")->Add(3);
-  registry.GetTimer("encode")->AddSeconds(1.5);
-
-  const std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"events\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"cost\":0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"stats\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"timers\""), std::string::npos);
-  EXPECT_NE(json.find("\"encode\""), std::string::npos);
-}
-
-TEST(ScopedTimer, NullTimerIsANoOp) {
-  // Must not crash and must not require a registry.
-  ScopedTimer timer(nullptr);
 }
 
 // Golden JSONL lines: the schema is a contract with the offline checker
@@ -501,6 +452,163 @@ TEST(JsonlSchema, ParseRoundTripsBitExactly) {
   EXPECT_FALSE(ParseTraceEventJson("{\"ev\":\"NoSuchEvent\",\"seq\":0}",
                                    &parsed, &error));
   EXPECT_FALSE(ParseTraceEventJson("not json", &parsed, &error));
+}
+
+
+// ---------------------------------------------------------------------
+// metrics.json: the runner writes it from RunResult alone. These runs
+// pin every number the file holds beyond the "run" totals: the subround
+// histogram, the FGM/O plan-audit statistics and the speculation
+// accounting.
+
+/// Runs `config` over a WorldCup stream of `updates` records and parses
+/// the metrics.json it writes.
+JsonNode RunAndReadMetrics(RunConfig config, int64_t updates,
+                           const std::string& name) {
+  config.metrics_out = ::testing::TempDir() + "/" + name + "_metrics.json";
+  WorldCupConfig wc;
+  wc.sites = config.sites;
+  wc.total_updates = updates;
+  Run(config, GenerateWorldCupTrace(wc));
+  std::ifstream in(config.metrics_out);
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonNode doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(text.str(), &doc, &error)) << error;
+  return doc;
+}
+
+/// The runner's defaults at 5 sites, width 60 and 30,000 updates.
+JsonNode RunMetricsFile(RunConfig config, const std::string& name) {
+  config.sites = 5;
+  config.depth = 5;
+  config.width = 60;
+  config.window_seconds = 14400.0;
+  config.check_every = 5000;
+  return RunAndReadMetrics(config, 30000, name);
+}
+
+/// The node at a '.'-separated member path, or nullptr.
+const JsonNode* At(const JsonNode& doc, const std::string& path) {
+  const JsonNode* node = &doc;
+  size_t begin = 0;
+  while (node != nullptr && begin <= path.size()) {
+    size_t end = path.find('.', begin);
+    if (end == std::string::npos) end = path.size();
+    node = node->Find(path.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return node;
+}
+
+int64_t IntAt(const JsonNode& doc, const std::string& path) {
+  const JsonNode* v = At(doc, path);
+  EXPECT_NE(v, nullptr) << path;
+  return v != nullptr ? v->AsInt(-1) : -1;
+}
+
+double DoubleAt(const JsonNode& doc, const std::string& path) {
+  const JsonNode* v = At(doc, path);
+  EXPECT_NE(v, nullptr) << path;
+  return v != nullptr ? v->AsDouble(-1.0) : -1.0;
+}
+
+TEST(MetricsFile, SerialFgmKeepsTheSubroundHistogram) {
+  RunConfig config;
+  config.protocol = ProtocolKind::kFgm;
+  const JsonNode doc = RunMetricsFile(config, "serial_fgm");
+  const std::string h = "subrounds_per_round.";
+  EXPECT_EQ(IntAt(doc, h + "total"), 247);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, h + "mean"), 4.526315789473684);
+  EXPECT_EQ(IntAt(doc, h + "max"), 34);
+  EXPECT_EQ(IntAt(doc, h + "p50"), 3);
+  EXPECT_EQ(IntAt(doc, h + "p95"), 11);
+  const std::map<std::string, int64_t> buckets = {
+      {"1", 13}, {"2", 37}, {"3", 76}, {"4", 47}, {"5", 20}, {"6", 12},
+      {"7", 8},  {"8", 10}, {"9", 8},  {"10", 2}, {"11", 6}, {"12", 2},
+      {"14", 1}, {"15", 1}, {"19", 1}, {"20", 1}, {"23", 1}, {"34", 1}};
+  const JsonNode* b = At(doc, h + "buckets");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->members.size(), buckets.size());
+  for (const auto& [v, count] : buckets) {
+    EXPECT_EQ(IntAt(*b, v), count) << "bucket " << v;
+  }
+  // FGM predicts no plans, and a serial run speculates nothing.
+  EXPECT_EQ(At(doc, "plan_gain"), nullptr);
+  EXPECT_EQ(At(doc, "speculation"), nullptr);
+}
+
+TEST(MetricsFile, ParallelFgmoKeepsEveryUniqueNumber) {
+  RunConfig config;
+  config.protocol = ProtocolKind::kFgmOpt;
+  config.threads = 4;
+  const JsonNode doc = RunMetricsFile(config, "fgmo4");
+  // Plan-audit error statistics.
+  const std::string abs = "plan_gain.abs_err.";
+  EXPECT_EQ(IntAt(doc, abs + "count"), 730);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, abs + "mean"), 125.29322540184121);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, abs + "stddev"), 1282.6384272095659);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, abs + "min"), 3.30169903639559);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, abs + "max"), 34309.710807577954);
+  const std::string rel = "plan_gain.rel_err.";
+  EXPECT_EQ(IntAt(doc, rel + "count"), 730);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, rel + "mean"), 0.6628091918723483);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, rel + "stddev"), 0.9577789105631641);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, rel + "min"), 0.003529903053046149);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, rel + "max"), 21.909138446729216);
+  // Subround histogram.
+  const std::string h = "subrounds_per_round.";
+  EXPECT_EQ(IntAt(doc, h + "total"), 735);
+  EXPECT_DOUBLE_EQ(DoubleAt(doc, h + "mean"), 3.6666666666666665);
+  EXPECT_EQ(IntAt(doc, h + "max"), 37);
+  EXPECT_EQ(IntAt(doc, h + "p50"), 3);
+  EXPECT_EQ(IntAt(doc, h + "p95"), 9);
+  EXPECT_EQ(IntAt(doc, h + "buckets.3"), 294);
+  EXPECT_EQ(IntAt(doc, h + "buckets.37"), 1);
+  // Speculation counts: windows, barriers and replays in "run", the rest
+  // in "speculation".
+  EXPECT_EQ(IntAt(doc, "run.parallel_windows"), 1291);
+  EXPECT_EQ(IntAt(doc, "run.parallel_barriers"), 1212);
+  EXPECT_EQ(IntAt(doc, "run.replayed_records"), 39870);
+  EXPECT_EQ(IntAt(doc, "speculation.wasted_records"), 151247);
+  EXPECT_EQ(IntAt(doc, "speculation.soft_commits"), 1483);
+  // Per-thread task tallies: which thread ran a task varies from run to
+  // run, the total does not.
+  const JsonNode* tasks = At(doc, "speculation.thread_tasks");
+  ASSERT_NE(tasks, nullptr);
+  ASSERT_EQ(tasks->items.size(), 4u);
+  int64_t total_tasks = 0;
+  for (const JsonNode& n : tasks->items) total_tasks += n.AsInt();
+  EXPECT_EQ(total_tasks, 12470);
+  // Wall times: present, values vary.
+  EXPECT_GE(DoubleAt(doc, "speculation.speculate_s"), 0.0);
+  EXPECT_GE(DoubleAt(doc, "speculation.commit_s"), 0.0);
+}
+
+// "strict_wire" reports the mode the run's root transport used, not the
+// --strict_wire flag: a simulated network always serializes.
+TEST(MetricsFile, StrictWireReportsTheTransportMode) {
+  auto strict_wire = [](RunConfig config, const std::string& name) {
+    config.sites = 4;
+    config.depth = 5;
+    config.width = 60;
+    const JsonNode doc = RunAndReadMetrics(config, 5000, name);
+    const JsonNode* v = At(doc, "run.strict_wire");
+    EXPECT_NE(v, nullptr);
+    EXPECT_EQ(v != nullptr ? v->type : JsonNode::Type::kNull,
+              JsonNode::Type::kBool);
+    return v != nullptr && v->boolean;
+  };
+  RunConfig sim;
+  sim.net.latency = "fixed:4";
+  EXPECT_TRUE(strict_wire(sim, "sim"));
+  RunConfig strict;
+  strict.strict_wire = true;
+  EXPECT_TRUE(strict_wire(strict, "strict"));
+  // A plain run follows FGM_STRICT_WIRE: false unless it is set.
+  EXPECT_EQ(strict_wire(RunConfig{}, "plain"),
+            Transport(1, TransportMode::kAuto).strict());
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "driver/runner.h"
 #include "exec/thread_pool.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -281,10 +280,10 @@ TEST(ParallelDeterminism, TimeSeriesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Parallel runs publish speculation accounting through the metrics
-// registry at window granularity; the serial path must publish none.
-TEST(ParallelDeterminism, SpeculationMetricsPublishedAtWindowGranularity) {
-  auto run_metrics = [](int threads) {
+// Parallel runs account their speculation in RunResult; the serial path
+// reports none.
+TEST(ParallelDeterminism, SpeculationAccountedInRunResult) {
+  auto run = [](int threads) {
     RunConfig config;
     config.protocol = ProtocolKind::kFgm;
     config.query = QueryKind::kSelfJoin;
@@ -292,34 +291,21 @@ TEST(ParallelDeterminism, SpeculationMetricsPublishedAtWindowGranularity) {
     config.depth = 5;
     config.width = 60;
     config.threads = threads;
-    auto metrics = std::make_unique<MetricsRegistry>();
-    config.metrics = metrics.get();
 
     WorldCupConfig wc;
     wc.sites = config.sites;
     wc.total_updates = 30000;
-    const RunResult r = ::fgm::Run(config, GenerateWorldCupTrace(wc));
-    return std::make_pair(std::move(metrics), r);
+    return ::fgm::Run(config, GenerateWorldCupTrace(wc));
   };
-  auto [parallel, r] = run_metrics(4);
-  EXPECT_EQ(parallel->GetCounter("spec_windows")->value(),
-            r.parallel_windows);
-  EXPECT_EQ(parallel->GetCounter("spec_barriers")->value(),
-            r.parallel_barriers);
-  EXPECT_EQ(parallel->GetCounter("spec_records_replayed")->value(),
-            r.replayed_records);
-  EXPECT_EQ(parallel->GetCounter("spec_records_committed")->value(),
-            r.events);
-  EXPECT_GE(parallel->GetCounter("spec_records_speculated")->value(),
-            parallel->GetCounter("spec_records_committed")->value());
-  // Wasted work = speculated beyond the committed prefix; re-derivable.
-  EXPECT_EQ(parallel->GetCounter("spec_records_speculated")->value() -
-                parallel->GetCounter("spec_records_committed")->value(),
-            parallel->GetCounter("spec_records_wasted")->value());
-
-  auto [serial, rs] = run_metrics(1);
-  EXPECT_EQ(serial->GetCounter("spec_windows")->value(), 0)
-      << "serial path publishes no speculation metrics";
+  const RunResult parallel = run(4);
+  const RunResult serial = run(1);
+  EXPECT_EQ(serial.parallel_windows, 0) << "serial path speculates nothing";
+  EXPECT_TRUE(serial.thread_tasks.empty());
+  EXPECT_GT(parallel.parallel_windows, 0);
+  EXPECT_EQ(parallel.thread_tasks.size(), 4u);
+  // Every record is committed exactly once.
+  EXPECT_EQ(parallel.events, serial.events);
+  EXPECT_LE(parallel.parallel_barriers, parallel.parallel_windows);
 }
 
 TEST(ParallelDeterminism, CentralFallsBackToSerial) {

@@ -17,9 +17,10 @@
 // The three files describe one run three ways, so the report cross-checks
 // them against each other bit-exactly (the trace_check discipline):
 //
-//  * the trace replays clean through obs/replay.h;
-//  * per-round MsgSent word sums re-add to the RunEnd traffic totals;
-//  * each PlanOutcome's words/updates/actual_gain match the per-round sums;
+//  * the trace replays clean through obs/replay.h, which also certifies
+//    the MsgSent ledger against RunEnd and each PlanOutcome's words and
+//    gain; the report adds that RunEnd is present and that each
+//    PlanOutcome restates its PlanChosen's predicted gain;
 //  * metrics.json's run totals and words_by_kind equal the trace's;
 //  * every time-series round sample's cumulative and per-round word counts
 //    (total and per message kind), subround count and plan-audit numbers
@@ -106,7 +107,6 @@ struct RoundStats {
 
   bool has_outcome = false;  ///< saw PlanOutcome
   int64_t updates = 0;
-  int64_t outcome_words = 0;
   double outcome_pred_gain = 0.0;
   double actual_gain = 0.0;
 
@@ -192,8 +192,6 @@ struct TraceSummary {
   int64_t run_events = 0;  ///< RunEnd's count: total trace events emitted
   int64_t run_up_words = 0;
   int64_t run_down_words = 0;
-  int64_t run_up_msgs = 0;
-  int64_t run_down_msgs = 0;
 
   RoundStats& Round(int64_t r) {
     if (r < 0) r = 0;
@@ -355,7 +353,6 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
         RoundStats& r = out->Round(e.round);
         r.has_outcome = true;
         r.updates = e.count;
-        r.outcome_words = e.words;
         r.outcome_pred_gain = e.pred_gain;
         r.actual_gain = e.actual_gain;
         break;
@@ -400,8 +397,6 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
         out->run_events = e.count;
         out->run_up_words = e.up_words;
         out->run_down_words = e.down_words;
-        out->run_up_msgs = e.up_msgs;
-        out->run_down_msgs = e.down_msgs;
         break;
       case fgm::TraceEventKind::kTierEnd:
         break;  // unreachable in valid traces: TierEnd is always tier-stamped
@@ -447,36 +442,16 @@ struct Checker {
   bool ok() const { return failures.empty(); }
 };
 
-/// Trace-internal checks: the per-round ledger must re-add to the RunEnd
-/// totals, and every PlanOutcome must restate its round's sums.
+/// Trace-internal checks the replay checker does not make: the trace
+/// reached RunEnd, and every PlanOutcome restates its PlanChosen's
+/// predicted gain.
 void CheckTraceInternal(const TraceSummary& t, Checker* c) {
   c->Expect(t.saw_run_end, "trace has no RunEnd event");
-  int64_t up = 0, down = 0, msgs = 0;
   for (const RoundStats& r : t.rounds) {
-    up += r.up_words;
-    down += r.down_words;
-    msgs += r.msgs;
-  }
-  if (t.saw_run_end) {
-    c->ExpectEqInt(up, t.run_up_words, "sum of per-round upstream words");
-    c->ExpectEqInt(down, t.run_down_words,
-                   "sum of per-round downstream words");
-    c->ExpectEqInt(msgs, t.run_up_msgs + t.run_down_msgs,
-                   "sum of per-round message counts");
-  }
-  for (const RoundStats& r : t.rounds) {
-    if (!r.has_outcome) continue;
-    const std::string tag = Format("round %lld", (long long)r.round);
-    c->ExpectEqInt(r.outcome_words, r.words(),
-                   tag + " PlanOutcome words vs summed MsgSent words");
-    c->ExpectEqDouble(r.actual_gain,
-                      static_cast<double>(r.updates) -
-                          static_cast<double>(r.outcome_words),
-                      tag + " PlanOutcome actual_gain vs updates - words");
-    if (r.has_plan) {
-      c->ExpectEqDouble(r.outcome_pred_gain, r.pred_gain,
-                        tag + " PlanOutcome pred_gain vs PlanChosen");
-    }
+    if (!r.has_outcome || !r.has_plan) continue;
+    c->ExpectEqDouble(r.outcome_pred_gain, r.pred_gain,
+                      Format("round %lld PlanOutcome pred_gain vs PlanChosen",
+                             static_cast<long long>(r.round)));
   }
 }
 
@@ -916,27 +891,9 @@ void PrintAlerts(const TraceSummary& t, int64_t max_rounds) {
   table.Print();
 }
 
-int64_t MetricCounter(const fgm::JsonNode& m, const char* name) {
-  const fgm::JsonNode* counters = m.Find("metrics") != nullptr
-                                      ? m.Find("metrics")->Find("counters")
-                                      : nullptr;
-  const fgm::JsonNode* v =
-      counters != nullptr ? counters->Find(name) : nullptr;
-  return v != nullptr ? v->AsInt() : 0;
-}
-
-double MetricTimerSeconds(const fgm::JsonNode& m, const char* name) {
-  const fgm::JsonNode* timers = m.Find("metrics") != nullptr
-                                    ? m.Find("metrics")->Find("timers")
-                                    : nullptr;
-  const fgm::JsonNode* t = timers != nullptr ? timers->Find(name) : nullptr;
-  const fgm::JsonNode* v = t != nullptr ? t->Find("total_seconds") : nullptr;
-  return v != nullptr ? v->AsDouble() : 0.0;
-}
-
-/// The speculation-efficiency numbers the report derives from the
-/// metrics registry's spec_* counters. All zero (windows == 0) when the
-/// run was serial.
+/// The speculation-efficiency numbers the report derives from
+/// metrics.json's "run" and "speculation" objects. All zero
+/// (windows == 0) when the run was serial.
 struct SpeculationSummary {
   int64_t windows = 0;
   int64_t barriers = 0;
@@ -945,6 +902,9 @@ struct SpeculationSummary {
   int64_t replayed = 0;
   int64_t wasted = 0;
   int64_t soft_commits = 0;
+  std::vector<int64_t> thread_tasks;
+  double speculate_s = 0.0;
+  double commit_s = 0.0;
 
   double barrier_rate() const {
     return windows > 0
@@ -970,29 +930,37 @@ struct SpeculationSummary {
 
 SpeculationSummary ReadSpeculation(const fgm::JsonNode& m) {
   SpeculationSummary s;
-  s.windows = MetricCounter(m, "spec_windows");
-  s.barriers = MetricCounter(m, "spec_barriers");
-  s.speculated = MetricCounter(m, "spec_records_speculated");
-  s.committed = MetricCounter(m, "spec_records_committed");
-  s.replayed = MetricCounter(m, "spec_records_replayed");
-  s.wasted = MetricCounter(m, "spec_records_wasted");
-  s.soft_commits = MetricCounter(m, "spec_soft_commits");
+  const fgm::JsonNode* run = m.Find("run");
+  const fgm::JsonNode* spec = m.Find("speculation");
+  if (run == nullptr || spec == nullptr) return s;
+  auto int_at = [](const fgm::JsonNode* obj, const char* name) {
+    const fgm::JsonNode* v = obj->Find(name);
+    return v != nullptr ? v->AsInt() : 0;
+  };
+  auto seconds_at = [](const fgm::JsonNode* obj, const char* name) {
+    const fgm::JsonNode* v = obj->Find(name);
+    return v != nullptr ? v->AsDouble() : 0.0;
+  };
+  s.windows = int_at(run, "parallel_windows");
+  s.barriers = int_at(run, "parallel_barriers");
+  s.replayed = int_at(run, "replayed_records");
+  // Every record of a parallel run is committed exactly once, and every
+  // speculated record is committed or wasted.
+  s.committed = int_at(run, "events");
+  s.wasted = int_at(spec, "wasted_records");
+  s.speculated = s.committed + s.wasted;
+  s.soft_commits = int_at(spec, "soft_commits");
+  if (const fgm::JsonNode* tasks = spec->Find("thread_tasks")) {
+    for (const fgm::JsonNode& n : tasks->items) {
+      s.thread_tasks.push_back(n.AsInt());
+    }
+  }
+  s.speculate_s = seconds_at(spec, "speculate_s");
+  s.commit_s = seconds_at(spec, "commit_s");
   return s;
 }
 
-/// The spec_* counters must balance: every speculated record was either
-/// committed or wasted, and replay only re-derives committed prefixes.
-void CheckSpeculation(const SpeculationSummary& s, Checker* c) {
-  if (s.windows == 0) return;
-  c->ExpectEqInt(s.speculated, s.committed + s.wasted,
-                 "speculation: speculated vs committed + wasted");
-  c->Expect(s.replayed <= s.committed,
-            "speculation: replayed exceeds committed records");
-  c->Expect(s.barriers <= s.windows,
-            "speculation: more barriers than windows");
-}
-
-void PrintSpeculation(const fgm::JsonNode& m, const SpeculationSummary& s) {
+void PrintSpeculation(const SpeculationSummary& s) {
   if (s.windows == 0) return;
   fgm::PrintBanner("Speculation efficiency (parallel runner)");
   std::printf(
@@ -1008,21 +976,14 @@ void PrintSpeculation(const fgm::JsonNode& m, const SpeculationSummary& s) {
       static_cast<long long>(s.committed),
       static_cast<long long>(s.replayed), static_cast<long long>(s.wasted),
       s.commit_efficiency(), s.waste_ratio(), s.replayed_per_window(),
-      MetricTimerSeconds(m, "spec_speculate"),
-      MetricTimerSeconds(m, "spec_commit"));
-  const fgm::JsonNode* gauges = m.Find("metrics") != nullptr
-                                    ? m.Find("metrics")->Find("gauges")
-                                    : nullptr;
-  if (gauges != nullptr) {
-    std::string tasks;
-    for (const auto& [name, value] : gauges->members) {
-      if (name.rfind("spec_thread", 0) != 0) continue;
-      if (!tasks.empty()) tasks += " ";
-      tasks += Format("%s=%lld", name.c_str() + std::strlen("spec_"),
-                      static_cast<long long>(value.AsInt()));
-    }
-    if (!tasks.empty()) std::printf("per-thread tasks: %s\n", tasks.c_str());
+      s.speculate_s, s.commit_s);
+  std::string tasks;
+  for (size_t i = 0; i < s.thread_tasks.size(); ++i) {
+    if (!tasks.empty()) tasks += " ";
+    tasks += Format("thread%zu_tasks=%lld", i,
+                    static_cast<long long>(s.thread_tasks[i]));
   }
+  if (!tasks.empty()) std::printf("per-thread tasks: %s\n", tasks.c_str());
 }
 
 /// Run-level time split + straggler attribution, computed from the span
@@ -1267,8 +1228,8 @@ int main(int argc, char** argv) {
   const int64_t max_rounds = flags.GetInt("max_rounds", 24);
   const bool check = flags.GetBool("check", true);
   // Fixture hook: fail unless the metrics carry parallel-runner
-  // speculation counters (spec_windows > 0). Guards the report's
-  // speculation section against silently disappearing.
+  // speculation (parallel_windows > 0 and a "speculation" object). Guards
+  // the report's speculation section against silently disappearing.
   const bool expect_spec = flags.GetBool("expect_spec", false);
   // Fixture hook: fail unless the trace carries at least one AlertRaised
   // event (health monitor). Guards the alert pipeline the same way.
@@ -1312,14 +1273,11 @@ int main(int argc, char** argv) {
     CheckMetrics(trace, metrics, &checks);
   }
   SpeculationSummary spec;
-  if (have_metrics) {
-    spec = ReadSpeculation(metrics);
-    CheckSpeculation(spec, &checks);
-  }
+  if (have_metrics) spec = ReadSpeculation(metrics);
   if (expect_spec) {
     checks.Expect(spec.windows > 0,
-                  "expect_spec: metrics carry no speculation counters "
-                  "(spec_windows == 0 or --metrics missing)");
+                  "expect_spec: metrics carry no speculation "
+                  "(no \"speculation\" object, or --metrics missing)");
   }
   if (expect_alerts) {
     checks.Expect(trace.alerts_raised > 0,
@@ -1375,7 +1333,7 @@ int main(int argc, char** argv) {
   PrintSiteSkew(trace);
   PrintOptimizerAudit(trace, max_rounds);
   PrintAlerts(trace, max_rounds);
-  if (have_metrics) PrintSpeculation(metrics, spec);
+  PrintSpeculation(spec);
   PrintNetwork(trace, have_metrics ? &metrics : nullptr,
                have_ts ? &ts : nullptr);
   if (have_spans) PrintCriticalPath(span_stats, critical_path, max_rounds);
