@@ -158,23 +158,6 @@ void Main() {
     AddRow(&table, "adverse, FGM/O", RunFgm(trace, adverse, opt));
     table.Print();
   }
-
-  {
-    PrintBanner("A6: optimizer rate prediction order (§4.2.5 extension)");
-    TablePrinter table({"regime / model", "comm.cost", "upstream%", "rounds",
-                        "subrounds", "rebalances"});
-    FgmConfig first;
-    first.optimizer = true;
-    FgmConfig second = first;
-    second.optimizer_second_order = true;
-    AddRow(&table, "typical, first-order", RunFgm(trace, typical, first));
-    AddRow(&table, "typical, second-order", RunFgm(trace, typical, second));
-    const RunConfig adverse = BaseConfig(QueryKind::kSelfJoin, kPaperSites,
-                                         35000.0, 0.02, 3600.0, scale);
-    AddRow(&table, "adverse, first-order", RunFgm(trace, adverse, first));
-    AddRow(&table, "adverse, second-order", RunFgm(trace, adverse, second));
-    table.Print();
-  }
 }
 
 }  // namespace

@@ -41,11 +41,6 @@ struct FgmConfig {
   /// between the full safe function and the 3-word cheap bound per site.
   bool optimizer = false;
 
-  /// Second-order rate prediction for the optimizer (§4.2.5's suggested
-  /// extension): extrapolates the per-site rates from the last two rounds
-  /// instead of reusing the last round's verbatim.
-  bool optimizer_second_order = false;
-
   /// Rebalancing is abandoned (the round ends) when the recomputed scale
   /// λ = 1 - µ* drops below this. Must exceed eps_psi.
   double min_lambda = 0.05;
@@ -80,11 +75,6 @@ struct FgmConfig {
   /// attribution. Non-owning; nullptr (the default) disables spans and
   /// every hook reduces to one branch.
   SpanSink* spans = nullptr;
-
-  /// Ships the innermost open span's id as one extra word on every wire
-  /// message (charged and, in strict mode, actually encoded). Off
-  /// by default so default traffic stays bit-identical.
-  bool span_wire = false;
 
   /// Live run-health monitor (obs/health.h): EWMA estimators over the
   /// round-boundary snapshot stream plus the alert-rule engine. Fed at

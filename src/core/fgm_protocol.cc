@@ -102,7 +102,6 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
   for (const std::unique_ptr<Transport>& transport : transports_) {
     if (trace_ != nullptr) transport->set_trace(trace_);
     if (spans_ != nullptr) transport->set_spans(spans_);
-    if (config_.span_wire) transport->set_span_wire(true);
   }
   StartRound();
   // The very first round has no previous round to count against; its
@@ -617,12 +616,7 @@ void FgmProtocol::StartRound() {
       view = &health_view;
     }
     const std::vector<SiteRates>& rates =
-        health_rates
-            ? scratch_rates_
-            : ((config_.optimizer_second_order && have_older_rates_)
-                   ? (scratch_rates_ =
-                          ExtrapolateRates(older_rates_, prev_rates_))
-                   : prev_rates_);
+        health_rates ? scratch_rates_ : prev_rates_;
     rates_used = &rates;
     const RoundPlan round_plan = OptimizeRoundPlan(
         rates, static_cast<int64_t>(query_->dimension()), overhead, view);
@@ -1055,10 +1049,6 @@ void FgmProtocol::EndRound(bool already_flushed) {
       tau += child_updates[s];
     }
     if (tau > 0) {
-      if (have_rates_) {
-        older_rates_ = std::move(prev_rates_);
-        have_older_rates_ = true;
-      }
       prev_rates_ =
           EstimateSiteRates(phi_zero_, phi_end, drift_norm, child_updates);
       have_rates_ = true;
@@ -1330,7 +1320,7 @@ void FgmProtocol::ApplyCounterDelta(int child, int64_t cumulative,
 
 void FgmProtocol::MaybeSilencePoll() {
   if (!lossy_net_ || paused_) return;
-  if (sim_->now() - last_counter_activity_ < config_.net.silence_timeout) {
+  if (sim_->now() - last_counter_activity_ < sim::kSilenceTicks) {
     return;
   }
   // The subround may be stalled on dropped datagrams from children that
@@ -1355,7 +1345,7 @@ void FgmProtocol::CheckDeadlines() {
   for (int j = 0; j < m_; ++j) {
     const size_t s = static_cast<size_t>(j);
     if (in_round_[s] != 0 && child_ok_[s] == 0 &&
-        sim_->now() - down_since_[s] >= config_.net.dead_deadline) {
+        sim_->now() - down_since_[s] >= sim::kDeadSiteTicks) {
       expired = true;
       break;
     }

@@ -353,12 +353,13 @@ class FgmProtocol : public MonitoringProtocol {
   /// `child`, emitting kIncrementMsg for the positive delta (if any).
   void ApplyCounterDelta(int child, int64_t cumulative, const char* reason);
   /// Coordinator re-polls every live member's cumulative counter after
-  /// silence_timeout ticks without counter activity (lossy links only —
+  /// sim::kSilenceTicks without counter activity (lossy links only —
   /// a dropped datagram whose sender then goes quiet would otherwise
   /// stall the subround forever).
   void MaybeSilencePoll();
-  /// Drops members dead past dead_deadline from the round: ends the round
-  /// over the surviving children (reduced-m graceful degradation).
+  /// Drops members dead past sim::kDeadSiteTicks from the round: ends
+  /// the round over the surviving children (reduced-m graceful
+  /// degradation).
   void CheckDeadlines();
   /// Crash/rejoin handshake for a child still in the round: re-ships the
   /// round state (E, θ, λ, epoch) as a kResync message and rebuilds the
@@ -464,8 +465,6 @@ class FgmProtocol : public MonitoringProtocol {
   std::vector<int64_t> round_updates_;   ///< Σ flushed update counts
   bool have_rates_ = false;
   std::vector<SiteRates> prev_rates_;
-  bool have_older_rates_ = false;
-  std::vector<SiteRates> older_rates_;  // for second-order extrapolation
   mutable std::vector<SiteRates> scratch_rates_;
 
   // Optimizer feedback guard: measured words/update of mostly-full vs

@@ -96,22 +96,6 @@ RoundPlan OptimizeRoundPlan(const std::vector<SiteRates>& rates,
   return plan;
 }
 
-std::vector<SiteRates> ExtrapolateRates(const std::vector<SiteRates>& prev,
-                                        const std::vector<SiteRates>& last,
-                                        double damping) {
-  FGM_CHECK_EQ(prev.size(), last.size());
-  std::vector<SiteRates> result = last;
-  for (size_t i = 0; i < last.size(); ++i) {
-    if (!prev[i].active || !last[i].active) continue;
-    SiteRates& r = result[i];
-    r.alpha = last[i].alpha + damping * (last[i].alpha - prev[i].alpha);
-    r.beta = last[i].beta + damping * (last[i].beta - prev[i].beta);
-    if (r.alpha <= 0.0) r.alpha = kTinyRate;
-    if (r.beta < r.alpha) r.beta = r.alpha;
-  }
-  return result;
-}
-
 std::vector<SiteRates> EstimateSiteRates(
     double phi_zero, const std::vector<double>& phi_end,
     const std::vector<double>& drift_norm,

@@ -64,14 +64,6 @@ RoundPlan OptimizeRoundPlan(const std::vector<SiteRates>& rates,
                             double round_overhead_words = 0.0,
                             const HealthView* health = nullptr);
 
-/// Second-order rate prediction (the paper's §4.2.5 suggests higher-order
-/// models as future work): linearly extrapolates each site's α/β from the
-/// last two rounds, α' = α_last + damping·(α_last - α_prev), clamped back
-/// to 0 < α ≤ β. Sites inactive in either round stay first-order.
-std::vector<SiteRates> ExtrapolateRates(const std::vector<SiteRates>& prev,
-                                        const std::vector<SiteRates>& last,
-                                        double damping = 1.0);
-
 /// Derives the rate estimates from the previous round's observations
 /// (§4.2.4): `phi_zero` = φ(0) < 0 of the previous round's function,
 /// `phi_end[i]` = φ(X_i) at round end, `drift_norm[i]` = ‖X_i‖ at round

@@ -55,28 +55,28 @@ const char* ProtocolKindName(ProtocolKind kind) {
 }
 
 std::unique_ptr<ContinuousQuery> MakeQuery(const RunConfig& config) {
+  constexpr double kQuantilePhi = 0.95;
+  constexpr int kQuantileBuckets = 48;
   switch (config.query) {
     case QueryKind::kSelfJoin: {
       auto projection = std::make_shared<const AgmsProjection>(
           config.depth, config.width, config.sketch_seed);
-      return std::make_unique<SelfJoinQuery>(projection, config.epsilon,
-                                             config.threshold_floor);
+      return std::make_unique<SelfJoinQuery>(projection, config.epsilon);
     }
     case QueryKind::kJoin: {
       auto projection = std::make_shared<const AgmsProjection>(
           config.depth, config.width, config.sketch_seed);
-      return std::make_unique<JoinQuery>(projection, config.epsilon,
-                                         config.threshold_floor);
+      return std::make_unique<JoinQuery>(projection, config.epsilon);
     }
     case QueryKind::kFpNorm:
-      return std::make_unique<FpNormQuery>(
-          config.fp_dimension, config.fp_p, config.epsilon,
-          FpNormQuery::Mode::kTwoSided, config.threshold_floor);
+      // The two-sided band supports p = 2 only.
+      return std::make_unique<FpNormQuery>(config.fp_dimension, 2.0,
+                                           config.epsilon,
+                                           FpNormQuery::Mode::kTwoSided);
     case QueryKind::kVariance:
       return std::make_unique<VarianceQuery>(config.epsilon);
     case QueryKind::kQuantile:
-      return std::make_unique<QuantileQuery>(config.quantile_buckets,
-                                             config.quantile_phi,
+      return std::make_unique<QuantileQuery>(kQuantileBuckets, kQuantilePhi,
                                              config.epsilon);
   }
   FGM_CHECK(false);
@@ -137,7 +137,6 @@ std::unique_ptr<MonitoringProtocol> BuildProtocol(
   fgm.trace = config.trace;
   fgm.timeseries = config.timeseries;
   fgm.spans = config.spans;
-  fgm.span_wire = config.span_wire;
   fgm.health = config.health;
   fgm.health_planning = config.health_planning;
   return std::make_unique<FgmProtocol>(query, topo, fgm);
@@ -389,10 +388,10 @@ RunResult Run(const RunConfig& base_config,
     }
   };
 
-  // Interval snapshots and the stderr heartbeat. Both run at their own
-  // cadence outside the protocol's record path; in parallel mode the
-  // chunking below aligns to the snapshot boundary so the series is
-  // bit-identical for every thread count.
+  // Interval snapshots run at their own cadence outside the protocol's
+  // record path; in parallel mode the chunking below aligns to the
+  // snapshot boundary so the series is bit-identical for every thread
+  // count.
   FgmProtocol* fgm = dynamic_cast<FgmProtocol*>(protocol.get());
   const int64_t snap_every = config.snapshot_every;
   const bool sample = config.timeseries != nullptr && snap_every > 0;
@@ -462,27 +461,6 @@ RunResult Run(const RunConfig& base_config,
     return StopRequested() || (die_at > 0 && n >= die_at);
   };
 
-  const int64_t progress = config.progress_every;
-  auto progress_emit = [&](int64_t records) {
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    const double rate =
-        secs > 0.0 ? static_cast<double>(records) / secs : 0.0;
-    if (fgm != nullptr) {
-      std::fprintf(stderr,
-                   "[fgm] %lld records  %.0f rec/s  round %lld  psi %.6g\n",
-                   static_cast<long long>(records), rate,
-                   static_cast<long long>(protocol->rounds()),
-                   fgm->last_psi());
-    } else {
-      std::fprintf(stderr, "[fgm] %lld records  %.0f rec/s  round %lld\n",
-                   static_cast<long long>(records), rate,
-                   static_cast<long long>(protocol->rounds()));
-    }
-  };
-
   const bool parallel =
       config.threads > 1 && fgm != nullptr && fgm->SupportsSpeculation();
   if (config.threads > 1 && !parallel) {
@@ -535,7 +513,6 @@ RunResult Run(const RunConfig& base_config,
         chunk.push_back(*rec);
       }
       if (chunk.empty()) break;
-      const int64_t chunk_start = n;
       par.Process(chunk.data(), static_cast<int64_t>(chunk.size()));
       for (const StreamRecord& rec : chunk) {
         ++n;
@@ -545,9 +522,6 @@ RunResult Run(const RunConfig& base_config,
       if (live && n % live_every == 0) {
         health->ObserveSpeculation(n, par.wasted_records());
         live_emit(n);
-      }
-      if (progress > 0 && n / progress != chunk_start / progress) {
-        progress_emit(n);
       }
       if (should_stop()) break;
     }
@@ -567,7 +541,6 @@ RunResult Run(const RunConfig& base_config,
       if (verify) verify_record(*rec);
       if (sample && n % snap_every == 0) interval_snapshot(n);
       if (live && n % live_every == 0) live_emit(n);
-      if (progress > 0 && n % progress == 0) progress_emit(n);
       if (should_stop()) break;
     }
   }

@@ -63,16 +63,11 @@ struct RunConfig {
   int width = 500;
   uint64_t sketch_seed = 0xA65;
 
-  // F_p query parameters (the two-sided ‖S‖_p band).
-  double fp_p = 2.0;
+  /// Dimension of the F_p query's frequency vector (the two-sided ‖S‖_2
+  /// band).
   size_t fp_dimension = 1024;
 
   double epsilon = 0.1;
-  double threshold_floor = 1.0;
-
-  // Quantile query parameters.
-  double quantile_phi = 0.95;
-  int quantile_buckets = 48;
 
   /// Sliding time window in seconds; <= 0 means cash-register model.
   double window_seconds = 0.0;
@@ -125,20 +120,11 @@ struct RunConfig {
   /// thread count and the series stays bit-identical.
   int64_t snapshot_every = 0;
 
-  /// Print a stderr heartbeat every this many records (0 = silent):
-  /// records processed, records/s, current round and ψ.
-  int64_t progress_every = 0;
-
   /// Write causal spans (obs/span.h) here as Chrome Trace Event JSON,
   /// loadable in Perfetto (empty = off). A private SpanSink is created
   /// when `spans` is null. FGM protocols emit round/subround/RPC spans;
   /// the parallel engine adds per-window shard spans.
   std::string spans_out;
-
-  /// Ship the innermost open span's id as one extra charged word on every
-  /// wire message (FGM protocols only). Default traffic stays
-  /// bit-identical with this off.
-  bool span_wire = false;
 
   /// Write live Prometheus text-exposition snapshots here (empty = off).
   /// The file is atomically rewritten every live_every records and once

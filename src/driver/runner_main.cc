@@ -5,11 +5,11 @@
 //       [--count_window=0] [--depth=5] [--width=300] [--check_every=5000]
 //       [--threads=1] [--trace_out=trace.jsonl]
 //       [--metrics_out=metrics.json] [--timeseries_out=ts.json]
-//       [--spans_out=spans.json] [--span_wire]
-//       [--snapshot_every=0] [--progress=0] [--strict_wire]
+//       [--spans_out=spans.json] [--snapshot_every=0] [--strict_wire]
+//       [--prom_out=health.prom] [--live_out=live.jsonl]
+//       [--live_every=20000] [--health_plan] [--die_at=N]
 //       [--net_latency=fixed:4] [--net_drop=0.1] [--net_seed=N]
 //       [--fault_plan="crash:site=2,at=50000,rejoin=80000"]
-//       [--net_timeout=64] [--net_silence=256] [--net_deadline=4096]
 //       [--topology=tree:4] [--topology=tree:8,4]
 //
 // --topology=tree:F arranges the sites under aggregator tiers of fanout
@@ -32,19 +32,22 @@
 // scheduled crash/outage windows ("crash:site=S,at=T[,rejoin=T2]" /
 // "outage:site=S,from=A,to=B", ';'-separated). --net_latency=0 is the
 // simulator's null mode, bit-identical to the synchronous path. Fault
-// plans require an FGM protocol. Simulated runs force --threads=1.
+// plans require an FGM protocol. Simulated runs force --threads=1. An
+// RPC resends after 64 ticks, a lossy coordinator re-polls after 256
+// ticks of counter silence, and a site down for 4096 ticks leaves the
+// round (src/sim/net_config.h).
 //
 // --spans_out writes causal spans (obs/span.h) as Chrome Trace Event
-// JSON loadable in Perfetto; --span_wire additionally charges (and, in
-// strict mode, encodes) the open span's id as one trailing word per
-// message. Both default off; default traffic is bit-identical.
+// JSON loadable in Perfetto. No telemetry output changes the words on
+// the wire.
 //
 // --trace_out writes the structured JSONL event trace (obs/trace.h);
 // --metrics_out writes the RunResult as a JSON summary;
 // --timeseries_out writes the newest 4096 samples of the per-round
 // run-health series (obs/timeseries.h), with extra interval samples
-// every --snapshot_every records. --progress=N prints a stderr heartbeat
-// every N records. tools/trace_check re-verifies a written trace
+// every --snapshot_every records. --prom_out and --live_out rewrite a
+// Prometheus exposition and append a JSONL health heartbeat every
+// --live_every records. tools/trace_check re-verifies a written trace
 // offline; tools/fgm_report renders the trace+metrics+timeseries triple
 // into a run report and cross-checks them against each other.
 
@@ -119,11 +122,6 @@ bool ValidateValues(const fgm::RunConfig& config,
     return Reject("--net_latency: bad spec '" + config.net.latency +
                   "' (0, fixed:T, uniform:A-B with 0 <= A <= B, exp:M with "
                   "M > 0)");
-  }
-  if (config.net.retransmit_timeout < 1 || config.net.silence_timeout < 1 ||
-      config.net.dead_deadline < 1) {
-    return Reject(
-        "--net_timeout, --net_silence and --net_deadline must be at least 1");
   }
   const bool fgm_family = config.protocol != fgm::ProtocolKind::kCentral &&
                           config.protocol != fgm::ProtocolKind::kGm;
@@ -210,9 +208,7 @@ int main(int argc, char** argv) {
   config.metrics_out = flags.GetString("metrics_out", "");
   config.timeseries_out = flags.GetString("timeseries_out", "");
   config.spans_out = flags.GetString("spans_out", "");
-  config.span_wire = flags.GetBool("span_wire", false);
   config.snapshot_every = flags.GetCount("snapshot_every", 0);
-  config.progress_every = flags.GetCount("progress", 0);
   config.prom_out = flags.GetString("prom_out", "");
   config.live_out = flags.GetString("live_out", "");
   config.live_every = flags.GetCount("live_every", 20000);
@@ -224,12 +220,6 @@ int main(int argc, char** argv) {
   config.net.seed = static_cast<uint64_t>(
       flags.GetInt("net_seed", static_cast<int64_t>(config.net.seed)));
   config.net.fault_plan = flags.GetString("fault_plan", "");
-  config.net.retransmit_timeout =
-      flags.GetCount("net_timeout", config.net.retransmit_timeout);
-  config.net.silence_timeout =
-      flags.GetCount("net_silence", config.net.silence_timeout);
-  config.net.dead_deadline =
-      flags.GetCount("net_deadline", config.net.dead_deadline);
 
   if (!flags.Validate(
           "runner --protocol=central|gm|fgm-basic|fgm|fgm-o "
@@ -237,13 +227,11 @@ int main(int argc, char** argv) {
           "[--updates=N] [--eps=E] [--window=S] [--count_window=N] "
           "[--depth=N] [--width=N] [--check_every=N] [--threads=N] "
           "[--trace_out=F] [--metrics_out=F] [--timeseries_out=F] "
-          "[--spans_out=F] [--span_wire] "
-          "[--snapshot_every=N] [--progress=N] "
+          "[--spans_out=F] [--snapshot_every=N] "
           "[--prom_out=F] [--live_out=F] [--live_every=N] "
           "[--health_plan] [--die_at=N] "
           "[--strict_wire] [--net_latency=SPEC] [--net_drop=P] "
-          "[--net_seed=N] [--fault_plan=PLAN] [--net_timeout=N] "
-          "[--net_silence=N] [--net_deadline=N] "
+          "[--net_seed=N] [--fault_plan=PLAN] "
           "[--topology=tree:F[,F2,…]]")) {
     return 2;
   }

@@ -7,6 +7,11 @@
 
 namespace fgm {
 
+namespace {
+// Seeds the random order of rebalancing peers ("gm").
+constexpr uint64_t kPeerShuffleSeed = 0x6d67;
+}  // namespace
+
 void LoadDrift(DriftEvaluator* evaluator, const RealVector& value) {
   evaluator->Reset();
   for (size_t i = 0; i < value.dim(); ++i) {
@@ -20,7 +25,7 @@ GmProtocol::GmProtocol(const ContinuousQuery* query, int num_sites,
       sites_k_(num_sites),
       config_(config),
       transport_(sim::MakeTransport(config.transport, config.net, num_sites)),
-      rng_(config.seed),
+      rng_(kPeerShuffleSeed),
       estimate_(query->dimension()),
       sites_(static_cast<size_t>(num_sites)) {
   FGM_CHECK(query != nullptr);
@@ -137,19 +142,17 @@ void GmProtocol::HandleViolation(int violator) {
   for (size_t i = peers.size(); i > 1; --i) {
     std::swap(peers[i - 1], peers[rng_.NextBounded(i)]);
   }
-  if (config_.rebalance) {
-    std::vector<double> phi(static_cast<size_t>(sites_k_), 0.0);
-    for (int i = 0; i < sites_k_; ++i) {
-      if (i == violator) continue;
-      transport_->Ship(i, ControlMsg{ControlOp::kPollPhi});
-      const PhiValueMsg reply = transport_->Send(
-          i, PhiValueMsg{sites_[static_cast<size_t>(i)].evaluator->Value()});
-      phi[static_cast<size_t>(i)] = reply.value;
-    }
-    std::stable_sort(peers.begin(), peers.end(), [&](int a, int b) {
-      return phi[static_cast<size_t>(a)] < phi[static_cast<size_t>(b)];
-    });
+  std::vector<double> phi(static_cast<size_t>(sites_k_), 0.0);
+  for (int i = 0; i < sites_k_; ++i) {
+    if (i == violator) continue;
+    transport_->Ship(i, ControlMsg{ControlOp::kPollPhi});
+    const PhiValueMsg reply = transport_->Send(
+        i, PhiValueMsg{sites_[static_cast<size_t>(i)].evaluator->Value()});
+    phi[static_cast<size_t>(i)] = reply.value;
   }
+  std::stable_sort(peers.begin(), peers.end(), [&](int a, int b) {
+    return phi[static_cast<size_t>(a)] < phi[static_cast<size_t>(b)];
+  });
 
   RealVector avg(query_->dimension());
   const double slack_level = config_.slack_margin * safe_fn_->AtZero();
@@ -159,52 +162,43 @@ void GmProtocol::HandleViolation(int violator) {
     return safe_fn_->Eval(avg) < slack_level;
   };
 
-  if (config_.rebalance) {
-    size_t next_peer = 0;
-    while (!balanced() && next_peer < peers.size()) {
-      const int peer = peers[next_peer++];
-      transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
-      sum += CollectDrift(peer);
-      collected.push_back(peer);
+  size_t next_peer = 0;
+  while (!balanced() && next_peer < peers.size()) {
+    const int peer = peers[next_peer++];
+    transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
+    sum += CollectDrift(peer);
+    collected.push_back(peer);
+  }
+  if (balanced() && collected.size() < static_cast<size_t>(sites_k_)) {
+    // Assign the common average back to the collected sites; the drift
+    // sum (hence the global state) is unchanged. When every site had to
+    // be collected we fall through to the full sync instead, which costs
+    // the same upstream but refreshes the safe zone around the new E.
+    ++partial_rebalances_;
+    if (trace_ != nullptr) {
+      // GM partial rebalance; lambda records the collected fraction.
+      TraceEvent e;
+      e.kind = TraceEventKind::kRebalance;
+      e.round = full_syncs_;
+      e.lambda = static_cast<double>(collected.size()) / k;
+      trace_->Emit(e);
     }
-    if (balanced() && collected.size() < static_cast<size_t>(sites_k_)) {
-      // Assign the common average back to the collected sites; the drift
-      // sum (hence the global state) is unchanged. When every site had to
-      // be collected we fall through to the full sync instead, which costs
-      // the same upstream but refreshes the safe zone around the new E.
-      ++partial_rebalances_;
-      if (trace_ != nullptr) {
-        // GM partial rebalance; lambda records the collected fraction.
-        TraceEvent e;
-        e.kind = TraceEventKind::kRebalance;
-        e.round = full_syncs_;
-        e.lambda = static_cast<double>(collected.size()) / k;
-        trace_->Emit(e);
-      }
-      for (int site_id : collected) {
-        const SafeZoneMsg delivered =
-            transport_->Ship(site_id, SafeZoneMsg{avg});
-        Site& site = sites_[static_cast<size_t>(site_id)];
-        LoadDrift(site.evaluator.get(), delivered.reference);
-        site.known = delivered.reference;
-        site.log.Reset();
-      }
-      return;
+    for (int site_id : collected) {
+      const SafeZoneMsg delivered =
+          transport_->Ship(site_id, SafeZoneMsg{avg});
+      Site& site = sites_[static_cast<size_t>(site_id)];
+      LoadDrift(site.evaluator.get(), delivered.reference);
+      site.known = delivered.reference;
+      site.log.Reset();
     }
-    // Collect any stragglers for the full sync.
-    while (next_peer < peers.size()) {
-      const int peer = peers[next_peer++];
-      transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
-      sum += CollectDrift(peer);
-      collected.push_back(peer);
-    }
-  } else {
-    // Without rebalancing, collect everything for the full sync.
-    for (int peer : peers) {
-      transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
-      sum += CollectDrift(peer);
-      collected.push_back(peer);
-    }
+    return;
+  }
+  // Collect any stragglers for the full sync.
+  while (next_peer < peers.size()) {
+    const int peer = peers[next_peer++];
+    transport_->Ship(peer, ControlMsg{ControlOp::kDriftRequest});
+    sum += CollectDrift(peer);
+    collected.push_back(peer);
   }
 
   // Full synchronization: all drifts are in `sum` (rebalancing exhausted

@@ -44,8 +44,6 @@ struct GmConfig {
   /// (charge every attempt, retransmit on loss) covers it; fault plans
   /// are rejected — GM has no crash/rejoin handshake.
   sim::NetSimConfig net;
-  /// Disabling rebalancing makes every violation a full sync.
-  bool rebalance = true;
   /// A partial rebalance is accepted only when the averaged drift has
   /// slack: φ(avg) ≤ margin·φ(0) (recall φ(0) < 0). With margin = 0 any
   /// point inside the zone is accepted, and freshly rebalanced sites that
@@ -53,8 +51,6 @@ struct GmConfig {
   /// collections; a moderate margin collects a few more drifts per
   /// violation but ends the cascades.
   double slack_margin = 0.25;
-  /// Seed for the random selection of rebalancing peers.
-  uint64_t seed = 0x6d67;  // "gm"
 
   /// Structured event sink (obs/); non-owning, nullptr disables (see
   /// FgmConfig::trace).
@@ -65,9 +61,7 @@ class GmProtocol : public MonitoringProtocol {
  public:
   GmProtocol(const ContinuousQuery* query, int num_sites, GmConfig config);
 
-  std::string name() const override {
-    return config_.rebalance ? "GM" : "GM-nosync";
-  }
+  std::string name() const override { return "GM"; }
   void ProcessRecord(const StreamRecord& record) override;
   const RealVector& GlobalEstimate() const override { return estimate_; }
   double Estimate() const override { return query_value_; }

@@ -65,9 +65,6 @@ class TreeTopology {
   /// [ChildBegin, ChildEnd) at tier+1. Requires tier < depth().
   int ChildBegin(int tier, int node) const;
   int ChildEnd(int tier, int node) const;
-  int FanIn(int tier, int node) const {
-    return ChildEnd(tier, node) - ChildBegin(tier, node);
-  }
 
   /// Parent (at tier-1) of node `node` at tier `tier`. Requires
   /// tier >= 1.

@@ -47,9 +47,9 @@ void Transport::Book(int child, int dir, MsgKind kind, int64_t words) {
   if (trace_ != nullptr) EmitSent(child, dir, kind, words);
 }
 
-int64_t Transport::Deliver(int child, int dir, MsgKind kind, int64_t words) {
+void Transport::Deliver(int child, int dir, MsgKind kind, int64_t words) {
   Book(child, dir, kind, words);
-  return spans_ != nullptr ? EmitPointSpan(child, dir, kind, words) : 0;
+  if (spans_ != nullptr) EmitPointSpan(child, dir, kind, words);
 }
 
 void Transport::EmitSent(int child, int dir, MsgKind kind, int64_t words) {
@@ -63,8 +63,8 @@ void Transport::EmitSent(int child, int dir, MsgKind kind, int64_t words) {
   trace_->Emit(e);
 }
 
-int64_t Transport::EmitPointSpan(int child, int dir, MsgKind kind,
-                                 int64_t words) {
+void Transport::EmitPointSpan(int child, int dir, MsgKind kind,
+                              int64_t words) {
   // The synchronous link transmits instantaneously, so the span is a
   // point interval; its value is the words/kind/causal-parent record.
   Span s;
@@ -77,7 +77,6 @@ int64_t Transport::EmitPointSpan(int child, int dir, MsgKind kind,
   s.tier = tier_;
   s.label = MsgKindName(kind);
   spans_->EmitComplete(s);
-  return spans_->CurrentId();
 }
 
 void ReprojectRawUpdates(const ContinuousQuery& query, int site,

@@ -113,13 +113,6 @@ class Transport {
   /// network's simulated ticks).
   void set_spans(SpanSink* spans);
 
-  /// Enables the span-id wire envelope: every message carries the id of
-  /// the span it belongs to as one trailing word, charged like any other
-  /// payload word (and, in strict mode, actually encoded so the charge
-  /// stays provably honest). Off by default — default traffic is
-  /// bit-identical with spans compiled in.
-  void set_span_wire(bool on) { span_wire_ = on; }
-
   /// Parent → child: charges the message's words and returns the message
   /// as the child receives it.
   template <typename Msg>
@@ -134,26 +127,20 @@ class Transport {
   }
 
  protected:
-  /// Carries one message of `words` wire words (envelope included) over
-  /// `child`'s link, parent → child for dir = +1 and child → parent for
-  /// dir = -1, and returns the id of the span its envelope word names.
-  /// The synchronous link books it once, under the innermost open span.
-  virtual int64_t Deliver(int child, int dir, MsgKind kind, int64_t words);
+  /// Carries one message of `words` wire words over `child`'s link,
+  /// parent → child for dir = +1 and child → parent for dir = -1. The
+  /// synchronous link books it once, under the innermost open span.
+  virtual void Deliver(int child, int dir, MsgKind kind, int64_t words);
 
   /// Books one message: its words into the traffic stats, and the
   /// kMsgSent event.
   void Book(int child, int dir, MsgKind kind, int64_t words);
 
   /// The strict round trip: encode, check the encoded size against the
-  /// charged words, `carry(wire_words)` the message across (it returns
-  /// the envelope's span id), decode, check the decode re-encodes —
-  /// envelope word included — to identical bits, and deliver the decoded
-  /// copy.
+  /// charged words, `carry(words)` the message across, decode, check the
+  /// decode re-encodes to identical bits, and deliver the decoded copy.
   template <typename Msg, typename CarryFn>
   Msg RoundTrip(const Msg& msg, CarryFn carry);
-
-  /// Extra words per message charged by the span-id envelope.
-  int64_t SpanWireExtra() const { return span_wire_ ? 1 : 0; }
 
   TraceSink* trace_ = nullptr;
   SpanSink* spans_ = nullptr;
@@ -168,12 +155,10 @@ class Transport {
   // Kept out of Book and Deliver, so a message with tracing and spans off
   // pays for no event or span construction.
   void EmitSent(int child, int dir, MsgKind kind, int64_t words);
-  /// Emits the point kMsg span and returns the innermost open span.
-  int64_t EmitPointSpan(int child, int dir, MsgKind kind, int64_t words);
+  void EmitPointSpan(int child, int dir, MsgKind kind, int64_t words);
 
   int sites_;
   bool strict_;
-  bool span_wire_ = false;
   int tier_ = 0;
   TrafficStats stats_;
 };
@@ -184,20 +169,10 @@ Msg Transport::RoundTrip(const Msg& msg, CarryFn carry) {
   msg.Encode(&wire);
   const int64_t words = WireWords(msg);
   FGM_CHECK_EQ(static_cast<int64_t>(wire.size_words()), words);
-  const int64_t span_id = carry(words + SpanWireExtra());
-  // Decode sees the payload only — a receiver strips the known trailing
-  // span-id word before decoding (some payloads infer their length from
-  // the buffer size).
+  carry(words);
   Msg decoded = DecodeAs(wire, msg);
   WordBuffer reencoded;
   decoded.Encode(&reencoded);
-  if (span_wire_) {
-    // The span-id envelope is one trailing word, actually appended to the
-    // wire bits so the +1 charge is backed by transmitted words, and
-    // cross-checked bit-exactly like the payload.
-    wire.PutCount(span_id);
-    reencoded.PutCount(span_id);
-  }
   FGM_CHECK(wire.SameBits(reencoded));
   return decoded;
 }
@@ -208,12 +183,11 @@ template <typename Msg>
 inline Msg Transport::Carry(int child, int dir, Msg msg) {
   const MsgKind kind = KindOf(msg);
   if (!strict_) {
-    Deliver(child, dir, kind, WireWords(msg) + SpanWireExtra());
+    Deliver(child, dir, kind, WireWords(msg));
     return msg;
   }
-  return RoundTrip(msg, [&](int64_t words) {
-    return Deliver(child, dir, kind, words);
-  });
+  return RoundTrip(msg,
+                   [&](int64_t words) { Deliver(child, dir, kind, words); });
 }
 
 /// Re-projects verbatim raw updates through the shared query, summing the

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -211,40 +212,36 @@ bool ParseString(const std::string& s, size_t* i, std::string* out,
   return true;
 }
 
-bool ParseValue(const std::string& s, size_t* i, JsonValue* out,
-                std::string* error) {
-  SkipSpace(s, i);
-  if (*i >= s.size()) {
-    *error = "expected value";
-    return false;
-  }
+// A string, true/false/null, or a number. A number token is the run of
+// characters a JSON number can hold, and strtod (and strtoll when the
+// token is integral) must consume all of it: "1-2", "1e" and a lone "-"
+// fail instead of reading as a prefix. Integral tokens must fit int64 and
+// doubles must not overflow; subnormals, which the %.17g writer can
+// print, still parse.
+bool ParseScalar(const std::string& s, size_t* i, JsonNode* out,
+                 std::string* error) {
   const char c = s[*i];
   if (c == '"') {
-    out->type = JsonValue::Type::kString;
+    out->type = JsonNode::Type::kString;
     return ParseString(s, i, &out->str, error);
   }
-  if (c == '{' || c == '[') {
-    *error = "nested values are not part of the flat schema";
-    return false;
-  }
   if (s.compare(*i, 4, "true") == 0) {
-    out->type = JsonValue::Type::kBool;
+    out->type = JsonNode::Type::kBool;
     out->boolean = true;
     *i += 4;
     return true;
   }
   if (s.compare(*i, 5, "false") == 0) {
-    out->type = JsonValue::Type::kBool;
+    out->type = JsonNode::Type::kBool;
     out->boolean = false;
     *i += 5;
     return true;
   }
   if (s.compare(*i, 4, "null") == 0) {
-    out->type = JsonValue::Type::kNull;
+    out->type = JsonNode::Type::kNull;
     *i += 4;
     return true;
   }
-  // Number.
   size_t end = *i;
   bool integral = true;
   while (end < s.size() &&
@@ -258,20 +255,38 @@ bool ParseValue(const std::string& s, size_t* i, JsonValue* out,
     return false;
   }
   const std::string token = s.substr(*i, end - *i);
-  out->type = JsonValue::Type::kNumber;
-  out->num = std::strtod(token.c_str(), nullptr);
+  const char* const first = token.c_str();
+  const char* const last = first + token.size();
+  char* stop = nullptr;
+  errno = 0;
+  const double num = std::strtod(first, &stop);
+  if (stop != last) {
+    *error = "malformed number '" + token + "'";
+    return false;
+  }
+  if (errno == ERANGE && std::isinf(num)) {
+    *error = "number overflows a double '" + token + "'";
+    return false;
+  }
+  out->type = JsonNode::Type::kNumber;
+  out->num = num;
   out->is_int = integral;
   if (integral) {
-    out->int_val = std::strtoll(token.c_str(), nullptr, 10);
+    errno = 0;
+    const long long value = std::strtoll(first, &stop, 10);
+    if (stop != last || errno == ERANGE) {
+      *error = "integer outside int64 '" + token + "'";
+      return false;
+    }
+    out->int_val = value;
   } else {
-    out->int_val = static_cast<int64_t>(out->num);
+    out->int_val = static_cast<int64_t>(num);
   }
   *i = end;
   return true;
 }
 
-// Recursive-descent parser for the nested documents the offline tools
-// read. Shares the scalar token logic above via JsonValue.
+// Recursive-descent parser over ParseScalar.
 bool ParseNode(const std::string& s, size_t* i, JsonNode* out,
                std::string* error, int depth) {
   if (depth > 64) {
@@ -343,28 +358,7 @@ bool ParseNode(const std::string& s, size_t* i, JsonNode* out,
       return false;
     }
   }
-  JsonValue scalar;
-  if (!ParseValue(s, i, &scalar, error)) return false;
-  switch (scalar.type) {
-    case JsonValue::Type::kString:
-      out->type = JsonNode::Type::kString;
-      out->str = std::move(scalar.str);
-      break;
-    case JsonValue::Type::kBool:
-      out->type = JsonNode::Type::kBool;
-      out->boolean = scalar.boolean;
-      break;
-    case JsonValue::Type::kNull:
-      out->type = JsonNode::Type::kNull;
-      break;
-    case JsonValue::Type::kNumber:
-      out->type = JsonNode::Type::kNumber;
-      out->num = scalar.num;
-      out->int_val = scalar.int_val;
-      out->is_int = scalar.is_int;
-      break;
-  }
-  return true;
+  return ParseScalar(s, i, out, error);
 }
 
 }  // namespace
@@ -395,55 +389,6 @@ bool ParseJson(const std::string& text, JsonNode* out, std::string* error) {
   SkipSpace(text, &i);
   if (i != text.size()) {
     *error = "trailing characters after document";
-    return false;
-  }
-  return true;
-}
-
-bool ParseFlatJsonObject(const std::string& text,
-                         std::map<std::string, JsonValue>* out,
-                         std::string* error) {
-  out->clear();
-  size_t i = 0;
-  SkipSpace(text, &i);
-  if (i >= text.size() || text[i] != '{') {
-    *error = "expected '{'";
-    return false;
-  }
-  ++i;
-  SkipSpace(text, &i);
-  if (i < text.size() && text[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      SkipSpace(text, &i);
-      std::string key;
-      if (!ParseString(text, &i, &key, error)) return false;
-      SkipSpace(text, &i);
-      if (i >= text.size() || text[i] != ':') {
-        *error = "expected ':'";
-        return false;
-      }
-      ++i;
-      JsonValue value;
-      if (!ParseValue(text, &i, &value, error)) return false;
-      (*out)[key] = value;
-      SkipSpace(text, &i);
-      if (i < text.size() && text[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < text.size() && text[i] == '}') {
-        ++i;
-        break;
-      }
-      *error = "expected ',' or '}'";
-      return false;
-    }
-  }
-  SkipSpace(text, &i);
-  if (i != text.size()) {
-    *error = "trailing characters after object";
     return false;
   }
   return true;

@@ -1,18 +1,17 @@
-// Minimal JSON emission and flat-object parsing for the observability
-// layer (trace sinks, metrics export, bench reports, replay checker).
+// Minimal JSON emission and parsing for the observability layer (trace
+// sinks, metrics export, bench reports, replay checker).
 //
 // The writer is a streaming emitter with automatic comma placement;
 // doubles are printed with %.17g so every value round-trips bit-exactly
 // through text — the replay checker relies on this to re-verify protocol
-// arithmetic (θ = -ψ/2k and friends) on decoded values. The parser only
-// handles the flat one-level objects the JSONL trace schema uses; it is
-// not a general JSON parser and rejects nesting.
+// arithmetic (θ = -ψ/2k and friends) on decoded values. One parser reads
+// every document, from a JSONL trace line to a nested metrics file, and
+// rejects a number token unless it parses in full.
 
 #ifndef FGM_OBS_JSON_H_
 #define FGM_OBS_JSON_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -55,25 +54,6 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
-/// One scalar value of a flat JSON object.
-struct JsonValue {
-  enum class Type { kString, kNumber, kBool, kNull };
-  Type type = Type::kNull;
-  std::string str;       // kString
-  double num = 0.0;      // kNumber (always set)
-  int64_t int_val = 0;   // kNumber with integral syntax
-  bool is_int = false;
-  bool boolean = false;  // kBool
-};
-
-/// Parses a single flat JSON object `{"key": value, ...}` with scalar
-/// values only (string / number / true / false / null). Returns false and
-/// sets `*error` on malformed input or nesting. This is the fast path the
-/// per-line trace replay uses; nested documents go through ParseJson.
-bool ParseFlatJsonObject(const std::string& text,
-                         std::map<std::string, JsonValue>* out,
-                         std::string* error);
-
 /// One node of a parsed JSON document (general, nested). Numbers keep
 /// both the double and (when the syntax was integral) the int64 reading;
 /// null numeric fields read back as NaN through AsDouble().
@@ -97,8 +77,10 @@ struct JsonNode {
 };
 
 /// Parses a complete JSON document (objects, arrays, scalars, nesting).
-/// Returns false and sets `*error` on malformed input. Used by the
-/// offline analysis tools (fgm_report, bench_gate) to read the nested
+/// Returns false and sets `*error` on malformed input: a number token
+/// must parse in full, an integral one must fit int64, and a double must
+/// not overflow. Used by the replay checker for each trace line and by
+/// the offline analysis tools (fgm_report, bench_gate) for the nested
 /// metrics / time-series / BENCH_*.json files.
 bool ParseJson(const std::string& text, JsonNode* out, std::string* error);
 

@@ -22,43 +22,53 @@ const char* Intern(const std::string& s) {
   return pool->insert(s).first->c_str();
 }
 
-int64_t GetInt(const std::map<std::string, JsonValue>& obj,
-               const std::string& key, int64_t fallback = 0) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.type != JsonValue::Type::kNumber) {
-    return fallback;
-  }
-  return it->second.int_val;
+int64_t GetInt(const JsonNode& obj, const std::string& key,
+               int64_t fallback = 0) {
+  const JsonNode* v = obj.Find(key);
+  return v != nullptr ? v->AsInt(fallback) : fallback;
 }
 
-double GetDouble(const std::map<std::string, JsonValue>& obj,
-                 const std::string& key, double fallback = 0.0) {
-  const auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  // The writer serializes non-finite doubles as null; read them back as
-  // NaN so "the value was not finite" stays observable.
-  if (it->second.type == JsonValue::Type::kNull) return std::nan("");
-  if (it->second.type != JsonValue::Type::kNumber) return fallback;
-  return it->second.num;
+// The writer serializes non-finite doubles as null; AsDouble reads them
+// back as NaN so "the value was not finite" stays observable.
+double GetDouble(const JsonNode& obj, const std::string& key,
+                 double fallback = 0.0) {
+  const JsonNode* v = obj.Find(key);
+  return v != nullptr ? v->AsDouble(fallback) : fallback;
 }
 
-const char* GetLabel(const std::map<std::string, JsonValue>& obj,
-                     const std::string& key) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.type != JsonValue::Type::kString) {
-    return nullptr;
-  }
-  return Intern(it->second.str);
+const char* GetLabel(const JsonNode& obj, const std::string& key) {
+  const JsonNode* v = obj.Find(key);
+  if (v == nullptr || v->type != JsonNode::Type::kString) return nullptr;
+  return Intern(v->str);
 }
 
 }  // namespace
 
 bool ParseTraceEventJson(const std::string& line, TraceEvent* event,
                          std::string* error) {
-  std::map<std::string, JsonValue> obj;
-  if (!ParseFlatJsonObject(line, &obj, error)) return false;
-  const auto ev = obj.find("ev");
-  if (ev == obj.end() || ev->second.type != JsonValue::Type::kString) {
+  JsonNode obj;
+  if (!ParseJson(line, &obj, error)) return false;
+  // A trace line is one flat object with each key once.
+  if (obj.type != JsonNode::Type::kObject) {
+    *error = "trace line is not a JSON object";
+    return false;
+  }
+  for (size_t m = 0; m < obj.members.size(); ++m) {
+    const auto& [key, value] = obj.members[m];
+    if (value.type == JsonNode::Type::kObject ||
+        value.type == JsonNode::Type::kArray) {
+      *error = "nested value for \"" + key + "\"";
+      return false;
+    }
+    for (size_t prior = 0; prior < m; ++prior) {
+      if (obj.members[prior].first == key) {
+        *error = "duplicate key \"" + key + "\"";
+        return false;
+      }
+    }
+  }
+  const JsonNode* ev = obj.Find("ev");
+  if (ev == nullptr || ev->type != JsonNode::Type::kString) {
     *error = "missing \"ev\" kind";
     return false;
   }
@@ -66,14 +76,14 @@ bool ParseTraceEventJson(const std::string& line, TraceEvent* event,
   bool known = false;
   for (int i = 0; i < static_cast<int>(TraceEventKind::kKindCount); ++i) {
     const auto kind = static_cast<TraceEventKind>(i);
-    if (ev->second.str == TraceEventKindName(kind)) {
+    if (ev->str == TraceEventKindName(kind)) {
       event->kind = kind;
       known = true;
       break;
     }
   }
   if (!known) {
-    *error = "unknown event kind \"" + ev->second.str + "\"";
+    *error = "unknown event kind \"" + ev->str + "\"";
     return false;
   }
   event->seq = GetInt(obj, "seq", -1);

@@ -110,12 +110,6 @@ void SpanSink::EndWithStats(int64_t id, const char* reason, int64_t words,
   EndUnlocked(id, reason);
 }
 
-void SpanSink::SetTier(int64_t id, int tier) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FGM_CHECK(id >= 1 && id <= static_cast<int64_t>(spans_.size()));
-  spans_[static_cast<size_t>(id - 1)].tier = tier;
-}
-
 void SpanSink::EndUnlocked(int64_t id, const char* reason) {
   FGM_CHECK(id >= 1 && id <= static_cast<int64_t>(spans_.size()));
   const size_t idx = static_cast<size_t>(id - 1);
@@ -166,11 +160,6 @@ void SpanSink::CloseAll(const char* reason) {
 int64_t SpanSink::root() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_.empty() ? 0 : 1;
-}
-
-int64_t SpanSink::CurrentId() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stack_.empty() ? 0 : stack_.back();
 }
 
 int64_t SpanSink::spans() const {
@@ -277,8 +266,15 @@ bool ParseSpanJson(const std::string& text, std::vector<ParsedSpan>* out,
       *error = "traceEvents entry is not an object";
       return false;
     }
+    // The fields every Chrome Trace Event viewer needs.
+    for (const char* key : {"name", "ph", "ts", "pid", "tid"}) {
+      if (ev.Find(key) == nullptr) {
+        *error = std::string("traceEvents entry has no \"") + key + "\"";
+        return false;
+      }
+    }
     const JsonNode* ph = ev.Find("ph");
-    if (ph == nullptr || ph->type != JsonNode::Type::kString ||
+    if (ph->type != JsonNode::Type::kString ||
         (ph->str != "X" && ph->str != "B")) {
       *error = "traceEvents entry has no X/B phase";
       return false;
@@ -290,7 +286,7 @@ bool ParseSpanJson(const std::string& text, std::vector<ParsedSpan>* out,
     }
     ParsedSpan s;
     s.closed = ph->str == "X";
-    s.begin = ev.Find("ts") != nullptr ? ev.Find("ts")->AsInt(0) : 0;
+    s.begin = ev.Find("ts")->AsInt(0);
     const JsonNode* dur = ev.Find("dur");
     s.end = s.begin + (dur != nullptr ? dur->AsInt(0) : 0);
     s.id = ArgInt(*args, "id");

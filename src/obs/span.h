@@ -108,10 +108,6 @@ class SpanSink {
   void EndWithStats(int64_t id, const char* reason, int64_t words,
                     int64_t count);
 
-  /// Stamps the tree tier (src/hier) an open or closed span belongs to.
-  /// Flat runs never call this; tier 0 is not exported.
-  void SetTier(int64_t id, int tier);
-
   /// Records an already-delimited span (begin/end set by the caller; a
   /// zero `end` means instantaneous: end = begin). Span::kAutoParent
   /// resolves to the innermost open scope.
@@ -124,9 +120,6 @@ class SpanSink {
 
   /// Id of the first span opened (the run span); 0 before any Begin.
   int64_t root() const;
-  /// Id of the innermost open scope (0 when none) — the span id that
-  /// rides the wire envelope under --span_wire.
-  int64_t CurrentId() const;
 
   /// Current timestamp: the registered tick clock when present, else
   /// nanoseconds since sink construction. Safe to call from worker
@@ -184,7 +177,8 @@ struct ParsedSpan {
 };
 
 /// Parses a Chrome Trace Event JSON file written by WriteChromeTrace.
-/// Returns false and sets `*error` on malformed input.
+/// Returns false and sets `*error` on malformed input, including an
+/// entry without "name", "ph", "ts", "pid" or "tid".
 bool ReadSpanFile(const std::string& path, std::vector<ParsedSpan>* out,
                   std::string* error);
 /// Same, from the document text.

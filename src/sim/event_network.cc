@@ -26,9 +26,6 @@ EventNetwork::EventNetwork(int sites, const NetSimConfig& config)
       site_stats_(static_cast<size_t>(sites)) {
   FGM_CHECK(ParseLatencySpec(config.latency, &latency_));
   FGM_CHECK(config.drop >= 0.0 && config.drop < 1.0);
-  FGM_CHECK_GE(config.retransmit_timeout, 1);
-  FGM_CHECK_GE(config.silence_timeout, 1);
-  FGM_CHECK_GE(config.dead_deadline, 1);
   FGM_CHECK(ParseFaultPlan(config.fault_plan, sites, &transitions_));
   null_ = latency_.kind == LatencySpec::Kind::kZero && config.drop == 0.0 &&
           transitions_.empty();
@@ -82,15 +79,14 @@ void EventNetwork::EmitNetEvent(TraceEventKind kind, int site, int dir,
   trace_->Emit(e);
 }
 
-int64_t EventNetwork::Deliver(int child, int dir, MsgKind kind,
-                              int64_t words) {
+void EventNetwork::Deliver(int child, int dir, MsgKind kind,
+                           int64_t words) {
   // The protocols never address a down endpoint over the control plane;
   // the pause/resync machinery (core/fgm_protocol.cc) guarantees it.
   FGM_CHECK(SiteUp(child));
   int64_t rpc_span = 0;
   if (spans_ != nullptr) {
-    // The wire envelope (span_wire) carries this RPC's id; one kMsg child
-    // per attempt follows.
+    // One kMsg child per attempt follows.
     rpc_span = spans_->Begin(SpanKind::kRpc, child, 0, 0, MsgKindName(kind));
   }
   SiteNetStats& ss = site_stats_[static_cast<size_t>(child)];
@@ -115,7 +111,7 @@ int64_t EventNetwork::Deliver(int child, int dir, MsgKind kind,
         s.kind = SpanKind::kMsg;
         s.site = child;
         s.begin = now_;
-        s.end = now_ + config_.retransmit_timeout;
+        s.end = now_ + kRetransmitTicks;
         s.words = words;
         s.count = 1;
         s.dir = dir;
@@ -124,7 +120,7 @@ int64_t EventNetwork::Deliver(int child, int dir, MsgKind kind,
         spans_->EmitComplete(s);
       }
       // The sender detects the loss by timeout and resends.
-      Advance(config_.retransmit_timeout);
+      Advance(kRetransmitTicks);
       continue;
     }
     const int64_t delay = SampleLatency();
@@ -151,20 +147,17 @@ int64_t EventNetwork::Deliver(int child, int dir, MsgKind kind,
       spans_->EmitComplete(s);
       spans_->EndWithStats(rpc_span, nullptr, total_words, attempt + 1);
     }
-    return rpc_span;
+    return;
   }
 }
 
 void EventNetwork::PostCounter(int site, CounterMsg msg, int64_t round,
                                int64_t subround) {
   FGM_CHECK(SiteUp(site));
-  const int64_t wire_words = CounterMsg::kWords + SpanWireExtra();
-  // Charged once when posted: the datagram has no retransmissions, and
-  // its envelope names whatever span is open at the sender.
-  const CounterMsg decoded = RoundTrip(msg, [&](int64_t words) {
-    Book(site, -1, MsgKind::kCounter, words);
-    return spans_ != nullptr ? spans_->CurrentId() : 0;
-  });
+  const int64_t wire_words = CounterMsg::kWords;
+  // Charged once when posted: the datagram has no retransmissions.
+  const CounterMsg decoded = RoundTrip(
+      msg, [&](int64_t words) { Book(site, -1, MsgKind::kCounter, words); });
   if (SampleDrop()) {
     ++net_stats_.dropped_msgs;
     net_stats_.dropped_words += wire_words;
@@ -210,7 +203,7 @@ bool EventNetwork::PopCounter(CounterDelivery* out) {
   if (queue_.empty() || queue_.top().due > now_) return false;
   *out = queue_.top().delivery;
   queue_.pop();
-  const int64_t wire_words = CounterMsg::kWords + SpanWireExtra();
+  const int64_t wire_words = CounterMsg::kWords;
   net_stats_.in_flight_words -= wire_words;
   ++net_stats_.delivered_msgs;
   net_stats_.delivered_words += wire_words;

@@ -160,9 +160,8 @@ class EventNetwork final : public Transport {
   };
 
   /// The RPC: opens its kRpc span, then charges, samples and delays
-  /// one attempt after another until one is delivered. Returns the RPC's
-  /// span id, which the envelope word carries.
-  int64_t Deliver(int child, int dir, MsgKind kind, int64_t words) override;
+  /// one attempt after another until one is delivered.
+  void Deliver(int child, int dir, MsgKind kind, int64_t words) override;
 
   bool SampleDrop();
   int64_t SampleLatency();

@@ -61,16 +61,18 @@ struct FaultTransition {
 bool ParseFaultPlan(const std::string& plan, int sites,
                     std::vector<FaultTransition>* out);
 
+/// Ticks before an RPC attempt counts as lost and is resent.
+constexpr int64_t kRetransmitTicks = 64;
+/// Ticks of counter silence before a lossy run's coordinator re-polls.
+constexpr int64_t kSilenceTicks = 256;
+/// Ticks a site may stay down before the round reconfigures without it.
+constexpr int64_t kDeadSiteTicks = 4096;
+
 struct NetSimConfig {
   std::string latency;     ///< latency spec; "" disables the simulator
   double drop = 0.0;       ///< iid per-message loss probability in [0, 1)
   uint64_t seed = 0x5eedf00dULL;
   std::string fault_plan;  ///< see ParseFaultPlan; "" = no faults
-  int64_t retransmit_timeout = 64;  ///< ticks before an RPC resends
-  int64_t silence_timeout = 256;    ///< ticks of counter silence before a
-                                    ///< coordinator re-poll (lossy runs)
-  int64_t dead_deadline = 4096;     ///< ticks a site may stay down before
-                                    ///< the round reconfigures without it
 
   /// The simulator runs at all (any latency spec, loss, or faults).
   bool enabled() const {

@@ -7,10 +7,6 @@ namespace fgm {
 
 void RealVector::SetZero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
-void RealVector::ResetDim(size_t dim) {
-  data_.assign(dim, 0.0);
-}
-
 RealVector& RealVector::operator+=(const RealVector& other) {
   FGM_CHECK_EQ(dim(), other.dim());
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];

@@ -46,9 +46,6 @@ class RealVector {
   /// Sets every coordinate to zero.
   void SetZero();
 
-  /// Resizes to `dim` and zeroes all coordinates.
-  void ResetDim(size_t dim);
-
   RealVector& operator+=(const RealVector& other);
   RealVector& operator-=(const RealVector& other);
   RealVector& operator*=(double scalar);

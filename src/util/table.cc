@@ -60,18 +60,6 @@ void TablePrinter::Print(std::FILE* out) const {
   print_rule();
 }
 
-void TablePrinter::PrintCsv(std::FILE* out) const {
-  auto print_row = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c) std::fputc(',', out);
-      std::fputs(cells[c].c_str(), out);
-    }
-    std::fputc('\n', out);
-  };
-  print_row(columns_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 void PrintBanner(const std::string& title, std::FILE* out) {
   std::fprintf(out, "\n== %s ==\n", title.c_str());
 }

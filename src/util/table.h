@@ -28,9 +28,6 @@ class TablePrinter {
   /// Prints an aligned, boxed table to `out` (default stdout).
   void Print(std::FILE* out = stdout) const;
 
-  /// Prints comma-separated values (header + rows).
-  void PrintCsv(std::FILE* out = stdout) const;
-
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;

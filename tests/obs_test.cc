@@ -166,12 +166,8 @@ TEST(JsonWriter, NonFiniteDoublesSerializeAsNull) {
   w.EndObject();
   EXPECT_EQ(w.str(), "{\"x\":null}");
 
-  // Both parsers read the null back as NaN.
-  std::map<std::string, JsonValue> flat;
+  // The parser reads the null back as NaN.
   std::string error;
-  ASSERT_TRUE(ParseFlatJsonObject("{\"x\":null}", &flat, &error)) << error;
-  EXPECT_EQ(flat.at("x").type, JsonValue::Type::kNull);
-
   JsonNode node;
   ASSERT_TRUE(ParseJson("{\"x\":null}", &node, &error)) << error;
   const JsonNode* x = node.Find("x");
@@ -232,6 +228,29 @@ TEST(JsonParse, NestedDocuments) {
   EXPECT_FALSE(ParseJson("{\"a\":", &root, &error));
   EXPECT_FALSE(ParseJson("[1,2,", &root, &error));
   EXPECT_FALSE(ParseJson("", &root, &error));
+}
+
+// A number token must parse in full: no prefix reading ("1-2" as 1), no
+// empty reading ("-" as 0), no integer clamped to INT64_MAX and no double
+// overflowing to infinity. Subnormals, which %.17g can print, still parse.
+TEST(JsonParse, RejectsMalformedNumbers) {
+  JsonNode node;
+  std::string error;
+  for (const char* token : {"1-2", "-", ".", "e", "+", "1e",
+                            "99999999999999999999", "1e999", "-1e999"}) {
+    EXPECT_FALSE(ParseJson(token, &node, &error)) << token;
+    EXPECT_FALSE(ParseJson(std::string("{\"x\":") + token + "}", &node,
+                           &error))
+        << token;
+  }
+  ASSERT_TRUE(ParseJson("-9223372036854775808", &node, &error)) << error;
+  EXPECT_EQ(node.AsInt(), std::numeric_limits<int64_t>::min());
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  ASSERT_TRUE(ParseJson(JsonWriter::Number(subnormal), &node, &error))
+      << error;
+  EXPECT_EQ(node.AsDouble(), subnormal);
+  ASSERT_TRUE(ParseJson("2.5e-3", &node, &error)) << error;
+  EXPECT_EQ(node.AsDouble(), 2.5e-3);
 }
 
 TEST(TimeSeriesTest, RingBufferDropsOldestAndExportsJson) {
@@ -452,6 +471,14 @@ TEST(JsonlSchema, ParseRoundTripsBitExactly) {
   EXPECT_FALSE(ParseTraceEventJson("{\"ev\":\"NoSuchEvent\",\"seq\":0}",
                                    &parsed, &error));
   EXPECT_FALSE(ParseTraceEventJson("not json", &parsed, &error));
+  // A trace line is one flat object with each key once.
+  EXPECT_FALSE(ParseTraceEventJson("[" + line + "]", &parsed, &error));
+  EXPECT_FALSE(ParseTraceEventJson(
+      "{\"ev\":\"SubroundStart\",\"seq\":0,\"round\":{\"n\":3}}", &parsed,
+      &error));
+  EXPECT_FALSE(ParseTraceEventJson(
+      "{\"ev\":\"SubroundStart\",\"seq\":0,\"round\":3,\"round\":4}",
+      &parsed, &error));
 }
 
 

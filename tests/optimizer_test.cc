@@ -146,35 +146,6 @@ TEST(EstimateSiteRates, SilentSitesBecomeInactive) {
   EXPECT_FALSE(rates[1].active);
 }
 
-TEST(ExtrapolateRates, LinearExtrapolationWithClamping) {
-  std::vector<SiteRates> prev(3), last(3);
-  // Site 0: accelerating.
-  prev[0] = {0.01, 0.02, 0.5, true};
-  last[0] = {0.02, 0.03, 0.5, true};
-  // Site 1: decelerating so hard the extrapolation would go negative.
-  prev[1] = {0.05, 0.06, 0.3, true};
-  last[1] = {0.01, 0.012, 0.3, true};
-  // Site 2: inactive last round.
-  prev[2] = {0.01, 0.02, 0.2, true};
-  last[2].active = false;
-
-  const auto result = ExtrapolateRates(prev, last);
-  EXPECT_NEAR(result[0].alpha, 0.03, 1e-12);
-  EXPECT_NEAR(result[0].beta, 0.04, 1e-12);
-  EXPECT_GT(result[1].alpha, 0.0);   // clamped positive
-  EXPECT_GE(result[1].beta, result[1].alpha);
-  EXPECT_FALSE(result[2].active);    // stays first-order/inactive
-}
-
-TEST(ExtrapolateRates, ZeroDampingReturnsLastRates) {
-  std::vector<SiteRates> prev(1), last(1);
-  prev[0] = {0.01, 0.02, 1.0, true};
-  last[0] = {0.03, 0.05, 1.0, true};
-  const auto result = ExtrapolateRates(prev, last, /*damping=*/0.0);
-  EXPECT_DOUBLE_EQ(result[0].alpha, 0.03);
-  EXPECT_DOUBLE_EQ(result[0].beta, 0.05);
-}
-
 TEST(EstimateSiteRates, AlphaNeverExceedsBeta) {
   Xoshiro256ss rng(7);
   for (int t = 0; t < 100; ++t) {

@@ -370,10 +370,9 @@ RunOutput RunOnceWithSpans(ProtocolKind protocol, int threads) {
 }
 
 // Span collection timestamps worker segments but must not perturb the
-// protocol: with span_wire off, traffic and traces stay bit-identical to
-// serial for every protocol that speculates (the window/shard/replay
-// spans themselves are wall-clock data, so only their presence is
-// asserted).
+// protocol: traffic and traces stay bit-identical to serial for every
+// protocol that speculates (the window/shard/replay spans themselves are
+// wall-clock data, so only their presence is asserted).
 TEST(ParallelDeterminism, SpansEnabledStaysBitIdentical) {
   for (ProtocolKind protocol : {ProtocolKind::kFgm, ProtocolKind::kFgmOpt}) {
     const RunOutput serial = RunOnceWithSpans(protocol, 1);

@@ -106,10 +106,10 @@ TEST(FgmProtocol, TracksTheQueryAcrossRounds) {
   config.check_every = 100;
   const RunResult result = ::fgm::Run(config, trace);
   EXPECT_GT(result.rounds, 3);
-  // At the end the estimate must be within the bound of the truth.
+  // At the end the estimate must be within the bound of the truth (the
+  // query's threshold floor is 1).
   EXPECT_NEAR(result.final_estimate, result.final_truth,
-              config.epsilon * result.final_truth +
-                  2 * config.threshold_floor);
+              config.epsilon * result.final_truth + 2 * 1.0);
 }
 
 TEST(FgmProtocol, SubroundsPerRoundStayNearTheoreticalLog) {

@@ -190,7 +190,7 @@ TEST(FaultPlans, CrashRejoinWithinDeadlineResyncsTheSite) {
   sim::NetSimConfig net;
   net.latency = "uniform:1-16";
   net.drop = 0.1;
-  // Down for 2000 ticks < dead_deadline (4096): the site stays a round
+  // Down for 2000 ticks < sim::kDeadSiteTicks (4096): the site stays a round
   // member and rejoins through the kResync handshake.
   net.fault_plan = "crash:site=2,at=20000,rejoin=22000";
   const SimRunOutput out = RunOnce(ProtocolKind::kFgm, net,
@@ -208,7 +208,7 @@ TEST(FaultPlans, CrashPastDeadlineDegradesToReducedKAndRecovers) {
   sim::NetSimConfig net;
   net.latency = "uniform:1-16";
   net.drop = 0.1;
-  // Down for 10000 ticks > dead_deadline: the coordinator ends the round
+  // Down for 10000 ticks > sim::kDeadSiteTicks: the coordinator ends the round
   // without the site (reduced k) and reconfigures back at rejoin.
   net.fault_plan = "crash:site=2,at=20000,rejoin=30000";
   const SimRunOutput out = RunOnce(ProtocolKind::kFgm, net,

@@ -1,7 +1,9 @@
 # Cuts a finished runner trace short three ways and fails unless
 # trace_check rejects every cut with exit status 1 (while accepting the
 # whole trace with 0): an empty file, a prefix of whole lines, and the
-# whole trace without its final RunEnd line.
+# whole trace without its final RunEnd line. It also rejects the whole
+# trace with its first MsgSent word count made into a number that does
+# not parse in full ("words":300 → "words":300-0).
 #
 #   cmake -DTRACE_CHECK=path/to/trace_check -DTRACE=trace.jsonl \
 #         -DOUT_DIR=some/dir -P trace_check_truncated.cmake
@@ -47,3 +49,18 @@ endif()
 set(no_run_end ${OUT_DIR}/truncated_no_run_end.jsonl)
 file(WRITE ${no_run_end} "${body}")
 expect_status(${no_run_end} 1)
+
+# The whole trace with one malformed number: a reader that kept the
+# parsed prefix (300 of 300-0) would certify it.
+string(REGEX MATCH "\"ev\":\"MsgSent\"[^\n]*\"words\":[0-9]+" sent "${full}")
+if(sent STREQUAL "")
+  message(FATAL_ERROR "${TRACE}: no MsgSent event")
+endif()
+string(FIND "${full}" "${sent}" at)
+string(LENGTH "${sent}" sent_length)
+math(EXPR at "${at} + ${sent_length}")
+string(SUBSTRING "${full}" 0 ${at} before)
+string(SUBSTRING "${full}" ${at} -1 after)
+set(bad_number ${OUT_DIR}/malformed_number.jsonl)
+file(WRITE ${bad_number} "${before}-0${after}")
+expect_status(${bad_number} 1)

@@ -214,17 +214,16 @@ TEST(Transport, ZeroTrafficFractionIsZero) {
 // Per-message contract of every backend: one message of each of the ten
 // wire structs, in each direction the protocols send it (ControlMsg goes
 // both ways), through the counting link, the strict link and the event
-// network in null and in lossy mode, with the span-id envelope off and
-// on. Counting, strict and null mode book identical traffic and kMsgSent
-// events; a lossy link books the message's words once per attempt; every
-// backend delivers the payload bit-equal to what was sent.
+// network in null and in lossy mode. Counting, strict and null mode book
+// identical traffic and kMsgSent events; a lossy link books the
+// message's words once per attempt; every backend delivers the payload
+// bit-equal to what was sent.
 
 enum class Backend { kCounting, kStrict, kSimNull, kSimLossy };
 
 struct ContractCase {
   const char* label;
   Backend backend;
-  bool span_wire;
 };
 
 // The backend-binding shim: how a test builds a transport and moves one
@@ -275,8 +274,7 @@ Booked SendEveryMessage(const ContractCase& param) {
   SpanSink spans;
   transport->set_trace(&trace);
   transport->set_spans(&spans);
-  transport->set_span_wire(param.span_wire);
-  // The envelope word names the innermost open span (or the RPC's).
+  // Message spans nest under the run span, as in a protocol run.
   spans.Begin(SpanKind::kRun);
 
   int sent_so_far = 0;
@@ -290,8 +288,7 @@ Booked SendEveryMessage(const ContractCase& param) {
     msg.Encode(&want_bits);
     got.Encode(&got_bits);
     EXPECT_TRUE(want_bits.SameBits(got_bits)) << "message " << sent_so_far;
-    const int64_t words = static_cast<int64_t>(want_bits.size_words()) +
-                          (param.span_wire ? 1 : 0);
+    const int64_t words = static_cast<int64_t>(want_bits.size_words());
     int64_t attempts = 0;
     for (const TraceEvent& e : trace.events_log()) {
       if (e.kind != TraceEventKind::kMsgSent) continue;
@@ -368,7 +365,7 @@ TEST_P(MessageContract, BooksAndDeliversEveryWireStruct) {
   const Booked got = SendEveryMessage(param);
   if (param.backend == Backend::kSimLossy) return;
   const Booked counting =
-      SendEveryMessage(ContractCase{"ref", Backend::kCounting, param.span_wire});
+      SendEveryMessage(ContractCase{"ref", Backend::kCounting});
   ExpectSameTraffic(counting.traffic, got.traffic);
   EXPECT_EQ(got.traffic.total_messages(), 12);
   ASSERT_EQ(counting.sent.size(), got.sent.size());
@@ -383,17 +380,10 @@ TEST_P(MessageContract, BooksAndDeliversEveryWireStruct) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, MessageContract,
-    ::testing::Values(ContractCase{"counting", Backend::kCounting, false},
-                      ContractCase{"strict", Backend::kStrict, false},
-                      ContractCase{"sim_null", Backend::kSimNull, false},
-                      ContractCase{"sim_lossy", Backend::kSimLossy, false},
-                      ContractCase{"counting_span_wire", Backend::kCounting,
-                                   true},
-                      ContractCase{"strict_span_wire", Backend::kStrict, true},
-                      ContractCase{"sim_null_span_wire", Backend::kSimNull,
-                                   true},
-                      ContractCase{"sim_lossy_span_wire", Backend::kSimLossy,
-                                   true}),
+    ::testing::Values(ContractCase{"counting", Backend::kCounting},
+                      ContractCase{"strict", Backend::kStrict},
+                      ContractCase{"sim_null", Backend::kSimNull},
+                      ContractCase{"sim_lossy", Backend::kSimLossy}),
     [](const ::testing::TestParamInfo<ContractCase>& info) {
       return std::string(info.param.label);
     });
