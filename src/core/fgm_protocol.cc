@@ -192,10 +192,10 @@ int64_t FgmProtocol::CommitValueSeries(
 
 double FgmProtocol::ChildValue(int tier, int node) {
   if (IsLeaf(tier)) {
-    // The committed shadow value: identical to CurrentValue() in serial
-    // operation; during a value-series commit walk the evaluator has run
-    // ahead, and the shadow is the value as of the walk position.
-    return sites_[static_cast<size_t>(node)].committed_value();
+    // Serial sites evaluate the records their certificate skipped first;
+    // during a value-series commit walk the evaluator has run ahead, and
+    // this is the value as of the walk position.
+    return sites_[static_cast<size_t>(node)].ReadValue();
   }
   // An aggregator reports its conservative bound v̂ ≥ Σ λφ(x_i): the
   // parent's sum overestimates the true one, so polls and round ends can

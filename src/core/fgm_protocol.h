@@ -290,7 +290,8 @@ class FgmProtocol : public MonitoringProtocol {
 
   // Per-child steps.
   /// The value child (tier, node) reports to a φ-value poll: a site's
-  /// committed λφ(x), an aggregator's v̂.
+  /// λφ(x) after its last committed record (FgmSite::ReadValue, which
+  /// evaluates the records a serial site skipped), an aggregator's v̂.
   double ChildValue(int tier, int node);
   /// One φ-value poll of child (tier, node): request + one-word reply.
   double PollChild(int tier, int node);

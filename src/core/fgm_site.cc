@@ -7,10 +7,31 @@
 
 namespace fgm {
 
-void FgmSite::BeginRound(const SafeFunction* fn) {
+namespace {
+
+// The certificate compares rounded values, so it keeps a margin below the
+// counter threshold: the incremental value may sit up to the band
+// ParanoidDriftEvaluator accepts (1e-6 relative) from φ at each of the
+// two ends, and the counter rule's (v - z)/θ rounds too.
+constexpr double kValueBand = 2e-6;
+constexpr double kThresholdRounding = 1e-12;
+
+}  // namespace
+
+void FgmSite::InstallEvaluator(const SafeFunction* fn) {
   FGM_CHECK(fn != nullptr);
   // Wrapped with the FGM_PARANOID cross-check when the env var is set.
   evaluator_ = MakeCheckedEvaluator(fn, fn->MakeEvaluator());
+  paranoid_ = dynamic_cast<const ParanoidDriftEvaluator*>(evaluator_.get()) !=
+              nullptr;
+  // λφ(X/λ) is L-Lipschitz in X whenever φ is.
+  lipschitz_ = fn->LipschitzBound();
+  FGM_CHECK_GT(lipschitz_, 0.0);
+}
+
+void FgmSite::BeginRound(const SafeFunction* fn) {
+  Disarm();
+  InstallEvaluator(fn);
   lambda_ = 1.0;
   quantum_ = 1.0;
   z_ = 0.0;
@@ -25,14 +46,14 @@ void FgmSite::BeginRound(const SafeFunction* fn) {
 
 void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
                           double theta) {
-  FGM_CHECK(fn != nullptr);
   FGM_CHECK_GT(theta, 0.0);
+  Disarm();
   // Replay the surviving drift into a fresh evaluator for the delivered
   // reference, one delta per non-zero entry (the same reconstruction the
   // coordinator's verbatim-flush path uses).
   const RealVector drift =
       evaluator_ != nullptr ? evaluator_->drift() : RealVector(dim_);
-  evaluator_ = MakeCheckedEvaluator(fn, fn->MakeEvaluator());
+  InstallEvaluator(fn);
   for (size_t i = 0; i < drift.dim(); ++i) {
     if (drift[i] != 0.0) evaluator_->ApplyDelta(i, drift[i]);
   }
@@ -47,19 +68,21 @@ void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
 }
 
 void FgmSite::SetLambda(double lambda) {
+  Disarm();
   lambda_ = lambda;
   // λ only changes at a coordinator rebalance, where the evaluator state
-  // is committed; refresh the shadow under the new scale.
+  // is committed; refresh the committed value under the new scale.
   committed_v_ = CurrentValue();
 }
 
 void FgmSite::BeginSubround(double quantum) {
   FGM_CHECK_GT(quantum, 0.0);
-  quantum_ = quantum;
-  // Re-anchor on the committed value: identical to CurrentValue() in
+  // Re-anchor on the value the coordinator reads: CurrentValue() in
   // serial operation, and the correct baseline while speculation has the
   // evaluator running ahead of the commit walk.
-  z_ = committed_v_;
+  z_ = ReadValue();
+  Disarm();
+  quantum_ = quantum;
   value_min_ = z_;
   value_max_ = z_;
   counter_ = 0;
@@ -75,14 +98,14 @@ int64_t FgmSite::Process(const ContinuousQuery& query,
 int64_t FgmSite::ApplyUpdate(const StreamRecord& record,
                              const std::vector<CellUpdate>& deltas) {
   log_.Record(record, dim_);
-  return CommitValue(ApplyDeltasValue(deltas.data(), deltas.size()));
+  return LazyStep(deltas.data(), deltas.size());
 }
 
 int64_t FgmSite::ApplyUpdate(const std::vector<CellUpdate>& deltas) {
   // An update the log does not see desynchronizes it from the drift; the
   // record-taking overload keeps it live.
   log_.Invalidate();
-  return CommitValue(ApplyDeltasValue(deltas.data(), deltas.size()));
+  return LazyStep(deltas.data(), deltas.size());
 }
 
 double FgmSite::ApplyDeltasValue(const CellUpdate* deltas, size_t n) {
@@ -91,20 +114,87 @@ double FgmSite::ApplyDeltasValue(const CellUpdate* deltas, size_t n) {
   return evaluator_->ApplyDeltas(deltas, n, lambda_);
 }
 
+int64_t FgmSite::LazyStep(const CellUpdate* deltas, size_t n) {
+  if (!armed_) Arm();
+  double step_sq = 0.0;
+  for (size_t i = 0; i < n; ++i) step_sq += deltas[i].delta * deltas[i].delta;
+  // Skip while moved_ + ‖Δ‖ stays below the limit; compared squared, so
+  // an evaluated record takes no square root.
+  const double room = reach_limit_ - moved_;
+  if (!(room > 0.0 && step_sq < room * room)) {
+    return CommitValue(ApplyDeltasValue(deltas, n));
+  }
+  ++updates_since_flush_;
+  ++updates_in_round_;
+  evaluator_->ApplyDeltasOnly(deltas, n);
+  moved_ += std::sqrt(step_sq);
+  ++skipped_;
+  if (paranoid_) CheckSkipped();
+  return 0;
+}
+
 int64_t FgmSite::CommitValue(double v) {
+  Disarm();
   committed_v_ = v;
   if (v < value_min_) value_min_ = v;
   if (v > value_max_) value_max_ = v;
   const double steps = std::floor((v - z_) / quantum_);
   // Counters only move up (max in the paper's update rule); a site whose
   // φ-value recedes stays silent.
+  int64_t increment = 0;
   if (steps > static_cast<double>(counter_)) {
     const int64_t candidate = static_cast<int64_t>(steps);
-    const int64_t increment = candidate - counter_;
+    increment = candidate - counter_;
     counter_ = candidate;
-    return increment;
   }
-  return 0;
+  // Armed here, while the site's scalars are in cache.
+  Arm();
+  return increment;
+}
+
+void FgmSite::EvaluateSkipped() {
+  // Every record since the last exact value was skipped on the
+  // certificate, so this value cannot move the counter.
+  const int64_t missed = CommitValue(CurrentValue());
+  FGM_CHECK_EQ(missed, 0);
+}
+
+void FgmSite::Arm() {
+  // The counter moves once the value reaches z + (c+1)θ; until then the
+  // records since committed_v_ may move X by this much in total.
+  const double rise = static_cast<double>(counter_ + 1) * quantum_;
+  const double margin =
+      kValueBand * std::max(1.0, std::fabs(committed_v_)) +
+      kThresholdRounding * (std::fabs(z_) + rise);
+  reach_limit_ = (z_ + rise - committed_v_ - margin) / lipschitz_;
+  armed_ = true;
+}
+
+void FgmSite::Disarm() {
+  armed_ = false;
+  if (skipped_ == 0) return;
+  // Every skipped value lies within L·Σ‖Δ‖ of the last exact one.
+  const double reach = lipschitz_ * moved_;
+  value_min_ = std::min(value_min_, committed_v_ - reach);
+  value_max_ = std::max(value_max_, committed_v_ + reach);
+  skipped_total_ += skipped_;
+  skipped_ = 0;
+  moved_ = 0.0;
+}
+
+void FgmSite::CheckSkipped() const {
+  const double v = CurrentValue();
+  if (std::floor((v - z_) / quantum_) > static_cast<double>(counter_)) {
+    FGM_CHECK(false &&
+              "FGM_PARANOID: the lazy site skipped a record that moves its "
+              "counter");
+  }
+  const double band = kValueBand * std::max({1.0, std::fabs(v),
+                                             std::fabs(committed_v_)});
+  if (!(std::fabs(v - committed_v_) <= lipschitz_ * moved_ + band)) {
+    FGM_CHECK(false &&
+              "FGM_PARANOID: a skipped value left its certified reach");
+  }
 }
 
 void FgmSite::SpeculateBatch(const ContinuousQuery& query,
@@ -131,6 +221,7 @@ void FgmSite::SpeculateBatch(const ContinuousQuery& query,
 }
 
 void FgmSite::FlushReset() {
+  Disarm();
   evaluator_->Reset();
   updates_since_flush_ = 0;
   log_.Reset();
@@ -139,6 +230,8 @@ void FgmSite::FlushReset() {
 }
 
 void FgmSite::SaveCheckpoint() {
+  // Speculation evaluates every record, so it starts from an exact site.
+  FGM_CHECK_EQ(skipped_, 0);
   checkpoint_.evaluator = evaluator_->Clone();
   checkpoint_.mark = log_.MarkPosition();
   checkpoint_.updates_since_flush = updates_since_flush_;

@@ -7,20 +7,32 @@
 // during subrounds. With rebalancing active the site monitors the
 // perspective λφ(X_i/λ) instead (§4.1).
 //
-// The per-update work is split in two halves so the parallel engine can
-// speculate (value-series model, FgmProtocol::CommitValueSeries):
+// Serial processing (Process/ApplyUpdate) is LAZY. Every installed
+// function is L-Lipschitz (SafeFunction::LipschitzBound), and so is
+// λφ(X/λ) in X, so after an exact value v the counter cannot move until
+// L·Σ‖Δ‖ over the later records reaches z_i + (c_i+1)θ - v. While that
+// certificate holds (minus a floating-point margin), a record's deltas go
+// into the evaluator without an evaluation (ApplyDeltasOnly); the value
+// is computed when the certificate runs out, or when the coordinator
+// reads it (ReadValue: polls, subround start). The evaluator then holds
+// the same state as the eager path, so every computed value has the
+// eager bits and no increment moves. Skipped values are only known to
+// lie within L·Σ‖Δ‖ of the last exact one, so SubroundValueRange is a
+// certified upper bound on the eager sup - inf.
+//
+// The parallel engine stays eager and splits a record in two halves
+// (value-series model, FgmProtocol::CommitValueSeries):
 //   * the EVALUATOR side — map the record, apply the deltas, compute the
-//     post-update value v = λφ(X_i/λ) (SpeculateBatch / ApplyDeltasValue).
-//     This half never reads the subround scalars (z_i, θ, c_i), so it can
-//     run ahead of the coordinator;
+//     post-update value v = λφ(X_i/λ) (SpeculateBatch). This half never
+//     reads the subround scalars (z_i, θ, c_i), so it can run ahead of
+//     the coordinator;
 //   * the COMMIT side — the scalar counter rule over v (CommitValue),
-//     which advances z_i-relative counters and the committed shadow value.
-// Serial processing (Process/ApplyUpdate) chains the two, which is
-// bit-identical to the previous fused implementation.
+//     which advances z_i-relative counters and the committed value.
 
 #ifndef FGM_CORE_FGM_SITE_H_
 #define FGM_CORE_FGM_SITE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -60,13 +72,16 @@ class FgmSite {
 
   /// Maps one local stream record through the query's sketch projection
   /// (into per-site scratch — safe to call concurrently across sites) and
-  /// applies the resulting deltas; returns the counter increment to
-  /// report (0 = stay silent).
+  /// applies the resulting deltas as ApplyUpdate does; returns the
+  /// counter increment to report (0 = stay silent).
   int64_t Process(const ContinuousQuery& query, const StreamRecord& record);
 
-  /// Applies the deltas of one local stream update and returns the
-  /// counter increment to report (0 = stay silent). The record is logged
-  /// for the verbatim drift representation.
+  /// Applies the deltas of one local stream update, evaluating λφ(X_i/λ)
+  /// only when the Lipschitz certificate cannot rule out a counter move,
+  /// and returns the counter increment to report (0 = stay silent). The
+  /// deltas touch each coordinate at most once, as
+  /// ContinuousQuery::MapRecord emits them, so √Σδ² is the record's step
+  /// ‖Δ‖. The record is logged for the verbatim drift representation.
   int64_t ApplyUpdate(const StreamRecord& record,
                       const std::vector<CellUpdate>& deltas);
 
@@ -86,20 +101,38 @@ class FgmSite {
                       const int64_t* positions, int64_t n, double* values);
 
   /// Commit half: runs the counter rule on one post-update value and
-  /// advances the committed shadow value and the subround value range.
+  /// advances the committed value and the subround value range.
   /// Returns the counter increment to report (0 = stay silent).
   int64_t CommitValue(double v);
 
-  /// Last committed value — what the coordinator may read mid-speculation
-  /// in place of CurrentValue() (the evaluator may have run ahead).
-  double committed_value() const { return committed_v_; }
+  /// The value the coordinator reads (polls, subround re-anchoring): λφ
+  /// after the last committed record. If the lazy path skipped records
+  /// since the last exact value, evaluates and commits first, and aborts
+  /// if that moves the counter: the certificate would have missed a
+  /// crossing. Mid-speculation this is the value as of the commit walk
+  /// (the evaluator may have run ahead; speculation skips nothing).
+  double ReadValue() {
+    if (skipped_ > 0) EvaluateSkipped();
+    return committed_v_;
+  }
 
-  /// The value the site currently reports: λφ(X_i/λ).
+  /// λφ(X_i/λ) at the evaluator's drift, evaluated now.
   double CurrentValue() const { return evaluator_->ValueAtScale(lambda_); }
 
   /// Range (sup - inf) of the reported value during the current subround
-  /// — the site's contribution to the ψ-variability of §2.5.1.
-  double SubroundValueRange() const { return value_max_ - value_min_; }
+  /// — the site's contribution to the ψ-variability of §2.5.1. A value
+  /// the lazy path skipped counts as the whole interval its certificate
+  /// allows, so this bounds the eager range from above, by at most
+  /// 2·L·Σ‖Δ‖ over the skipped records.
+  double SubroundValueRange() const {
+    if (skipped_ == 0) return value_max_ - value_min_;
+    const double reach = lipschitz_ * moved_;
+    return std::max(value_max_, committed_v_ + reach) -
+           std::min(value_min_, committed_v_ - reach);
+  }
+
+  /// Records whose evaluation the certificate has skipped so far.
+  int64_t skipped_records() const { return skipped_total_ + skipped_; }
 
   /// The current drift vector (flushed to the coordinator).
   const RealVector& drift() const { return evaluator_->drift(); }
@@ -119,8 +152,9 @@ class FgmSite {
 
   /// Snapshots the speculative (evaluator-side) state — evaluator, log
   /// position, update counters — so a later RestoreCheckpoint rewinds the
-  /// site bit-exactly. The commit-side scalars (z_/λ/θ, counter, value
-  /// range, committed value) only move at coordinator commits and are
+  /// site bit-exactly; no record the lazy path skipped may be pending.
+  /// The commit-side scalars (z_/λ/θ, counter, value range, committed
+  /// value, certificate) only move at coordinator commits and are
   /// deliberately not saved: the commit walk advances them past the
   /// checkpoint, and restoring them would clobber committed state. At
   /// most one restore per save; a new save discards the old snapshot.
@@ -139,6 +173,31 @@ class FgmSite {
   /// Applies deltas + update counters, returns the post-update value.
   double ApplyDeltasValue(const CellUpdate* deltas, size_t n);
 
+  /// Builds the evaluator for `fn` and records its Lipschitz bound.
+  void InstallEvaluator(const SafeFunction* fn);
+
+  /// One serial record step: skips the evaluation while the certificate
+  /// holds, else evaluates and commits.
+  int64_t LazyStep(const CellUpdate* deltas, size_t n);
+
+  /// ReadValue's slow path: evaluates and commits the current value,
+  /// which must not move the counter.
+  void EvaluateSkipped();
+
+  /// Arms the certificate at the exact value committed_v_ under the
+  /// current z_, θ, λ and counter. CommitValue arms at once; after any
+  /// other Disarm the next record arms.
+  void Arm();
+
+  /// Folds the certified reach of the skipped records into the value
+  /// range, clears them and disarms the certificate. Runs before
+  /// committed_v_, z_, θ, λ or the counter change.
+  void Disarm();
+
+  /// FGM_PARANOID: evaluates the record just skipped, without committing
+  /// it, and aborts if it moves the counter or leaves its certified reach.
+  void CheckSkipped() const;
+
   int id_;
   size_t dim_;
   RawUpdateLog log_;
@@ -150,12 +209,20 @@ class FgmSite {
   double lambda_ = 1.0;
   double quantum_ = 1.0;
   double z_ = 0.0;
-  double committed_v_ = 0.0;  ///< shadow of CurrentValue() at last commit
+  double committed_v_ = 0.0;  ///< the last exact (committed) value
   double value_min_ = 0.0;
   double value_max_ = 0.0;
   int64_t counter_ = 0;
   int64_t updates_since_flush_ = 0;
   int64_t updates_in_round_ = 0;
+  // The Lipschitz certificate: skip while moved_ < reach_limit_.
+  double lipschitz_ = 1.0;    ///< L of the installed function
+  double reach_limit_ = 0.0;  ///< Σ‖Δ‖ the counter cannot move within
+  double moved_ = 0.0;        ///< Σ‖Δ‖ over the skipped records
+  int64_t skipped_ = 0;       ///< records skipped since committed_v_
+  int64_t skipped_total_ = 0;
+  bool armed_ = false;     ///< reach_limit_ matches the scalars above
+  bool paranoid_ = false;  ///< evaluator wrapped by FGM_PARANOID
 };
 
 }  // namespace fgm

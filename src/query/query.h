@@ -44,7 +44,9 @@ class ContinuousQuery {
   /// Dimension D of the state vectors.
   virtual size_t dimension() const = 0;
 
-  /// Appends the state-vector deltas of one stream record to `out`.
+  /// Appends the state-vector deltas of one stream record to `out`, each
+  /// coordinate at most once, so √Σδ² is the record's step ‖Δ‖ (the FGM
+  /// site's Lipschitz certificate spends it).
   virtual void MapRecord(const StreamRecord& record,
                          std::vector<CellUpdate>* out) const = 0;
 

@@ -18,6 +18,10 @@ double PerspectiveEval(const SafeFunction& fn, const RealVector& x,
   return lambda * fn.Eval(scaled);
 }
 
+void DriftEvaluator::ApplyDeltasOnly(const CellUpdate* cells, size_t n) {
+  for (size_t i = 0; i < n; ++i) ApplyDelta(cells[i].index, cells[i].delta);
+}
+
 double DriftEvaluator::ApplyDeltas(const CellUpdate* cells, size_t n,
                                    double lambda) {
   for (size_t i = 0; i < n; ++i) ApplyDelta(cells[i].index, cells[i].delta);
@@ -39,10 +43,20 @@ ParanoidDriftEvaluator::ParanoidDriftEvaluator(
 
 void ParanoidDriftEvaluator::ApplyDelta(size_t index, double delta) {
   inner_->ApplyDelta(index, delta);
-  if (++since_check_ >= period_) {
-    since_check_ = 0;
-    CrossCheck();
-  }
+  if (CheckDue(1)) CrossCheck(inner_->Value(), 1.0);
+}
+
+void ParanoidDriftEvaluator::ApplyDeltasOnly(const CellUpdate* cells,
+                                             size_t n) {
+  inner_->ApplyDeltasOnly(cells, n);
+  if (CheckDue(n)) CrossCheck(inner_->Value(), 1.0);
+}
+
+double ParanoidDriftEvaluator::ApplyDeltas(const CellUpdate* cells, size_t n,
+                                           double lambda) {
+  const double value = inner_->ApplyDeltas(cells, n, lambda);
+  if (CheckDue(n)) CrossCheck(value, lambda);
+  return value;
 }
 
 void ParanoidDriftEvaluator::Reset() {
@@ -50,14 +64,20 @@ void ParanoidDriftEvaluator::Reset() {
   since_check_ = 0;
 }
 
-void ParanoidDriftEvaluator::CrossCheck() const {
-  const double incremental = inner_->Value();
-  const double reference = fn_->Eval(inner_->drift());
+bool ParanoidDriftEvaluator::CheckDue(size_t n) {
+  since_check_ += static_cast<int64_t>(n);
+  if (since_check_ < period_) return false;
+  since_check_ = 0;
+  return true;
+}
+
+void ParanoidDriftEvaluator::CrossCheck(double value, double lambda) const {
+  const double reference = PerspectiveEval(*fn_, inner_->drift(), lambda);
   // The incremental value accumulates one rounding per delta; allow a
   // generous relative band around the reference before declaring the
   // maintenance broken.
   const double tol = 1e-6 * std::max(1.0, std::fabs(reference));
-  if (!(std::fabs(incremental - reference) <= tol)) {
+  if (!(std::fabs(value - reference) <= tol)) {
     FGM_CHECK(false &&
               "FGM_PARANOID: incremental safe-function value diverged from "
               "the reference evaluation");

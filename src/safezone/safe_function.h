@@ -43,10 +43,17 @@ class DriftEvaluator {
   /// x[index] += delta, updating internal derived quantities.
   virtual void ApplyDelta(size_t index, double delta) = 0;
 
-  /// One site step: applies cells[0..n) in order, as n ApplyDelta calls
-  /// would, and returns ValueAtScale(lambda) at the new drift. The
-  /// default is exactly that loop; evaluators on the per-record path
-  /// override it with one call that fuses the two.
+  /// Applies cells[0..n) in order, as n ApplyDelta calls would, and
+  /// evaluates nothing: the lazy site's step for a record its Lipschitz
+  /// certificate proves cannot move a counter. The default is exactly
+  /// that loop; evaluators on the per-record path override it with one
+  /// call.
+  virtual void ApplyDeltasOnly(const CellUpdate* cells, size_t n);
+
+  /// One evaluated site step: applies cells[0..n) as ApplyDeltasOnly
+  /// does and returns ValueAtScale(lambda) at the new drift. The default
+  /// is exactly that; evaluators on the per-record path override it with
+  /// one call that fuses the two.
   virtual double ApplyDeltas(const CellUpdate* cells, size_t n,
                              double lambda);
 
@@ -125,10 +132,13 @@ class NaiveDriftEvaluator : public VectorDriftEvaluator {
   const SafeFunction* fn_;  // not owned
 };
 
-/// Wraps an incremental evaluator and cross-checks its Value() against the
-/// safe function's reference Eval(drift) every `period` deltas, catching
+/// Wraps an incremental evaluator and cross-checks it against the safe
+/// function's reference evaluation every `period` deltas, catching
 /// incremental-maintenance drift (lost updates, accumulated cancellation)
-/// at the point where it happens instead of at the end of a run.
+/// at the point where it happens instead of at the end of a run. The
+/// evaluated step checks the value it returns, ValueAtScale(λ), against
+/// PerspectiveEval(drift, λ), so a wrong perspective formula fails too;
+/// the unevaluated steps check Value() against Eval(drift).
 class ParanoidDriftEvaluator : public DriftEvaluator {
  public:
   /// `fn` must outlive the evaluator; `period` >= 1.
@@ -137,6 +147,9 @@ class ParanoidDriftEvaluator : public DriftEvaluator {
                          int64_t period);
 
   void ApplyDelta(size_t index, double delta) override;
+  void ApplyDeltasOnly(const CellUpdate* cells, size_t n) override;
+  double ApplyDeltas(const CellUpdate* cells, size_t n,
+                     double lambda) override;
   double Value() const override { return inner_->Value(); }
   double ValueAtScale(double lambda) const override {
     return inner_->ValueAtScale(lambda);
@@ -146,7 +159,10 @@ class ParanoidDriftEvaluator : public DriftEvaluator {
   std::unique_ptr<DriftEvaluator> Clone() const override;
 
  private:
-  void CrossCheck() const;
+  /// Counts `n` applied deltas; true when a check period has elapsed.
+  bool CheckDue(size_t n);
+  /// Aborts unless `value` matches λφ(drift/λ) from scratch.
+  void CrossCheck(double value, double lambda) const;
 
   const SafeFunction* fn_;  // not owned
   std::unique_ptr<DriftEvaluator> inner_;

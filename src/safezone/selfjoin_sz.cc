@@ -31,11 +31,15 @@ class SelfJoinEvaluator final : public VectorDriftEvaluator {
     x_[index] += delta;
   }
 
-  // The class is final, so both calls bind statically and inline: one
-  // virtual call per record instead of depth + 1.
+  // The class is final, so the calls below bind statically and inline:
+  // one virtual call per record instead of depth (+ 1).
+  void ApplyDeltasOnly(const CellUpdate* cells, size_t n) override {
+    for (size_t i = 0; i < n; ++i) ApplyDelta(cells[i].index, cells[i].delta);
+  }
+
   double ApplyDeltas(const CellUpdate* cells, size_t n,
                      double lambda) override {
-    for (size_t i = 0; i < n; ++i) ApplyDelta(cells[i].index, cells[i].delta);
+    ApplyDeltasOnly(cells, n);
     return ValueAtScale(lambda);
   }
 

@@ -1,6 +1,7 @@
 #include "sim/net_config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace fgm {
@@ -21,18 +22,33 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return out;
 }
 
+// Latency parameters above this many ticks are rejected, so every
+// sampled delay converts to the int64 tick clock exactly.
+constexpr double kMaxLatencyTicks = 1099511627776.0;  // 2^40
+
+/// Parses a whole, finite number (strtod alone accepts "nan" and "inf").
 bool ParseNumber(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return end != nullptr && *end == '\0' && std::isfinite(*out);
+}
+
+bool ParseLatency(const std::string& text, double* out) {
+  return ParseNumber(text, out) && *out >= 0.0 && *out <= kMaxLatencyTicks;
 }
 
 bool ParseCount(const std::string& text, int64_t* out) {
   double value = 0.0;
   if (!ParseNumber(text, &value)) return false;
+  // Range-check before the cast: converting a double outside int64's
+  // range is undefined behaviour.
+  if (!(value >= 0.0 && value < 9223372036854775808.0) ||
+      value != std::floor(value)) {
+    return false;
+  }
   *out = static_cast<int64_t>(value);
-  return static_cast<double>(*out) == value && *out >= 0;
+  return true;
 }
 
 /// Parses "key=value" pairs from a comma-separated clause body.
@@ -59,7 +75,7 @@ bool ParseLatencySpec(const std::string& spec, LatencySpec* out) {
   const std::string args = spec.substr(colon + 1);
   if (kind == "fixed") {
     out->kind = LatencySpec::Kind::kFixed;
-    if (!ParseNumber(args, &out->a) || out->a < 0.0) return false;
+    if (!ParseLatency(args, &out->a)) return false;
     if (out->a == 0.0) out->kind = LatencySpec::Kind::kZero;
     return true;
   }
@@ -67,13 +83,12 @@ bool ParseLatencySpec(const std::string& spec, LatencySpec* out) {
     const size_t dash = args.find('-');
     if (dash == std::string::npos) return false;
     out->kind = LatencySpec::Kind::kUniform;
-    return ParseNumber(args.substr(0, dash), &out->a) &&
-           ParseNumber(args.substr(dash + 1), &out->b) && out->a >= 0.0 &&
-           out->b >= out->a;
+    return ParseLatency(args.substr(0, dash), &out->a) &&
+           ParseLatency(args.substr(dash + 1), &out->b) && out->b >= out->a;
   }
   if (kind == "exp") {
     out->kind = LatencySpec::Kind::kExp;
-    return ParseNumber(args, &out->a) && out->a > 0.0;
+    return ParseLatency(args, &out->a) && out->a > 0.0;
   }
   return false;
 }

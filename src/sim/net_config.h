@@ -37,7 +37,8 @@ struct LatencySpec {
 };
 
 /// Parses "", "0", "fixed:T", "uniform:A-B" or "exp:M". Returns false on a
-/// malformed spec (negative values, inverted ranges, unknown kind).
+/// malformed spec (values that are negative, not finite or above 2^40
+/// ticks, inverted ranges, unknown kind).
 bool ParseLatencySpec(const std::string& spec, LatencySpec* out);
 
 /// One scheduled link-state flip from the fault plan.

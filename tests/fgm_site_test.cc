@@ -84,7 +84,31 @@ TEST(FgmSite, SubroundValueRangeTracksSupMinusInf) {
   site.ApplyUpdate(Delta(0, +2.0));  // value +2
   site.ApplyUpdate(Delta(0, -3.0));  // value -1
   site.ApplyUpdate(Delta(0, +1.0));  // value 0
-  EXPECT_DOUBLE_EQ(site.SubroundValueRange(), 3.0);  // sup 2, inf -1
+  // The exact range is 3 (sup 2, inf -1). The certificate skipped these
+  // records, so the site reports a certified bound: at least the exact
+  // range, and at most 2·L·Σ‖Δ‖ = 2·1·6 above it.
+  EXPECT_GT(site.skipped_records(), 0);
+  EXPECT_GE(site.SubroundValueRange(), 3.0);
+  EXPECT_LE(site.SubroundValueRange(), 3.0 + 2.0 * 6.0);
+  // A poll evaluates the skipped records and keeps the bound.
+  EXPECT_DOUBLE_EQ(site.ReadValue(), -4.0);  // z + 0
+  EXPECT_GE(site.SubroundValueRange(), 3.0);
+  EXPECT_LE(site.SubroundValueRange(), 3.0 + 2.0 * 6.0);
+}
+
+TEST(FgmSite, EvaluatesWhenTheCertificateRunsOut) {
+  auto phi = LinearPhi();
+  FgmSite site(0, 2);
+  site.BeginRound(phi.get());
+  site.BeginSubround(1.0);  // z = -4: the counter moves at -3
+  // φ is 1-Lipschitz, so 0.4 + 0.4 cannot reach the threshold 1 away.
+  EXPECT_EQ(site.ApplyUpdate(Delta(0, +0.4)), 0);
+  EXPECT_EQ(site.ApplyUpdate(Delta(1, +0.4)), 0);
+  EXPECT_EQ(site.skipped_records(), 2);
+  // The third step could: the site evaluates, finds -2.8 and reports one.
+  EXPECT_EQ(site.ApplyUpdate(Delta(0, +0.8)), 1);
+  EXPECT_EQ(site.skipped_records(), 2);
+  EXPECT_DOUBLE_EQ(site.ReadValue(), -2.8);
 }
 
 TEST(FgmSite, LambdaScalesTheReportedValue) {

@@ -131,6 +131,38 @@ TEST(ParanoidDriftEvaluatorDeathTest, AbortsOnDivergedInner) {
   EXPECT_DEATH(eval.ApplyDelta(0, 1.0), "FGM_PARANOID");
 }
 
+// Right at λ = 1 and wrong below it: the perspective ignores λ. Sites
+// read ValueAtScale(λ), with λ < 1 after every rebalance.
+class BrokenPerspectiveEvaluator : public VectorDriftEvaluator {
+ public:
+  explicit BrokenPerspectiveEvaluator(const SafeFunction* fn)
+      : VectorDriftEvaluator(fn->dimension()), fn_(fn) {}
+  void ApplyDelta(size_t index, double delta) override {
+    x_[index] += delta;
+  }
+  double Value() const override { return fn_->Eval(x_); }
+  double ValueAtScale(double) const override { return Value(); }
+  void Reset() override { x_.SetZero(); }
+  std::unique_ptr<DriftEvaluator> Clone() const override {
+    return std::make_unique<BrokenPerspectiveEvaluator>(*this);
+  }
+
+ private:
+  const SafeFunction* fn_;
+};
+
+TEST(ParanoidDriftEvaluatorDeathTest, AbortsOnWrongPerspective) {
+  RealVector center(4);
+  center[0] = 1.0;
+  BallSafeFunction fn(center, 10.0);
+  ParanoidDriftEvaluator eval(
+      &fn, std::make_unique<BrokenPerspectiveEvaluator>(&fn), /*period=*/1);
+  const CellUpdate cell{0, 1.0};
+  eval.ApplyDelta(0, 1.0);          // Value() is right
+  eval.ApplyDeltas(&cell, 1, 1.0);  // and so is λ = 1
+  EXPECT_DEATH(eval.ApplyDeltas(&cell, 1, 0.5), "FGM_PARANOID");
+}
+
 TEST(MakeCheckedEvaluator, EnvVariableTogglesTheWrapper) {
   RealVector center(4);
   center[0] = 1.0;
