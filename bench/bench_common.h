@@ -114,11 +114,6 @@ class JsonReport {
     return *report;
   }
 
-  /// Standalone instance for a binary that exports a second report next to
-  /// the singleton (e.g. bench_micro's BENCH_micro.json beside
-  /// BENCH_parallel_speedup.json); call Write() explicitly.
-  JsonReport() = default;
-
   void Init(const std::string& bench_name) { name_ = bench_name; }
 
   /// Records one experiment run under the figure's x-axis label.
@@ -198,6 +193,8 @@ class JsonReport {
   }
 
  private:
+  JsonReport() = default;
+
   // Flush on normal process exit once there is something to write.
   void Arm() {
     if (!armed_) {

@@ -1,24 +1,21 @@
 // Micro benchmarks (google-benchmark): throughput of the data-path
 // building blocks — sketch updates, incremental safe-function evaluation,
 // and end-to-end protocol record processing. Every google-benchmark
-// result is also exported as BENCH_micro.json (per-benchmark ns/op), and
-// main() then runs the serial-vs-parallel speedup grid and exports it as
-// BENCH_parallel_speedup.json (see bench_common.h / FGM_BENCH_OUT).
-// tools/bench_gate diffs either report against a committed baseline.
+// result is also exported as BENCH_micro.json (per-benchmark ns/op; see
+// bench_common.h / FGM_BENCH_OUT), and tools/bench_gate diffs the report
+// against a committed baseline.
 
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "core/fgm_protocol.h"
-#include "driver/runner.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -26,7 +23,6 @@
 #include "safezone/join_sz.h"
 #include "safezone/selfjoin_sz.h"
 #include "sketch/fast_agms.h"
-#include "stream/worldcup.h"
 #include "util/rng.h"
 
 namespace fgm {
@@ -211,68 +207,8 @@ void BM_FgmProcessRecordSpans(benchmark::State& state) {
 }
 BENCHMARK(BM_FgmProcessRecordSpans)->Arg(4)->Arg(27);
 
-// Serial vs. parallel end-to-end runs over the k × threads grid. Written
-// to BENCH_parallel_speedup.json; wall-clock speedups depend on the host
-// core count (a 1-core machine reports ≈1.0 or below by construction,
-// which is why the report carries a `host_cores` scalar), while traffic
-// equality with the serial run is checked unconditionally.
-void RunParallelSpeedupGrid() {
-  bench::JsonReport::Get().Init("parallel_speedup");
-  const unsigned cores = std::thread::hardware_concurrency();
-  bench::JsonReport::Get().AddScalar("host_cores",
-                                     static_cast<double>(cores));
-  std::printf("\nparallel speedup grid (Q1 self-join, 200k updates, %u "
-              "host cores):\n",
-              cores);
-  for (int k : {8, 32}) {
-    WorldCupConfig wc;
-    wc.sites = k;
-    wc.total_updates = 200000;
-    const std::vector<StreamRecord> trace = GenerateWorldCupTrace(wc);
-    double serial_wall = 0.0;
-    int64_t serial_words = 0;
-    const auto one_run = [&](int threads) {
-      RunConfig config;
-      config.query = QueryKind::kSelfJoin;
-      config.protocol = ProtocolKind::kFgm;
-      config.sites = k;
-      config.depth = 5;
-      config.width = 300;
-      config.threads = threads;
-      const RunResult r = Run(config, trace);
-      if (threads == 1) {
-        serial_wall = r.wall_seconds;
-        serial_words = r.traffic.total_words();
-      } else if (r.traffic.total_words() != serial_words) {
-        std::fprintf(stderr,
-                     "parallel run diverged from serial traffic "
-                     "(k=%d threads=%d)\n",
-                     k, threads);
-        std::exit(1);
-      }
-      const double speedup =
-          r.wall_seconds > 0.0 ? serial_wall / r.wall_seconds : 0.0;
-      const std::string label =
-          "k=" + std::to_string(k) + ",threads=" + std::to_string(threads);
-      std::printf("  k=%-3d threads=%d wall=%.3fs speedup=%.2fx\n", k,
-                  threads, r.wall_seconds, speedup);
-      bench::JsonReport::Get().AddEntry(
-          label, {{"k", static_cast<double>(k)},
-                  {"threads", static_cast<double>(threads)},
-                  {"wall_seconds", r.wall_seconds},
-                  {"speedup", speedup},
-                  {"windows", static_cast<double>(r.parallel_windows)},
-                  {"barriers", static_cast<double>(r.parallel_barriers)},
-                  {"replayed", static_cast<double>(r.replayed_records)},
-                  {"wasted", static_cast<double>(r.wasted_records)},
-                  {"soft_commits", static_cast<double>(r.soft_commits)}});
-    };
-    for (int threads : {1, 2, 4, 8}) one_run(threads);
-  }
-}
-
 // Console reporter that additionally lands every per-iteration result in
-// a standalone JsonReport (BENCH_micro.json): one run per benchmark with
+// the JsonReport (BENCH_micro.json): one run per benchmark with
 // ns_per_op / cpu_ns_per_op / items_per_second. All three are time-like,
 // so bench_gate skips them unless given --time_tol; the gate still fails
 // structurally when a benchmark disappears from the suite.
@@ -312,7 +248,7 @@ class MicroJsonReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  fgm::bench::JsonReport micro;
+  fgm::bench::JsonReport& micro = fgm::bench::JsonReport::Get();
   micro.Init("micro");
   fgm::MicroJsonReporter reporter(&micro);
   benchmark::RunSpecifiedBenchmarks(&reporter);
@@ -340,6 +276,5 @@ int main(int argc, char** argv) {
                 spans_on, spans_on - off);
   }
   micro.Write();
-  fgm::RunParallelSpeedupGrid();
   return 0;
 }

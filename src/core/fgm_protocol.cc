@@ -147,54 +147,13 @@ bool FgmProtocol::SendCounterIncrement(int child, int64_t increment) {
   return counter_total_ > live_m_;
 }
 
-void FgmProtocol::MaterializeForCommit() {
-  if (materialize_cb_ == nullptr) return;
-  commit_hard_ = true;
-  (*materialize_cb_)(commit_pos_);
-}
-
-int64_t FgmProtocol::CommitValueSeries(
-    const int32_t* site_by_pos, int64_t count, const ValueSeries* series,
-    const std::function<void(int64_t)>& materialize,
-    int64_t* soft_interactions) {
-  commit_cursor_.assign(static_cast<size_t>(k_), 0);
-  materialize_cb_ = &materialize;
-  int64_t soft = 0;
-  int64_t consumed = count;
-  for (int64_t pos = 0; pos < count; ++pos) {
-    const size_t shard = static_cast<size_t>(site_by_pos[pos]);
-    FGM_CHECK_LT(commit_cursor_[shard], series[shard].count);
-    const double v =
-        series[shard].values[static_cast<size_t>(commit_cursor_[shard]++)];
-    const int64_t increment = sites_[shard].CommitValue(v);
-    ++total_updates_;
-    if (increment <= 0) continue;
-    commit_pos_ = pos;
-    if (!SendCounterIncrement(static_cast<int>(shard), increment)) continue;
-    commit_hard_ = false;
-    PollAndAdvance();
-    if (commit_hard_) {
-      consumed = pos + 1;
-      break;
-    }
-    ++soft;
-  }
-  materialize_cb_ = nullptr;
-  commit_pos_ = -1;
-  commit_hard_ = false;
-  if (soft_interactions != nullptr) *soft_interactions = soft;
-  return consumed;
-}
-
 // ---------------------------------------------------------------------------
 // Per-child steps: the only places where a leaf site and an aggregator
 // differ.
 
 double FgmProtocol::ChildValue(int tier, int node) {
   if (IsLeaf(tier)) {
-    // Serial sites evaluate the records their certificate skipped first;
-    // during a value-series commit walk the evaluator has run ahead, and
-    // this is the value as of the walk position.
+    // A site evaluates the records its certificate skipped first.
     return sites_[static_cast<size_t>(node)].ReadValue();
   }
   // An aggregator reports its conservative bound v̂ ≥ Σ λφ(x_i): the
@@ -868,9 +827,7 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
       e.label = "psi-exhausted";
       trace_->Emit(e);
     }
-    // Subrounds exhausted for this safe function / scale. Rebalance and
-    // round end read true drift state: materialize the walk prefix first.
-    MaterializeForCommit();
+    // Subrounds exhausted for this safe function / scale.
     if (config_.rebalance) {
       TryRebalance();
     } else {
@@ -879,12 +836,10 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
   } else if (CheapRoundOverBudget()) {
     // A mispredicted cheap plan is burning subround overhead; cut the
     // round so the feedback guard can redirect the next one.
-    MaterializeForCommit();
     EndRound(/*already_flushed=*/false);
   } else if (subrounds_this_round_ >= config_.max_subrounds_per_round) {
     // Subround cap reached: end the round instead of aborting the run.
     ++overflow_rounds_;
-    MaterializeForCommit();
     EndRound(/*already_flushed=*/false);
   } else {
     StartSubround(last_psi_, /*analytic=*/false);

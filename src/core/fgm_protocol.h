@@ -51,16 +51,12 @@
 // handshake rebuilds a site's evaluator, or re-baselines an aggregator's
 // export (its subtree kept running and is its stable storage); a child
 // dead past the deadline drops out of the round (reduced-m rounds).
-//
-// Value-series speculation (exec/parallel_runner.h) runs at depth 1 over
-// a synchronous transport only; see CommitValueSeries.
 
 #ifndef FGM_CORE_FGM_PROTOCOL_H_
 #define FGM_CORE_FGM_PROTOCOL_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,13 +75,6 @@
 #include "util/stats.h"
 
 namespace fgm {
-
-/// One site's recorded post-update values for a speculation window,
-/// aligned with the site's window records in stream order.
-struct ValueSeries {
-  const double* values = nullptr;
-  int64_t count = 0;
-};
 
 class FgmProtocol : public MonitoringProtocol {
  public:
@@ -167,60 +156,6 @@ class FgmProtocol : public MonitoringProtocol {
   /// degradation instead of aborting the run).
   int64_t overflow_rounds() const { return overflow_rounds_; }
 
-  // Value-series speculation, one shard per site (exec/parallel_runner.h).
-  // Between coordinator interactions the sites are independent, and the
-  // counter rule is scalar in the post-update value v = λφ(X_i/λ): an
-  // increment depends only on v and the subround baseline (z_i, θ, c_i),
-  // and starting a new subround touches ONLY that baseline, never the
-  // drift. So workers fold whole per-site batches into the drift and
-  // record every v (SpeculateShard), and the coordinator replays the rule
-  // over the recorded values in global stream order (CommitValueSeries),
-  // crossing subrounds softly. Only interactions that read true drift
-  // state (rebalance, round end, subround overflow) materialize the sites
-  // and end the window; the checkpoint hooks make that rollback exact.
-
-  /// False over a simulated network (the event queue advances with every
-  /// record, so speculation would reorder deliveries) and on deeper trees
-  /// (increments route through aggregators); the runner then runs serial.
-  bool SupportsSpeculation() const { return sim_ == nullptr && depth_ == 1; }
-
-  /// Snapshots / restores site `shard`'s evaluator-side state
-  /// bit-exactly. RestoreCheckpoint consumes the checkpoint (at most one
-  /// restore per save).
-  void SaveCheckpoint(int shard) {
-    sites_[static_cast<size_t>(shard)].SaveCheckpoint();
-  }
-  void RestoreCheckpoint(int shard) {
-    sites_[static_cast<size_t>(shard)].RestoreCheckpoint();
-  }
-
-  /// Worker side, for one site: processes base[positions[j]] for j in
-  /// [0, n) in order and writes each record's post-update value into
-  /// values[j]. Never evaluates the counter rule — that is
-  /// CommitValueSeries' job. Thread-safe across DIFFERENT sites.
-  void SpeculateShard(int shard, const StreamRecord* base,
-                      const int64_t* positions, int64_t n, double* values) {
-    sites_[static_cast<size_t>(shard)].SpeculateBatch(*query_, base,
-                                                      positions, n, values);
-  }
-
-  /// Coordinator side: commits a speculated window in global stream
-  /// order. site_by_pos[p] names the site of window position p and
-  /// series[site] holds that site's recorded values (consumed in order).
-  /// Advances the committed scalar state — counter rule, traffic, traces,
-  /// record accounting — bit-identically to the serial run, and calls
-  /// materialize(p) immediately before any interaction that must read
-  /// true site drift state; the callee rebuilds every site's drift as of
-  /// position p. Returns the number of records committed: `count` when
-  /// the window completed (possibly crossing several subrounds softly),
-  /// else the position just past the materialized interaction.
-  /// `*soft_interactions` (may be null) receives the soft coordinator
-  /// interactions committed inside the window.
-  int64_t CommitValueSeries(const int32_t* site_by_pos, int64_t count,
-                            const ValueSeries* series,
-                            const std::function<void(int64_t)>& materialize,
-                            int64_t* soft_interactions);
-
  private:
   /// One mid-tier aggregator's protocol state. The node is a local
   /// coordinator for its children (z_local/counter_local against
@@ -283,10 +218,6 @@ class FgmProtocol : public MonitoringProtocol {
   /// (synchronous transports); returns true when the accumulated total
   /// crossed live_m_ and the coordinator must poll.
   bool SendCounterIncrement(int child, int64_t increment);
-  /// Inside a value-series commit walk: rebuilds true site drift state as
-  /// of the current walk position before a hard coordinator interaction.
-  /// No-op outside a walk (serial / sim operation).
-  void MaterializeForCommit();
 
   // Per-child steps.
   /// The value child (tier, node) reports to a φ-value poll: a site's
@@ -437,13 +368,6 @@ class FgmProtocol : public MonitoringProtocol {
   RealVector balance_;  // B
   double lambda_ = 1.0;
   double psi_b_ = 0.0;
-
-  // Value-series commit-walk state (non-null / live only inside
-  // CommitValueSeries).
-  const std::function<void(int64_t)>* materialize_cb_ = nullptr;
-  int64_t commit_pos_ = -1;   ///< walk position of the in-flight event
-  bool commit_hard_ = false;  ///< the last poll materialized (hard)
-  std::vector<int64_t> commit_cursor_;  ///< per-shard value-series cursor
 
   // Subround tracking.
   int64_t counter_total_ = 0;  // c

@@ -41,7 +41,6 @@ void FgmSite::BeginRound(const SafeFunction* fn) {
   log_.Reset();
   // The evaluator was just rebuilt, so live == committed by definition.
   committed_v_ = CurrentValue();
-  checkpoint_.valid = false;
 }
 
 void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
@@ -64,7 +63,6 @@ void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
   value_min_ = z_;
   value_max_ = z_;
   counter_ = 0;
-  checkpoint_.valid = false;
 }
 
 void FgmSite::SetLambda(double lambda) {
@@ -77,9 +75,8 @@ void FgmSite::SetLambda(double lambda) {
 
 void FgmSite::BeginSubround(double quantum) {
   FGM_CHECK_GT(quantum, 0.0);
-  // Re-anchor on the value the coordinator reads: CurrentValue() in
-  // serial operation, and the correct baseline while speculation has the
-  // evaluator running ahead of the commit walk.
+  // Re-anchor on the value the coordinator reads, with the records the
+  // certificate skipped evaluated.
   z_ = ReadValue();
   Disarm();
   quantum_ = quantum;
@@ -108,24 +105,18 @@ int64_t FgmSite::ApplyUpdate(const std::vector<CellUpdate>& deltas) {
   return LazyStep(deltas.data(), deltas.size());
 }
 
-double FgmSite::ApplyDeltasValue(const CellUpdate* deltas, size_t n) {
-  ++updates_since_flush_;
-  ++updates_in_round_;
-  return evaluator_->ApplyDeltas(deltas, n, lambda_);
-}
-
 int64_t FgmSite::LazyStep(const CellUpdate* deltas, size_t n) {
   if (!armed_) Arm();
+  ++updates_since_flush_;
+  ++updates_in_round_;
   double step_sq = 0.0;
   for (size_t i = 0; i < n; ++i) step_sq += deltas[i].delta * deltas[i].delta;
   // Skip while moved_ + ‖Δ‖ stays below the limit; compared squared, so
   // an evaluated record takes no square root.
   const double room = reach_limit_ - moved_;
   if (!(room > 0.0 && step_sq < room * room)) {
-    return CommitValue(ApplyDeltasValue(deltas, n));
+    return CommitValue(evaluator_->ApplyDeltas(deltas, n, lambda_));
   }
-  ++updates_since_flush_;
-  ++updates_in_round_;
   evaluator_->ApplyDeltasOnly(deltas, n);
   moved_ += std::sqrt(step_sq);
   ++skipped_;
@@ -197,29 +188,6 @@ void FgmSite::CheckSkipped() const {
   }
 }
 
-void FgmSite::SpeculateBatch(const ContinuousQuery& query,
-                             const StreamRecord* base,
-                             const int64_t* positions, int64_t n,
-                             double* values) {
-  // Map in blocks so the scratch buffer stays cache-resident.
-  constexpr int64_t kMapBlock = 512;
-  for (int64_t start = 0; start < n; start += kMapBlock) {
-    const int64_t m = std::min(kMapBlock, n - start);
-    batch_deltas_.clear();
-    batch_ends_.clear();
-    query.MapRecordBatch(base, positions + start, m, &batch_deltas_,
-                         &batch_ends_);
-    size_t delta_begin = 0;
-    for (int64_t j = 0; j < m; ++j) {
-      log_.Record(base[positions[start + j]], dim_);
-      const size_t delta_end = batch_ends_[static_cast<size_t>(j)];
-      values[start + j] = ApplyDeltasValue(batch_deltas_.data() + delta_begin,
-                                           delta_end - delta_begin);
-      delta_begin = delta_end;
-    }
-  }
-}
-
 void FgmSite::FlushReset() {
   Disarm();
   evaluator_->Reset();
@@ -227,25 +195,6 @@ void FgmSite::FlushReset() {
   log_.Reset();
   // The drift just went to zero under coordinator control: committed.
   committed_v_ = CurrentValue();
-}
-
-void FgmSite::SaveCheckpoint() {
-  // Speculation evaluates every record, so it starts from an exact site.
-  FGM_CHECK_EQ(skipped_, 0);
-  checkpoint_.evaluator = evaluator_->Clone();
-  checkpoint_.mark = log_.MarkPosition();
-  checkpoint_.updates_since_flush = updates_since_flush_;
-  checkpoint_.updates_in_round = updates_in_round_;
-  checkpoint_.valid = true;
-}
-
-void FgmSite::RestoreCheckpoint() {
-  FGM_CHECK(checkpoint_.valid);
-  evaluator_ = std::move(checkpoint_.evaluator);
-  log_.Rewind(checkpoint_.mark);
-  updates_since_flush_ = checkpoint_.updates_since_flush;
-  updates_in_round_ = checkpoint_.updates_in_round;
-  checkpoint_.valid = false;
 }
 
 }  // namespace fgm

@@ -19,15 +19,6 @@
 // eager bits and no increment moves. Skipped values are only known to
 // lie within L·Σ‖Δ‖ of the last exact one, so SubroundValueRange is a
 // certified upper bound on the eager sup - inf.
-//
-// The parallel engine stays eager and splits a record in two halves
-// (value-series model, FgmProtocol::CommitValueSeries):
-//   * the EVALUATOR side — map the record, apply the deltas, compute the
-//     post-update value v = λφ(X_i/λ) (SpeculateBatch). This half never
-//     reads the subround scalars (z_i, θ, c_i), so it can run ahead of
-//     the coordinator;
-//   * the COMMIT side — the scalar counter rule over v (CommitValue),
-//     which advances z_i-relative counters and the committed value.
 
 #ifndef FGM_CORE_FGM_SITE_H_
 #define FGM_CORE_FGM_SITE_H_
@@ -71,9 +62,9 @@ class FgmSite {
   void SetLambda(double lambda);
 
   /// Maps one local stream record through the query's sketch projection
-  /// (into per-site scratch — safe to call concurrently across sites) and
-  /// applies the resulting deltas as ApplyUpdate does; returns the
-  /// counter increment to report (0 = stay silent).
+  /// (into per-site scratch) and applies the resulting deltas as
+  /// ApplyUpdate does; returns the counter increment to report (0 = stay
+  /// silent).
   int64_t Process(const ContinuousQuery& query, const StreamRecord& record);
 
   /// Applies the deltas of one local stream update, evaluating λφ(X_i/λ)
@@ -89,28 +80,11 @@ class FgmSite {
   /// representation for the current flush interval.
   int64_t ApplyUpdate(const std::vector<CellUpdate>& deltas);
 
-  // -- Value-series speculation (parallel engine) ---------------------------
-
-  /// Evaluator half of `n` Process() calls, batched: maps the records
-  /// base[positions[j]] through the query (batched projection), logs them,
-  /// applies the deltas and writes the post-update value sequence into
-  /// `values[0..n)`. Does NOT run the counter rule — feed the values to
-  /// CommitValue() in order (possibly interleaved with other sites under a
-  /// global order) to reproduce serial behavior bit-exactly.
-  void SpeculateBatch(const ContinuousQuery& query, const StreamRecord* base,
-                      const int64_t* positions, int64_t n, double* values);
-
-  /// Commit half: runs the counter rule on one post-update value and
-  /// advances the committed value and the subround value range.
-  /// Returns the counter increment to report (0 = stay silent).
-  int64_t CommitValue(double v);
-
   /// The value the coordinator reads (polls, subround re-anchoring): λφ
   /// after the last committed record. If the lazy path skipped records
   /// since the last exact value, evaluates and commits first, and aborts
   /// if that moves the counter: the certificate would have missed a
-  /// crossing. Mid-speculation this is the value as of the commit walk
-  /// (the evaluator may have run ahead; speculation skips nothing).
+  /// crossing.
   double ReadValue() {
     if (skipped_ > 0) EvaluateSkipped();
     return committed_v_;
@@ -150,35 +124,18 @@ class FgmSite {
   int64_t updates_in_round() const { return updates_in_round_; }
   int64_t counter() const { return counter_; }
 
-  /// Snapshots the speculative (evaluator-side) state — evaluator, log
-  /// position, update counters — so a later RestoreCheckpoint rewinds the
-  /// site bit-exactly; no record the lazy path skipped may be pending.
-  /// The commit-side scalars (z_/λ/θ, counter, value range, committed
-  /// value, certificate) only move at coordinator commits and are
-  /// deliberately not saved: the commit walk advances them past the
-  /// checkpoint, and restoring them would clobber committed state. At
-  /// most one restore per save; a new save discards the old snapshot.
-  void SaveCheckpoint();
-  void RestoreCheckpoint();
-
  private:
-  struct Checkpoint {
-    std::unique_ptr<DriftEvaluator> evaluator;
-    RawUpdateLog::Mark mark;
-    int64_t updates_since_flush = 0;
-    int64_t updates_in_round = 0;
-    bool valid = false;
-  };
-
-  /// Applies deltas + update counters, returns the post-update value.
-  double ApplyDeltasValue(const CellUpdate* deltas, size_t n);
-
   /// Builds the evaluator for `fn` and records its Lipschitz bound.
   void InstallEvaluator(const SafeFunction* fn);
 
   /// One serial record step: skips the evaluation while the certificate
   /// holds, else evaluates and commits.
   int64_t LazyStep(const CellUpdate* deltas, size_t n);
+
+  /// Runs the counter rule on one post-update value and advances the
+  /// committed value and the subround value range. Returns the counter
+  /// increment to report (0 = stay silent).
+  int64_t CommitValue(double v);
 
   /// ReadValue's slow path: evaluates and commits the current value,
   /// which must not move the counter.
@@ -203,9 +160,6 @@ class FgmSite {
   RawUpdateLog log_;
   std::unique_ptr<DriftEvaluator> evaluator_;
   std::vector<CellUpdate> deltas_;  // per-site scratch for Process()
-  std::vector<CellUpdate> batch_deltas_;  // scratch for SpeculateBatch()
-  std::vector<size_t> batch_ends_;        // scratch for SpeculateBatch()
-  Checkpoint checkpoint_;
   double lambda_ = 1.0;
   double quantum_ = 1.0;
   double z_ = 0.0;

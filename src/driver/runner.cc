@@ -8,7 +8,6 @@
 
 #include "baseline/central.h"
 #include "core/fgm_config.h"
-#include "exec/parallel_runner.h"
 #include "query/quantile.h"
 #include "query/variance.h"
 #include "core/fgm_protocol.h"
@@ -204,10 +203,6 @@ void WriteMetricsFile(const std::string& path, const RunConfig& config,
   w.Field("final_estimate", result.final_estimate);
   w.Field("final_truth", result.final_truth);
   w.Field("wall_seconds", result.wall_seconds);
-  w.Field("threads", static_cast<int64_t>(result.threads_used));
-  w.Field("parallel_windows", result.parallel_windows);
-  w.Field("parallel_barriers", result.parallel_barriers);
-  w.Field("replayed_records", result.replayed_records);
   if (!result.topology.empty()) w.Field("topology", result.topology);
   w.EndObject();
   if (!result.tier_traffic.empty()) {
@@ -262,20 +257,6 @@ void WriteMetricsFile(const std::string& path, const RunConfig& config,
     w.BeginObject();
     WriteStats(&w, "abs_err", result.plan_gain_abs_err);
     WriteStats(&w, "rel_err", result.plan_gain_rel_err);
-    w.EndObject();
-  }
-  if (result.threads_used > 1) {
-    // Windows, barriers and replayed records are in "run" above.
-    w.Key("speculation");
-    w.BeginObject();
-    w.Field("wasted_records", result.wasted_records);
-    w.Field("soft_commits", result.soft_commits);
-    w.Key("thread_tasks");
-    w.BeginArray();
-    for (const int64_t n : result.thread_tasks) w.Int(n);
-    w.EndArray();
-    w.Field("speculate_s", result.speculate_seconds);
-    w.Field("commit_s", result.commit_seconds);
     w.EndObject();
   }
   w.EndObject();
@@ -389,9 +370,7 @@ RunResult Run(const RunConfig& base_config,
   };
 
   // Interval snapshots run at their own cadence outside the protocol's
-  // record path; in parallel mode the chunking below aligns to the
-  // snapshot boundary so the series is bit-identical for every thread
-  // count.
+  // record path.
   FgmProtocol* fgm = dynamic_cast<FgmProtocol*>(protocol.get());
   const int64_t snap_every = config.snapshot_every;
   const bool sample = config.timeseries != nullptr && snap_every > 0;
@@ -453,96 +432,21 @@ RunResult Run(const RunConfig& base_config,
     }
   };
 
-  // Cooperative stop (signal or die_at): the loops below exit at the next
-  // record/chunk boundary and fall through to the normal end-of-run write
+  // Cooperative stop (signal or die_at): the loop below exits at the next
+  // record boundary and falls through to the normal end-of-run write
   // path, so a killed run still emits its partial telemetry.
   const int64_t die_at = config.die_at;
   auto should_stop = [&]() {
     return StopRequested() || (die_at > 0 && n >= die_at);
   };
 
-  const bool parallel =
-      config.threads > 1 && fgm != nullptr && fgm->SupportsSpeculation();
-  if (config.threads > 1 && !parallel) {
-    // Only flat FGM over a synchronous network speculates. GM turns every
-    // local violation into a synchronization and CENTRAL into a message,
-    // so there is nothing to run ahead of; simulated-network runs advance
-    // a global event clock per record (replay would deliver messages
-    // twice); tree runs route increments through aggregators the commit
-    // walk does not model. Fall back to the serial reference loop.
-    std::fprintf(stderr,
-                 "[fgm] %s does not support speculation here "
-                 "(GM, CENTRAL, simulated network or deep tree); "
-                 "running serial\n",
-                 result.protocol_name.c_str());
-  }
-  if (parallel) {
-    ParallelRunnerOptions opts;
-    opts.threads = config.threads;
-    opts.spans = config.spans;
-    ParallelRunner par(fgm, opts);
-    std::vector<StreamRecord> chunk;
-    bool exhausted = false;
-    while (!exhausted) {
-      chunk.clear();
-      // Chunks never straddle a verification or snapshot boundary, so
-      // every check and interval sample observes the protocol exactly
-      // where the serial loop would. A full chunk lets the adaptive
-      // horizon reach its ceiling in quiet phases.
-      int64_t limit = kMaxHorizon;
-      if (verify) {
-        limit = std::min(limit,
-                         config.check_every - (n % config.check_every));
-      }
-      if (sample) {
-        limit = std::min(limit, snap_every - (n % snap_every));
-      }
-      if (live) {
-        limit = std::min(limit, live_every - (n % live_every));
-      }
-      if (die_at > 0) {
-        limit = std::min(limit, die_at - n);
-      }
-      if (limit <= 0) break;
-      while (static_cast<int64_t>(chunk.size()) < limit) {
-        const StreamRecord* rec = next_event();
-        if (rec == nullptr) {
-          exhausted = true;
-          break;
-        }
-        chunk.push_back(*rec);
-      }
-      if (chunk.empty()) break;
-      par.Process(chunk.data(), static_cast<int64_t>(chunk.size()));
-      for (const StreamRecord& rec : chunk) {
-        ++n;
-        if (verify) verify_record(rec);
-      }
-      if (sample && n % snap_every == 0) interval_snapshot(n);
-      if (live && n % live_every == 0) {
-        health->ObserveSpeculation(n, par.wasted_records());
-        live_emit(n);
-      }
-      if (should_stop()) break;
-    }
-    result.threads_used = par.threads();
-    result.parallel_windows = par.windows();
-    result.parallel_barriers = par.barriers();
-    result.replayed_records = par.replayed_records();
-    result.wasted_records = par.wasted_records();
-    result.soft_commits = par.soft_commits();
-    result.thread_tasks = par.thread_tasks();
-    result.speculate_seconds = par.speculate_seconds();
-    result.commit_seconds = par.commit_seconds();
-  } else {
-    while (const StreamRecord* rec = next_event()) {
-      protocol->ProcessRecord(*rec);
-      ++n;
-      if (verify) verify_record(*rec);
-      if (sample && n % snap_every == 0) interval_snapshot(n);
-      if (live && n % live_every == 0) live_emit(n);
-      if (should_stop()) break;
-    }
+  while (const StreamRecord* rec = next_event()) {
+    protocol->ProcessRecord(*rec);
+    ++n;
+    if (verify) verify_record(*rec);
+    if (sample && n % snap_every == 0) interval_snapshot(n);
+    if (live && n % live_every == 0) live_emit(n);
+    if (should_stop()) break;
   }
   result.stopped_early = should_stop();
 

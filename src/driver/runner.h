@@ -80,12 +80,6 @@ struct RunConfig {
   /// many events (0 = never). Verification is O(D) per check.
   int64_t check_every = 0;
 
-  /// Worker threads for FGM's value-series speculation (exec/). 1 = the
-  /// serial reference loop. Results are bit-identical for every thread
-  /// count; GM, CENTRAL, simulated networks and deep trees always run
-  /// the serial loop.
-  int threads = 1;
-
   /// Run every transport strict: each protocol message is encoded,
   /// size-checked, decoded and verified (strict wire accounting). Off: the
   /// transport follows FGM_STRICT_WIRE.
@@ -93,8 +87,7 @@ struct RunConfig {
 
   /// Simulated-network parameters (src/sim). When enabled() the protocol
   /// runs over the discrete-event network (which always serializes, so
-  /// strict wire accounting is implied), speculation is disabled and the
-  /// run falls back to the serial loop. Fault plans require an FGM
+  /// strict wire accounting is implied). Fault plans require an FGM
   /// protocol (GM/CENTRAL have no crash handshake and reject them).
   sim::NetSimConfig net;
 
@@ -115,15 +108,12 @@ struct RunConfig {
   std::string timeseries_out;
 
   /// Take an extra "interval" snapshot every this many records (0 = round
-  /// boundaries only). In parallel mode chunks are aligned to this
-  /// boundary, so samples land at identical record counts for every
-  /// thread count and the series stays bit-identical.
+  /// boundaries only).
   int64_t snapshot_every = 0;
 
   /// Write causal spans (obs/span.h) here as Chrome Trace Event JSON,
   /// loadable in Perfetto (empty = off). A private SpanSink is created
-  /// when `spans` is null. FGM protocols emit round/subround/RPC spans;
-  /// the parallel engine adds per-window shard spans.
+  /// when `spans` is null. FGM protocols emit round/subround/RPC spans.
   std::string spans_out;
 
   /// Write live Prometheus text-exposition snapshots here (empty = off).
@@ -137,9 +127,7 @@ struct RunConfig {
   /// end. Enables the health monitor.
   std::string live_out;
 
-  /// Cadence of the live exports above, in records. In parallel mode
-  /// chunks align to this boundary so heartbeats land at identical record
-  /// counts for every thread count.
+  /// Cadence of the live exports above, in records.
   int64_t live_every = 20000;
 
   /// Health-aware FGM/O plan selection (FgmConfig::health_planning):
@@ -198,17 +186,6 @@ struct RunResult {
   /// absolute and relative to max(|actual gain|, 1).
   RunningStats plan_gain_abs_err;
   RunningStats plan_gain_rel_err;
-
-  // Parallel-runner diagnostics (zero on the serial path).
-  int threads_used = 1;
-  int64_t parallel_windows = 0;
-  int64_t parallel_barriers = 0;
-  int64_t replayed_records = 0;
-  int64_t wasted_records = 0;
-  int64_t soft_commits = 0;
-  std::vector<int64_t> thread_tasks;  ///< shard tasks run per thread
-  double speculate_seconds = 0.0;     ///< wall time speculating
-  double commit_seconds = 0.0;        ///< wall time in the commit walk
 
   // Simulated-network diagnostics (all zero on synchronous transports).
   bool net_enabled = false;

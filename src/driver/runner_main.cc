@@ -3,7 +3,7 @@
 //   ./build/src/driver/runner --protocol=fgm --query=selfjoin
 //       [--sites=27] [--updates=400000] [--eps=0.1] [--window=14400]
 //       [--count_window=0] [--depth=5] [--width=300] [--check_every=5000]
-//       [--threads=1] [--trace_out=trace.jsonl]
+//       [--trace_out=trace.jsonl]
 //       [--metrics_out=metrics.json] [--timeseries_out=ts.json]
 //       [--spans_out=spans.json] [--snapshot_every=0] [--strict_wire]
 //       [--prom_out=health.prom] [--live_out=live.jsonl]
@@ -22,20 +22,15 @@
 // ε, drop rate, latency spec, fault plan, topology): a bad value prints
 // one line on stderr and exits 2.
 //
-// --threads > 1 runs FGM's value-series speculation (exec/); traffic,
-// traces, results and time series are bit-identical to --threads=1. GM
-// and CENTRAL run the serial loop under any --threads.
-//
 // --net_latency / --net_drop / --fault_plan run the protocol over the
 // discrete-event network simulator (src/sim): per-link latency
 // ("0", "fixed:T", "uniform:A-B", "exp:M"), iid message loss,
 // scheduled crash/outage windows ("crash:site=S,at=T[,rejoin=T2]" /
 // "outage:site=S,from=A,to=B", ';'-separated). --net_latency=0 is the
 // simulator's null mode, bit-identical to the synchronous path. Fault
-// plans require an FGM protocol. Simulated runs force --threads=1. An
-// RPC resends after 64 ticks, a lossy coordinator re-polls after 256
-// ticks of counter silence, and a site down for 4096 ticks leaves the
-// round (src/sim/net_config.h).
+// plans require an FGM protocol. An RPC resends after 64 ticks, a lossy
+// coordinator re-polls after 256 ticks of counter silence, and a site
+// down for 4096 ticks leaves the round (src/sim/net_config.h).
 //
 // --spans_out writes causal spans (obs/span.h) as Chrome Trace Event
 // JSON loadable in Perfetto. No telemetry output changes the words on
@@ -203,7 +198,6 @@ int main(int argc, char** argv) {
   config.width = int_count(
       "width", config.query == fgm::QueryKind::kJoin ? 150 : 300);
   config.check_every = flags.GetCount("check_every", 5000);
-  config.threads = int_count("threads", 1);
   config.trace_out = flags.GetString("trace_out", "");
   config.metrics_out = flags.GetString("metrics_out", "");
   config.timeseries_out = flags.GetString("timeseries_out", "");
@@ -225,7 +219,7 @@ int main(int argc, char** argv) {
           "runner --protocol=central|gm|fgm-basic|fgm|fgm-o "
           "--query=selfjoin|join|fp|variance|quantile [--sites=N] "
           "[--updates=N] [--eps=E] [--window=S] [--count_window=N] "
-          "[--depth=N] [--width=N] [--check_every=N] [--threads=N] "
+          "[--depth=N] [--width=N] [--check_every=N] "
           "[--trace_out=F] [--metrics_out=F] [--timeseries_out=F] "
           "[--spans_out=F] [--snapshot_every=N] "
           "[--prom_out=F] [--live_out=F] [--live_every=N] "
@@ -259,15 +253,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(r.events), static_cast<long long>(r.rounds),
       static_cast<long long>(r.traffic.total_words()), r.comm_cost,
       100.0 * r.upstream_fraction, r.max_violation);
-  if (r.threads_used > 1) {
-    std::printf("parallel: threads=%d windows=%lld barriers=%lld "
-                "replayed=%lld wasted=%lld soft=%lld\n",
-                r.threads_used, static_cast<long long>(r.parallel_windows),
-                static_cast<long long>(r.parallel_barriers),
-                static_cast<long long>(r.replayed_records),
-                static_cast<long long>(r.wasted_records),
-                static_cast<long long>(r.soft_commits));
-  }
   if (r.net_enabled) {
     std::printf(
         "net: delivered=%lld dropped=%lld retransmitted=%lld stale=%lld "

@@ -140,17 +140,9 @@ void RawUpdateLog::Reset() {
 }
 
 void RawUpdateLog::Invalidate() {
-  // Keep the entries: Record() stops appending once invalid, so the
-  // retained prefix stays bounded by the dense cost, and a Rewind() to a
-  // mark taken while the log was still valid can restore it exactly.
+  // Record() stops appending once invalid, so the retained prefix stays
+  // bounded by the dense cost until the next Reset().
   valid_ = false;
-}
-
-void RawUpdateLog::Rewind(const Mark& mark) {
-  FGM_CHECK_LE(mark.size, updates_.size());
-  updates_.resize(mark.size);
-  words_ = mark.words;
-  valid_ = mark.valid;
 }
 
 DriftFlushMsg DriftFlushMsg::ForFlush(const RealVector& drift,

@@ -207,24 +207,12 @@ class RawUpdateLog {
   void Reset();
   /// Marks the log out of sync with the drift (an update was applied
   /// without Record); the verbatim representation becomes unavailable.
-  /// Entries already logged are kept (and ignored) until the next Reset,
-  /// so a Rewind across the invalidation restores the valid prefix.
+  /// Entries already logged are kept (and ignored) until the next Reset.
   void Invalidate();
 
   bool valid() const { return valid_; }
   int64_t words() const { return words_; }
   const std::vector<RawUpdateMsg>& updates() const { return updates_; }
-
-  /// Snapshot token for speculative execution: MarkPosition() captures the
-  /// log state, Rewind() restores it bit-exactly. Only Record() may happen
-  /// in between (Reset() discards outstanding marks).
-  struct Mark {
-    size_t size = 0;
-    int64_t words = 0;
-    bool valid = true;
-  };
-  Mark MarkPosition() const { return Mark{updates_.size(), words_, valid_}; }
-  void Rewind(const Mark& mark);
 
  private:
   std::vector<RawUpdateMsg> updates_;

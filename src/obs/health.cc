@@ -95,18 +95,6 @@ void HealthMonitor::ObserveOverflowRounds(int64_t cumulative) {
   last_overflow_rounds_ = cumulative;
 }
 
-void HealthMonitor::ObserveSpeculation(int64_t committed_updates,
-                                       int64_t wasted_updates) {
-  const int64_t dc = committed_updates - last_spec_committed_;
-  const int64_t dw = wasted_updates - last_spec_wasted_;
-  if (dc + dw > 0) {
-    speculation_waste_.Observe(static_cast<double>(dw) /
-                               static_cast<double>(dc + dw));
-  }
-  last_spec_committed_ = committed_updates;
-  last_spec_wasted_ = wasted_updates;
-}
-
 void HealthMonitor::ObserveProgress(int64_t round, int64_t total_subrounds,
                                     int64_t t) {
   if (total_subrounds == progress_subrounds_) {
@@ -330,8 +318,6 @@ std::string HealthMonitor::PrometheusText(int64_t records, int64_t rounds,
   Line(&out, "fgm_psi_overshoot %.17g", psi_overshoot_.value());
   Line(&out, "# TYPE fgm_overflow_rate gauge");
   Line(&out, "fgm_overflow_rate %.17g", overflow_rate_.value());
-  Line(&out, "# TYPE fgm_speculation_waste gauge");
-  Line(&out, "fgm_speculation_waste %.17g", speculation_waste_.value());
 
   Line(&out, "# TYPE fgm_site_rate_alpha gauge");
   for (int i = 0; i < sites_; ++i) {
@@ -402,7 +388,6 @@ std::string HealthMonitor::HeartbeatJson(int64_t records, int64_t rounds,
   w.Field("round_words", round_words_.value());
   w.Field("psi_overshoot", psi_overshoot_.value());
   w.Field("overflow_rate", overflow_rate_.value());
-  w.Field("speculation_waste", speculation_waste_.value());
   w.Field("alerts_active", active_alert_count());
   w.Field("alerts_raised", alerts_raised_);
   w.Field("alerts_cleared", alerts_cleared_);

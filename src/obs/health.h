@@ -6,10 +6,10 @@
 // a handful of protocol-side observations) and maintains exponentially
 // weighted moving averages of the quantities that characterise run
 // health: per-site FGM/O rate estimates, per-kind word rates,
-// round/subround cadence, speculation waste, and — over the simulated
-// network — per-site drop and latency signals attributed from
-// sim::SiteNetStats. Every EWMA folds with weight 0.3, and the alert
-// thresholds below are fixed constants.
+// round/subround cadence, and — over the simulated network — per-site
+// drop and latency signals attributed from sim::SiteNetStats. Every EWMA
+// folds with weight 0.3, and the alert thresholds below are fixed
+// constants.
 //
 // On top of the estimators sits a small declarative alert-rule engine.
 // Each rule is a named predicate over the EWMAs with hysteresis (an alert
@@ -136,8 +136,6 @@ class HealthMonitor {
   void ObservePsiMargin(double last_psi, double stop_level);
   /// Cumulative count of rounds ended by the subround-budget backstop.
   void ObserveOverflowRounds(int64_t cumulative_overflow_rounds);
-  /// Parallel-engine speculation outcome (cumulative update counts).
-  void ObserveSpeculation(int64_t committed_updates, int64_t wasted_updates);
   /// Record-cadence heartbeat at record `t`: drives the stuck_subround
   /// rule.
   void ObserveProgress(int64_t round, int64_t total_subrounds, int64_t t);
@@ -226,11 +224,8 @@ class HealthMonitor {
   std::vector<Ewma> kind_words_;  ///< per-MsgKind words per round
   Ewma psi_overshoot_;    ///< (ψ_end − stop)/|stop| at round end
   Ewma overflow_rate_;    ///< overflow-round indicator per round
-  Ewma speculation_waste_;  ///< wasted/(committed+wasted) updates
   int64_t last_records_ = 0;
   int64_t last_overflow_rounds_ = 0;
-  int64_t last_spec_committed_ = 0;
-  int64_t last_spec_wasted_ = 0;
 
   // stuck_subround bookkeeping.
   int64_t progress_subrounds_ = -1;

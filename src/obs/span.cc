@@ -27,16 +27,6 @@ const char* SpanKindName(SpanKind kind) {
       return "datagram";
     case SpanKind::kResync:
       return "resync";
-    case SpanKind::kSpeculate:
-      return "speculate";
-    case SpanKind::kShardSpeculate:
-      return "shard-speculate";
-    case SpanKind::kReplay:
-      return "replay";
-    case SpanKind::kBarrierWait:
-      return "barrier-wait";
-    case SpanKind::kCommit:
-      return "commit";
     case SpanKind::kKindCount:
       break;
   }
@@ -423,14 +413,6 @@ CriticalPathSummary SummarizeCriticalPath(
       if (s.count > 1) out.retransmits += s.count - 1;
     } else if (s.kind == "datagram") {
       out.network_time += s.transit;
-    } else if (s.kind == "shard-speculate") {
-      out.speculate_time += dur;
-    } else if (s.kind == "barrier-wait") {
-      out.barrier_time += dur;
-    } else if (s.kind == "replay") {
-      out.replay_time += dur;
-    } else if (s.kind == "commit") {
-      out.commit_time += dur;
     }
   }
 

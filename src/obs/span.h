@@ -2,13 +2,12 @@
 //
 // A trace (obs/trace.h) records *events*; spans record *intervals* with
 // causal parent/child structure: the run contains rounds, rounds contain
-// subrounds, subrounds contain the RPCs that drive them, RPCs contain
-// their per-attempt wire messages (retransmissions included), and the
-// parallel engine's speculation windows contain per-shard speculate /
-// barrier-wait / replay segments. Timestamps come from the simulated
-// event clock when the run uses sim::EventNetwork (UseTickClock), else
-// from a monotonic nanosecond clock, so simulated latency is attributed
-// per message and real compute time per phase.
+// subrounds, subrounds contain the RPCs that drive them, and RPCs contain
+// their per-attempt wire messages (retransmissions included). Timestamps
+// come from the simulated event clock when the run uses
+// sim::EventNetwork (UseTickClock), else from a monotonic nanosecond
+// clock, so simulated latency is attributed per message and real compute
+// time per phase.
 //
 // Same zero-cost discipline as TraceSink: producers hold a raw
 // `SpanSink*` that is null when disabled, and every hook is a single
@@ -39,11 +38,6 @@ enum class SpanKind : int {
   kMsg,             ///< one charged wire message (one RPC attempt)
   kDatagram,        ///< fire-and-forget counter datagram (post → drain)
   kResync,          ///< crash/rejoin handshake (resync or reconfigure)
-  kSpeculate,       ///< parallel engine: one speculation window
-  kShardSpeculate,  ///< one shard's worker-side speculation segment
-  kReplay,          ///< one shard's post-rollback replay segment
-  kBarrierWait,     ///< shard done → slowest shard done (blocked time)
-  kCommit,          ///< window's serial commit segment
   kKindCount,
 };
 
@@ -65,7 +59,7 @@ struct Span {
   int64_t begin = 0;              ///< ticks (sim clock) or ns (wall)
   int64_t end = 0;
   int64_t words = 0;   ///< charged wire words (kMsg/kDatagram: exact)
-  int64_t count = 0;   ///< attempts (kRpc), records (shard segments)
+  int64_t count = 0;   ///< attempts (kRpc)
   int dir = 0;         ///< +1 coordinator → site, -1 site → coordinator
   int64_t queue = 0;   ///< ticks queued before transit (always 0)
   int64_t transit = 0; ///< ticks on the wire (the sampled latency)
@@ -122,8 +116,7 @@ class SpanSink {
   int64_t root() const;
 
   /// Current timestamp: the registered tick clock when present, else
-  /// nanoseconds since sink construction. Safe to call from worker
-  /// threads (the tick clock is only registered during setup).
+  /// nanoseconds since sink construction.
   int64_t Now() const;
   /// Switches timestamps to the simulated event clock `*ticks` and
   /// rebases any open span onto it (the run span opens on the wall clock
@@ -229,10 +222,6 @@ struct CriticalPathSummary {
   int64_t round_time = 0;      ///< Σ round-span durations
   int64_t network_time = 0;    ///< Σ kRpc durations + datagram transit
   int64_t retransmits = 0;     ///< RPC attempts beyond the first
-  int64_t speculate_time = 0;  ///< Σ kShardSpeculate durations
-  int64_t barrier_time = 0;    ///< Σ kBarrierWait durations
-  int64_t replay_time = 0;     ///< Σ kReplay durations
-  int64_t commit_time = 0;     ///< Σ kCommit durations
   std::vector<SubroundGate> gates;     ///< one per subround with children
   std::vector<SiteGating> top_sites;   ///< descending by subrounds gated
 };

@@ -92,9 +92,9 @@ struct TraceEvent {
 
 /// Event consumer. Emitters call Emit(), which stamps the sequence number
 /// and forwards to the implementation. Emit is serialized by a mutex so
-/// concurrent emitters (parallel runner worker threads) cannot tear the
-/// sequence numbering or the sink's buffer; the disabled path never
-/// reaches Emit and stays one null-pointer test.
+/// concurrent emitters cannot tear the sequence numbering or the sink's
+/// buffer; the disabled path never reaches Emit and stays one
+/// null-pointer test.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

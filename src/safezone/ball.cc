@@ -37,10 +37,6 @@ class BallEvaluator : public VectorDriftEvaluator {
     d_ = 0.0;
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<BallEvaluator>(*this);
-  }
-
  private:
   const BallSafeFunction* fn_;
   double center_sq_;

@@ -31,10 +31,6 @@ class CheapBoundEvaluator : public VectorDriftEvaluator {
     q_ = 0.0;
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<CheapBoundEvaluator>(*this);
-  }
-
  private:
   const CheapBoundFunction* fn_;
   double q_ = 0.0;  // ‖x‖²

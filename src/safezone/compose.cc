@@ -43,13 +43,6 @@ class ComposedEvaluator : public DriftEvaluator {
 
   const RealVector& drift() const override { return children_[0]->drift(); }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    std::vector<std::unique_ptr<DriftEvaluator>> copies;
-    copies.reserve(children_.size());
-    for (const auto& child : children_) copies.push_back(child->Clone());
-    return std::make_unique<ComposedEvaluator>(std::move(copies), is_max_);
-  }
-
  private:
   std::vector<std::unique_ptr<DriftEvaluator>> children_;
   bool is_max_;

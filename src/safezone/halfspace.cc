@@ -29,10 +29,6 @@ class HalfspaceEvaluator : public VectorDriftEvaluator {
     s_ = 0.0;
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<HalfspaceEvaluator>(*this);
-  }
-
  private:
   const HalfspaceSafeFunction* fn_;
   double s_ = 0.0;  // n·x

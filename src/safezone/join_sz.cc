@@ -62,10 +62,6 @@ class JoinEvaluator : public VectorDriftEvaluator {
     std::fill(vdv_.begin(), vdv_.end(), 0.0);
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<JoinEvaluator>(*this);
-  }
-
  private:
   const JoinSafeFunction* fn_;
   size_t half_dim_;

@@ -35,12 +35,6 @@ class LiftedEvaluator : public VectorDriftEvaluator {
     inner_->Reset();
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    auto copy = std::make_unique<LiftedEvaluator>(fn_, inner_->Clone());
-    copy->x_ = x_;
-    return copy;
-  }
-
  private:
   const LiftedSafeFunction* fn_;
   std::unique_ptr<DriftEvaluator> inner_;

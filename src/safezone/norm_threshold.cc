@@ -64,10 +64,6 @@ class LpEvaluator : public VectorDriftEvaluator {
     }
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<LpEvaluator>(*this);
-  }
-
  private:
   const LpNormThreshold* fn_;
   bool is_l2_;

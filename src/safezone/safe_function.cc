@@ -84,13 +84,6 @@ void ParanoidDriftEvaluator::CrossCheck(double value, double lambda) const {
   }
 }
 
-std::unique_ptr<DriftEvaluator> ParanoidDriftEvaluator::Clone() const {
-  auto copy =
-      std::make_unique<ParanoidDriftEvaluator>(fn_, inner_->Clone(), period_);
-  copy->since_check_ = since_check_;
-  return copy;
-}
-
 std::unique_ptr<DriftEvaluator> MakeCheckedEvaluator(
     const SafeFunction* fn, std::unique_ptr<DriftEvaluator> inner) {
   // Read the environment on every call (rounds are rare; this is not a

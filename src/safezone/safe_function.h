@@ -69,12 +69,6 @@ class DriftEvaluator {
 
   /// The current drift vector.
   virtual const RealVector& drift() const = 0;
-
-  /// Deep copy of the complete evaluator state (drift plus every derived
-  /// incremental quantity), preserving the exact floating-point bits. The
-  /// parallel execution engine checkpoints sites with Clone() and replays
-  /// from the copy, which is what makes speculative execution bit-exact.
-  virtual std::unique_ptr<DriftEvaluator> Clone() const = 0;
 };
 
 /// Immutable description of a safe function for a fixed admissible region
@@ -124,10 +118,6 @@ class NaiveDriftEvaluator : public VectorDriftEvaluator {
   double Value() const override { return fn_->Eval(x_); }
   double ValueAtScale(double lambda) const override;
   void Reset() override { x_.SetZero(); }
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<NaiveDriftEvaluator>(*this);
-  }
-
  private:
   const SafeFunction* fn_;  // not owned
 };
@@ -156,7 +146,6 @@ class ParanoidDriftEvaluator : public DriftEvaluator {
   }
   void Reset() override;
   const RealVector& drift() const override { return inner_->drift(); }
-  std::unique_ptr<DriftEvaluator> Clone() const override;
 
  private:
   /// Counts `n` applied deltas; true when a check period has elapsed.

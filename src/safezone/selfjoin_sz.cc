@@ -65,10 +65,6 @@ class SelfJoinEvaluator final : public VectorDriftEvaluator {
     std::fill(dxe_.begin(), dxe_.end(), 0.0);
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<SelfJoinEvaluator>(*this);
-  }
-
  private:
   const SelfJoinSafeFunction* fn_;
   int depth_;

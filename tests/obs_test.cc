@@ -485,8 +485,7 @@ TEST(JsonlSchema, ParseRoundTripsBitExactly) {
 // ---------------------------------------------------------------------
 // metrics.json: the runner writes it from RunResult alone. These runs
 // pin every number the file holds beyond the "run" totals: the subround
-// histogram, the FGM/O plan-audit statistics and the speculation
-// accounting.
+// histogram and the FGM/O plan-audit statistics.
 
 /// Runs `config` over a WorldCup stream of `updates` records and parses
 /// the metrics.json it writes.
@@ -561,16 +560,14 @@ TEST(MetricsFile, SerialFgmKeepsTheSubroundHistogram) {
   for (const auto& [v, count] : buckets) {
     EXPECT_EQ(IntAt(*b, v), count) << "bucket " << v;
   }
-  // FGM predicts no plans, and a serial run speculates nothing.
+  // FGM predicts no plans.
   EXPECT_EQ(At(doc, "plan_gain"), nullptr);
-  EXPECT_EQ(At(doc, "speculation"), nullptr);
 }
 
-TEST(MetricsFile, ParallelFgmoKeepsEveryUniqueNumber) {
+TEST(MetricsFile, FgmoKeepsThePlanAuditAndHistogram) {
   RunConfig config;
   config.protocol = ProtocolKind::kFgmOpt;
-  config.threads = 4;
-  const JsonNode doc = RunMetricsFile(config, "fgmo4");
+  const JsonNode doc = RunMetricsFile(config, "fgmo");
   // Plan-audit error statistics.
   const std::string abs = "plan_gain.abs_err.";
   EXPECT_EQ(IntAt(doc, abs + "count"), 730);
@@ -593,24 +590,6 @@ TEST(MetricsFile, ParallelFgmoKeepsEveryUniqueNumber) {
   EXPECT_EQ(IntAt(doc, h + "p95"), 9);
   EXPECT_EQ(IntAt(doc, h + "buckets.3"), 294);
   EXPECT_EQ(IntAt(doc, h + "buckets.37"), 1);
-  // Speculation counts: windows, barriers and replays in "run", the rest
-  // in "speculation".
-  EXPECT_EQ(IntAt(doc, "run.parallel_windows"), 1291);
-  EXPECT_EQ(IntAt(doc, "run.parallel_barriers"), 1212);
-  EXPECT_EQ(IntAt(doc, "run.replayed_records"), 39870);
-  EXPECT_EQ(IntAt(doc, "speculation.wasted_records"), 151247);
-  EXPECT_EQ(IntAt(doc, "speculation.soft_commits"), 1483);
-  // Per-thread task tallies: which thread ran a task varies from run to
-  // run, the total does not.
-  const JsonNode* tasks = At(doc, "speculation.thread_tasks");
-  ASSERT_NE(tasks, nullptr);
-  ASSERT_EQ(tasks->items.size(), 4u);
-  int64_t total_tasks = 0;
-  for (const JsonNode& n : tasks->items) total_tasks += n.AsInt();
-  EXPECT_EQ(total_tasks, 12470);
-  // Wall times: present, values vary.
-  EXPECT_GE(DoubleAt(doc, "speculation.speculate_s"), 0.0);
-  EXPECT_GE(DoubleAt(doc, "speculation.commit_s"), 0.0);
 }
 
 // "strict_wire" reports the mode the run's root transport used, not the

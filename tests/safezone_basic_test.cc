@@ -1,5 +1,6 @@
 // Tests for the elementary safe functions: ball, halfspace, Lp-norm
-// threshold, cheap bound, and the generic max/sum compositions.
+// threshold, cheap bound, and the generic max/sum compositions, plus the
+// FGM_PARANOID cross-check wrapper (ParanoidDriftEvaluator).
 //
 // Property checks shared by all safe functions:
 //  * φ(0) < 0;
@@ -10,6 +11,7 @@
 //  * nonexpansiveness on random pairs.
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "safezone/halfspace.h"
 #include "safezone/norm_threshold.h"
 #include "safezone/safe_function.h"
+#include "sketch/fast_agms.h"
 #include "util/rng.h"
 
 namespace fgm {
@@ -260,6 +263,89 @@ TEST(NaiveDriftEvaluator, MatchesReference) {
     x[idx] += delta;
     ASSERT_DOUBLE_EQ(eval.Value(), ball.Eval(x));
   }
+}
+
+// Incremental evaluation cross-check (FGM_PARANOID).
+
+TEST(ParanoidDriftEvaluator, AgreesWithReferenceOnCorrectInner) {
+  RealVector center(8);
+  center[0] = 3.0;
+  BallSafeFunction fn(center, 10.0);
+  ParanoidDriftEvaluator eval(&fn, fn.MakeEvaluator(), /*period=*/1);
+  Xoshiro256ss rng(7);
+  for (int i = 0; i < 200; ++i) {
+    // Every ApplyDelta cross-checks (period 1); divergence would abort.
+    eval.ApplyDelta(rng.NextBounded(8),
+                    static_cast<double>(rng.NextBounded(9)) - 4.0);
+  }
+  EXPECT_NEAR(eval.Value(), fn.Eval(eval.drift()), 1e-9);
+}
+
+// An evaluator whose incremental value is wrong on purpose.
+class BrokenEvaluator : public VectorDriftEvaluator {
+ public:
+  explicit BrokenEvaluator(size_t dim) : VectorDriftEvaluator(dim) {}
+  void ApplyDelta(size_t index, double delta) override {
+    x_[index] += delta;
+  }
+  double Value() const override { return 1e9; }  // nowhere near φ(x)
+  double ValueAtScale(double) const override { return 1e9; }
+  void Reset() override { x_.SetZero(); }
+};
+
+TEST(ParanoidDriftEvaluatorDeathTest, AbortsOnDivergedInner) {
+  RealVector center(4);
+  center[0] = 1.0;
+  BallSafeFunction fn(center, 10.0);
+  ParanoidDriftEvaluator eval(&fn, std::make_unique<BrokenEvaluator>(4),
+                              /*period=*/1);
+  EXPECT_DEATH(eval.ApplyDelta(0, 1.0), "FGM_PARANOID");
+}
+
+// Right at λ = 1 and wrong below it: the perspective ignores λ. Sites
+// read ValueAtScale(λ), with λ < 1 after every rebalance.
+class BrokenPerspectiveEvaluator : public VectorDriftEvaluator {
+ public:
+  explicit BrokenPerspectiveEvaluator(const SafeFunction* fn)
+      : VectorDriftEvaluator(fn->dimension()), fn_(fn) {}
+  void ApplyDelta(size_t index, double delta) override {
+    x_[index] += delta;
+  }
+  double Value() const override { return fn_->Eval(x_); }
+  double ValueAtScale(double) const override { return Value(); }
+  void Reset() override { x_.SetZero(); }
+
+ private:
+  const SafeFunction* fn_;
+};
+
+TEST(ParanoidDriftEvaluatorDeathTest, AbortsOnWrongPerspective) {
+  RealVector center(4);
+  center[0] = 1.0;
+  BallSafeFunction fn(center, 10.0);
+  ParanoidDriftEvaluator eval(
+      &fn, std::make_unique<BrokenPerspectiveEvaluator>(&fn), /*period=*/1);
+  const CellUpdate cell{0, 1.0};
+  eval.ApplyDelta(0, 1.0);          // Value() is right
+  eval.ApplyDeltas(&cell, 1, 1.0);  // and so is λ = 1
+  EXPECT_DEATH(eval.ApplyDeltas(&cell, 1, 0.5), "FGM_PARANOID");
+}
+
+TEST(MakeCheckedEvaluator, EnvVariableTogglesTheWrapper) {
+  RealVector center(4);
+  center[0] = 1.0;
+  BallSafeFunction fn(center, 10.0);
+
+  unsetenv("FGM_PARANOID");
+  auto inner = fn.MakeEvaluator();
+  DriftEvaluator* raw = inner.get();
+  auto out = MakeCheckedEvaluator(&fn, std::move(inner));
+  EXPECT_EQ(out.get(), raw);  // unset: pass-through
+
+  setenv("FGM_PARANOID", "8", 1);
+  auto wrapped = MakeCheckedEvaluator(&fn, fn.MakeEvaluator());
+  EXPECT_NE(dynamic_cast<ParanoidDriftEvaluator*>(wrapped.get()), nullptr);
+  unsetenv("FGM_PARANOID");
 }
 
 }  // namespace

@@ -262,7 +262,7 @@ TEST(FaultPlans, OptimizerProtocolSurvivesChaos) {
 }
 
 // ---------------------------------------------------------------------
-// Determinism and engine interplay.
+// Determinism.
 
 TEST(SimDeterminism, SameSeedSameRun) {
   sim::NetSimConfig net;
@@ -291,33 +291,6 @@ TEST(SimDeterminism, DifferentSeedDifferentSchedule) {
   const SimRunOutput b = RunOnce(ProtocolKind::kFgm, net,
                                  /*strict_wire=*/false);
   EXPECT_NE(a.result.net.final_tick, b.result.net.final_tick);
-}
-
-TEST(SimDeterminism, ThreadedRequestFallsBackToIdenticalSerialRun) {
-  sim::NetSimConfig net;
-  net.latency = "fixed:4";
-  net.drop = 0.1;
-
-  RunConfig config;
-  config.protocol = ProtocolKind::kFgm;
-  config.query = QueryKind::kSelfJoin;
-  config.sites = 5;
-  config.depth = 5;
-  config.width = 60;
-  config.check_every = 1000;
-  config.net = net;
-  WorldCupConfig wc;
-  wc.sites = config.sites;
-  wc.total_updates = 20000;
-  const std::vector<StreamRecord> trace = GenerateWorldCupTrace(wc);
-
-  const RunResult serial = ::fgm::Run(config, trace);
-  config.threads = 4;  // speculation unsound over a lossy network
-  const RunResult fallback = ::fgm::Run(config, trace);
-  EXPECT_EQ(fallback.threads_used, 1);
-  EXPECT_EQ(serial.traffic.total_words(), fallback.traffic.total_words());
-  EXPECT_EQ(serial.rounds, fallback.rounds);
-  EXPECT_EQ(serial.net.final_tick, fallback.net.final_tick);
 }
 
 }  // namespace

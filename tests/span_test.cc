@@ -1,9 +1,9 @@
 // Causal span layer (obs/span.h): sink mechanics, Chrome Trace Event
 // export/parse round-trip, the CheckSpans invariants, critical-path
-// attribution, and end-to-end span emission — serial FGM, the 4-thread
-// parallel engine, and the chaos grid (loss × latency × crash), where
-// every span must still close and the per-direction span word sums must
-// re-add to the run's traffic totals.
+// attribution, and end-to-end span emission — FGM, FGM/O, and the chaos
+// grid (loss × latency × crash), where every span must still close and
+// the per-direction span word sums must re-add to the run's traffic
+// totals.
 
 #include <cstdint>
 #include <string>
@@ -238,8 +238,7 @@ struct SpanRun {
   std::vector<std::string> issues;
 };
 
-SpanRun RunWithSpans(ProtocolKind protocol, int threads,
-                     const sim::NetSimConfig& net,
+SpanRun RunWithSpans(ProtocolKind protocol, const sim::NetSimConfig& net,
                      int64_t updates = 20000) {
   RunConfig config;
   config.protocol = protocol;
@@ -247,7 +246,6 @@ SpanRun RunWithSpans(ProtocolKind protocol, int threads,
   config.sites = 5;
   config.depth = 5;
   config.width = 60;
-  config.threads = threads;
   config.net = net;
   SpanSink sink;
   config.spans = &sink;
@@ -268,8 +266,7 @@ SpanRun RunWithSpans(ProtocolKind protocol, int threads,
 }
 
 TEST(SpanEndToEnd, SerialFgmClosesEverySpanAndConservesWords) {
-  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, /*threads=*/1,
-                                   sim::NetSimConfig());
+  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, sim::NetSimConfig());
   EXPECT_TRUE(out.issues.empty()) << out.issues.front();
   EXPECT_EQ(out.stats.open, 0);
   EXPECT_GT(out.stats.spans, out.result.rounds)
@@ -280,29 +277,10 @@ TEST(SpanEndToEnd, SerialFgmClosesEverySpanAndConservesWords) {
 }
 
 TEST(SpanEndToEnd, OptimizerProtocolConserves) {
-  const SpanRun out = RunWithSpans(ProtocolKind::kFgmOpt, /*threads=*/1,
-                                   sim::NetSimConfig());
+  const SpanRun out =
+      RunWithSpans(ProtocolKind::kFgmOpt, sim::NetSimConfig());
   EXPECT_TRUE(out.issues.empty()) << out.issues.front();
   EXPECT_EQ(out.stats.open, 0);
-}
-
-TEST(SpanEndToEnd, ParallelRunEmitsWindowSpansAndConserves) {
-  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, /*threads=*/4,
-                                   sim::NetSimConfig());
-  EXPECT_TRUE(out.issues.empty()) << out.issues.front();
-  EXPECT_EQ(out.stats.open, 0);
-  int64_t windows = 0, shard_segments = 0, commits = 0;
-  for (const ParsedSpan& s : out.spans) {
-    if (s.kind == "speculate") ++windows;
-    if (s.kind == "shard-speculate") ++shard_segments;
-    if (s.kind == "commit") ++commits;
-  }
-  EXPECT_EQ(windows, out.result.parallel_windows);
-  EXPECT_EQ(commits, windows);
-  EXPECT_GT(shard_segments, 0);
-  const CriticalPathSummary cp = SummarizeCriticalPath(out.spans);
-  EXPECT_GT(cp.speculate_time, 0);
-  EXPECT_GT(cp.commit_time, 0);
 }
 
 // Chaos grid: every span still closes under loss, latency and a crash —
@@ -318,7 +296,7 @@ TEST_P(SpanChaosGrid, EverySpanClosesAndWordsConserve) {
   net.latency = latency;
   net.drop = drop;
   net.fault_plan = "crash:site=2,at=10000,rejoin=14000";
-  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, /*threads=*/1, net);
+  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, net);
   EXPECT_TRUE(out.issues.empty()) << out.issues.front();
   EXPECT_EQ(out.stats.open, 0);
   EXPECT_EQ(out.result.net.site_downs, 1);

@@ -281,9 +281,9 @@ TEST(Flags, ValidateRejectsUnknownFlags) {
 }
 
 TEST(Flags, GetCountAcceptsValidValues) {
-  Flags f = MakeFlags({"--updates=400000", "--threads=8"});
+  Flags f = MakeFlags({"--updates=400000", "--sites=8"});
   EXPECT_EQ(f.GetCount("updates", 0), 400000);
-  EXPECT_EQ(f.GetCount("threads", 1), 8);
+  EXPECT_EQ(f.GetCount("sites", 1), 8);
   EXPECT_EQ(f.GetCount("absent", 42), 42);
   EXPECT_TRUE(f.Validate(""));
 }
@@ -297,8 +297,8 @@ TEST(Flags, GetCountRejectsNegativeValues) {
 }
 
 TEST(Flags, GetCountRejectsNonNumericValues) {
-  Flags f = MakeFlags({"--threads=many"});
-  EXPECT_EQ(f.GetCount("threads", 1), 1);
+  Flags f = MakeFlags({"--sites=many"});
+  EXPECT_EQ(f.GetCount("sites", 1), 1);
   EXPECT_FALSE(f.Validate(""));
 }
 

@@ -210,8 +210,7 @@ TEST(RawUpdateLog, BacksVerbatimFlushesUntilDenseWins) {
   record.cid = 3;
   log.Record(record, 3);  // 4th word: verbatim can no longer win
   EXPECT_FALSE(log.valid());
-  // The logged prefix is retained (ignored until Reset) so a speculative
-  // Rewind across the invalidation can restore it.
+  // The logged prefix is retained (and ignored) until Reset.
   EXPECT_EQ(log.updates().size(), 3u);
   log.Reset();
   EXPECT_TRUE(log.valid());
@@ -219,40 +218,6 @@ TEST(RawUpdateLog, BacksVerbatimFlushesUntilDenseWins) {
   record.weight = 2.0;
   log.Record(record, 3);
   EXPECT_FALSE(log.valid());
-}
-
-TEST(RawUpdateLog, MarkAndRewindRestoreTheExactState) {
-  RawUpdateLog log;
-  StreamRecord record;
-  record.site = 0;
-  record.type = static_cast<FileType>(0);
-  record.weight = 1.0;
-  record.cid = 1;
-  log.Record(record, /*dense_words=*/2);
-  const uint64_t first_key = log.updates()[0].key;
-  const RawUpdateLog::Mark mark = log.MarkPosition();
-  EXPECT_EQ(mark.size, 1u);
-  EXPECT_EQ(mark.words, 1);
-  EXPECT_TRUE(mark.valid);
-
-  // Run past the dense threshold so the log invalidates, then rewind.
-  record.cid = 2;
-  log.Record(record, 2);
-  record.cid = 3;
-  log.Record(record, 2);
-  EXPECT_FALSE(log.valid());
-  log.Rewind(mark);
-  EXPECT_TRUE(log.valid());
-  EXPECT_EQ(log.words(), 1);
-  ASSERT_EQ(log.updates().size(), 1u);
-  EXPECT_EQ(log.updates()[0].key, first_key);
-
-  // The rewound log continues recording as if the rolled-back records
-  // never happened.
-  record.cid = 4;
-  log.Record(record, 2);
-  EXPECT_TRUE(log.valid());
-  EXPECT_EQ(log.updates().size(), 2u);
 }
 
 TEST(DriftFlushMsg, ForFlushPicksTheCheaperRepresentation) {

@@ -11,11 +11,11 @@
 // tolerance; string fields (protocol, query) must match exactly.
 //
 // Machine-dependent fields — name contains "wall", "second", "speedup",
-// "per_sec", "ns_per" or "host_" (e.g. the host_cores scalar) — are
-// skipped unless --time_tol > 0 is given, in which case they are gated
-// at that (looser) tolerance. Everything else (rounds, words, windows,
-// barriers, replayed records...) is deterministic for a fixed seed and
-// gated at --tol; --tol=0 demands bit-exact equality.
+// "per_sec", "ns_per" or "host_" — are skipped unless --time_tol > 0 is
+// given, in which case they are gated at that (looser) tolerance.
+// Everything else (rounds, words, subrounds, estimates...) is
+// deterministic for a fixed seed and gated at --tol; --tol=0 demands
+// bit-exact equality.
 //
 // --tol_field=name=T[,name=T...] overrides the tolerance for individual
 // fields by exact name, taking precedence over both --tol and the

@@ -7,12 +7,11 @@
 // Renders the observability triple a runner invocation writes
 // (--trace_out / --metrics_out / --timeseries_out) into a human-readable
 // run report: per-round communication table, site-skew summary, FGM/O
-// optimizer audit (predicted vs actual gain per round), parallel
-// speculation efficiency, and — for runs over the simulated network
-// (src/sim) — delivery/drop/retransmit/resync counters, with a flag on
-// any round whose in-flight backlog exceeded the 3k+1-word subround
-// budget. With --json_out the same report is written as machine-readable
-// JSON.
+// optimizer audit (predicted vs actual gain per round), and — for runs
+// over the simulated network (src/sim) — delivery/drop/retransmit/resync
+// counters, with a flag on any round whose in-flight backlog exceeded the
+// 3k+1-word subround budget. With --json_out the same report is written
+// as machine-readable JSON.
 //
 // The three files describe one run three ways, so the report cross-checks
 // them against each other bit-exactly (the trace_check discipline):
@@ -30,9 +29,9 @@
 // view: the span invariants must hold (every span closed, children inside
 // their parents) and the per-direction msg/datagram span word sums must
 // equal the trace's RunEnd totals. The report then prints a critical-path
-// summary: the run's time split (network / speculate / barrier / replay /
-// commit) and, per subround, which site's RPC or datagram gated progress
-// — aggregated into a top-N straggler table with retransmit counts.
+// summary: the run's time split (rounds, network) and, per subround,
+// which site's RPC or datagram gated progress — aggregated into a top-N
+// straggler table with retransmit counts.
 //
 // Exit: 0 = all checks pass, 1 = a cross-check failed (suppress with
 // --check=false), 2 = usage / file / parse error.
@@ -72,7 +71,10 @@ constexpr int kKinds = static_cast<int>(fgm::MsgKind::kKindCount);
 /// top-level "topology"/"leaves" and the "tiers" array (per-tier
 /// endpoints, mean fan-in, up/down words and messages, drift flushes,
 /// aggregator local polls and the composed-ψ range each tier reported).
-constexpr int64_t kReportSchemaVersion = 4;
+/// v5: removed the "speculation" object and the "spans" object's
+/// speculate_time/barrier_time/replay_time/commit_time fields; runs are
+/// single-threaded and metrics.json carries no speculation numbers.
+constexpr int64_t kReportSchemaVersion = 5;
 
 std::string Format(const char* fmt, ...) {
   char buf[512];
@@ -891,101 +893,6 @@ void PrintAlerts(const TraceSummary& t, int64_t max_rounds) {
   table.Print();
 }
 
-/// The speculation-efficiency numbers the report derives from
-/// metrics.json's "run" and "speculation" objects. All zero
-/// (windows == 0) when the run was serial.
-struct SpeculationSummary {
-  int64_t windows = 0;
-  int64_t barriers = 0;
-  int64_t speculated = 0;
-  int64_t committed = 0;
-  int64_t replayed = 0;
-  int64_t wasted = 0;
-  int64_t soft_commits = 0;
-  std::vector<int64_t> thread_tasks;
-  double speculate_s = 0.0;
-  double commit_s = 0.0;
-
-  double barrier_rate() const {
-    return windows > 0
-               ? static_cast<double>(barriers) / static_cast<double>(windows)
-               : 0.0;
-  }
-  /// Discarded speculative work per useful record.
-  double waste_ratio() const {
-    return static_cast<double>(wasted) /
-           std::max<double>(1.0, static_cast<double>(committed));
-  }
-  /// Serial-side replay burden per window.
-  double replayed_per_window() const {
-    return windows > 0
-               ? static_cast<double>(replayed) / static_cast<double>(windows)
-               : 0.0;
-  }
-  double commit_efficiency() const {
-    return static_cast<double>(committed) /
-           std::max<double>(1.0, static_cast<double>(speculated));
-  }
-};
-
-SpeculationSummary ReadSpeculation(const fgm::JsonNode& m) {
-  SpeculationSummary s;
-  const fgm::JsonNode* run = m.Find("run");
-  const fgm::JsonNode* spec = m.Find("speculation");
-  if (run == nullptr || spec == nullptr) return s;
-  auto int_at = [](const fgm::JsonNode* obj, const char* name) {
-    const fgm::JsonNode* v = obj->Find(name);
-    return v != nullptr ? v->AsInt() : 0;
-  };
-  auto seconds_at = [](const fgm::JsonNode* obj, const char* name) {
-    const fgm::JsonNode* v = obj->Find(name);
-    return v != nullptr ? v->AsDouble() : 0.0;
-  };
-  s.windows = int_at(run, "parallel_windows");
-  s.barriers = int_at(run, "parallel_barriers");
-  s.replayed = int_at(run, "replayed_records");
-  // Every record of a parallel run is committed exactly once, and every
-  // speculated record is committed or wasted.
-  s.committed = int_at(run, "events");
-  s.wasted = int_at(spec, "wasted_records");
-  s.speculated = s.committed + s.wasted;
-  s.soft_commits = int_at(spec, "soft_commits");
-  if (const fgm::JsonNode* tasks = spec->Find("thread_tasks")) {
-    for (const fgm::JsonNode& n : tasks->items) {
-      s.thread_tasks.push_back(n.AsInt());
-    }
-  }
-  s.speculate_s = seconds_at(spec, "speculate_s");
-  s.commit_s = seconds_at(spec, "commit_s");
-  return s;
-}
-
-void PrintSpeculation(const SpeculationSummary& s) {
-  if (s.windows == 0) return;
-  fgm::PrintBanner("Speculation efficiency (parallel runner)");
-  std::printf(
-      "windows=%lld  barriers=%lld (barrier rate %.3f per window)  "
-      "soft_commits=%lld\n"
-      "records: speculated=%lld committed=%lld replayed=%lld wasted=%lld\n"
-      "efficiency: committed/speculated=%.4f  wasted/committed=%.4f  "
-      "replayed/window=%.1f\n"
-      "time: speculate=%.3fs commit=%.3fs\n",
-      static_cast<long long>(s.windows), static_cast<long long>(s.barriers),
-      s.barrier_rate(), static_cast<long long>(s.soft_commits),
-      static_cast<long long>(s.speculated),
-      static_cast<long long>(s.committed),
-      static_cast<long long>(s.replayed), static_cast<long long>(s.wasted),
-      s.commit_efficiency(), s.waste_ratio(), s.replayed_per_window(),
-      s.speculate_s, s.commit_s);
-  std::string tasks;
-  for (size_t i = 0; i < s.thread_tasks.size(); ++i) {
-    if (!tasks.empty()) tasks += " ";
-    tasks += Format("thread%zu_tasks=%lld", i,
-                    static_cast<long long>(s.thread_tasks[i]));
-  }
-  if (!tasks.empty()) std::printf("per-thread tasks: %s\n", tasks.c_str());
-}
-
 /// Run-level time split + straggler attribution, computed from the span
 /// file alone (SummarizeCriticalPath).
 void PrintCriticalPath(const fgm::SpanCheckStats& stats,
@@ -1001,16 +908,6 @@ void PrintCriticalPath(const fgm::SpanCheckStats& stats,
   std::printf("network=%lld (%.1f%%)  retransmits=%lld\n",
               static_cast<long long>(cp.network_time), pct(cp.network_time),
               static_cast<long long>(cp.retransmits));
-  if (cp.speculate_time + cp.barrier_time + cp.replay_time + cp.commit_time >
-      0) {
-    std::printf(
-        "parallel: speculate=%lld (%.1f%%)  barrier-wait=%lld (%.1f%%)  "
-        "replay=%lld (%.1f%%)  commit=%lld (%.1f%%)\n",
-        static_cast<long long>(cp.speculate_time), pct(cp.speculate_time),
-        static_cast<long long>(cp.barrier_time), pct(cp.barrier_time),
-        static_cast<long long>(cp.replay_time), pct(cp.replay_time),
-        static_cast<long long>(cp.commit_time), pct(cp.commit_time));
-  }
   if (!cp.top_sites.empty()) {
     std::printf("gated subrounds: %zu\n", cp.gates.size());
     fgm::TablePrinter table({"site", "gated", "wait", "retransmits"});
@@ -1034,8 +931,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
                      const TraceSummary& t, const fgm::ReplayReport& replay,
                      const Checker& checks,
                      const fgm::SpanCheckStats* span_stats,
-                     const fgm::CriticalPathSummary* cp,
-                     const SpeculationSummary* spec) {
+                     const fgm::CriticalPathSummary* cp) {
   fgm::JsonWriter w;
   w.BeginObject();
   w.Field("version", kReportSchemaVersion);
@@ -1133,10 +1029,6 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.Field("round_time", cp->round_time);
     w.Field("network_time", cp->network_time);
     w.Field("retransmits", cp->retransmits);
-    w.Field("speculate_time", cp->speculate_time);
-    w.Field("barrier_time", cp->barrier_time);
-    w.Field("replay_time", cp->replay_time);
-    w.Field("commit_time", cp->commit_time);
     w.Field("gated_subrounds", static_cast<int64_t>(cp->gates.size()));
     w.Key("top_sites");
     w.BeginArray();
@@ -1171,22 +1063,6 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
       w.EndObject();
     }
     w.EndArray();
-    w.EndObject();
-  }
-  if (spec != nullptr && spec->windows > 0) {
-    w.Key("speculation");
-    w.BeginObject();
-    w.Field("windows", spec->windows);
-    w.Field("barriers", spec->barriers);
-    w.Field("barrier_rate", spec->barrier_rate());
-    w.Field("soft_commits", spec->soft_commits);
-    w.Field("speculated", spec->speculated);
-    w.Field("committed", spec->committed);
-    w.Field("replayed", spec->replayed);
-    w.Field("wasted", spec->wasted);
-    w.Field("commit_efficiency", spec->commit_efficiency());
-    w.Field("waste_ratio", spec->waste_ratio());
-    w.Field("replayed_per_window", spec->replayed_per_window());
     w.EndObject();
   }
   w.Key("replay");
@@ -1227,12 +1103,9 @@ int main(int argc, char** argv) {
   const std::string json_out = flags.GetString("json_out", "");
   const int64_t max_rounds = flags.GetInt("max_rounds", 24);
   const bool check = flags.GetBool("check", true);
-  // Fixture hook: fail unless the metrics carry parallel-runner
-  // speculation (parallel_windows > 0 and a "speculation" object). Guards
-  // the report's speculation section against silently disappearing.
-  const bool expect_spec = flags.GetBool("expect_spec", false);
   // Fixture hook: fail unless the trace carries at least one AlertRaised
-  // event (health monitor). Guards the alert pipeline the same way.
+  // event (health monitor). Guards the alert pipeline against silently
+  // disappearing.
   const bool expect_alerts = flags.GetBool("alerts", false);
   if (trace_path.empty() && !flags.positional().empty()) {
     trace_path = flags.positional().front();
@@ -1243,8 +1116,7 @@ int main(int argc, char** argv) {
                  "usage: fgm_report --trace=trace.jsonl "
                  "[--metrics=metrics.json] [--timeseries=ts.json] "
                  "[--spans=spans.json] [--json_out=report.json] "
-                 "[--max_rounds=N] [--check=true] [--expect_spec=false] "
-                 "[--alerts]\n");
+                 "[--max_rounds=N] [--check=true] [--alerts]\n");
     return 2;
   }
 
@@ -1271,13 +1143,6 @@ int main(int argc, char** argv) {
     }
     have_metrics = true;
     CheckMetrics(trace, metrics, &checks);
-  }
-  SpeculationSummary spec;
-  if (have_metrics) spec = ReadSpeculation(metrics);
-  if (expect_spec) {
-    checks.Expect(spec.windows > 0,
-                  "expect_spec: metrics carry no speculation "
-                  "(no \"speculation\" object, or --metrics missing)");
   }
   if (expect_alerts) {
     checks.Expect(trace.alerts_raised > 0,
@@ -1333,7 +1198,6 @@ int main(int argc, char** argv) {
   PrintSiteSkew(trace);
   PrintOptimizerAudit(trace, max_rounds);
   PrintAlerts(trace, max_rounds);
-  PrintSpeculation(spec);
   PrintNetwork(trace, have_metrics ? &metrics : nullptr,
                have_ts ? &ts : nullptr);
   if (have_spans) PrintCriticalPath(span_stats, critical_path, max_rounds);
@@ -1364,8 +1228,7 @@ int main(int argc, char** argv) {
   if (!json_out.empty()) {
     WriteJsonReport(json_out, trace_path, trace, replay, checks,
                     have_spans ? &span_stats : nullptr,
-                    have_spans ? &critical_path : nullptr,
-                    have_metrics ? &spec : nullptr);
+                    have_spans ? &critical_path : nullptr);
     std::printf("json report: %s\n", json_out.c_str());
   }
   return (check && !checks.ok()) ? 1 : 0;
