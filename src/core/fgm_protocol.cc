@@ -72,7 +72,10 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
   }
 
   sites_.reserve(static_cast<size_t>(k_));
-  for (int i = 0; i < k_; ++i) sites_.emplace_back(i, query->dimension());
+  const auto zero_values = std::make_shared<ZeroDriftValues>();
+  for (int i = 0; i < k_; ++i) {
+    sites_.emplace_back(i, query->dimension(), zero_values);
+  }
   aggs_.resize(static_cast<size_t>(depth_));
   for (int t = 1; t < depth_; ++t) {
     aggs_[static_cast<size_t>(t)].resize(static_cast<size_t>(topo_.NodesAt(t)));
@@ -183,8 +186,9 @@ int64_t FgmProtocol::ChildUpdates(int child) const {
 void FgmProtocol::InstallZone(int tier, int node, bool full) {
   Transport& link = Link(tier);
   if (full) {
-    // Ship E; the site reconstructs φ from it (§2.4 step 1).
-    link.Ship(node, SafeZoneMsg{estimate_});
+    // Ship E; the site reconstructs φ from it (§2.4 step 1). The message
+    // lends E, so a counting link copies nothing per child.
+    link.Ship(node, SafeZoneMsg{&estimate_});
   } else {
     // Ship the 3-word cheap bound (§4.2.1).
     link.Ship(node, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
@@ -258,7 +262,8 @@ void FgmProtocol::RebaselineChild(int tier, int node, double theta) {
   a.sent_up = 0;
 }
 
-DriftFlushMsg FgmProtocol::FlushChild(int tier, int node) {
+int64_t FgmProtocol::FlushChild(int tier, int node,
+                                std::initializer_list<RealVector*> into) {
   Transport& link = Link(tier);
   link.Ship(node, ControlMsg{ControlOp::kFlushRequest});
   // A site ships either the dense drift or the verbatim raw updates,
@@ -267,7 +272,7 @@ DriftFlushMsg FgmProtocol::FlushChild(int tier, int node) {
   // the single definition of the flush cost; an empty flush is the 1-word
   // acknowledgement (§5.4).
   const bool leaf = IsLeaf(tier);
-  DriftFlushMsg delivered = link.Send(
+  const DriftFlushMsg delivered = link.Send(
       node, leaf ? sites_[static_cast<size_t>(node)].MakeFlushMsg()
                  : CollectSubtreeFlush(tier, node));
   if (trace_ != nullptr) {
@@ -280,10 +285,14 @@ DriftFlushMsg FgmProtocol::FlushChild(int tier, int node) {
     e.count = delivered.update_count;
     trace_->Emit(e);
   }
-  if (leaf && delivered.update_count > 0) {
-    sites_[static_cast<size_t>(node)].FlushReset();
-  }
-  return delivered;
+  if (delivered.update_count == 0) return 0;
+  // A site's message lends its drift, which a counting link delivers as
+  // is: fold it before the site resets.
+  const RealVector& drift =
+      DeliveredDrift(delivered, *query_, node, &flush_scratch_);
+  for (RealVector* sum : into) *sum += drift;
+  if (leaf) sites_[static_cast<size_t>(node)].FlushReset();
+  return delivered.update_count;
 }
 
 // ---------------------------------------------------------------------------
@@ -378,11 +387,7 @@ DriftFlushMsg FgmProtocol::CollectSubtreeFlush(int tier, int node) {
   RealVector sum(query_->dimension());
   int64_t count = 0;
   for (int c = a.child_begin; c < a.child_end; ++c) {
-    const DriftFlushMsg delivered = FlushChild(tier + 1, c);
-    if (delivered.update_count > 0) {
-      sum += DeliveredDrift(delivered, *query_, c, &flush_scratch_);
-      count += delivered.update_count;
-    }
+    count += FlushChild(tier + 1, c, {&sum});
   }
   // One upward message for the whole subtree: the dense drift sum, or the
   // 1-word acknowledgement when nothing flowed (update_count 0 encodes to
@@ -866,14 +871,7 @@ void FgmProtocol::FlushAll() {
     // drift locally until it rejoins.
     if (in_round_[s] == 0) continue;
     if (sim_ != nullptr && child_ok_[s] == 0) continue;
-    const DriftFlushMsg delivered = FlushChild(1, j);
-    if (delivered.update_count > 0) {
-      const RealVector& drift =
-          DeliveredDrift(delivered, *query_, j, &flush_scratch_);
-      balance_ += drift;
-      round_drift_[s] += drift;
-      round_updates_[s] += delivered.update_count;
-    }
+    round_updates_[s] += FlushChild(1, j, {&balance_, &round_drift_[s]});
   }
 }
 
@@ -1214,10 +1212,7 @@ void FgmProtocol::RejoinReconfigure(int child) {
     e.reason = "reconfig";
     trace_->Emit(e);
   }
-  const DriftFlushMsg delivered = FlushChild(1, child);
-  if (delivered.update_count > 0) {
-    balance_ += DeliveredDrift(delivered, *query_, child, &flush_scratch_);
-  }
+  FlushChild(1, child, {&balance_});
   CloseSubroundForced("reconfig");
   EndRound(/*already_flushed=*/false);
   if (spans_ != nullptr) spans_->End(resync_span);

@@ -57,6 +57,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -245,9 +246,11 @@ class FgmProtocol : public MonitoringProtocol {
   /// to the value they just reported (quantum unchanged — no recursion).
   void RebaselineChild(int tier, int node, double theta);
   /// Flush exchange with child (tier, node): the request, then the site's
-  /// own drift or the subtree's summed drift as one message. Returns the
-  /// delivered message; a site that shipped drift restarts from zero.
-  DriftFlushMsg FlushChild(int tier, int node);
+  /// own drift or the subtree's summed drift as one message. Adds the
+  /// delivered drift to each vector of `into` and returns its update
+  /// count; a site that shipped drift restarts from zero after the fold.
+  int64_t FlushChild(int tier, int node,
+                     std::initializer_list<RealVector*> into);
 
   // Aggregators (tiers 1 .. depth-1).
   /// Polls every child of aggregator (tier, node), emits the tier's

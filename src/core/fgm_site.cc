@@ -1,7 +1,9 @@
 #include "core/fgm_site.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
@@ -18,15 +20,58 @@ constexpr double kThresholdRounding = 1e-12;
 
 }  // namespace
 
+ZeroDriftValues::Entry* ZeroDriftValues::Find(const SafeFunction& fn,
+                                              double lambda) {
+  const uint64_t lambda_bits = std::bit_cast<uint64_t>(lambda);
+  for (Entry& e : entries_) {
+    if (e.serial == fn.serial() && e.lambda_bits == lambda_bits) return &e;
+  }
+  return nullptr;
+}
+
+double ZeroDriftValues::Get(const SafeFunction& fn, double lambda,
+                            const DriftEvaluator& zero_state) {
+  if (const Entry* e = Find(fn, lambda)) return e->value;
+  const double value = zero_state.ValueAtScale(lambda);
+  Put(fn, lambda, value);
+  return value;
+}
+
+void ZeroDriftValues::Put(const SafeFunction& fn, double lambda,
+                          double value) {
+  if (Entry* e = Find(fn, lambda)) {
+    e->value = value;
+    return;
+  }
+  entries_[next_] = Entry{fn.serial(), std::bit_cast<uint64_t>(lambda), value};
+  next_ = (next_ + 1) % entries_.size();
+}
+
+FgmSite::FgmSite(int id, size_t dim,
+                 std::shared_ptr<ZeroDriftValues> zero_values)
+    : id_(id),
+      dim_(dim),
+      zero_values_(zero_values != nullptr
+                       ? std::move(zero_values)
+                       : std::make_shared<ZeroDriftValues>()) {}
+
 void FgmSite::InstallEvaluator(const SafeFunction* fn) {
   FGM_CHECK(fn != nullptr);
+  fn_ = fn;
+  // λφ(X/λ) is L-Lipschitz in X whenever φ is.
+  lipschitz_ = fn->LipschitzBound();
+  FGM_CHECK_GT(lipschitz_, 0.0);
+  // Zero drift is Rebind's precondition. A re-armed evaluator keeps its
+  // FGM_PARANOID wrapper, or its lack of one.
+  if (evaluator_ != nullptr && updates_since_flush_ == 0 &&
+      evaluator_->Rebind(*fn)) {
+    if (paranoid_) CheckRearmed();
+    return;
+  }
   // Wrapped with the FGM_PARANOID cross-check when the env var is set.
   evaluator_ = MakeCheckedEvaluator(fn, fn->MakeEvaluator());
   paranoid_ = dynamic_cast<const ParanoidDriftEvaluator*>(evaluator_.get()) !=
               nullptr;
-  // λφ(X/λ) is L-Lipschitz in X whenever φ is.
-  lipschitz_ = fn->LipschitzBound();
-  FGM_CHECK_GT(lipschitz_, 0.0);
 }
 
 void FgmSite::BeginRound(const SafeFunction* fn) {
@@ -39,17 +84,30 @@ void FgmSite::BeginRound(const SafeFunction* fn) {
   updates_since_flush_ = 0;
   updates_in_round_ = 0;
   log_.Reset();
-  // The evaluator was just rebuilt, so live == committed by definition.
-  committed_v_ = CurrentValue();
+  // The drift is zero, so live == committed by definition.
+  committed_v_ = SettledValue();
+}
+
+double FgmSite::SettledValue() {
+  if (updates_since_flush_ != 0) return CurrentValue();
+  const double shared = zero_values_->Get(*fn_, lambda_, *evaluator_);
+  if (paranoid_ && std::bit_cast<uint64_t>(shared) !=
+                       std::bit_cast<uint64_t>(CurrentValue())) {
+    FGM_CHECK(false &&
+              "FGM_PARANOID: the shared zero-drift value differs from the "
+              "site's own evaluation");
+  }
+  return shared;
 }
 
 void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
                           double theta) {
   FGM_CHECK_GT(theta, 0.0);
   Disarm();
-  // Replay the surviving drift into a fresh evaluator for the delivered
+  // Replay the surviving drift into the evaluator for the delivered
   // reference, one delta per non-zero entry (the same reconstruction the
-  // coordinator's verbatim-flush path uses).
+  // coordinator's verbatim-flush path uses); a zero drift re-arms the
+  // evaluator in place and replays nothing.
   const RealVector drift =
       evaluator_ != nullptr ? evaluator_->drift() : RealVector(dim_);
   InstallEvaluator(fn);
@@ -58,7 +116,7 @@ void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
   }
   lambda_ = lambda;
   quantum_ = theta;
-  committed_v_ = CurrentValue();
+  committed_v_ = SettledValue();
   z_ = committed_v_;
   value_min_ = z_;
   value_max_ = z_;
@@ -70,7 +128,7 @@ void FgmSite::SetLambda(double lambda) {
   lambda_ = lambda;
   // λ only changes at a coordinator rebalance, where the evaluator state
   // is committed; refresh the committed value under the new scale.
-  committed_v_ = CurrentValue();
+  committed_v_ = SettledValue();
 }
 
 void FgmSite::BeginSubround(double quantum) {
@@ -188,13 +246,29 @@ void FgmSite::CheckSkipped() const {
   }
 }
 
+void FgmSite::CheckRearmed() const {
+  const std::unique_ptr<DriftEvaluator> fresh = fn_->MakeEvaluator();
+  const RealVector& x = evaluator_->drift();
+  bool same = std::bit_cast<uint64_t>(evaluator_->Value()) ==
+                  std::bit_cast<uint64_t>(fresh->Value()) &&
+              x.dim() == fresh->drift().dim();
+  for (size_t i = 0; same && i < x.dim(); ++i) {
+    same = std::bit_cast<uint64_t>(x[i]) ==
+           std::bit_cast<uint64_t>(fresh->drift()[i]);
+  }
+  if (!same) {
+    FGM_CHECK(false &&
+              "FGM_PARANOID: a re-armed evaluator differs from a fresh one");
+  }
+}
+
 void FgmSite::FlushReset() {
   Disarm();
   evaluator_->Reset();
   updates_since_flush_ = 0;
   log_.Reset();
   // The drift just went to zero under coordinator control: committed.
-  committed_v_ = CurrentValue();
+  committed_v_ = SettledValue();
 }
 
 }  // namespace fgm

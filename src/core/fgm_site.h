@@ -19,11 +19,20 @@
 // eager bits and no increment moves. Skipped values are only known to
 // lie within L·Σ‖Δ‖ of the last exact one, so SubroundValueRange is a
 // certified upper bound on the eager sup - inf.
+//
+// Round boundaries cost O(1) per site without drift. A site with no
+// update since its last flush has zero drift, so its value is λφ(0/λ),
+// the same for every such site: it reads the value from the
+// ZeroDriftValues its protocol shares among the sites, which evaluates it
+// once per (function, λ). Given a new function (a round start, a resync)
+// such a site re-arms its evaluator in place (DriftEvaluator::Rebind)
+// instead of building one.
 
 #ifndef FGM_CORE_FGM_SITE_H_
 #define FGM_CORE_FGM_SITE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,22 +45,59 @@
 
 namespace fgm {
 
+/// λφ(0/λ), the value of a zero drift, for the functions a protocol's
+/// sites run, shared by those sites: the first site that needs a
+/// (function, λ) evaluates it on its own zero-drift evaluator, and every
+/// other one reads it. Keyed by SafeFunction::serial(), so a function
+/// built into the storage of a freed one never reads the freed one's
+/// values.
+class ZeroDriftValues {
+ public:
+  /// λφ(0/λ) for `fn`; evaluated on `zero_state`, an evaluator of `fn`
+  /// at zero drift, and stored, when not yet stored.
+  double Get(const SafeFunction& fn, double lambda,
+             const DriftEvaluator& zero_state);
+
+  /// Stores `value` as fn's λφ(0/λ), in place of the stored one or else
+  /// of the oldest entry. Get stores its evaluations this way; tests store
+  /// wrong values to check that FGM_PARANOID catches them.
+  void Put(const SafeFunction& fn, double lambda, double value);
+
+ private:
+  struct Entry {
+    uint64_t serial = 0;  ///< 0: empty (serials start at 1)
+    uint64_t lambda_bits = 0;
+    double value = 0.0;
+  };
+
+  Entry* Find(const SafeFunction& fn, double lambda);
+
+  // A round has at most two functions (φ and the cheap bound b), and a
+  // rebalance reads them at the old λ (flushes) and then the new one.
+  std::array<Entry, 4> entries_{};
+  size_t next_ = 0;
+};
+
 class FgmSite {
  public:
   /// `dim` is the state dimension D, bounding the raw-update log the site
-  /// keeps for the verbatim drift representation.
-  FgmSite(int id, size_t dim) : id_(id), dim_(dim) {}
+  /// keeps for the verbatim drift representation. `zero_values` is shared
+  /// with the protocol's other sites; a site given none keeps its own.
+  FgmSite(int id, size_t dim,
+          std::shared_ptr<ZeroDriftValues> zero_values = nullptr);
 
   int id() const { return id_; }
 
-  /// Installs the safe function for a new round; drift resets to 0.
+  /// Installs the safe function for a new round; drift resets to 0. An
+  /// evaluator with zero drift re-arms in place when it can.
   void BeginRound(const SafeFunction* fn);
 
   /// Starts a subround with quantum θ > 0: records z_i, resets c_i.
   void BeginSubround(double quantum);
 
   /// Crash-recovery handshake (sim/ networks): rebuilds the evaluator for
-  /// the re-shipped safe function while PRESERVING the accumulated drift
+  /// the re-shipped safe function (re-arming it in place when the drift
+  /// is zero, as BeginRound does) while PRESERVING the accumulated drift
   /// — the drift and the raw-update log live in stable storage; only the
   /// evaluator's working state and the subround baseline were volatile.
   /// Re-baselines the counter at the current value under the delivered
@@ -112,7 +158,9 @@ class FgmSite {
   const RealVector& drift() const { return evaluator_->drift(); }
 
   /// Builds the flush message for the coordinator: the update count plus
-  /// the cheaper of the dense drift and the verbatim raw-update log.
+  /// the cheaper of the dense drift and the verbatim raw-update log. The
+  /// message lends the site's drift and log, so it must be read before
+  /// FlushReset.
   DriftFlushMsg MakeFlushMsg() const {
     return DriftFlushMsg::ForFlush(drift(), updates_since_flush_, log_);
   }
@@ -125,8 +173,15 @@ class FgmSite {
   int64_t counter() const { return counter_; }
 
  private:
-  /// Builds the evaluator for `fn` and records its Lipschitz bound.
+  /// Installs an evaluator for `fn` and records its Lipschitz bound: the
+  /// current one re-armed in place when the drift is zero and it
+  /// supports that, else a new one.
   void InstallEvaluator(const SafeFunction* fn);
+
+  /// The value after the coordinator set the drift or λ: the shared
+  /// λφ(0/λ) when no update arrived since the last flush, else
+  /// evaluated.
+  double SettledValue();
 
   /// One serial record step: skips the evaluation while the certificate
   /// holds, else evaluates and commits.
@@ -155,6 +210,10 @@ class FgmSite {
   /// it, and aborts if it moves the counter or leaves its certified reach.
   void CheckSkipped() const;
 
+  /// FGM_PARANOID: aborts unless the re-armed evaluator matches a fresh
+  /// one for the same function, bit for bit.
+  void CheckRearmed() const;
+
   int id_;
   size_t dim_;
   RawUpdateLog log_;
@@ -177,6 +236,9 @@ class FgmSite {
   int64_t skipped_total_ = 0;
   bool armed_ = false;     ///< reach_limit_ matches the scalars above
   bool paranoid_ = false;  ///< evaluator wrapped by FGM_PARANOID
+  // Read at round boundaries only, so kept behind the per-record state.
+  const SafeFunction* fn_ = nullptr;  ///< the installed function
+  std::shared_ptr<ZeroDriftValues> zero_values_;
 };
 
 }  // namespace fgm

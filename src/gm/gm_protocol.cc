@@ -109,13 +109,13 @@ const RealVector& GmProtocol::CollectDrift(int site_id) {
     e.count = delivered.update_count;
     trace_->Emit(e);
   }
-  if (delivered.drift.dim() != 0) {
-    site.known = delivered.drift;
+  if (delivered.drift->dim() != 0) {
+    site.known = *delivered.drift;
   } else {
     // Verbatim: re-project the delta updates on top of the drift the
     // coordinator already knows (bit-exact, same deltas in the same
     // order as the site applied them).
-    ReprojectRawUpdates(*query_, site_id, delivered.raw, &site.known);
+    ReprojectRawUpdates(*query_, site_id, *delivered.raw, &site.known);
   }
   site.log.Reset();
   site.updates_since_known = 0;
@@ -187,8 +187,8 @@ void GmProtocol::HandleViolation(int violator) {
       const SafeZoneMsg delivered =
           transport_->Ship(site_id, SafeZoneMsg{avg});
       Site& site = sites_[static_cast<size_t>(site_id)];
-      LoadDrift(site.evaluator.get(), delivered.reference);
-      site.known = delivered.reference;
+      LoadDrift(site.evaluator.get(), *delivered.reference);
+      site.known = *delivered.reference;
       site.log.Reset();
     }
     return;

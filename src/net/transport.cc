@@ -94,16 +94,16 @@ void ReprojectRawUpdates(const ContinuousQuery& query, int site,
 const RealVector& DeliveredDrift(const DriftFlushMsg& msg,
                                  const ContinuousQuery& query, int site,
                                  RealVector* scratch) {
-  if (msg.drift.dim() != 0) {
-    FGM_CHECK_EQ(msg.drift.dim(), query.dimension());
-    return msg.drift;
+  if (msg.drift->dim() != 0) {
+    FGM_CHECK_EQ(msg.drift->dim(), query.dimension());
+    return *msg.drift;
   }
   if (scratch->dim() != query.dimension()) {
     *scratch = RealVector(query.dimension());
   } else {
     scratch->SetZero();
   }
-  ReprojectRawUpdates(query, site, msg.raw, scratch);
+  ReprojectRawUpdates(query, site, *msg.raw, scratch);
   return *scratch;
 }
 

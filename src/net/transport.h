@@ -76,7 +76,7 @@ Msg DecodeAs(const WordBuffer& in, const Msg&) {
   return Msg::Decode(in);
 }
 inline SafeZoneMsg DecodeAs(const WordBuffer& in, const SafeZoneMsg& sent) {
-  return SafeZoneMsg::Decode(in, sent.reference.dim());
+  return SafeZoneMsg::Decode(in, sent.reference->dim());
 }
 inline ResyncMsg DecodeAs(const WordBuffer& in, const ResyncMsg& sent) {
   return ResyncMsg::Decode(in, sent.reference.dim());
@@ -200,8 +200,9 @@ void ReprojectRawUpdates(const ContinuousQuery& query, int site,
                          RealVector* out);
 
 /// The drift delivered by a flush message: the carried dense vector when
-/// present (counting mode, or a strict-mode dense decode), otherwise the
-/// re-projection of the verbatim updates into `*scratch`.
+/// present (the sender's own vector in counting mode, or a strict-mode
+/// dense decode), otherwise the re-projection of the verbatim updates
+/// into `*scratch`.
 const RealVector& DeliveredDrift(const DriftFlushMsg& msg,
                                  const ContinuousQuery& query, int site,
                                  RealVector* scratch);

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "util/check.h"
@@ -35,7 +36,7 @@ void WordBuffer::PutBits(uint64_t bits) {
 }
 
 void WordBuffer::PutVector(const RealVector& v) {
-  for (size_t i = 0; i < v.dim(); ++i) words_.push_back(v[i]);
+  words_.insert(words_.end(), v.data(), v.data() + v.dim());
 }
 
 double WordBuffer::GetReal(size_t index) const {
@@ -54,9 +55,9 @@ uint64_t WordBuffer::GetBits(size_t index) const {
 
 RealVector WordBuffer::GetVector(size_t index, size_t dim) const {
   FGM_CHECK_LE(index + dim, words_.size());
-  RealVector v(dim);
-  for (size_t i = 0; i < dim; ++i) v[i] = words_[index + i];
-  return v;
+  const auto first = words_.begin() + static_cast<std::ptrdiff_t>(index);
+  return RealVector(std::vector<double>(
+      first, first + static_cast<std::ptrdiff_t>(dim)));
 }
 
 bool WordBuffer::SameBits(const WordBuffer& other) const {
@@ -150,14 +151,14 @@ DriftFlushMsg DriftFlushMsg::ForFlush(const RealVector& drift,
                                       const RawUpdateLog& log) {
   DriftFlushMsg msg;
   msg.update_count = update_count;
-  msg.drift = drift;
+  msg.drift = &drift;
   const bool verbatim_available =
       log.valid() &&
       static_cast<int64_t>(log.updates().size()) == update_count;
   if (verbatim_available &&
       1 + log.words() <= 1 + static_cast<int64_t>(drift.dim())) {
     msg.dense = false;
-    msg.raw = log.updates();
+    msg.raw = &log.updates();
   }
   return msg;
 }
@@ -166,9 +167,9 @@ void DriftFlushMsg::Encode(WordBuffer* out) const {
   // The count's sign flags the representation (counts are nonnegative).
   out->PutCount(dense ? update_count : -update_count);
   if (dense) {
-    out->PutVector(drift);
+    out->PutVector(*drift);
   } else {
-    for (const RawUpdateMsg& u : raw) u.Encode(out);
+    for (const RawUpdateMsg& u : *raw) u.Encode(out);
   }
 }
 
@@ -181,21 +182,23 @@ DriftFlushMsg DriftFlushMsg::Decode(const WordBuffer& in) {
     // The dense payload is the rest of the message.
     msg.drift = in.GetVector(1, in.size_words() - 1);
   } else {
-    msg.raw.reserve(static_cast<size_t>(msg.update_count));
+    std::vector<RawUpdateMsg> raw;
+    raw.reserve(static_cast<size_t>(msg.update_count));
     size_t index = 1;
     for (int64_t i = 0; i < msg.update_count; ++i) {
-      msg.raw.push_back(RawUpdateMsg::Decode(in, index));
-      index += static_cast<size_t>(msg.raw.back().Words());
+      raw.push_back(RawUpdateMsg::Decode(in, index));
+      index += static_cast<size_t>(raw.back().Words());
     }
     FGM_CHECK_EQ(index, in.size_words());
+    msg.raw = std::move(raw);
   }
   return msg;
 }
 
 int64_t DriftFlushMsg::Words() const {
-  if (dense) return 1 + static_cast<int64_t>(drift.dim());
+  if (dense) return 1 + static_cast<int64_t>(drift->dim());
   int64_t words = 1;
-  for (const RawUpdateMsg& u : raw) words += u.Words();
+  for (const RawUpdateMsg& u : *raw) words += u.Words();
   return words;
 }
 

@@ -17,6 +17,7 @@
 #define FGM_NET_WIRE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "stream/record.h"
@@ -49,6 +50,30 @@ class WordBuffer {
 
  private:
   std::vector<double> words_;
+};
+
+/// A message's bulk payload, lent by the sender or owned.
+///
+/// A sender's message lends its own storage (the coordinator's E, a
+/// site's drift and raw-update log), which must outlive the message's
+/// use at the receiver. A counting link hands the message through, so it
+/// copies no payload; a strict link encodes the lent payload and
+/// delivers a decoded copy that owns its data.
+template <typename T>
+class Payload {
+ public:
+  Payload() = default;
+  /// Owns `value`: a decode, a summed subtree drift.
+  Payload(T value) : owned_(std::move(value)) {}
+  /// Lends `*value`, which must outlive every copy of the message.
+  Payload(const T* value) : lent_(value) {}
+
+  const T& operator*() const { return lent_ != nullptr ? *lent_ : owned_; }
+  const T* operator->() const { return &**this; }
+
+ private:
+  const T* lent_ = nullptr;
+  T owned_{};
 };
 
 /// Subround quantum θ (coordinator → site), 1 word.
@@ -111,14 +136,16 @@ struct ControlMsg {
 };
 
 /// Full safe-zone shipment (coordinator → site): the reference vector E,
-/// from which the site reconstructs φ (§2.4 step 1). D words.
+/// from which the site reconstructs φ (§2.4 step 1). D words. The
+/// coordinator lends its E, so shipping a zone to k sites over counting
+/// links copies no vector.
 struct SafeZoneMsg {
-  RealVector reference;
-  void Encode(WordBuffer* out) const { out->PutVector(reference); }
+  Payload<RealVector> reference;
+  void Encode(WordBuffer* out) const { out->PutVector(*reference); }
   static SafeZoneMsg Decode(const WordBuffer& in, size_t dim) {
     return SafeZoneMsg{in.GetVector(0, dim)};
   }
-  int64_t Words() const { return static_cast<int64_t>(reference.dim()); }
+  int64_t Words() const { return static_cast<int64_t>(reference->dim()); }
 };
 
 /// Crash/rejoin state snapshot (coordinator → site): the round's reference
@@ -223,18 +250,20 @@ class RawUpdateLog {
 /// Drift flush (site → coordinator): update count plus either the dense
 /// vector or the verbatim updates, whichever is smaller.
 ///
-/// `drift` is always populated by the SENDING site (local fast-path
-/// delivery); only the representation selected by `dense` goes on the
-/// wire, so a strict-mode decode of a verbatim flush delivers the raw
-/// updates and an empty drift for the coordinator to re-project.
+/// A SENDING site's message lends its drift whatever the representation
+/// (the receiver of a counting link folds it in place, before the site
+/// resets); only the representation selected by `dense` goes on the wire,
+/// so a strict-mode decode of a verbatim flush delivers the raw updates
+/// and an empty drift for the coordinator to re-project.
 struct DriftFlushMsg {
   int64_t update_count = 0;
   bool dense = true;
-  RealVector drift;                      // when dense (or sender-local)
-  std::vector<RawUpdateMsg> raw;         // when !dense
+  Payload<RealVector> drift;                // when dense (or sender-local)
+  Payload<std::vector<RawUpdateMsg>> raw;   // when !dense
 
   /// Builds the message a site sends for its current drift, choosing the
   /// cheaper representation (verbatim requires a valid, complete log).
+  /// The message lends `drift` and the log's updates, copying neither.
   static DriftFlushMsg ForFlush(const RealVector& drift,
                                 int64_t update_count,
                                 const RawUpdateLog& log);

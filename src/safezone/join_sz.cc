@@ -62,6 +62,22 @@ class JoinEvaluator : public VectorDriftEvaluator {
     std::fill(vdv_.begin(), vdv_.end(), 0.0);
   }
 
+  // At zero drift the row primitives are 0 for every reference, so a
+  // function of the same sketch shape only swaps fn_ and resizes the
+  // per-side scratch.
+  bool Rebind(const SafeFunction& fn) override {
+    const auto* next = dynamic_cast<const JoinSafeFunction*>(&fn);
+    if (next == nullptr || next->dimension() != x_.dim() ||
+        next->projection().depth() != static_cast<int>(qdu_.size()) ||
+        next->projection().width() != width_) {
+      return false;
+    }
+    fn_ = next;
+    upper_scratch_.resize(next->upper_forms_.size());
+    lower_scratch_.resize(next->lower_forms_.size());
+    return true;
+  }
+
  private:
   const JoinSafeFunction* fn_;
   size_t half_dim_;

@@ -1,5 +1,6 @@
 #include "safezone/safe_function.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
@@ -17,6 +18,14 @@ double PerspectiveEval(const SafeFunction& fn, const RealVector& x,
   scaled *= 1.0 / lambda;
   return lambda * fn.Eval(scaled);
 }
+
+uint64_t SafeFunction::NextSerial() {
+  // Serials start at 1, so 0 can mark an empty cache slot.
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool DriftEvaluator::Rebind(const SafeFunction&) { return false; }
 
 void DriftEvaluator::ApplyDeltasOnly(const CellUpdate* cells, size_t n) {
   for (size_t i = 0; i < n; ++i) ApplyDelta(cells[i].index, cells[i].delta);
@@ -62,6 +71,13 @@ double ParanoidDriftEvaluator::ApplyDeltas(const CellUpdate* cells, size_t n,
 void ParanoidDriftEvaluator::Reset() {
   inner_->Reset();
   since_check_ = 0;
+}
+
+bool ParanoidDriftEvaluator::Rebind(const SafeFunction& fn) {
+  if (!inner_->Rebind(fn)) return false;
+  fn_ = &fn;
+  since_check_ = 0;
+  return true;
 }
 
 bool ParanoidDriftEvaluator::CheckDue(size_t n) {

@@ -26,6 +26,7 @@
 #define FGM_SAFEZONE_SAFE_FUNCTION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "util/real_vector.h"
@@ -33,6 +34,7 @@
 namespace fgm {
 
 struct CellUpdate;
+class SafeFunction;
 
 /// Mutable, site-local incremental evaluator of a safe function. Owns the
 /// drift vector it evaluates at.
@@ -67,6 +69,14 @@ class DriftEvaluator {
   /// Resets the drift to 0.
   virtual void Reset() = 0;
 
+  /// Re-targets this evaluator, whose drift must be zero (as after Reset
+  /// or construction), at `fn`, leaving it in the state fn.MakeEvaluator()
+  /// would build, and returns true. Returns false, unchanged, when it
+  /// cannot; the caller then builds a new one. The default always
+  /// returns false; the sketch evaluators, rebuilt for every site at
+  /// every round start, re-arm in place.
+  virtual bool Rebind(const SafeFunction& fn);
+
   /// The current drift vector.
   virtual const RealVector& drift() const = 0;
 };
@@ -75,7 +85,20 @@ class DriftEvaluator {
 /// and reference point E.
 class SafeFunction {
  public:
+  SafeFunction() : serial_(NextSerial()) {}
+  // A copy is a new function, and assignment makes one: both draw a fresh
+  // serial.
+  SafeFunction(const SafeFunction&) : serial_(NextSerial()) {}
+  SafeFunction& operator=(const SafeFunction&) {
+    serial_ = NextSerial();
+    return *this;
+  }
   virtual ~SafeFunction() = default;
+
+  /// A number no other function built in this process carries, so a cache
+  /// keyed by it cannot mistake this function for a freed one that
+  /// occupied the same storage.
+  uint64_t serial() const { return serial_; }
 
   /// Dimension D of drift vectors.
   virtual size_t dimension() const = 0;
@@ -93,6 +116,11 @@ class SafeFunction {
   /// Euclidean norm: |φ(x) - φ(y)| <= L‖x - y‖. All shipped safe functions
   /// are normalized to L = 1 (nonexpansive, §4.2.1) unless documented.
   virtual double LipschitzBound() const { return 1.0; }
+
+ private:
+  static uint64_t NextSerial();
+
+  uint64_t serial_;
 };
 
 /// Helper base for evaluators that keep the raw drift vector.
@@ -145,6 +173,8 @@ class ParanoidDriftEvaluator : public DriftEvaluator {
     return inner_->ValueAtScale(lambda);
   }
   void Reset() override;
+  /// Re-targets the wrapped evaluator and the cross-check at `fn`.
+  bool Rebind(const SafeFunction& fn) override;
   const RealVector& drift() const override { return inner_->drift(); }
 
  private:

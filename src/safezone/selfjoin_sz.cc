@@ -65,6 +65,22 @@ class SelfJoinEvaluator final : public VectorDriftEvaluator {
     std::fill(dxe_.begin(), dxe_.end(), 0.0);
   }
 
+  // At zero drift the row primitives are 0 for every reference, so a
+  // function of the same sketch shape only swaps fn_ and resizes the
+  // per-side scratch.
+  bool Rebind(const SafeFunction& fn) override {
+    const auto* next = dynamic_cast<const SelfJoinSafeFunction*>(&fn);
+    if (next == nullptr || next->dimension() != x_.dim() ||
+        next->projection().depth() != depth_ ||
+        next->projection().width() != width_) {
+      return false;
+    }
+    fn_ = next;
+    upper_scratch_.resize(next->upper_rows_.size());
+    lower_scratch_.resize(next->lower_rows_.size());
+    return true;
+  }
+
  private:
   const SelfJoinSafeFunction* fn_;
   int depth_;

@@ -2,9 +2,12 @@
 //   c_i := max{c_i, ⌊(φ(X_i) - z_i)/θ⌋},
 // subround bookkeeping, the perspective scale, and flush semantics —
 // exercised against a hand-made linear safe function where every value is
-// predictable in closed form.
+// predictable in closed form — and the FGM_PARANOID checks of the shared
+// zero-drift value and of an evaluator re-armed in place.
 
+#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,64 @@
 
 namespace fgm {
 namespace {
+
+/// Sets an environment variable for one scope, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      had_ = true;
+      old_ = old;
+    }
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      setenv(name_, old_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string old_;
+};
+
+/// φ(x) = c + x[0], whose evaluator re-arms without taking the new
+/// function's c: the bug FGM_PARANOID's re-arm check is there to catch.
+class OffsetPhi : public SafeFunction {
+ public:
+  explicit OffsetPhi(double c) : c_(c) {}
+  size_t dimension() const override { return 1; }
+  double Eval(const RealVector& x) const override { return c_ + x[0]; }
+  std::unique_ptr<DriftEvaluator> MakeEvaluator() const override;
+  double c() const { return c_; }
+
+ private:
+  double c_;
+};
+
+class StaleRebindEvaluator : public VectorDriftEvaluator {
+ public:
+  explicit StaleRebindEvaluator(const OffsetPhi* fn)
+      : VectorDriftEvaluator(1), c_(fn->c()) {}
+  void ApplyDelta(size_t index, double delta) override { x_[index] += delta; }
+  double Value() const override { return c_ + x_[0]; }
+  double ValueAtScale(double lambda) const override {
+    return lambda * c_ + x_[0];
+  }
+  void Reset() override { x_.SetZero(); }
+  bool Rebind(const SafeFunction&) override { return true; }
+
+ private:
+  double c_;
+};
+
+std::unique_ptr<DriftEvaluator> OffsetPhi::MakeEvaluator() const {
+  return std::make_unique<StaleRebindEvaluator>(this);
+}
 
 // With normal -e0, φ(x) = -4 - (-x[0]) = -4 + x[0]: pushing x[0]
 // positive raises φ by exactly the same amount.
@@ -153,6 +214,50 @@ TEST(FgmSite, BeginRoundResetsEverything) {
   EXPECT_EQ(site.updates_in_round(), 0);
   EXPECT_DOUBLE_EQ(site.CurrentValue(), -4.0);  // λ back to 1, drift 0
   EXPECT_EQ(site.id(), 3);
+}
+
+TEST(FgmSite, ZeroDriftSitesReadTheSharedValue) {
+  // Off, so the wrong value below is read rather than caught.
+  ScopedEnv off("FGM_PARANOID", "");
+  auto phi = LinearPhi();
+  auto values = std::make_shared<ZeroDriftValues>();
+  FgmSite first(0, 2, values);
+  first.BeginRound(phi.get());
+  EXPECT_DOUBLE_EQ(first.ReadValue(), -4.0);
+  // A second site at zero drift reads the stored value, not its own
+  // evaluation; one with drift evaluates.
+  values->Put(*phi, 1.0, -3.0);
+  FgmSite second(1, 2, values);
+  second.BeginRound(phi.get());
+  EXPECT_DOUBLE_EQ(second.ReadValue(), -3.0);
+  second.ApplyUpdate(Delta(0, +0.5));
+  EXPECT_DOUBLE_EQ(second.ReadValue(), -3.5);
+}
+
+TEST(FgmSiteDeathTest, ParanoidRejectsAWrongSharedZeroDriftValue) {
+  auto phi = LinearPhi();
+  auto values = std::make_shared<ZeroDriftValues>();
+  values->Put(*phi, 1.0, -3.0);  // φ(0) is -4
+  ScopedEnv paranoid("FGM_PARANOID", "1");
+  EXPECT_DEATH(
+      {
+        FgmSite site(0, 2, values);
+        site.BeginRound(phi.get());
+      },
+      "FGM_PARANOID: the shared zero-drift value");
+}
+
+TEST(FgmSiteDeathTest, ParanoidRejectsAStaleRearmedEvaluator) {
+  const OffsetPhi first(-4.0);
+  const OffsetPhi second(-2.0);
+  ScopedEnv paranoid("FGM_PARANOID", "1");
+  EXPECT_DEATH(
+      {
+        FgmSite site(0, 1);
+        site.BeginRound(&first);
+        site.BeginRound(&second);
+      },
+      "FGM_PARANOID: a re-armed evaluator differs");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "core/fgm_protocol.h"
 #include "driver/runner.h"
 #include "gm/gm_protocol.h"
+#include "hier/topology.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/span.h"
@@ -78,7 +80,7 @@ TEST(StrictTransport, ChargesExactlyTheEncodedWords) {
   RealVector e(10);
   e[3] = 2.5;
   const SafeZoneMsg zone = transport.Ship(0, SafeZoneMsg{e});
-  EXPECT_DOUBLE_EQ(zone.reference[3], 2.5);
+  EXPECT_DOUBLE_EQ((*zone.reference)[3], 2.5);
   EXPECT_EQ(transport.stats().upstream_words, 10);
 
   const CheapZoneMsg cheap =
@@ -121,8 +123,8 @@ TEST(StrictTransport, DriftFlushDeliversWhatWasEncoded) {
   dense.drift = RealVector{1.0, -2.0, 0.5};
   const DriftFlushMsg dense_got = transport.Send(0, dense);
   EXPECT_TRUE(dense_got.dense);
-  EXPECT_EQ(dense_got.drift.dim(), 3u);
-  EXPECT_DOUBLE_EQ(dense_got.drift[1], -2.0);
+  EXPECT_EQ(dense_got.drift->dim(), 3u);
+  EXPECT_DOUBLE_EQ((*dense_got.drift)[1], -2.0);
   EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
             4);
@@ -135,12 +137,12 @@ TEST(StrictTransport, DriftFlushDeliversWhatWasEncoded) {
   verbatim.drift = RealVector{1.0, -2.0, 0.5};  // sender-local only
   RawUpdateMsg u;
   u.key = 42;
-  verbatim.raw = {u};
+  verbatim.raw = std::vector<RawUpdateMsg>{u};
   const DriftFlushMsg verbatim_got = transport.Send(1, verbatim);
   EXPECT_FALSE(verbatim_got.dense);
-  EXPECT_EQ(verbatim_got.drift.dim(), 0u);
-  ASSERT_EQ(verbatim_got.raw.size(), 1u);
-  EXPECT_EQ(verbatim_got.raw[0].key, 42u);
+  EXPECT_EQ(verbatim_got.drift->dim(), 0u);
+  ASSERT_EQ(verbatim_got.raw->size(), 1u);
+  EXPECT_EQ((*verbatim_got.raw)[0].key, 42u);
   EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
             4 + 2);
@@ -149,17 +151,19 @@ TEST(StrictTransport, DriftFlushDeliversWhatWasEncoded) {
 TEST(Transport, CountingModeDeliversUnchanged) {
   Transport transport(2, TransportMode::kCounting);
   EXPECT_FALSE(transport.strict());
+  const RealVector local{7.0};
   DriftFlushMsg verbatim;
   verbatim.update_count = 1;
   verbatim.dense = false;
-  verbatim.drift = RealVector{7.0};
+  verbatim.drift = &local;
   RawUpdateMsg u;
   u.key = 3;
-  verbatim.raw = {u};
-  // The fast path hands the message through as-is (the local drift stays
-  // available), but charges the same wire words as strict mode.
+  verbatim.raw = std::vector<RawUpdateMsg>{u};
+  // The fast path hands the message through as-is: the receiver reads
+  // the sender's own drift, uncopied, and is charged the same wire words
+  // as strict mode.
   const DriftFlushMsg got = transport.Send(0, verbatim);
-  EXPECT_EQ(got.drift.dim(), 1u);
+  EXPECT_EQ(&*got.drift, &local);
   EXPECT_EQ(transport.stats()
                 .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
             2);
@@ -336,10 +340,11 @@ Booked SendEveryMessage(const ContractCase& param) {
   verbatim.update_count = 2;
   verbatim.dense = false;
   verbatim.drift = RealVector{7.0, 0.0, 0.0};  // sender-local only
-  verbatim.raw.resize(2);
-  verbatim.raw[0].key = 42;
-  verbatim.raw[1].key = uint64_t{1} << 63;  // a 2-word update
-  verbatim.raw[1].is_delete = true;
+  std::vector<RawUpdateMsg> updates(2);
+  updates[0].key = 42;
+  updates[1].key = uint64_t{1} << 63;  // a 2-word update
+  updates[1].is_delete = true;
+  verbatim.raw = std::move(updates);
   up(1, verbatim);
   RawUpdateMsg raw;
   raw.key = uint64_t{1} << 62;
@@ -392,22 +397,33 @@ INSTANTIATE_TEST_SUITE_P(
 // Parity: counting and serializing runs of every protocol are
 // indistinguishable — identical traffic in every breakdown and identical
 // (bit-exact) estimates. The windowed FGM runs exercise rebalancing and
-// verbatim flushes; FGM/O exercises cheap-zone shipments.
+// verbatim flushes; FGM/O exercises cheap-zone shipments. The tree case
+// folds leaf flushes that a counting link lends uncopied, and ships
+// zones that lend E, on its aggregator → leaf tier.
 
 struct FgmParityCase {
   const char* label;
   bool rebalance;
   bool optimizer;
   double window;
+  int sites = 5;
+  const char* topology = nullptr;  ///< nullptr: the flat star
 };
 
 class FgmParity : public ::testing::TestWithParam<FgmParityCase> {};
 
 TEST_P(FgmParity, CountingAndSerializingRunsAreBitIdentical) {
   const FgmParityCase& param = GetParam();
-  const int sites = 5;
+  const int sites = param.sites;
   const auto trace = SmallTrace(sites, 25000);
   auto query = SmallQuery(sites);
+  hier::TreeTopology topo = hier::TreeTopology::Star(sites);
+  if (param.topology != nullptr) {
+    std::string error;
+    ASSERT_TRUE(hier::TreeTopology::Parse(param.topology, sites, &topo,
+                                          &error))
+        << error;
+  }
 
   FgmConfig counting_config;
   counting_config.transport = TransportMode::kCounting;
@@ -416,14 +432,19 @@ TEST_P(FgmParity, CountingAndSerializingRunsAreBitIdentical) {
   FgmConfig strict_config = counting_config;
   strict_config.transport = TransportMode::kSerializing;
 
-  FgmProtocol counting(query.get(), sites, counting_config);
-  FgmProtocol strict(query.get(), sites, strict_config);
+  FgmProtocol counting(query.get(), topo, counting_config);
+  FgmProtocol strict(query.get(), topo, strict_config);
   Drive(&counting, trace, param.window);
   Drive(&strict, trace, param.window);
 
   EXPECT_FALSE(counting.transport().strict());
   EXPECT_TRUE(strict.transport().strict());
-  ExpectSameTraffic(counting.traffic(), strict.traffic());
+  ASSERT_EQ(counting.tiers(), strict.tiers());
+  for (int t = 0; t < counting.tiers(); ++t) {
+    SCOPED_TRACE(t);
+    ExpectSameTraffic(counting.tier_traffic(t), strict.tier_traffic(t));
+  }
+  EXPECT_EQ(counting.local_polls(), strict.local_polls());
   EXPECT_EQ(counting.rounds(), strict.rounds());
   EXPECT_EQ(counting.subrounds(), strict.subrounds());
   EXPECT_EQ(counting.rebalances(), strict.rebalances());
@@ -442,7 +463,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FgmParityCase{"basic", false, false, 0.0},
                       FgmParityCase{"fgm", true, false, 0.0},
                       FgmParityCase{"fgm_turnstile", true, false, 1200.0},
-                      FgmParityCase{"fgmo_turnstile", true, true, 1200.0}),
+                      FgmParityCase{"fgmo_turnstile", true, true, 1200.0},
+                      FgmParityCase{"tree_turnstile", true, false, 1200.0,
+                                    16, "tree:4"}),
     [](const ::testing::TestParamInfo<FgmParityCase>& info) {
       return std::string(info.param.label);
     });

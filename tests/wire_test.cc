@@ -56,7 +56,21 @@ TEST(SafeZoneMsg, CostsExactlyD) {
   EXPECT_EQ(static_cast<int64_t>(buf.size_words()), msg.Words());
   EXPECT_EQ(msg.Words(), 100);
   const SafeZoneMsg decoded = SafeZoneMsg::Decode(buf, 100);
-  EXPECT_DOUBLE_EQ(Distance(decoded.reference, e), 0.0);
+  EXPECT_DOUBLE_EQ(Distance(*decoded.reference, e), 0.0);
+}
+
+TEST(SafeZoneMsg, LendsTheSendersVector) {
+  // The coordinator lends E: the message copies nothing, charges D words
+  // and encodes what the vector holds.
+  const RealVector e{1.5, -2.0, 0.25};
+  const SafeZoneMsg msg{&e};
+  EXPECT_EQ(&*msg.reference, &e);
+  EXPECT_EQ(msg.Words(), 3);
+  WordBuffer buf;
+  msg.Encode(&buf);
+  const SafeZoneMsg decoded = SafeZoneMsg::Decode(buf, 3);
+  EXPECT_NE(&*decoded.reference, &e);
+  EXPECT_DOUBLE_EQ(Distance(*decoded.reference, e), 0.0);
 }
 
 TEST(CheapZoneMsg, CostsExactlyTheCheapShippingWords) {
@@ -101,7 +115,7 @@ TEST(DriftFlushMsg, DenseRoundTripAndSize) {
   const DriftFlushMsg decoded = DriftFlushMsg::Decode(buf);
   EXPECT_TRUE(decoded.dense);
   EXPECT_EQ(decoded.update_count, 500);
-  EXPECT_DOUBLE_EQ(decoded.drift[2], 3.0);
+  EXPECT_DOUBLE_EQ((*decoded.drift)[2], 3.0);
 }
 
 TEST(DriftFlushMsg, VerbatimRoundTripAndSize) {
@@ -114,16 +128,16 @@ TEST(DriftFlushMsg, VerbatimRoundTripAndSize) {
   RawUpdateMsg u2;
   u2.key = 9;
   u2.is_delete = 1;
-  msg.raw = {u1, u2};
+  msg.raw = std::vector<RawUpdateMsg>{u1, u2};
   WordBuffer buf;
   msg.Encode(&buf);
   EXPECT_EQ(static_cast<int64_t>(buf.size_words()), msg.Words());
   EXPECT_EQ(msg.Words(), 3);  // 1 + n
   const DriftFlushMsg decoded = DriftFlushMsg::Decode(buf);
   EXPECT_FALSE(decoded.dense);
-  ASSERT_EQ(decoded.raw.size(), 2u);
-  EXPECT_EQ(decoded.raw[1].key, 9u);
-  EXPECT_EQ(decoded.raw[1].is_delete, 1u);
+  ASSERT_EQ(decoded.raw->size(), 2u);
+  EXPECT_EQ((*decoded.raw)[1].key, 9u);
+  EXPECT_EQ((*decoded.raw)[1].is_delete, 1u);
 }
 
 TEST(WordBuffer, CountsAbove2To53SurviveTheWire) {
@@ -233,8 +247,9 @@ TEST(DriftFlushMsg, ForFlushPicksTheCheaperRepresentation) {
   const DriftFlushMsg verbatim = DriftFlushMsg::ForFlush(drift, 1, log);
   EXPECT_FALSE(verbatim.dense);
   EXPECT_EQ(verbatim.Words(), 2);  // 1 + 1 raw word < 1 + D
-  // The sender-local drift is populated either way.
-  EXPECT_DOUBLE_EQ(verbatim.drift[0], 1.0);
+  // The message lends the sender's drift and log instead of copying them.
+  EXPECT_EQ(&*verbatim.drift, &drift);
+  EXPECT_EQ(&*verbatim.raw, &log.updates());
 
   // An incomplete log (an update bypassed it) forces the dense form.
   const DriftFlushMsg dense = DriftFlushMsg::ForFlush(drift, 2, log);
@@ -248,9 +263,9 @@ TEST(DriftFlushMsg, ForFlushPicksTheCheaperRepresentation) {
   const DriftFlushMsg decoded = DriftFlushMsg::Decode(buf);
   EXPECT_FALSE(decoded.dense);
   EXPECT_EQ(decoded.update_count, 1);
-  ASSERT_EQ(decoded.raw.size(), 1u);
-  EXPECT_EQ(decoded.raw[0].key >> 3, 7u);
-  EXPECT_EQ(decoded.drift.dim(), 0u);
+  ASSERT_EQ(decoded.raw->size(), 1u);
+  EXPECT_EQ((*decoded.raw)[0].key >> 3, 7u);
+  EXPECT_EQ(decoded.drift->dim(), 0u);
 }
 
 TEST(DriftFlushMsg, VerbatimWithBoundaryKeysReencodesIdentically) {
@@ -267,7 +282,7 @@ TEST(DriftFlushMsg, VerbatimWithBoundaryKeysReencodesIdentically) {
   u2.is_delete = true;
   RawUpdateMsg u3;
   u3.key = UINT64_MAX;
-  msg.raw = {u1, u2, u3};
+  msg.raw = std::vector<RawUpdateMsg>{u1, u2, u3};
   WordBuffer wire;
   msg.Encode(&wire);
   EXPECT_EQ(static_cast<int64_t>(wire.size_words()), msg.Words());
@@ -276,8 +291,8 @@ TEST(DriftFlushMsg, VerbatimWithBoundaryKeysReencodesIdentically) {
   WordBuffer reencoded;
   decoded.Encode(&reencoded);
   EXPECT_TRUE(wire.SameBits(reencoded));
-  EXPECT_EQ(decoded.raw[1].key, uint64_t{1} << 63);
-  EXPECT_TRUE(decoded.raw[1].is_delete);
+  EXPECT_EQ((*decoded.raw)[1].key, uint64_t{1} << 63);
+  EXPECT_TRUE((*decoded.raw)[1].is_delete);
 
   DriftFlushMsg dense_msg;
   dense_msg.update_count = (int64_t{1} << 53) + 99;
@@ -304,7 +319,7 @@ TEST(DriftFlushMsg, ChargedWordsMatchesTheSmallerEncoding) {
     DriftFlushMsg raw_msg;
     raw_msg.update_count = n;
     raw_msg.dense = false;
-    raw_msg.raw.resize(static_cast<size_t>(n));
+    raw_msg.raw = std::vector<RawUpdateMsg>(static_cast<size_t>(n));
     const int64_t smaller = std::min(dense_msg.Words(), raw_msg.Words());
     EXPECT_EQ(DriftFlushMsg::ChargedWords(dim, n), smaller)
         << "dim=" << dim << " n=" << n;
