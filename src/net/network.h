@@ -40,7 +40,18 @@ enum class MsgKind : int {
   kKindCount,
 };
 
-const char* MsgKindName(MsgKind kind);
+/// The one list of MsgKind names, in enum order: cost tables print them
+/// and the trace reader (obs/trace.h) accepts no other `msg` label.
+inline constexpr std::array<const char*,
+                            static_cast<size_t>(MsgKind::kKindCount)>
+    kMsgKindNames = {"safe-zone", "quantum",    "lambda",
+                     "counter",   "phi-value",  "drift-flush",
+                     "control",   "raw-update", "resync"};
+
+inline const char* MsgKindName(MsgKind kind) {
+  const auto i = static_cast<size_t>(kind);
+  return i < kMsgKindNames.size() ? kMsgKindNames[i] : "unknown";
+}
 
 struct TrafficStats {
   int64_t upstream_words = 0;

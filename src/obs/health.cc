@@ -12,24 +12,6 @@
 
 namespace fgm {
 
-const char* AlertRuleName(AlertRule rule) {
-  switch (rule) {
-    case AlertRule::kStragglerSite:
-      return "straggler_site";
-    case AlertRule::kLossyLink:
-      return "lossy_link";
-    case AlertRule::kPsiMargin:
-      return "psi_margin";
-    case AlertRule::kBudgetOverflow:
-      return "budget_overflow";
-    case AlertRule::kStuckSubround:
-      return "stuck_subround";
-    case AlertRule::kRuleCount:
-      break;
-  }
-  return "unknown";
-}
-
 HealthMonitor::HealthMonitor(int sites)
     : sites_(sites),
       site_(static_cast<size_t>(sites)),

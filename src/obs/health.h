@@ -49,6 +49,7 @@
 #ifndef FGM_OBS_HEALTH_H_
 #define FGM_OBS_HEALTH_H_
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -90,7 +91,16 @@ enum class AlertRule : int {
   kRuleCount,
 };
 
-const char* AlertRuleName(AlertRule rule);
+/// Alert rule names in enum order: the only `rule` labels a trace holds.
+inline constexpr std::array<const char*,
+                            static_cast<size_t>(AlertRule::kRuleCount)>
+    kAlertRuleNames = {"straggler_site", "lossy_link", "psi_margin",
+                       "budget_overflow", "stuck_subround"};
+
+inline const char* AlertRuleName(AlertRule rule) {
+  const auto i = static_cast<size_t>(rule);
+  return i < kAlertRuleNames.size() ? kAlertRuleNames[i] : "unknown";
+}
 
 /// The sim::SiteNetStats fields the monitor reads (obs cannot include
 /// sim headers). All counts are cumulative; the monitor diffs successive

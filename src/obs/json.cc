@@ -279,8 +279,6 @@ bool ParseScalar(const std::string& s, size_t* i, JsonNode* out,
       return false;
     }
     out->int_val = value;
-  } else {
-    out->int_val = static_cast<int64_t>(num);
   }
   *i = end;
   return true;
@@ -378,8 +376,7 @@ double JsonNode::AsDouble(double fallback) const {
 }
 
 int64_t JsonNode::AsInt(int64_t fallback) const {
-  if (type != Type::kNumber) return fallback;
-  return is_int ? int_val : static_cast<int64_t>(num);
+  return type == Type::kNumber && is_int ? int_val : fallback;
 }
 
 bool ParseJson(const std::string& text, JsonNode* out, std::string* error) {

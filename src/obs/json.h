@@ -55,8 +55,8 @@ class JsonWriter {
 };
 
 /// One node of a parsed JSON document (general, nested). Numbers keep
-/// both the double and (when the syntax was integral) the int64 reading;
-/// null numeric fields read back as NaN through AsDouble().
+/// the double reading, and the int64 one only when the syntax was
+/// integral; null numeric fields read back as NaN through AsDouble().
 struct JsonNode {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   Type type = Type::kNull;
@@ -72,7 +72,7 @@ struct JsonNode {
   const JsonNode* Find(const std::string& key) const;
   /// Number as double; NaN for null, `fallback` for any other non-number.
   double AsDouble(double fallback = 0.0) const;
-  /// Number with integral syntax (doubles truncate); `fallback` otherwise.
+  /// Number with integral syntax; `fallback` for any other value.
   int64_t AsInt(int64_t fallback = 0) const;
 };
 

@@ -1,6 +1,6 @@
 #include "obs/replay.h"
 
-#include <cmath>
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -9,204 +9,47 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/json.h"
+#include "hier/topology.h"
+#include "net/network.h"
 
 namespace fgm {
 
 namespace {
 
-/// Labels parsed from traces must outlive the returned TraceEvent;
-/// interning into a process-lifetime set gives them static storage.
-const char* Intern(const std::string& s) {
-  static std::set<std::string>* pool = new std::set<std::string>();
-  return pool->insert(s).first->c_str();
-}
-
-int64_t GetInt(const JsonNode& obj, const std::string& key,
-               int64_t fallback = 0) {
-  const JsonNode* v = obj.Find(key);
-  return v != nullptr ? v->AsInt(fallback) : fallback;
-}
-
-// The writer serializes non-finite doubles as null; AsDouble reads them
-// back as NaN so "the value was not finite" stays observable.
-double GetDouble(const JsonNode& obj, const std::string& key,
-                 double fallback = 0.0) {
-  const JsonNode* v = obj.Find(key);
-  return v != nullptr ? v->AsDouble(fallback) : fallback;
-}
-
-const char* GetLabel(const JsonNode& obj, const std::string& key) {
-  const JsonNode* v = obj.Find(key);
-  if (v == nullptr || v->type != JsonNode::Type::kString) return nullptr;
-  return Intern(v->str);
-}
-
-}  // namespace
-
-bool ParseTraceEventJson(const std::string& line, TraceEvent* event,
-                         std::string* error) {
-  JsonNode obj;
-  if (!ParseJson(line, &obj, error)) return false;
-  // A trace line is one flat object with each key once.
-  if (obj.type != JsonNode::Type::kObject) {
-    *error = "trace line is not a JSON object";
-    return false;
-  }
-  for (size_t m = 0; m < obj.members.size(); ++m) {
-    const auto& [key, value] = obj.members[m];
-    if (value.type == JsonNode::Type::kObject ||
-        value.type == JsonNode::Type::kArray) {
-      *error = "nested value for \"" + key + "\"";
-      return false;
-    }
-    for (size_t prior = 0; prior < m; ++prior) {
-      if (obj.members[prior].first == key) {
-        *error = "duplicate key \"" + key + "\"";
-        return false;
-      }
-    }
-  }
-  const JsonNode* ev = obj.Find("ev");
-  if (ev == nullptr || ev->type != JsonNode::Type::kString) {
-    *error = "missing \"ev\" kind";
-    return false;
-  }
-  *event = TraceEvent{};
-  bool known = false;
-  for (int i = 0; i < static_cast<int>(TraceEventKind::kKindCount); ++i) {
-    const auto kind = static_cast<TraceEventKind>(i);
-    if (ev->str == TraceEventKindName(kind)) {
-      event->kind = kind;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    *error = "unknown event kind \"" + ev->str + "\"";
-    return false;
-  }
-  event->seq = GetInt(obj, "seq", -1);
-  event->site = static_cast<int>(GetInt(obj, "site", -1));
-  event->round = GetInt(obj, "round");
-  event->subround = GetInt(obj, "subround");
-  event->psi = GetDouble(obj, "psi");
-  event->theta = GetDouble(obj, "theta");
-  event->lambda = GetDouble(obj, "lambda");
-  event->eps = GetDouble(obj, "eps_psi");
-  event->k = static_cast<int>(GetInt(obj, "k"));
-  event->words = GetInt(obj, "words");
-  event->up_words = GetInt(obj, "up_words");
-  event->down_words = GetInt(obj, "down_words");
-  event->up_msgs = GetInt(obj, "up_msgs");
-  event->down_msgs = GetInt(obj, "down_msgs");
-  event->t = GetInt(obj, "t");
-  event->tier = static_cast<int>(GetInt(obj, "tier"));
-  switch (event->kind) {
-    case TraceEventKind::kRunStart:
-      event->label = GetLabel(obj, "protocol");
-      // Tree runs announce their spec; `k` is then the root fan-in and
-      // `leaves` the true site count (flat runs omit both).
-      event->reason = GetLabel(obj, "topology");
-      event->counter = GetInt(obj, "leaves");
-      break;
-    case TraceEventKind::kRoundStart:
-      event->value = GetDouble(obj, "phi0");
-      break;
-    case TraceEventKind::kSubroundEnd:
-      event->counter = GetInt(obj, "counter");
-      event->reason = GetLabel(obj, "reason");
-      break;
-    case TraceEventKind::kIncrementMsg:
-      event->counter = GetInt(obj, "increment");
-      event->reason = GetLabel(obj, "reason");
-      break;
-    case TraceEventKind::kDriftFlush:
-      event->count = GetInt(obj, "updates");
-      break;
-    case TraceEventKind::kRebalance:
-      event->value = GetDouble(obj, "psi_b");
-      break;
-    case TraceEventKind::kThresholdCross:
-      event->value = GetDouble(obj, "value");
-      event->label = GetLabel(obj, "reason");
-      break;
-    case TraceEventKind::kMsgSent: {
-      event->label = GetLabel(obj, "msg");
-      const char* dir = GetLabel(obj, "dir");
-      event->dir = (dir != nullptr && std::strcmp(dir, "up") == 0) ? 1 : -1;
-      break;
-    }
-    case TraceEventKind::kPlanChosen:
-      event->counter = GetInt(obj, "full_sites");
-      event->pred_len = GetDouble(obj, "pred_len");
-      event->pred_gain = GetDouble(obj, "pred_gain");
-      event->pred_rate = GetDouble(obj, "pred_rate");
-      break;
-    case TraceEventKind::kPlanSite:
-      event->counter = GetInt(obj, "d");
-      event->alpha = GetDouble(obj, "alpha");
-      event->beta = GetDouble(obj, "beta");
-      event->gamma = GetDouble(obj, "gamma");
-      break;
-    case TraceEventKind::kPlanOutcome:
-      event->count = GetInt(obj, "updates");
-      event->pred_gain = GetDouble(obj, "pred_gain");
-      event->actual_gain = GetDouble(obj, "actual_gain");
-      break;
-    case TraceEventKind::kMsgDelivered:
-    case TraceEventKind::kMsgDropped: {
-      event->label = GetLabel(obj, "msg");
-      const char* dir = GetLabel(obj, "dir");
-      event->dir = (dir != nullptr && std::strcmp(dir, "up") == 0) ? 1 : -1;
-      event->reason = GetLabel(obj, "reason");
-      break;
-    }
-    case TraceEventKind::kSiteDown:
-    case TraceEventKind::kSiteResync:
-      event->reason = GetLabel(obj, "reason");
-      break;
-    case TraceEventKind::kAlertRaised:
-    case TraceEventKind::kAlertCleared:
-      event->label = GetLabel(obj, "rule");
-      event->value = GetDouble(obj, "value");
-      event->theta = GetDouble(obj, "threshold");
-      event->reason = GetLabel(obj, "reason");
-      break;
-    case TraceEventKind::kRunEnd:
-      event->count = GetInt(obj, "events");
-      break;
-    default:
-      break;
-  }
-  return true;
-}
-
-namespace {
-
 constexpr size_t kMaxRecordedIssues = 20;
+
+bool Is(const char* label, const char* name) {
+  return label != nullptr && std::strcmp(label, name) == 0;
+}
 
 class Checker {
  public:
   ReplayReport Run(std::istream& in) {
     std::string line;
-    int64_t next_seq = 0;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       TraceEvent e;
       std::string error;
-      if (!ParseTraceEventJson(line, &e, &error)) {
-        Fail(next_seq, "unparseable line: " + error);
-        ++next_seq;
-        continue;
+      if (ParseTraceEventJson(line, &e, &error)) {
+        Event(e);
+      } else {
+        Fail(next_seq_, "unparseable line: " + error);
+        if (next_seq_ < INT64_MAX) ++next_seq_;
       }
-      if (e.seq != next_seq) {
-        Fail(e.seq, "sequence gap: expected seq " + std::to_string(next_seq));
-      }
-      next_seq = e.seq + 1;
-      ++report_.events;
-      Check(e);
     }
+    return Finish();
+  }
+
+  void Event(const TraceEvent& e) {
+    if (e.seq != next_seq_) {
+      Fail(e.seq, "sequence gap: expected seq " + std::to_string(next_seq_));
+    }
+    next_seq_ = e.seq < INT64_MAX ? e.seq + 1 : e.seq;
+    ++report_.events;
+    Check(e);
+  }
+
+  ReplayReport Finish() {
     report_.up_words = up_words_;
     report_.down_words = down_words_;
     return std::move(report_);
@@ -220,6 +63,14 @@ class Checker {
     }
   }
 
+  /// Adds a non-negative amount to a ledger total; a total past
+  /// INT64_MAX saturates and fails the trace.
+  void Tally(int64_t* total, int64_t amount, const TraceEvent& e) {
+    if (!__builtin_add_overflow(*total, amount, total)) return;
+    *total = INT64_MAX;
+    Fail(e.seq, "ledger total overflows int64");
+  }
+
   void CheckRound(const TraceEvent& e) {
     if (in_round_ && e.round != round_) {
       Fail(e.seq, "event round " + std::to_string(e.round) +
@@ -228,6 +79,45 @@ class Checker {
   }
 
   bool fgm_round() const { return in_round_ && eps_ > 0.0; }
+
+  /// RunStart fixes the range of every later site and tier: tier t's
+  /// links reach endpoints_[t] children, so its events name sites below
+  /// that (the root tier's endpoints are the `k` sites).
+  void StartRun(const TraceEvent& e) {
+    if (report_.events != 1) Fail(e.seq, "RunStart is not the first event");
+    if (e.k < 1) Fail(e.seq, "RunStart announces no sites");
+    k_ = e.k;
+    endpoints_ = {e.k};
+    if (e.reason == nullptr) return;
+    hier::TreeTopology topo;
+    std::string error;
+    if (e.counter < 1 || e.counter > INT_MAX ||
+        !hier::TreeTopology::Parse(e.reason, static_cast<int>(e.counter),
+                                   &topo, &error)) {
+      Fail(e.seq, "RunStart topology does not parse: " + error);
+      return;
+    }
+    if (topo.NodesAt(1) != e.k) {
+      Fail(e.seq, "RunStart k is not the topology's root fan-in");
+    }
+    for (int t = 1; t < topo.depth(); ++t) {
+      endpoints_.push_back(topo.NodesAt(t + 1));
+    }
+  }
+
+  /// A DriftFlush restates the words of the drift-flush MsgSent it
+  /// follows, on the same tier and site.
+  void PairFlush(const TraceEvent& e) {
+    const std::pair<int, int> link{e.tier, e.site};
+    if (e.kind == TraceEventKind::kMsgSent) {
+      flush_words_[link] = e.words;
+      return;
+    }
+    const auto sent = flush_words_.find(link);
+    const bool paired = sent != flush_words_.end() && sent->second == e.words;
+    if (sent != flush_words_.end()) flush_words_.erase(sent);
+    if (!paired) Fail(e.seq, "drift flush words != its drift-flush MsgSent");
+  }
 
   /// Aggregator-tier events of a tree-topology run. They live outside the
   /// root star's protocol state machine, so they bypass every flat
@@ -239,31 +129,32 @@ class Checker {
       case TraceEventKind::kMsgSent:
         if (e.words < 1) Fail(e.seq, "wire message below 1 word");
         if (e.dir > 0) {
-          tally.up_words += e.words;
+          Tally(&tally.up_words, e.words, e);
           ++tally.up_msgs;
         } else {
-          tally.down_words += e.words;
+          Tally(&tally.down_words, e.words, e);
           ++tally.down_msgs;
         }
         break;
 
       case TraceEventKind::kSubroundEnd:
-        // An aggregator's local poll: unreasoned polls fire only once the
-        // local counter passed the node's fan-in (carried in `k`);
-        // cascade re-baselines carry reason "rebaseline".
-        ++tally.local_polls;
-        if (e.counter < 0) Fail(e.seq, "negative aggregator counter");
+        // An aggregator's local poll, during the root's current subround:
+        // unreasoned polls fire only once the local counter passed the
+        // node's fan-in (carried in `k`); cascade re-baselines carry
+        // reason "rebaseline".
+        CheckRound(e);
+        if (e.subround != subround_) Fail(e.seq, "subround id mismatch");
+        Tally(&tally.polled_units, e.counter, e);
         if (e.reason == nullptr && e.counter <= e.k) {
-          Fail(e.seq, "tier " + std::to_string(e.tier) +
-                          " local poll before the counter exceeded the "
-                          "fan-in");
+          Fail(e.seq, "local poll before the counter exceeded the fan-in");
         }
         break;
 
       case TraceEventKind::kDriftFlush:
         ++tally.flushes;
+        CheckRound(e);
         if (e.words < 1) Fail(e.seq, "drift flush below 1 word");
-        if (e.count < 0) Fail(e.seq, "negative flush update count");
+        Tally(&tally.flushed_updates, e.count, e);
         break;
 
       case TraceEventKind::kTierEnd:
@@ -272,23 +163,15 @@ class Checker {
           Fail(e.seq, "duplicate TierEnd for tier " + std::to_string(e.tier));
         }
         tally.tier_end = true;
-        // Close the tier's word ledger exactly, like RunEnd closes the
-        // root's.
-        if (e.up_words != tally.up_words ||
-            e.down_words != tally.down_words) {
+        // Close the tier's ledger exactly, like RunEnd closes the root's.
+        if (e.up_words != tally.up_words || e.down_words != tally.down_words ||
+            e.up_msgs != tally.up_msgs || e.down_msgs != tally.down_msgs) {
           Fail(e.seq, "tier " + std::to_string(e.tier) +
-                          " summed MsgSent words (" +
-                          std::to_string(tally.up_words) + " up, " +
-                          std::to_string(tally.down_words) +
-                          " down) != TierEnd totals (" +
-                          std::to_string(e.up_words) + " up, " +
-                          std::to_string(e.down_words) + " down)");
+                          " MsgSent words or messages != TierEnd totals");
         }
-        if (e.up_msgs != tally.up_msgs || e.down_msgs != tally.down_msgs) {
-          Fail(e.seq, "tier " + std::to_string(e.tier) +
-                          " MsgSent message counts != TierEnd totals");
+        if (e.k != endpoints_[static_cast<size_t>(e.tier)]) {
+          Fail(e.seq, "TierEnd k != the tier's endpoint count");
         }
-        if (e.k < 1) Fail(e.seq, "TierEnd with no endpoints");
         break;
 
       default:
@@ -299,30 +182,37 @@ class Checker {
   }
 
   void Check(const TraceEvent& e) {
+    if (e.kind == TraceEventKind::kRunStart && e.tier == 0) {
+      StartRun(e);
+      return;
+    }
+    // Every site and tier lies in the range RunStart announced.
+    const auto tier = static_cast<size_t>(e.tier);
+    if (tier >= endpoints_.size()) {
+      Fail(e.seq, "tier " + std::to_string(e.tier) + " outside RunStart's");
+      return;
+    }
+    if (e.site >= endpoints_[tier]) {
+      Fail(e.seq, "site " + std::to_string(e.site) + " outside tier " +
+                      std::to_string(e.tier) + "'s range");
+    }
+    if (e.kind == TraceEventKind::kDriftFlush ||
+        (e.kind == TraceEventKind::kMsgSent &&
+         Is(e.label, MsgKindName(MsgKind::kDriftFlush)))) {
+      PairFlush(e);
+    }
     if (e.tier != 0) {
-      if (e.tier < 0) {
-        Fail(e.seq, "negative tier stamp");
-        return;
-      }
       CheckTier(e);
       return;
     }
     switch (e.kind) {
-      case TraceEventKind::kRunStart:
-        if (e.k >= 1) {
-          k_ = e.k;
-          run_k_ = e.k;
-        }
-        hier_mode_ = e.reason != nullptr;
-        break;
-
       case TraceEventKind::kRoundStart: {
         ++report_.rounds;
         if (subround_open_) {
           Fail(e.seq, "round started while a subround is still open");
           subround_open_ = false;
         }
-        if (e.round != last_round_ + 1) {
+        if (e.round - 1 != last_round_) {
           Fail(e.seq, "round numbering jumped from " +
                           std::to_string(last_round_) + " to " +
                           std::to_string(e.round));
@@ -336,8 +226,7 @@ class Checker {
             // Reduced-k (or recovered) rounds are legal only after the
             // simulated network changed the live site set, and k must
             // stay within [1, RunStart k].
-            if (!(sim_mode_ && site_set_changed_ &&
-                  (run_k_ == 0 || e.k <= run_k_))) {
+            if (!(sim_mode_ && site_set_changed_ && e.k <= endpoints_[0])) {
               Fail(e.seq, "site count k changed");
             }
           }
@@ -371,7 +260,7 @@ class Checker {
           break;
         }
         if (subround_open_) Fail(e.seq, "nested subround");
-        if (e.subround != subround_ + 1) {
+        if (e.subround - 1 != subround_) {
           Fail(e.seq, "subround numbering jumped to " +
                           std::to_string(e.subround));
         }
@@ -403,10 +292,8 @@ class Checker {
           Fail(e.seq, "counter increment outside a subround");
           break;
         }
+        if (e.subround != subround_) Fail(e.seq, "subround id mismatch");
         if (e.counter <= 0) Fail(e.seq, "non-positive counter increment");
-        if (e.site < 0 || (run_k_ > 0 && e.site >= run_k_)) {
-          Fail(e.seq, "increment from invalid site");
-        }
         if (e.reason != nullptr && !sim_mode_) {
           Fail(e.seq, "reasoned increment outside a simulated run");
         }
@@ -421,7 +308,7 @@ class Checker {
           Fail(e.seq, "increment delivered after the counter total passed "
                       "k without a poll");
         }
-        increment_sum_ += e.counter;
+        Tally(&increment_sum_, e.counter, e);
         break;
 
       case TraceEventKind::kSubroundEnd:
@@ -475,19 +362,15 @@ class Checker {
 
       case TraceEventKind::kThresholdCross:
         CheckRound(e);
-        if (e.label != nullptr &&
-            std::strcmp(e.label, "psi-exhausted") == 0) {
+        if (Is(e.label, "psi-exhausted")) {
           if (!fgm_round()) {
             Fail(e.seq, "psi-exhausted cross outside an FGM round");
           } else if (!(e.psi >= stop_level_)) {
             Fail(e.seq, "round ended as psi-exhausted below the "
                         "termination level");
           }
-        } else if (e.label != nullptr &&
-                   std::strcmp(e.label, "local-violation") == 0) {
-          if (!(e.value > 0.0)) {
-            Fail(e.seq, "local violation reported with phi <= 0");
-          }
+        } else if (Is(e.label, "local-violation") && !(e.value > 0.0)) {
+          Fail(e.seq, "local violation reported with phi <= 0");
         }
         break;
 
@@ -495,28 +378,27 @@ class Checker {
         ++report_.flushes;
         CheckRound(e);
         if (e.words < 1) Fail(e.seq, "drift flush below 1 word");
-        if (e.count < 0) Fail(e.seq, "negative flush update count");
+        Tally(&flushed_updates_, e.count, e);
         break;
 
       case TraceEventKind::kMsgSent:
         ++report_.messages;
         if (e.words < 1) Fail(e.seq, "wire message below 1 word");
         if (e.dir > 0) {
-          up_words_ += e.words;
+          Tally(&up_words_, e.words, e);
           ++up_msgs_;
         } else {
-          down_words_ += e.words;
+          Tally(&down_words_, e.words, e);
           ++down_msgs_;
         }
-        round_msg_words_ += e.words;
+        Tally(&round_msg_words_, e.words, e);
         break;
 
       case TraceEventKind::kPlanChosen:
         ++report_.plans;
         CheckRound(e);
-        if (e.counter < 0 || (e.k > 0 && e.counter > e.k)) {
-          Fail(e.seq, "plan with full_sites outside [0, k]");
-        }
+        if (e.k != k_) Fail(e.seq, "plan k != the round's k");
+        if (e.counter > e.k) Fail(e.seq, "plan with full_sites above k");
         break;
 
       case TraceEventKind::kPlanSite:
@@ -524,9 +406,7 @@ class Checker {
         if (e.counter != 0 && e.counter != 1) {
           Fail(e.seq, "plan site d outside {0, 1}");
         }
-        if (e.site < 0 || (k_ > 0 && e.site >= k_)) {
-          Fail(e.seq, "plan for invalid site");
-        }
+        if (e.site >= k_) Fail(e.seq, "plan for a site outside the round");
         if (!(e.gamma >= 0.0 && e.gamma <= 1.0)) {
           Fail(e.seq, "plan site gamma outside [0, 1]");
         }
@@ -562,10 +442,10 @@ class Checker {
             Fail(e.seq, "delivery to site " + std::to_string(e.site) +
                             " while it is down");
           }
-          delivered_up_words_ += e.words;
+          Tally(&delivered_up_words_, e.words, e);
           ++delivered_up_msgs_;
         } else {
-          delivered_down_words_ += e.words;
+          Tally(&delivered_down_words_, e.words, e);
           ++delivered_down_msgs_;
         }
         break;
@@ -575,10 +455,10 @@ class Checker {
         sim_mode_ = true;
         if (e.words < 1) Fail(e.seq, "dropped message below 1 word");
         if (e.dir > 0) {
-          dropped_up_words_ += e.words;
+          Tally(&dropped_up_words_, e.words, e);
           ++dropped_up_msgs_;
         } else {
-          dropped_down_words_ += e.words;
+          Tally(&dropped_down_words_, e.words, e);
           ++dropped_down_msgs_;
         }
         break;
@@ -586,9 +466,7 @@ class Checker {
       case TraceEventKind::kSiteDown:
         sim_mode_ = true;
         site_set_changed_ = true;
-        if (e.site < 0 || (run_k_ > 0 && e.site >= run_k_)) {
-          Fail(e.seq, "SiteDown for invalid site");
-        } else if (!down_sites_.insert(e.site).second) {
+        if (!down_sites_.insert(e.site).second) {
           Fail(e.seq, "site " + std::to_string(e.site) +
                           " went down while already down");
         }
@@ -598,7 +476,11 @@ class Checker {
         ++report_.resyncs;
         sim_mode_ = true;
         site_set_changed_ = true;
-        if (e.words < 0) Fail(e.seq, "negative resync word count");
+        CheckRound(e);
+        // A rejoin ships a resync message; a reconfiguration ships none.
+        if (Is(e.reason, "reconfig") && e.words != 0) {
+          Fail(e.seq, "reconfig resync with words");
+        }
         if (down_sites_.erase(e.site) == 0) {
           Fail(e.seq, "resync for site " + std::to_string(e.site) +
                           " which was not down");
@@ -607,7 +489,8 @@ class Checker {
 
       case TraceEventKind::kAlertRaised: {
         ++report_.alerts_raised;
-        const std::string rule = e.label != nullptr ? e.label : "?";
+        CheckRound(e);
+        const std::string rule = e.label;
         if (!active_alerts_.insert({rule, e.site}).second) {
           Fail(e.seq, "alert \"" + rule + "\" re-raised for site " +
                           std::to_string(e.site) + " while already active");
@@ -617,7 +500,8 @@ class Checker {
 
       case TraceEventKind::kAlertCleared: {
         ++report_.alerts_cleared;
-        const std::string rule = e.label != nullptr ? e.label : "?";
+        CheckRound(e);
+        const std::string rule = e.label;
         if (active_alerts_.erase({rule, e.site}) == 0) {
           Fail(e.seq, "alert \"" + rule + "\" cleared for site " +
                           std::to_string(e.site) + " without being raised");
@@ -631,39 +515,33 @@ class Checker {
 
       case TraceEventKind::kRunEnd:
         report_.saw_run_end = true;
-        // Tree runs: every aggregator tier that carried traffic must have
-        // closed its ledger, and flush fan-out must widen towards the
-        // leaves — each root-tier flush collection pulls at least as many
-        // flush messages across every deeper tier (word conservation
-        // across tiers: drift only reaches the root through a complete
-        // chain of per-tier flushes).
+        if (e.count != e.seq) Fail(e.seq, "RunEnd events != its seq");
+        // Tree runs: every tier closed its ledger, and drift only reaches
+        // the root through a complete chain of per-tier flushes — each
+        // tier flushes the same updates as the root, in at least as many
+        // messages as the tier above it.
         {
           int64_t prev_flushes = report_.flushes;
-          int prev_tier = 0;
-          for (const auto& entry : tiers_) {
-            const TierTally& tally = entry.second;
-            if (!tally.tier_end &&
-                tally.up_words + tally.down_words > 0) {
-              Fail(e.seq, "tier " + std::to_string(entry.first) +
-                              " carried traffic but never emitted TierEnd");
+          for (size_t t = 1; t < endpoints_.size(); ++t) {
+            const TierTally& tally = tiers_[static_cast<int>(t)];
+            const std::string tier = "tier " + std::to_string(t);
+            if (!tally.tier_end) Fail(e.seq, tier + " never emitted TierEnd");
+            if (tally.flushes < prev_flushes) {
+              Fail(e.seq, tier + " saw " + std::to_string(tally.flushes) +
+                              " drift flushes, fewer than the " +
+                              std::to_string(prev_flushes) + " above it");
             }
-            if (entry.first == prev_tier + 1 &&
-                tally.flushes < prev_flushes) {
-              Fail(e.seq, "tier " + std::to_string(entry.first) + " saw " +
-                              std::to_string(tally.flushes) +
-                              " drift flushes, fewer than tier " +
-                              std::to_string(prev_tier) + "'s " +
-                              std::to_string(prev_flushes));
+            if (tally.flushed_updates != flushed_updates_) {
+              Fail(e.seq, tier + " flushed " +
+                              std::to_string(tally.flushed_updates) +
+                              " updates, the root " +
+                              std::to_string(flushed_updates_));
             }
             prev_flushes = tally.flushes;
-            prev_tier = entry.first;
-            report_.tier_words += tally.up_words + tally.down_words;
-            report_.tier_up_words += tally.up_words;
-            report_.tier_down_words += tally.down_words;
-          }
-          if (!tiers_.empty() && !hier_mode_) {
-            Fail(e.seq, "tier-stamped events in a run whose RunStart "
-                        "announced no topology");
+            Tally(&report_.tier_words, tally.up_words, e);
+            Tally(&report_.tier_words, tally.down_words, e);
+            Tally(&report_.tier_up_words, tally.up_words, e);
+            Tally(&report_.tier_down_words, tally.down_words, e);
           }
         }
         if (e.up_words != up_words_ || e.down_words != down_words_) {
@@ -681,15 +559,9 @@ class Checker {
         // drop. (Null-mode sim runs suppress network events entirely and
         // skip this, preserving byte parity with synchronous traces.)
         if (report_.deliveries + report_.drops > 0) {
-          if (delivered_up_words_ + dropped_up_words_ != up_words_ ||
-              delivered_down_words_ + dropped_down_words_ != down_words_) {
-            Fail(e.seq, "delivered+dropped words (" +
-                            std::to_string(delivered_up_words_ +
-                                           dropped_up_words_) +
-                            " up, " +
-                            std::to_string(delivered_down_words_ +
-                                           dropped_down_words_) +
-                            " down) != sent words (" +
+          if (delivered_up_words_ != up_words_ - dropped_up_words_ ||
+              delivered_down_words_ != down_words_ - dropped_down_words_) {
+            Fail(e.seq, "delivered+dropped words != sent words (" +
                             std::to_string(up_words_) + " up, " +
                             std::to_string(down_words_) + " down)");
           }
@@ -700,6 +572,7 @@ class Checker {
         }
         break;
 
+      case TraceEventKind::kRunStart:
       case TraceEventKind::kKindCount:
         break;
     }
@@ -711,15 +584,19 @@ class Checker {
     int64_t up_words = 0, down_words = 0;
     int64_t up_msgs = 0, down_msgs = 0;
     int64_t flushes = 0;
-    int64_t local_polls = 0;
+    int64_t flushed_updates = 0;
+    int64_t polled_units = 0;  ///< summed local-poll counters
     bool tier_end = false;
   };
 
   ReplayReport report_;
+  int64_t next_seq_ = 0;
   int k_ = 0;
-  int run_k_ = 0;  ///< site count announced at RunStart (never shrinks)
-  bool hier_mode_ = false;  ///< RunStart announced a tree topology
+  std::vector<int> endpoints_;  ///< per tier, from RunStart (empty before)
   std::map<int, TierTally> tiers_;
+  /// Words of the last unpaired drift-flush MsgSent, by (tier, site).
+  std::map<std::pair<int, int>, int64_t> flush_words_;
+  int64_t flushed_updates_ = 0;  ///< root-tier DriftFlush updates
   bool sim_mode_ = false;        ///< any sim network event seen
   bool site_set_changed_ = false;  ///< any SiteDown/SiteResync seen
   std::set<int> down_sites_;
@@ -752,7 +629,9 @@ std::string ReplayReport::Summary() const {
   out << "events=" << events << " rounds=" << rounds << " subrounds="
       << subrounds << " increments=" << increments << " flushes=" << flushes
       << " rebalances=" << rebalances << " messages=" << messages
-      << " plans=" << plans << " words=" << (up_words + down_words);
+      << " plans=" << plans << " words="
+      << (up_words > INT64_MAX - down_words ? INT64_MAX
+                                            : up_words + down_words);
   if (deliveries + drops + resyncs > 0) {
     out << " deliveries=" << deliveries << " drops=" << drops
         << " resyncs=" << resyncs;
@@ -780,6 +659,12 @@ std::string ReplayReport::Summary() const {
 }
 
 ReplayReport CheckTrace(std::istream& in) { return Checker().Run(in); }
+
+ReplayReport CheckTraceEvents(const std::vector<TraceEvent>& events) {
+  Checker checker;
+  for (const TraceEvent& e : events) checker.Event(e);
+  return checker.Finish();
+}
 
 ReplayReport CheckTraceFile(const std::string& path) {
   std::ifstream in(path);

@@ -1,7 +1,12 @@
 // Trace-replay invariant checker.
 //
 // Reads a JSONL event trace (obs/trace.h) and re-verifies the protocol
-// invariants offline, independent of the code that produced the trace:
+// invariants offline, independent of the code that produced the trace.
+// ParseTraceEventJson rejects any line the schema does not allow; the
+// checker adds the rules that need run context. The trace opens with
+// RunStart, and every site and tier lies in the range it announces (the
+// root's k sites; a tree's tiers, each with its TierEnd endpoint count).
+// A ledger total past INT64_MAX fails the trace. Then:
 //
 //  * ψ ≤ 0 at every certified instant — every subround starts with
 //    ψ ≤ ε_ψ·k·φ(0) < 0, and the value matches the one announced by the
@@ -44,10 +49,12 @@
 // checker keeps a separate per-tier ledger (words/messages by direction,
 // drift flushes, local polls) closed bit-exactly by each TierEnd event,
 // requires unreasoned aggregator polls to carry a local counter above the
-// node's fan-in, and at RunEnd checks that flush fan-out widens towards
-// the leaves — drift words only reach the root through a complete chain
-// of per-tier flushes. The root tier itself is certified verbatim by the
-// flat invariants with k = the root's fan-in.
+// node's fan-in, and at RunEnd checks that every tier flushed the root's
+// updates in at least as many messages as the tier above — drift only
+// reaches the root through a complete chain of per-tier flushes. On every
+// tier, a DriftFlush restates the words of the drift-flush MsgSent it
+// follows for the same site. The root tier itself is certified verbatim
+// by the flat invariants with k = the root's fan-in.
 //
 // Health-monitor alerts (obs/health.h) pair like down windows: an
 // AlertRaised for a (rule, site) must not re-raise while active, and an
@@ -69,13 +76,6 @@
 #include "obs/trace.h"
 
 namespace fgm {
-
-/// Parses one JSONL trace line back into a TraceEvent. Returns false and
-/// sets `*error` on malformed lines or unknown event kinds. String fields
-/// ("msg", "reason", "protocol") are resolved to static storage via
-/// interning, so the returned event owns nothing.
-bool ParseTraceEventJson(const std::string& line, TraceEvent* event,
-                         std::string* error);
 
 struct ReplayIssue {
   int64_t seq = -1;  ///< event sequence number, -1 = whole-trace issue
@@ -117,6 +117,9 @@ struct ReplayReport {
 
 /// Checks a trace read line-by-line from `in`.
 ReplayReport CheckTrace(std::istream& in);
+
+/// Checks a trace given as the events ParseTraceEventJson read, in order.
+ReplayReport CheckTraceEvents(const std::vector<TraceEvent>& events);
 
 /// Checks a trace file; reports an issue when the file cannot be opened.
 ReplayReport CheckTraceFile(const std::string& path);

@@ -52,8 +52,8 @@ const char* TraceEventKindName(TraceEventKind kind);
 
 /// One protocol event. Flat by design: every field is a plain scalar so
 /// sinks can store or serialize events without allocation; each event
-/// kind populates (and serializes) only its relevant fields — see
-/// JsonlTraceSink for the per-kind JSON schema.
+/// kind populates (and serializes) only the fields its schema row in
+/// trace.cc lists.
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kRunStart;
   int64_t seq = 0;       ///< assigned by the sink, dense from 0
@@ -138,9 +138,10 @@ class CountingTraceSink : public TraceSink {
 
 /// Writes one JSON object per event (JSONL). Doubles are emitted with
 /// round-trip precision so the replay checker can re-verify the protocol
-/// arithmetic bit-exactly. Schema: every line carries "ev" and "seq";
-/// the remaining keys depend on the event kind and are exactly the fields
-/// listed per kind in EventJson().
+/// arithmetic bit-exactly. Schema: every line carries "ev" and "seq",
+/// then the fields its kind's row in trace.cc lists ({key, type, member,
+/// presence}), and "tier" last on tree-tier events. ParseTraceEventJson
+/// walks the same table, so the writer and the reader cannot drift apart.
 class JsonlTraceSink : public TraceSink {
  public:
   /// Opens `path` for writing; FGM_CHECKs on failure.
@@ -156,6 +157,14 @@ class JsonlTraceSink : public TraceSink {
  private:
   std::FILE* out_;
 };
+
+/// Parses one JSONL trace line by EventJson's schema. Returns false and
+/// sets `*error` on malformed JSON, an unknown kind, a missing or foreign
+/// key, an optional key without its condition, a wrong JSON type, a
+/// non-integral or negative integer, null outside a double field, or a
+/// label outside its known set. Free-form labels are interned.
+bool ParseTraceEventJson(const std::string& line, TraceEvent* event,
+                         std::string* error);
 
 }  // namespace fgm
 

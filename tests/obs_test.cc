@@ -251,6 +251,10 @@ TEST(JsonParse, RejectsMalformedNumbers) {
   EXPECT_EQ(node.AsDouble(), subnormal);
   ASSERT_TRUE(ParseJson("2.5e-3", &node, &error)) << error;
   EXPECT_EQ(node.AsDouble(), 2.5e-3);
+  // A non-integral number has no int reading (no out-of-range cast).
+  ASSERT_TRUE(ParseJson("1e300", &node, &error)) << error;
+  EXPECT_FALSE(node.is_int);
+  EXPECT_EQ(node.AsInt(-1), -1);
 }
 
 TEST(TimeSeriesTest, RingBufferDropsOldestAndExportsJson) {
@@ -479,6 +483,139 @@ TEST(JsonlSchema, ParseRoundTripsBitExactly) {
   EXPECT_FALSE(ParseTraceEventJson(
       "{\"ev\":\"SubroundStart\",\"seq\":0,\"round\":3,\"round\":4}",
       &parsed, &error));
+}
+
+/// A TraceEvent with every member set to a value no default has, and the
+/// kind's `label`/`reason` set to labels its schema accepts.
+TraceEvent FullyPopulated(TraceEventKind kind, const char* label,
+                          const char* reason) {
+  TraceEvent e;
+  e.kind = kind;
+  e.seq = 41;
+  e.site = 3;
+  e.round = 7;
+  e.subround = 2;
+  e.psi = -1.2345678901234567e-3;
+  e.theta = 6.5e-4;
+  e.lambda = 0.625;
+  e.value = -0.1;  // ThresholdCross "psi-exhausted" and RoundStart phi0
+  e.eps = 0.01;
+  e.k = 5;
+  e.counter = 6;
+  e.words = 300;
+  e.count = 18;
+  e.dir = 1;
+  e.up_words = 1000;
+  e.down_words = 200;
+  e.up_msgs = 40;
+  e.down_msgs = 30;
+  e.alpha = 0.25;
+  e.beta = 0.5;
+  e.gamma = 0.75;
+  e.pred_len = 2.5;
+  e.pred_gain = std::numeric_limits<double>::infinity();  // writes null
+  e.pred_rate = 4.0;
+  e.actual_gain = -282.0;
+  e.t = 2041;
+  e.label = label;
+  e.reason = reason;
+  return e;
+}
+
+// Every kind survives EventJson → ParseTraceEventJson → EventJson with the
+// same line, with optional fields both present and absent and with a tier
+// stamp. The parsed event equals the original on every member the line
+// carries and keeps the default on every other one.
+TEST(JsonlSchema, EveryKindRoundTrips) {
+  struct Case {
+    TraceEventKind kind;
+    const char* label;
+    const char* reason;
+    bool reason_optional;
+  };
+  const Case cases[] = {
+      {TraceEventKind::kRunStart, "FGM", "tree:4,4", true},
+      {TraceEventKind::kRoundStart, nullptr, nullptr, false},
+      {TraceEventKind::kSubroundStart, nullptr, nullptr, false},
+      {TraceEventKind::kSubroundEnd, nullptr, "resync", true},
+      {TraceEventKind::kIncrementMsg, nullptr, "timeout-poll", true},
+      {TraceEventKind::kDriftFlush, nullptr, nullptr, false},
+      {TraceEventKind::kRebalance, nullptr, nullptr, false},
+      {TraceEventKind::kThresholdCross, "psi-exhausted", nullptr, false},
+      {TraceEventKind::kMsgSent, "drift-flush", nullptr, false},
+      {TraceEventKind::kPlanChosen, nullptr, nullptr, false},
+      {TraceEventKind::kPlanSite, nullptr, nullptr, false},
+      {TraceEventKind::kPlanOutcome, nullptr, nullptr, false},
+      {TraceEventKind::kMsgDelivered, "counter", nullptr, false},
+      {TraceEventKind::kMsgDropped, "safe-zone", "loss", false},
+      {TraceEventKind::kSiteDown, nullptr, "outage", false},
+      {TraceEventKind::kSiteResync, nullptr, "rejoin", false},
+      {TraceEventKind::kAlertRaised, "lossy_link", "down", true},
+      {TraceEventKind::kAlertCleared, "straggler_site", "rejoin", true},
+      {TraceEventKind::kTierEnd, nullptr, nullptr, false},
+      {TraceEventKind::kRunEnd, nullptr, nullptr, false},
+  };
+  ASSERT_EQ(std::size(cases),
+            static_cast<size_t>(TraceEventKind::kKindCount));
+  const TraceEvent defaults;
+  int checked = 0;
+  for (const Case& c : cases) {
+    for (const bool with_reason : {true, false}) {
+      if (!with_reason && !c.reason_optional) continue;
+      for (const int tier : {0, 2}) {
+        TraceEvent e = FullyPopulated(c.kind, c.label,
+                                      with_reason ? c.reason : nullptr);
+        e.tier = tier;
+        const std::string line = JsonlTraceSink::EventJson(e);
+        SCOPED_TRACE(line);
+        TraceEvent parsed;
+        std::string error;
+        ASSERT_TRUE(ParseTraceEventJson(line, &parsed, &error)) << error;
+        EXPECT_EQ(JsonlTraceSink::EventJson(parsed), line);
+        EXPECT_EQ(parsed.kind, e.kind);
+        const auto same_or_default = [&](auto TraceEvent::*m,
+                                         const char* name) {
+          EXPECT_TRUE(parsed.*m == e.*m || parsed.*m == defaults.*m) << name;
+        };
+        same_or_default(&TraceEvent::seq, "seq");
+        same_or_default(&TraceEvent::site, "site");
+        same_or_default(&TraceEvent::round, "round");
+        same_or_default(&TraceEvent::subround, "subround");
+        same_or_default(&TraceEvent::psi, "psi");
+        same_or_default(&TraceEvent::theta, "theta");
+        same_or_default(&TraceEvent::lambda, "lambda");
+        same_or_default(&TraceEvent::value, "value");
+        same_or_default(&TraceEvent::eps, "eps");
+        same_or_default(&TraceEvent::k, "k");
+        same_or_default(&TraceEvent::counter, "counter");
+        same_or_default(&TraceEvent::words, "words");
+        same_or_default(&TraceEvent::count, "count");
+        same_or_default(&TraceEvent::dir, "dir");
+        same_or_default(&TraceEvent::up_words, "up_words");
+        same_or_default(&TraceEvent::down_words, "down_words");
+        same_or_default(&TraceEvent::up_msgs, "up_msgs");
+        same_or_default(&TraceEvent::down_msgs, "down_msgs");
+        same_or_default(&TraceEvent::alpha, "alpha");
+        same_or_default(&TraceEvent::beta, "beta");
+        same_or_default(&TraceEvent::gamma, "gamma");
+        same_or_default(&TraceEvent::pred_len, "pred_len");
+        same_or_default(&TraceEvent::pred_rate, "pred_rate");
+        same_or_default(&TraceEvent::actual_gain, "actual_gain");
+        same_or_default(&TraceEvent::t, "t");
+        same_or_default(&TraceEvent::tier, "tier");
+        // A non-finite double travels as null and reads back as NaN.
+        EXPECT_TRUE(std::isnan(parsed.pred_gain) || parsed.pred_gain == 0.0);
+        for (const auto& [got, want] :
+             {std::pair{parsed.label, e.label},
+              std::pair{parsed.reason, e.reason}}) {
+          EXPECT_TRUE(got == nullptr ||
+                      (want != nullptr && std::string(got) == want));
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * (20 + 5));
 }
 
 

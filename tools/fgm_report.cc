@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,7 +128,6 @@ struct SiteStats {
 /// local polls and the composed-ψ range are tallied from the individual
 /// tier-stamped events.
 struct TierStats {
-  int tier = 0;
   int endpoints = 0;  ///< child endpoints of this tier's links
   int64_t up_words = 0, down_words = 0;
   int64_t up_msgs = 0, down_msgs = 0;
@@ -152,13 +152,15 @@ struct AlertEvent {
 
 /// The whole trace, re-aggregated. rounds[0] is a pre-round bucket for
 /// messages sent before the first RoundStart (empty for FGM; CENTRAL has
-/// no rounds at all); rounds[r] is protocol round r.
+/// no rounds at all); rounds[r] is protocol round r. Only a RoundStart
+/// adds a row, and sites and tiers are keyed by id, so no table is sized
+/// by a number read from the file.
 struct TraceSummary {
   std::string protocol = "?";
   int k = 0;
   int64_t lines = 0;
-  std::vector<RoundStats> rounds;
-  std::vector<SiteStats> sites;
+  std::vector<RoundStats> rounds = std::vector<RoundStats>(1);
+  std::map<int, SiteStats> sites;
 
   // Simulated-network tallies (src/sim); all zero on synchronous runs and
   // in the simulator's null mode (which suppresses network events).
@@ -180,7 +182,7 @@ struct TraceSummary {
   // flat runs.
   std::string topology;
   int64_t leaves = 0;
-  std::vector<TierStats> tiers;
+  std::map<int, TierStats> tiers;
 
   bool has_tiers() const { return !tiers.empty(); }
 
@@ -195,42 +197,8 @@ struct TraceSummary {
   int64_t run_up_words = 0;
   int64_t run_down_words = 0;
 
-  RoundStats& Round(int64_t r) {
-    if (r < 0) r = 0;
-    if (static_cast<size_t>(r) >= rounds.size()) {
-      const size_t old = rounds.size();
-      rounds.resize(static_cast<size_t>(r) + 1);
-      for (size_t i = old; i < rounds.size(); ++i) {
-        rounds[i].round = static_cast<int64_t>(i);
-      }
-    }
-    return rounds[static_cast<size_t>(r)];
-  }
-
-  SiteStats& Site(int site) {
-    if (site < 0) site = 0;
-    if (static_cast<size_t>(site) >= sites.size()) {
-      sites.resize(static_cast<size_t>(site) + 1);
-    }
-    return sites[static_cast<size_t>(site)];
-  }
-
-  TierStats& Tier(int tier) {
-    if (tier < 1) tier = 1;
-    if (static_cast<size_t>(tier) > tiers.size()) {
-      const size_t old = tiers.size();
-      tiers.resize(static_cast<size_t>(tier));
-      for (size_t i = old; i < tiers.size(); ++i) {
-        tiers[i].tier = static_cast<int>(i) + 1;
-      }
-    }
-    return tiers[static_cast<size_t>(tier) - 1];
-  }
-
   /// Completed-round count = highest round number seen.
-  int64_t last_round() const {
-    return rounds.empty() ? 0 : rounds.back().round;
-  }
+  int64_t last_round() const { return rounds.back().round; }
 };
 
 /// Maps a MsgSent label back to its MsgKind slot; -1 for unknown labels.
@@ -254,6 +222,9 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
   }
   std::string line;
   int64_t current_round = 0;  // bucket 0 until the first RoundStart
+  // Each event's counts also go into `volume`, once: a volume past
+  // INT64_MAX fails the read, so no sum the report takes can overflow.
+  int64_t volume = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     fgm::TraceEvent e;
@@ -264,11 +235,30 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
       return false;
     }
     ++out->lines;
+    if (e.kind == fgm::TraceEventKind::kRoundStart &&
+        e.round == static_cast<int64_t>(out->rounds.size())) {
+      out->rounds.emplace_back().round = e.round;
+    }
+    if (e.round >= static_cast<int64_t>(out->rounds.size())) {
+      *error = Format("line %lld: round %lld has no RoundStart",
+                      static_cast<long long>(out->lines),
+                      static_cast<long long>(e.round));
+      return false;
+    }
+    if (__builtin_add_overflow(volume, e.words, &volume) ||
+        __builtin_add_overflow(volume, e.count, &volume) ||
+        __builtin_add_overflow(volume, e.up_words, &volume) ||
+        __builtin_add_overflow(volume, e.down_words, &volume)) {
+      *error = Format("line %lld: counts overflow int64",
+                      static_cast<long long>(out->lines));
+      return false;
+    }
+    RoundStats& round = out->rounds[static_cast<size_t>(e.round)];
     // Tier-stamped events (src/hier aggregator tiers) never touch the flat
     // per-round/per-site tables; they only feed the tier tallies. This
     // mirrors the replay checker's routing (obs/replay.cc).
     if (e.tier != 0) {
-      TierStats& t = out->Tier(e.tier);
+      TierStats& t = out->tiers[e.tier];
       switch (e.kind) {
         case fgm::TraceEventKind::kSubroundEnd: {
           // An aggregator's local poll: e.psi is the polled subtree sum.
@@ -296,40 +286,39 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
     }
     switch (e.kind) {
       case fgm::TraceEventKind::kRunStart:
-        out->protocol = e.label != nullptr ? e.label : "?";
+        out->protocol = e.label;
         out->k = e.k;
         if (e.reason != nullptr) {
           out->topology = e.reason;
           out->leaves = e.counter;
         }
         break;
-      case fgm::TraceEventKind::kRoundStart: {
+      case fgm::TraceEventKind::kRoundStart:
         current_round = e.round;
-        out->Round(e.round).psi_start = e.psi;
+        round.psi_start = e.psi;
         break;
-      }
       case fgm::TraceEventKind::kSubroundStart:
-        ++out->Round(e.round).subrounds;
+        ++round.subrounds;
         break;
       case fgm::TraceEventKind::kSubroundEnd:
         break;
       case fgm::TraceEventKind::kIncrementMsg:
-        ++out->Site(e.site).increments;
+        ++out->sites[e.site].increments;
         break;
       case fgm::TraceEventKind::kDriftFlush: {
-        SiteStats& s = out->Site(e.site);
+        SiteStats& s = out->sites[e.site];
         ++s.flushes;
         s.flush_words += e.words;
         s.flush_updates += e.count;
         break;
       }
       case fgm::TraceEventKind::kRebalance:
-        ++out->Round(e.round).rebalances;
+        ++round.rebalances;
         break;
       case fgm::TraceEventKind::kThresholdCross:
         break;
       case fgm::TraceEventKind::kMsgSent: {
-        RoundStats& r = out->Round(current_round);
+        RoundStats& r = out->rounds[static_cast<size_t>(current_round)];
         ++r.msgs;
         if (e.dir > 0) {
           r.up_words += e.words;
@@ -340,25 +329,21 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
         if (kind >= 0) r.words_by_kind[static_cast<size_t>(kind)] += e.words;
         break;
       }
-      case fgm::TraceEventKind::kPlanChosen: {
-        RoundStats& r = out->Round(e.round);
-        r.has_plan = true;
-        r.full_sites = e.counter;
-        r.pred_len = e.pred_len;
-        r.pred_gain = e.pred_gain;
-        r.pred_rate = e.pred_rate;
+      case fgm::TraceEventKind::kPlanChosen:
+        round.has_plan = true;
+        round.full_sites = e.counter;
+        round.pred_len = e.pred_len;
+        round.pred_gain = e.pred_gain;
+        round.pred_rate = e.pred_rate;
         break;
-      }
       case fgm::TraceEventKind::kPlanSite:
         break;
-      case fgm::TraceEventKind::kPlanOutcome: {
-        RoundStats& r = out->Round(e.round);
-        r.has_outcome = true;
-        r.updates = e.count;
-        r.outcome_pred_gain = e.pred_gain;
-        r.actual_gain = e.actual_gain;
+      case fgm::TraceEventKind::kPlanOutcome:
+        round.has_outcome = true;
+        round.updates = e.count;
+        round.outcome_pred_gain = e.pred_gain;
+        round.actual_gain = e.actual_gain;
         break;
-      }
       case fgm::TraceEventKind::kMsgDelivered:
         ++out->net_delivered_msgs;
         out->net_delivered_words += e.words;
@@ -366,7 +351,8 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
       case fgm::TraceEventKind::kMsgDropped:
         ++out->net_dropped_msgs;
         out->net_dropped_words += e.words;
-        out->Round(current_round).net_dropped_words += e.words;
+        out->rounds[static_cast<size_t>(current_round)].net_dropped_words +=
+            e.words;
         break;
       case fgm::TraceEventKind::kSiteDown:
         ++out->net_site_downs;
@@ -374,13 +360,13 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
       case fgm::TraceEventKind::kSiteResync:
         ++out->net_resyncs;
         out->net_resync_words += e.words;
-        ++out->Round(e.round).resyncs;
+        ++round.resyncs;
         break;
       case fgm::TraceEventKind::kAlertRaised:
       case fgm::TraceEventKind::kAlertCleared: {
         AlertEvent a;
         a.raised = e.kind == fgm::TraceEventKind::kAlertRaised;
-        a.rule = e.label != nullptr ? e.label : "?";
+        a.rule = e.label;
         a.site = e.site;
         a.round = e.round;
         a.value = e.value;
@@ -406,7 +392,6 @@ bool ReadTrace(const std::string& path, TraceSummary* out,
         break;
     }
   }
-  if (out->rounds.empty()) out->Round(0);
   return true;
 }
 
@@ -680,17 +665,16 @@ void PrintSiteSkew(const TraceSummary& t) {
   int64_t total_updates = 0, total_words = 0;
   int64_t max_updates = 0, max_words = 0;
   int hot_updates = -1, hot_words = -1;
-  for (size_t i = 0; i < t.sites.size(); ++i) {
-    const SiteStats& s = t.sites[i];
+  for (const auto& [site, s] : t.sites) {
     total_updates += s.flush_updates;
     total_words += s.flush_words;
     if (s.flush_updates > max_updates) {
       max_updates = s.flush_updates;
-      hot_updates = static_cast<int>(i);
+      hot_updates = site;
     }
     if (s.flush_words > max_words) {
       max_words = s.flush_words;
-      hot_words = static_cast<int>(i);
+      hot_words = site;
     }
   }
   const double n = static_cast<double>(t.sites.size());
@@ -841,12 +825,12 @@ void PrintTiers(const TraceSummary& t) {
                            "down_words", "up_msgs", "down_msgs", "flushes",
                            "local_polls", "min_psi", "max_psi"});
   int prev_endpoints = t.k;
-  for (const TierStats& tier : t.tiers) {
+  for (const auto& [id, tier] : t.tiers) {
     const double fan_in =
         prev_endpoints > 0
             ? static_cast<double>(tier.endpoints) / prev_endpoints
             : 0.0;
-    table.AddRow({fgm::TablePrinter::Cell(static_cast<int64_t>(tier.tier)),
+    table.AddRow({fgm::TablePrinter::Cell(static_cast<int64_t>(id)),
                   fgm::TablePrinter::Cell(static_cast<int64_t>(tier.endpoints)),
                   fgm::TablePrinter::Cell(fan_in),
                   fgm::TablePrinter::Cell(tier.up_words),
@@ -972,13 +956,13 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
   w.EndArray();
   w.Key("sites");
   w.BeginArray();
-  for (size_t i = 0; i < t.sites.size(); ++i) {
+  for (const auto& [site, s] : t.sites) {
     w.BeginObject();
-    w.Field("site", static_cast<int64_t>(i));
-    w.Field("flushes", t.sites[i].flushes);
-    w.Field("flush_words", t.sites[i].flush_words);
-    w.Field("flush_updates", t.sites[i].flush_updates);
-    w.Field("increments", t.sites[i].increments);
+    w.Field("site", static_cast<int64_t>(site));
+    w.Field("flushes", s.flushes);
+    w.Field("flush_words", s.flush_words);
+    w.Field("flush_updates", s.flush_updates);
+    w.Field("increments", s.increments);
     w.EndObject();
   }
   w.EndArray();
@@ -987,9 +971,9 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.Field("leaves", t.leaves);
     w.Key("tiers");
     w.BeginArray();
-    for (const TierStats& tier : t.tiers) {
+    for (const auto& [id, tier] : t.tiers) {
       w.BeginObject();
-      w.Field("tier", static_cast<int64_t>(tier.tier));
+      w.Field("tier", static_cast<int64_t>(id));
       w.Field("endpoints", static_cast<int64_t>(tier.endpoints));
       w.Field("up_words", tier.up_words);
       w.Field("down_words", tier.down_words);
@@ -1179,9 +1163,9 @@ int main(int argc, char** argv) {
     // the root-tier RunEnd totals plus the TierEnd ledgers.
     int64_t span_up_target = trace.run_up_words;
     int64_t span_down_target = trace.run_down_words;
-    for (const TierStats& tier : trace.tiers) {
-      span_up_target += tier.up_words;
-      span_down_target += tier.down_words;
+    for (const auto& entry : trace.tiers) {
+      span_up_target += entry.second.up_words;
+      span_down_target += entry.second.down_words;
     }
     const std::vector<std::string> span_issues = fgm::CheckSpans(
         spans, span_up_target, span_down_target, &span_stats);

@@ -65,8 +65,13 @@ int main(int argc, char** argv) {
     // Spans instrument every link tier, so on tree runs the conservation
     // target is the root-tier RunEnd totals plus the certified TierEnd
     // ledgers.
-    up_words = report.up_words + report.tier_up_words;
-    down_words = report.down_words + report.tier_down_words;
+    if (__builtin_add_overflow(report.up_words, report.tier_up_words,
+                               &up_words) ||
+        __builtin_add_overflow(report.down_words, report.tier_down_words,
+                               &down_words)) {
+      std::printf("FAIL: %s word totals overflow int64\n", path.c_str());
+      ok = false;
+    }
     alerts_raised += report.alerts_raised;
     if (require_tiers && report.tier_ends == 0) {
       std::printf("FAIL: --tiers given but %s has no certified tier "
