@@ -226,7 +226,7 @@ void FgmProtocol::InstallQuantum(int tier, int node, double theta,
     // cheap-bound subtrees share the value).
     a.z_local = lambda_ * phi_zero_ * static_cast<double>(a.leaves);
   } else {
-    a.z_local = PollSubtree(tier, node, /*counter=*/0, "rebaseline");
+    a.z_local = PollSubtree(tier, node, /*counter=*/0, kReasonRebaseline);
   }
   a.z_up = a.z_local;
   a.last_reported = a.z_up;
@@ -829,7 +829,7 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
       e.round = rounds_;
       e.psi = last_psi_;
       e.value = stop_level;
-      e.label = "psi-exhausted";
+      e.label = kReasonPsiExhausted;
       trace_->Emit(e);
     }
     // Subrounds exhausted for this safe function / scale.
@@ -1113,7 +1113,7 @@ void FgmProtocol::HandleFault(const sim::FaultNotice& fault) {
       // The interrupted subround cannot be resumed — the rejoined child's
       // subround baseline was volatile. Poll everyone and start a fresh
       // (labelled) subround from the authoritative ψ.
-      PollAndAdvance("resync");
+      PollAndAdvance(kReasonResync);
     }
   } else {
     RejoinReconfigure(fault.site);
@@ -1155,7 +1155,7 @@ void FgmProtocol::ResyncChild(int child) {
     e.round = rounds_;
     e.words = msg.Words();
     e.t = sim_->now();
-    e.reason = "rejoin";
+    e.reason = kReasonRejoin;
     trace_->Emit(e);
   }
   const ResyncMsg delivered = transports_[0]->Ship(child, msg);
@@ -1209,11 +1209,11 @@ void FgmProtocol::RejoinReconfigure(int child) {
     e.round = rounds_;
     e.words = 0;
     e.t = sim_->now();
-    e.reason = "reconfig";
+    e.reason = kReasonReconfig;
     trace_->Emit(e);
   }
   FlushChild(1, child, {&balance_});
-  CloseSubroundForced("reconfig");
+  CloseSubroundForced(kReasonReconfig);
   EndRound(/*already_flushed=*/false);
   if (spans_ != nullptr) spans_->End(resync_span);
 }
@@ -1285,7 +1285,7 @@ void FgmProtocol::MaybeSilencePoll() {
     transports_[0]->Ship(j, ControlMsg{ControlOp::kPollCounter});
     const CounterMsg reply =
         transports_[0]->Send(j, CounterMsg{ChildCounter(j)});
-    ApplyCounterDelta(j, reply.increment, "timeout-poll");
+    ApplyCounterDelta(j, reply.increment, kReasonTimeoutPoll);
   }
   if (counter_total_ > live_m_) PollAndAdvance();
 }
@@ -1305,7 +1305,7 @@ void FgmProtocol::CheckDeadlines() {
   // round without it — FlushAll skips down children (their un-flushed
   // drift survives locally and folds in at rejoin) and StartRound
   // reconstitutes the round over the survivors (reduced m).
-  CloseSubroundForced("deadline");
+  CloseSubroundForced(kReasonDeadline);
   EndRound(/*already_flushed=*/false);
 }
 

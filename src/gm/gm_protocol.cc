@@ -87,7 +87,7 @@ void GmProtocol::ProcessRecord(const StreamRecord& record) {
     e.round = full_syncs_;
     e.site = record.site;
     e.value = v;
-    e.label = "local-violation";
+    e.label = kReasonLocalViolation;
     trace_->Emit(e);
   }
   HandleViolation(record.site);

@@ -95,14 +95,14 @@ void HealthMonitor::NoteSiteDown(int site, int64_t round, int64_t t) {
   FGM_CHECK(site >= 0 && site < sites_);
   site_[static_cast<size_t>(site)].down = true;
   SetActive(AlertRule::kStragglerSite, site, true, 1.0, 1.0, round, t,
-            "down");
+            kReasonDown);
 }
 
 void HealthMonitor::NoteSiteUp(int site, int64_t round, int64_t t) {
   FGM_CHECK(site >= 0 && site < sites_);
   site_[static_cast<size_t>(site)].down = false;
   SetActive(AlertRule::kStragglerSite, site, false, 0.0, 1.0, round, t,
-            "rejoin");
+            kReasonRejoin);
 }
 
 void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
@@ -142,7 +142,7 @@ void HealthMonitor::EvaluateAlerts(int64_t round, int64_t t) {
                 : kStragglerLatencyFactor;
         SetActive(AlertRule::kStragglerSite, i,
                   s.latency.value() >= factor * mean, s.latency.value(),
-                  factor * mean, round, t, "slow");
+                  factor * mean, round, t, kReasonSlow);
       }
     }
   }

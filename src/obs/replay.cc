@@ -362,14 +362,14 @@ class Checker {
 
       case TraceEventKind::kThresholdCross:
         CheckRound(e);
-        if (Is(e.label, "psi-exhausted")) {
+        if (Is(e.label, kReasonPsiExhausted)) {
           if (!fgm_round()) {
             Fail(e.seq, "psi-exhausted cross outside an FGM round");
           } else if (!(e.psi >= stop_level_)) {
             Fail(e.seq, "round ended as psi-exhausted below the "
                         "termination level");
           }
-        } else if (Is(e.label, "local-violation") && !(e.value > 0.0)) {
+        } else if (Is(e.label, kReasonLocalViolation) && !(e.value > 0.0)) {
           Fail(e.seq, "local violation reported with phi <= 0");
         }
         break;
@@ -397,7 +397,9 @@ class Checker {
       case TraceEventKind::kPlanChosen:
         ++report_.plans;
         CheckRound(e);
-        if (e.k != k_) Fail(e.seq, "plan k != the round's k");
+        // The plan covers every child, live or not: a reduced round's
+        // plan still names RunStart's k.
+        if (e.k != endpoints_[0]) Fail(e.seq, "plan k != RunStart's k");
         if (e.counter > e.k) Fail(e.seq, "plan with full_sites above k");
         break;
 
@@ -478,7 +480,7 @@ class Checker {
         site_set_changed_ = true;
         CheckRound(e);
         // A rejoin ships a resync message; a reconfiguration ships none.
-        if (Is(e.reason, "reconfig") && e.words != 0) {
+        if (Is(e.reason, kReasonReconfig) && e.words != 0) {
           Fail(e.seq, "reconfig resync with words");
         }
         if (down_sites_.erase(e.site) == 0) {

@@ -25,7 +25,8 @@
 //  * FGM/O plan audit: each PlanOutcome's word count re-sums the round's
 //    MsgSent events bit-exactly (the per-round ledger), its actual gain
 //    equals updates - words, and PlanChosen/PlanSite events carry sane
-//    d/γ values for the current round.
+//    d/γ values for the current round (a plan covers RunStart's k
+//    children, also in a reduced round).
 //
 // Traces produced over the simulated network (src/sim) additionally carry
 // MsgDelivered / MsgDropped / SiteDown / SiteResync events, and the

@@ -12,12 +12,25 @@
 namespace fgm {
 
 const char* SpanKindName(SpanKind kind) {
-  static constexpr const char* kNames[] = {
-      "run", "round", "subround", "rpc", "msg", "datagram", "resync"};
-  static_assert(std::size(kNames) ==
-                static_cast<size_t>(SpanKind::kKindCount));
-  const auto i = static_cast<size_t>(kind);
-  return i < std::size(kNames) ? kNames[i] : "unknown";
+  switch (kind) {
+    case SpanKind::kRun:
+      return "run";
+    case SpanKind::kRound:
+      return "round";
+    case SpanKind::kSubround:
+      return "subround";
+    case SpanKind::kRpc:
+      return "rpc";
+    case SpanKind::kMsg:
+      return "msg";
+    case SpanKind::kDatagram:
+      return "datagram";
+    case SpanKind::kResync:
+      return "resync";
+    case SpanKind::kKindCount:
+      break;
+  }
+  return "unknown";
 }
 
 SpanSink::SpanSink() : epoch_(std::chrono::steady_clock::now()) {}

@@ -69,14 +69,16 @@ constexpr Field Label(const char* key, const char* TraceEvent::*member,
 }
 
 // The reasons each kind's emitters give, and no others.
-constexpr const char* kPollReasons[] = {"resync", "reconfig", "deadline",
-                                        "rebaseline"};
-constexpr const char* kIncrementReasons[] = {"timeout-poll"};
-constexpr const char* kCrossReasons[] = {"psi-exhausted", "local-violation"};
-constexpr const char* kDropReasons[] = {"loss"};
-constexpr const char* kDownReasons[] = {"crash", "outage"};
-constexpr const char* kResyncReasons[] = {"rejoin", "reconfig"};
-constexpr const char* kAlertReasons[] = {"down", "rejoin", "slow"};
+constexpr const char* kPollReasons[] = {kReasonResync, kReasonReconfig,
+                                        kReasonDeadline, kReasonRebaseline};
+constexpr const char* kIncrementReasons[] = {kReasonTimeoutPoll};
+constexpr const char* kCrossReasons[] = {kReasonPsiExhausted,
+                                         kReasonLocalViolation};
+constexpr const char* kDropReasons[] = {kReasonLoss};
+constexpr const char* kDownReasons[] = {kReasonCrash, kReasonOutage};
+constexpr const char* kResyncReasons[] = {kReasonRejoin, kReasonReconfig};
+constexpr const char* kAlertReasons[] = {kReasonDown, kReasonRejoin,
+                                         kReasonSlow};
 
 constexpr Field kSeq = Count("seq", &TraceEvent::seq);
 constexpr Field kTier = Int("tier", &TraceEvent::tier, 1, Presence::kWithTier);

@@ -50,6 +50,23 @@ enum class TraceEventKind : int {
 
 const char* TraceEventKindName(TraceEventKind kind);
 
+// The reasons events carry (ThresholdCross in `label`, the rest in
+// `reason`). Emitters set these constants, and the schema in trace.cc
+// builds each kind's accepted set from them.
+inline constexpr const char* kReasonResync = "resync";
+inline constexpr const char* kReasonReconfig = "reconfig";
+inline constexpr const char* kReasonDeadline = "deadline";
+inline constexpr const char* kReasonRebaseline = "rebaseline";
+inline constexpr const char* kReasonTimeoutPoll = "timeout-poll";
+inline constexpr const char* kReasonPsiExhausted = "psi-exhausted";
+inline constexpr const char* kReasonLocalViolation = "local-violation";
+inline constexpr const char* kReasonLoss = "loss";
+inline constexpr const char* kReasonCrash = "crash";
+inline constexpr const char* kReasonOutage = "outage";
+inline constexpr const char* kReasonRejoin = "rejoin";
+inline constexpr const char* kReasonDown = "down";
+inline constexpr const char* kReasonSlow = "slow";
+
 /// One protocol event. Flat by design: every field is a plain scalar so
 /// sinks can store or serialize events without allocation; each event
 /// kind populates (and serializes) only the fields its schema row in

@@ -104,7 +104,7 @@ void EventNetwork::Deliver(int child, int dir, MsgKind kind,
       net_stats_.dropped_words += words;
       ++ss.dropped_msgs;
       EmitNetEvent(TraceEventKind::kMsgDropped, child, dir, kind, words, now_,
-                   "loss");
+                   kReasonLoss);
       if (spans_ != nullptr) {
         // The lost attempt occupies the sender until its timeout fires.
         Span s;
@@ -163,7 +163,7 @@ void EventNetwork::PostCounter(int site, CounterMsg msg, int64_t round,
     net_stats_.dropped_words += wire_words;
     ++site_stats_[static_cast<size_t>(site)].dropped_msgs;
     EmitNetEvent(TraceEventKind::kMsgDropped, site, -1, MsgKind::kCounter,
-                 wire_words, now_, "loss");
+                 wire_words, now_, kReasonLoss);
     if (spans_ != nullptr) {
       // Charged but never delivered: a point span keeps the word sums
       // conserved against MsgSent.

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "net/transport.h"
+#include "obs/trace.h"
 #include "sim/net_config.h"
 #include "util/rng.h"
 
@@ -101,7 +102,7 @@ struct CounterDelivery {
 struct FaultNotice {
   int site = 0;
   bool up = false;
-  const char* reason = "crash";
+  const char* reason = kReasonCrash;
 };
 
 class EventNetwork final : public Transport {

@@ -122,7 +122,7 @@ bool ParseFaultPlan(const std::string& plan, int sites,
     if (site < 0 || site >= sites || start < 1) return false;
     if (verb == "outage" && stop < 0) return false;  // outages must end
     if (stop >= 0 && stop <= start) return false;
-    const char* reason = verb == "crash" ? "crash" : "outage";
+    const char* reason = verb == "crash" ? kReasonCrash : kReasonOutage;
     out->push_back({start, static_cast<int>(site), /*up=*/false, reason});
     if (stop >= 0) {
       out->push_back({stop, static_cast<int>(site), /*up=*/true, reason});

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace fgm {
 namespace sim {
 
@@ -46,7 +48,7 @@ struct FaultTransition {
   int64_t at = 0;        ///< tick at which the flip takes effect
   int site = 0;
   bool up = false;       ///< false: site goes down, true: it comes back
-  const char* reason = "crash";  ///< "crash" or "outage" (static string)
+  const char* reason = kReasonCrash;  ///< kReasonCrash or kReasonOutage
 };
 
 /// Parses a ';'-separated fault plan:

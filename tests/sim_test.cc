@@ -73,6 +73,17 @@ ReplayReport Recheck(const SimRunOutput& out) {
   return CheckTrace(in);
 }
 
+/// True when some round started with only 4 of the 5 sites.
+bool HasReducedRound(const SimRunOutput& out) {
+  for (const std::string& line : out.trace_lines) {
+    if (line.find("\"ev\":\"RoundStart\"") != std::string::npos &&
+        line.find("\"k\":4") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------
 // Null-mode parity.
 
@@ -221,15 +232,23 @@ TEST(FaultPlans, CrashPastDeadlineDegradesToReducedKAndRecovers) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 
   // The trace must contain a reduced-k RoundStart while the site is out.
-  bool saw_reduced_k = false;
-  for (const std::string& line : out.trace_lines) {
-    if (line.find("\"ev\":\"RoundStart\"") != std::string::npos &&
-        line.find("\"k\":4") != std::string::npos) {
-      saw_reduced_k = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(saw_reduced_k);
+  EXPECT_TRUE(HasReducedRound(out));
+}
+
+TEST(FaultPlans, OptimizerReducedRoundPlansEveryChild) {
+  sim::NetSimConfig net;
+  net.latency = "uniform:1-16";
+  net.drop = 0.1;
+  net.fault_plan = "crash:site=2,at=20000,rejoin=30000";
+  const SimRunOutput out = RunOnce(ProtocolKind::kFgmOpt, net,
+                                   /*strict_wire=*/false);
+  EXPECT_EQ(out.result.max_violation, 0.0);
+  ASSERT_TRUE(HasReducedRound(out));
+
+  // A reduced round's PlanChosen still names all 5 children.
+  const ReplayReport report = Recheck(out);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_EQ(report.plans, report.rounds);
 }
 
 TEST(FaultPlans, OutageWindowAndMultiSitePlan) {

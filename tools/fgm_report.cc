@@ -677,11 +677,14 @@ void PrintSiteSkew(const TraceSummary& t) {
       hot_words = site;
     }
   }
-  const double n = static_cast<double>(t.sites.size());
+  // The mean is over every site RunStart announced, flushed or not (more
+  // only when the trace names a site past k, which fails its replay).
+  const size_t sites = std::max(static_cast<size_t>(t.k), t.sites.size());
+  const double n = static_cast<double>(sites);
   std::printf(
       "sites=%zu  flushed updates: mean=%.1f max=%lld (site %d, %.2fx mean)\n"
       "flush words: mean=%.1f max=%lld (site %d)\n",
-      t.sites.size(), static_cast<double>(total_updates) / n,
+      sites, static_cast<double>(total_updates) / n,
       static_cast<long long>(max_updates), hot_updates,
       total_updates > 0
           ? static_cast<double>(max_updates) * n /
