@@ -598,7 +598,6 @@ void FgmProtocol::StartRound() {
           class_cost_count_[1] > 0 &&
           class_cost_ewma_[1] > kFeedbackMargin * class_cost_ewma_[0]) {
         plan_.assign(static_cast<size_t>(m_), 1);
-        ++cheap_overrides_;
         // The executed plan is no longer the one the model priced; its
         // prediction would audit a round that never ran.
         plan_predicted_ = false;

@@ -149,10 +149,6 @@ class FgmProtocol : public MonitoringProtocol {
   /// counters, φ-value polls).
   int64_t SubroundWords() const;
 
-  /// How often the feedback guard replaced a cheap plan with the all-full
-  /// plan (diagnostics).
-  int64_t cheap_plan_overrides() const { return cheap_overrides_; }
-
   /// Rounds forcibly ended because the subround cap was hit (graceful
   /// degradation instead of aborting the run).
   int64_t overflow_rounds() const { return overflow_rounds_; }
@@ -402,7 +398,6 @@ class FgmProtocol : public MonitoringProtocol {
   int64_t total_updates_ = 0;
   double class_cost_ewma_[2] = {0.0, 0.0};  // [0]=mostly full, [1]=cheap
   int64_t class_cost_count_[2] = {0, 0};
-  int64_t cheap_overrides_ = 0;
 
   // Statistics.
   int64_t rounds_ = 0;

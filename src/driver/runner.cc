@@ -28,9 +28,7 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 void StopSignalHandler(int) { g_stop_requested = 1; }
 }  // namespace
 
-void RequestStop() { g_stop_requested = 1; }
 bool StopRequested() { return g_stop_requested != 0; }
-void ClearStop() { g_stop_requested = 0; }
 
 void InstallSignalFlush() {
   std::signal(SIGINT, StopSignalHandler);

@@ -203,7 +203,7 @@ struct RunResult {
   int64_t alerts_raised = 0;
   int64_t alerts_cleared = 0;
 
-  /// True when the run was cut short by RequestStop() or die_at; every
+  /// True when the run was cut short by a stop signal or die_at; every
   /// configured output was still flushed with the partial data.
   bool stopped_early = false;
 };
@@ -220,15 +220,13 @@ std::unique_ptr<MonitoringProtocol> MakeProtocol(const RunConfig& config,
 /// config.sites sites).
 RunResult Run(const RunConfig& config, const std::vector<StreamRecord>& trace);
 
-/// Cooperative stop: once set, Run() leaves its record loop at the next
-/// safe boundary and flushes every configured output (trace, metrics,
-/// time series, spans, Prometheus/live heartbeat) with the partial data.
-/// Async-signal-safe; sticky until ClearStop().
-void RequestStop();
+/// Cooperative stop: once a stop signal arrived, Run() leaves its record
+/// loop at the next safe boundary and flushes every configured output
+/// (trace, metrics, time series, spans, Prometheus/live heartbeat) with
+/// the partial data. The flag is sticky.
 bool StopRequested();
-void ClearStop();
 
-/// Installs SIGINT/SIGTERM handlers that call RequestStop(), so killed
+/// Installs SIGINT/SIGTERM handlers that set the stop flag, so killed
 /// runs still emit their partial telemetry through the normal end-of-run
 /// write path.
 void InstallSignalFlush();

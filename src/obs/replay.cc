@@ -1,6 +1,8 @@
 #include "obs/replay.h"
 
+#include <algorithm>
 #include <climits>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -33,6 +35,8 @@ class Checker {
       if (ParseTraceEventJson(line, &e, &error)) {
         Event(e);
       } else {
+        ++lines_;
+        Unreadable(error);
         Fail(next_seq_, "unparseable line: " + error);
         if (next_seq_ < INT64_MAX) ++next_seq_;
       }
@@ -41,6 +45,7 @@ class Checker {
   }
 
   void Event(const TraceEvent& e) {
+    ++lines_;
     if (e.seq != next_seq_) {
       Fail(e.seq, "sequence gap: expected seq " + std::to_string(next_seq_));
     }
@@ -63,16 +68,49 @@ class Checker {
     }
   }
 
-  /// Adds a non-negative amount to a ledger total; a total past
-  /// INT64_MAX saturates and fails the trace.
-  void Tally(int64_t* total, int64_t amount, const TraceEvent& e) {
-    if (!__builtin_add_overflow(*total, amount, total)) return;
-    *total = INT64_MAX;
-    Fail(e.seq, "ledger total overflows int64");
+  /// Records the first line the ledger cannot book; the caller also
+  /// fails the trace.
+  void Unreadable(const std::string& why) {
+    if (report_.read_error.empty()) {
+      report_.read_error = "line " + std::to_string(lines_) + ": " + why;
+    }
   }
 
+  /// Adds a non-negative amount to a ledger total; a total past
+  /// INT64_MAX saturates and fails the trace (once).
+  bool Tally(int64_t* total, int64_t amount, const TraceEvent& e) {
+    if (!__builtin_add_overflow(*total, amount, total)) return true;
+    *total = INT64_MAX;
+    if (!overflowed_) Fail(e.seq, "ledger total overflows int64");
+    overflowed_ = true;
+    return false;
+  }
+
+  /// Finds the ledger row of the round `e` names, adding one at its
+  /// RoundStart. An event naming a round no RoundStart opened is
+  /// unreadable (the round rules fail it) and books to the last row.
+  /// Every count on the line also adds to the volume, so once the trace
+  /// reads no sum of ledger entries can overflow.
+  RoundRow& Book(const TraceEvent& e) {
+    std::vector<RoundRow>& rows = report_.round_rows;
+    if (e.kind == TraceEventKind::kRoundStart &&
+        e.round == static_cast<int64_t>(rows.size())) {
+      rows.emplace_back().round = e.round;
+    }
+    if (e.round >= static_cast<int64_t>(rows.size())) {
+      Unreadable("round " + std::to_string(e.round) + " has no RoundStart");
+    }
+    if (report_.read_error.empty()) {
+      for (const int64_t n : {e.words, e.count, e.up_words, e.down_words}) {
+        if (!Tally(&volume_, n, e)) Unreadable("counts overflow int64");
+      }
+    }
+    return rows[std::min(static_cast<size_t>(e.round), rows.size() - 1)];
+  }
+
+  /// Round 0 until the first RoundStart.
   void CheckRound(const TraceEvent& e) {
-    if (in_round_ && e.round != round_) {
+    if (e.round != round_) {
       Fail(e.seq, "event round " + std::to_string(e.round) +
                       " != current round " + std::to_string(round_));
     }
@@ -88,7 +126,11 @@ class Checker {
     if (e.k < 1) Fail(e.seq, "RunStart announces no sites");
     k_ = e.k;
     endpoints_ = {e.k};
+    report_.protocol = e.label;
+    report_.k = e.k;
     if (e.reason == nullptr) return;
+    report_.topology = e.reason;
+    report_.leaves = e.counter;
     hier::TreeTopology topo;
     std::string error;
     if (e.counter < 1 || e.counter > INT_MAX ||
@@ -119,21 +161,37 @@ class Checker {
     if (!paired) Fail(e.seq, "drift flush words != its drift-flush MsgSent");
   }
 
+  /// A rejoin SiteResync announces the words of the resync RPC that
+  /// follows it: each attempt's MsgSent to that site restates them, up
+  /// to the delivered one.
+  void PairResync(const TraceEvent& e) {
+    if (e.kind == TraceEventKind::kSiteResync) {
+      if (!rejoins_.emplace(e.site, e.words).second) {
+        Fail(e.seq, "rejoin while the last resync is undelivered");
+      }
+      return;
+    }
+    const auto rejoin = rejoins_.find(e.site);
+    if (rejoin == rejoins_.end() || rejoin->second != e.words) {
+      Fail(e.seq, "resync words != its rejoin SiteResync");
+    }
+  }
+
   /// Aggregator-tier events of a tree-topology run. They live outside the
   /// root star's protocol state machine, so they bypass every flat
   /// invariant (round ledger, up/down word totals, subround pairing) and
   /// feed a per-tier ledger instead, closed bit-exactly by kTierEnd.
   void CheckTier(const TraceEvent& e) {
-    TierTally& tally = tiers_[e.tier];
+    TierRow& tier = report_.tier_rows[e.tier];
     switch (e.kind) {
       case TraceEventKind::kMsgSent:
         if (e.words < 1) Fail(e.seq, "wire message below 1 word");
         if (e.dir > 0) {
-          Tally(&tally.up_words, e.words, e);
-          ++tally.up_msgs;
+          Tally(&tier.up_words, e.words, e);
+          ++tier.up_msgs;
         } else {
-          Tally(&tally.down_words, e.words, e);
-          ++tally.down_msgs;
+          Tally(&tier.down_words, e.words, e);
+          ++tier.down_msgs;
         }
         break;
 
@@ -144,28 +202,34 @@ class Checker {
         // reason "rebaseline".
         CheckRound(e);
         if (e.subround != subround_) Fail(e.seq, "subround id mismatch");
-        Tally(&tally.polled_units, e.counter, e);
+        Tally(&tier.polled_units, e.counter, e);
         if (e.reason == nullptr && e.counter <= e.k) {
           Fail(e.seq, "local poll before the counter exceeded the fan-in");
         }
+        ++tier.local_polls;
+        if (!tier.has_psi || e.psi < tier.min_psi) tier.min_psi = e.psi;
+        if (!tier.has_psi || e.psi > tier.max_psi) tier.max_psi = e.psi;
+        tier.has_psi = true;
         break;
 
       case TraceEventKind::kDriftFlush:
-        ++tally.flushes;
+        ++tier.flushes;
         CheckRound(e);
         if (e.words < 1) Fail(e.seq, "drift flush below 1 word");
-        Tally(&tally.flushed_updates, e.count, e);
+        Tally(&tier.flush_words, e.words, e);
+        Tally(&tier.flush_updates, e.count, e);
         break;
 
       case TraceEventKind::kTierEnd:
         ++report_.tier_ends;
-        if (tally.tier_end) {
+        if (tier.closed) {
           Fail(e.seq, "duplicate TierEnd for tier " + std::to_string(e.tier));
         }
-        tally.tier_end = true;
+        tier.closed = true;
+        tier.endpoints = e.k;
         // Close the tier's ledger exactly, like RunEnd closes the root's.
-        if (e.up_words != tally.up_words || e.down_words != tally.down_words ||
-            e.up_msgs != tally.up_msgs || e.down_msgs != tally.down_msgs) {
+        if (e.up_words != tier.up_words || e.down_words != tier.down_words ||
+            e.up_msgs != tier.up_msgs || e.down_msgs != tier.down_msgs) {
           Fail(e.seq, "tier " + std::to_string(e.tier) +
                           " MsgSent words or messages != TierEnd totals");
         }
@@ -182,6 +246,7 @@ class Checker {
   }
 
   void Check(const TraceEvent& e) {
+    RoundRow& row = Book(e);
     if (e.kind == TraceEventKind::kRunStart && e.tier == 0) {
       StartRun(e);
       return;
@@ -221,6 +286,8 @@ class Checker {
         round_ = e.round;
         in_round_ = true;
         round_msg_words_ = 0;
+        current_row_ = static_cast<size_t>(&row - report_.round_rows.data());
+        row.psi_start = e.psi;
         if (e.k >= 1) {
           if (k_ > 0 && e.k != k_) {
             // Reduced-k (or recovered) rounds are legal only after the
@@ -254,6 +321,7 @@ class Checker {
 
       case TraceEventKind::kSubroundStart: {
         ++report_.subrounds;
+        ++row.subrounds;
         CheckRound(e);
         if (!fgm_round()) {
           Fail(e.seq, "subround outside an FGM round");
@@ -287,6 +355,7 @@ class Checker {
 
       case TraceEventKind::kIncrementMsg:
         ++report_.increments;
+        ++report_.site_rows[e.site].increments;
         CheckRound(e);
         if (!subround_open_) {
           Fail(e.seq, "counter increment outside a subround");
@@ -340,6 +409,7 @@ class Checker {
 
       case TraceEventKind::kRebalance:
         ++report_.rebalances;
+        ++row.rebalances;
         CheckRound(e);
         if (!fgm_round()) break;  // GM partial rebalances: tally only
         if (!(e.lambda > 0.0 && e.lambda <= 1.0)) {
@@ -374,25 +444,41 @@ class Checker {
         }
         break;
 
-      case TraceEventKind::kDriftFlush:
+      case TraceEventKind::kDriftFlush: {
         ++report_.flushes;
         CheckRound(e);
         if (e.words < 1) Fail(e.seq, "drift flush below 1 word");
         Tally(&flushed_updates_, e.count, e);
+        SiteRow& site = report_.site_rows[e.site];
+        ++site.flushes;
+        Tally(&site.flush_words, e.words, e);
+        Tally(&site.flush_updates, e.count, e);
         break;
+      }
 
-      case TraceEventKind::kMsgSent:
+      case TraceEventKind::kMsgSent: {
         ++report_.messages;
         if (e.words < 1) Fail(e.seq, "wire message below 1 word");
+        RoundRow& current = report_.round_rows[current_row_];
+        ++current.msgs;
         if (e.dir > 0) {
           Tally(&up_words_, e.words, e);
+          Tally(&current.up_words, e.words, e);
           ++up_msgs_;
         } else {
           Tally(&down_words_, e.words, e);
+          Tally(&current.down_words, e.words, e);
           ++down_msgs_;
         }
         Tally(&round_msg_words_, e.words, e);
+        for (size_t kind = 0; kind < kMsgKindNames.size(); ++kind) {
+          if (Is(e.label, kMsgKindNames[kind])) {
+            Tally(&current.words_by_kind[kind], e.words, e);
+          }
+        }
+        if (Is(e.label, MsgKindName(MsgKind::kResync))) PairResync(e);
         break;
+      }
 
       case TraceEventKind::kPlanChosen:
         ++report_.plans;
@@ -401,6 +487,11 @@ class Checker {
         // plan still names RunStart's k.
         if (e.k != endpoints_[0]) Fail(e.seq, "plan k != RunStart's k");
         if (e.counter > e.k) Fail(e.seq, "plan with full_sites above k");
+        row.has_plan = true;
+        row.full_sites = e.counter;
+        row.pred_len = e.pred_len;
+        row.pred_gain = e.pred_gain;
+        row.pred_rate = e.pred_rate;
         break;
 
       case TraceEventKind::kPlanSite:
@@ -430,6 +521,15 @@ class Checker {
                                  static_cast<double>(e.words)) {
           Fail(e.seq, "plan outcome actual_gain != updates - words");
         }
+        // It restates its round's plan (bit-exactly; null = not finite).
+        if (row.has_plan && e.pred_gain != row.pred_gain &&
+            !(std::isnan(e.pred_gain) && std::isnan(row.pred_gain))) {
+          Fail(e.seq, "plan outcome pred_gain != its PlanChosen's");
+        }
+        row.has_outcome = true;
+        row.updates = e.count;
+        row.pred_gain = e.pred_gain;
+        row.actual_gain = e.actual_gain;
         break;
 
       case TraceEventKind::kMsgDelivered:
@@ -450,6 +550,11 @@ class Checker {
           Tally(&delivered_down_words_, e.words, e);
           ++delivered_down_msgs_;
         }
+        Tally(&report_.delivered_words, e.words, e);
+        // The delivered attempt completes a rejoin's resync RPC.
+        if (Is(e.label, MsgKindName(MsgKind::kResync))) {
+          rejoins_.erase(e.site);
+        }
         break;
 
       case TraceEventKind::kMsgDropped:
@@ -463,9 +568,12 @@ class Checker {
           Tally(&dropped_down_words_, e.words, e);
           ++dropped_down_msgs_;
         }
+        Tally(&report_.dropped_words, e.words, e);
+        Tally(&report_.round_rows[current_row_].dropped_words, e.words, e);
         break;
 
       case TraceEventKind::kSiteDown:
+        ++report_.site_downs;
         sim_mode_ = true;
         site_set_changed_ = true;
         if (!down_sites_.insert(e.site).second) {
@@ -476,11 +584,15 @@ class Checker {
 
       case TraceEventKind::kSiteResync:
         ++report_.resyncs;
+        ++row.resyncs;
+        Tally(&report_.resync_words, e.words, e);
         sim_mode_ = true;
         site_set_changed_ = true;
         CheckRound(e);
         // A rejoin ships a resync message; a reconfiguration ships none.
-        if (Is(e.reason, kReasonReconfig) && e.words != 0) {
+        if (Is(e.reason, kReasonRejoin)) {
+          PairResync(e);
+        } else if (e.words != 0) {
           Fail(e.seq, "reconfig resync with words");
         }
         if (down_sites_.erase(e.site) == 0) {
@@ -497,6 +609,7 @@ class Checker {
           Fail(e.seq, "alert \"" + rule + "\" re-raised for site " +
                           std::to_string(e.site) + " while already active");
         }
+        LogAlert(e);
         break;
       }
 
@@ -508,6 +621,7 @@ class Checker {
           Fail(e.seq, "alert \"" + rule + "\" cleared for site " +
                           std::to_string(e.site) + " without being raised");
         }
+        LogAlert(e);
         break;
       }
 
@@ -517,7 +631,15 @@ class Checker {
 
       case TraceEventKind::kRunEnd:
         report_.saw_run_end = true;
+        report_.run_events = e.count;
+        report_.run_up_words = e.up_words;
+        report_.run_down_words = e.down_words;
         if (e.count != e.seq) Fail(e.seq, "RunEnd events != its seq");
+        if (!rejoins_.empty()) {
+          Fail(e.seq, "rejoin resync to site " +
+                          std::to_string(rejoins_.begin()->first) +
+                          " never delivered");
+        }
         // Tree runs: every tier closed its ledger, and drift only reaches
         // the root through a complete chain of per-tier flushes — each
         // tier flushes the same updates as the root, in at least as many
@@ -525,25 +647,23 @@ class Checker {
         {
           int64_t prev_flushes = report_.flushes;
           for (size_t t = 1; t < endpoints_.size(); ++t) {
-            const TierTally& tally = tiers_[static_cast<int>(t)];
+            const TierRow& tally = report_.tier_rows[static_cast<int>(t)];
             const std::string tier = "tier " + std::to_string(t);
-            if (!tally.tier_end) Fail(e.seq, tier + " never emitted TierEnd");
+            if (!tally.closed) Fail(e.seq, tier + " never emitted TierEnd");
             if (tally.flushes < prev_flushes) {
               Fail(e.seq, tier + " saw " + std::to_string(tally.flushes) +
                               " drift flushes, fewer than the " +
                               std::to_string(prev_flushes) + " above it");
             }
-            if (tally.flushed_updates != flushed_updates_) {
+            if (tally.flush_updates != flushed_updates_) {
               Fail(e.seq, tier + " flushed " +
-                              std::to_string(tally.flushed_updates) +
+                              std::to_string(tally.flush_updates) +
                               " updates, the root " +
                               std::to_string(flushed_updates_));
             }
             prev_flushes = tally.flushes;
             Tally(&report_.tier_words, tally.up_words, e);
             Tally(&report_.tier_words, tally.down_words, e);
-            Tally(&report_.tier_up_words, tally.up_words, e);
-            Tally(&report_.tier_down_words, tally.down_words, e);
           }
         }
         if (e.up_words != up_words_ || e.down_words != down_words_) {
@@ -580,24 +700,25 @@ class Checker {
     }
   }
 
-  /// Per-tier ledger of a tree-topology run, keyed by tier (1 = the tier
-  /// just below the root).
-  struct TierTally {
-    int64_t up_words = 0, down_words = 0;
-    int64_t up_msgs = 0, down_msgs = 0;
-    int64_t flushes = 0;
-    int64_t flushed_updates = 0;
-    int64_t polled_units = 0;  ///< summed local-poll counters
-    bool tier_end = false;
-  };
+  void LogAlert(const TraceEvent& e) {
+    report_.alert_rows.push_back(
+        AlertRow{e.kind == TraceEventKind::kAlertRaised, e.label, e.site,
+                 e.round, e.value, e.theta,
+                 e.reason != nullptr ? e.reason : ""});
+  }
 
   ReplayReport report_;
   int64_t next_seq_ = 0;
+  int64_t lines_ = 0;   ///< lines read, blank ones aside
+  int64_t volume_ = 0;  ///< every count read (see Book)
+  bool overflowed_ = false;  ///< a ledger total saturated
+  size_t current_row_ = 0;  ///< ledger row of the latest RoundStart
   int k_ = 0;
   std::vector<int> endpoints_;  ///< per tier, from RunStart (empty before)
-  std::map<int, TierTally> tiers_;
   /// Words of the last unpaired drift-flush MsgSent, by (tier, site).
   std::map<std::pair<int, int>, int64_t> flush_words_;
+  /// Words of each rejoin's resync RPC until an attempt is delivered.
+  std::map<int, int64_t> rejoins_;
   int64_t flushed_updates_ = 0;  ///< root-tier DriftFlush updates
   bool sim_mode_ = false;        ///< any sim network event seen
   bool site_set_changed_ = false;  ///< any SiteDown/SiteResync seen
@@ -660,6 +781,18 @@ std::string ReplayReport::Summary() const {
   return out.str();
 }
 
+bool ReplayReport::SpanWords(int64_t* up, int64_t* down) const {
+  *up = run_up_words;
+  *down = run_down_words;
+  for (const auto& [id, tier] : tier_rows) {
+    if (__builtin_add_overflow(*up, tier.up_words, up) ||
+        __builtin_add_overflow(*down, tier.down_words, down)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 ReplayReport CheckTrace(std::istream& in) { return Checker().Run(in); }
 
 ReplayReport CheckTraceEvents(const std::vector<TraceEvent>& events) {
@@ -672,8 +805,9 @@ ReplayReport CheckTraceFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     ReplayReport report;
+    report.read_error = "cannot open " + path;
     report.issue_count = 1;
-    report.issues.push_back(ReplayIssue{-1, "cannot open " + path});
+    report.issues.push_back(ReplayIssue{-1, report.read_error});
     return report;
   }
   return CheckTrace(in);

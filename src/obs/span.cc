@@ -195,7 +195,6 @@ std::string SpanSink::ChromeTraceJson() const {
     w.Field("words", s.words);
     w.Field("count", s.count);
     w.Field("dir", static_cast<int64_t>(s.dir));
-    w.Field("queue", s.queue);
     w.Field("transit", s.transit);
     w.Field("drain", s.drain);
     if (s.tier != 0) w.Field("tier", static_cast<int64_t>(s.tier));
@@ -288,7 +287,6 @@ bool ParseSpanJson(const std::string& text, std::vector<ParsedSpan>* out,
     s.words = ArgInt(*args, "words");
     s.count = ArgInt(*args, "count");
     s.dir = static_cast<int>(ArgInt(*args, "dir"));
-    s.queue = ArgInt(*args, "queue");
     s.transit = ArgInt(*args, "transit");
     s.drain = ArgInt(*args, "drain");
     s.tier = static_cast<int>(ArgInt(*args, "tier"));

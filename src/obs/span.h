@@ -61,7 +61,6 @@ struct Span {
   int64_t words = 0;   ///< charged wire words (kMsg/kDatagram: exact)
   int64_t count = 0;   ///< attempts (kRpc)
   int dir = 0;         ///< +1 coordinator → site, -1 site → coordinator
-  int64_t queue = 0;   ///< ticks queued before transit (always 0)
   int64_t transit = 0; ///< ticks on the wire (the sampled latency)
   int64_t drain = 0;   ///< ticks between arrival and the protocol drain
   /// Tree topologies (src/hier): the tier whose machinery this span
@@ -160,7 +159,6 @@ struct ParsedSpan {
   int64_t words = 0;
   int64_t count = 0;
   int dir = 0;
-  int64_t queue = 0;
   int64_t transit = 0;
   int64_t drain = 0;
   int tier = 0;  ///< tree tier (src/hier); 0 = root star / flat run

@@ -6,8 +6,8 @@
 #
 #   cmake -DTRACE_CHECK=path/to/trace_check -DFGM_REPORT=path/to/fgm_report \
 #         -DFLAT=obs_fgm_trace.jsonl -DFGMO=obs_fgmo_trace.jsonl \
-#         -DTREE=hier_tree_trace.jsonl -DOUT_DIR=some/dir \
-#         -P hostile_trace_check.cmake
+#         -DTREE=hier_tree_trace.jsonl -DREJOIN=sim_rejoin_trace.jsonl \
+#         -DOUT_DIR=some/dir -P hostile_trace_check.cmake
 
 # Writes `trace` with `"key":<value>` on the first line of kind `ev` that
 # holds `key` set to `value`, then runs the tools on it. With `report`,
@@ -46,7 +46,7 @@ endfunction()
 # Edits a lenient reader once filled with a default and certified.
 expect_rejected(${FLAT} MsgSent msg "\"x\"" FALSE)
 expect_rejected(${FLAT} MsgSent site -1 FALSE)
-expect_rejected(${FLAT} DriftFlush words 9223372036854775807 FALSE)
+expect_rejected(${FLAT} DriftFlush words 9223372036854775807 TRUE)
 expect_rejected(${FLAT} IncrementMsg subround "\"x\"" FALSE)
 # Ids and rounds fgm_report once sized a table by (std::bad_alloc, or
 # std::length_error, and an abort).
@@ -55,3 +55,8 @@ expect_rejected(${FGMO} IncrementMsg site 1000000000 TRUE)
 expect_rejected(${FGMO} SubroundStart round 4000000000 TRUE)
 expect_rejected(${FGMO} PlanChosen round 9223372036854775807 TRUE)
 expect_rejected(${TREE} DriftFlush tier 2000000000 TRUE)
+# Rules that pair one event with another: a rejoin's resync words with
+# the message that ships them, and a PlanOutcome's pred_gain with its
+# PlanChosen's (which only fgm_report once compared).
+expect_rejected(${REJOIN} SiteResync words 7 FALSE)
+expect_rejected(${FGMO} PlanOutcome pred_gain 123.5 TRUE)

@@ -156,20 +156,135 @@ TEST(ReplayChecker, DetectsTamperedPlanOutcomeWords) {
   EXPECT_FALSE(report.ok()) << "tampered PlanOutcome words must be detected";
 }
 
+// An outcome's actual_gain is updates - words, and its pred_gain restates
+// its round's PlanChosen.
 TEST(ReplayChecker, DetectsTamperedPlanOutcomeGain) {
   const std::string path = ::testing::TempDir() + "/replay_plan_gain.jsonl";
   const RunConfig config = SmallRun(ProtocolKind::kFgmOpt, path);
   ::fgm::Run(config, SmallTrace(config.sites));
 
+  for (const char* field : {"actual_gain", "pred_gain"}) {
+    bool corrupted = false;
+    const std::string tampered =
+        TamperFirst(path, "PlanOutcome", field, "12345.5", &corrupted);
+    ASSERT_TRUE(corrupted) << field;
+    std::istringstream in(tampered);
+    const ReplayReport report = CheckTrace(in);
+    EXPECT_FALSE(report.ok()) << field;
+    EXPECT_TRUE(report.read_error.empty()) << report.read_error;
+  }
+  std::remove(path.c_str());
+}
+
+// The run ledger booked in the replay's one pass re-adds to the run's own
+// totals: rounds, words by direction and kind, flushes and the plan audit.
+TEST(ReplayLedger, RestatesTheRunTotals) {
+  const std::string path = ::testing::TempDir() + "/replay_ledger.jsonl";
+  const RunConfig config = SmallRun(ProtocolKind::kFgmOpt, path);
+  const RunResult result = ::fgm::Run(config, SmallTrace(config.sites));
+
+  const ReplayReport report = CheckTraceFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(report.ok()) << report.Summary();
+  EXPECT_TRUE(report.read_error.empty()) << report.read_error;
+  EXPECT_EQ(report.protocol, "FGM/O");
+  EXPECT_EQ(report.k, config.sites);
+  EXPECT_EQ(report.last_round(), result.rounds);
+  EXPECT_EQ(report.run_up_words, result.traffic.upstream_words);
+  EXPECT_EQ(report.run_down_words, result.traffic.downstream_words);
+
+  int64_t up = 0, down = 0, msgs = 0, subrounds = 0, plans = 0, outcomes = 0;
+  TrafficStats by_kind;
+  for (const RoundRow& r : report.round_rows) {
+    up += r.up_words;
+    down += r.down_words;
+    msgs += r.msgs;
+    subrounds += r.subrounds;
+    plans += r.has_plan ? 1 : 0;
+    outcomes += r.has_outcome ? 1 : 0;
+    for (size_t i = 0; i < r.words_by_kind.size(); ++i) {
+      by_kind.words_by_kind[i] += r.words_by_kind[i];
+    }
+  }
+  EXPECT_EQ(up, result.traffic.upstream_words);
+  EXPECT_EQ(down, result.traffic.downstream_words);
+  EXPECT_EQ(by_kind.words_by_kind, result.traffic.words_by_kind);
+  EXPECT_EQ(msgs, report.messages);
+  EXPECT_EQ(subrounds, result.subrounds);
+  EXPECT_EQ(plans, report.plans);
+  EXPECT_EQ(outcomes, report.plan_outcomes);
+
+  int64_t flushes = 0, increments = 0;
+  for (const auto& [site, s] : report.site_rows) {
+    EXPECT_LT(site, config.sites);
+    flushes += s.flushes;
+    increments += s.increments;
+  }
+  EXPECT_EQ(flushes, report.flushes);
+  EXPECT_EQ(increments, report.increments);
+}
+
+// The first line the ledger cannot book is named, and fails the replay.
+TEST(ReplayLedger, ReadErrorNamesTheFirstUnbookableLine) {
+  const std::string path = ::testing::TempDir() + "/replay_unbookable.jsonl";
+  const RunConfig config = SmallRun(ProtocolKind::kFgm, path);
+  ::fgm::Run(config, SmallTrace(config.sites));
+
   bool corrupted = false;
   const std::string tampered =
-      TamperFirst(path, "PlanOutcome", "actual_gain", "12345.5", &corrupted);
+      TamperFirst(path, "SubroundStart", "round", "99", &corrupted);
+  ASSERT_TRUE(corrupted);
+  // Counts that sum past INT64_MAX, which no sum of ledger entries may.
+  const std::string overflow = TamperFirst(
+      path, "DriftFlush", "words", "9223372036854775807", &corrupted);
   std::remove(path.c_str());
   ASSERT_TRUE(corrupted);
-
-  std::istringstream in(tampered);
-  const ReplayReport report = CheckTrace(in);
-  EXPECT_FALSE(report.ok()) << "actual_gain must equal updates - words";
+  std::istringstream lines(tampered);
+  std::string line;
+  int64_t n = 1;
+  while (std::getline(lines, line) &&
+         line.find("\"ev\":\"SubroundStart\"") == std::string::npos) {
+    ++n;
+  }
+  {
+    std::istringstream in(tampered);
+    const ReplayReport report = CheckTrace(in);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.read_error, "line " + std::to_string(n) +
+                                     ": round 99 has no RoundStart");
+  }
+  {
+    std::istringstream in("\n" + tampered.substr(0, tampered.find('\n')) +
+                          "\nnot json\n");
+    const ReplayReport report = CheckTrace(in);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.read_error.rfind("line 2: ", 0), 0u) << report.read_error;
+  }
+  {
+    std::istringstream in(overflow);
+    const ReplayReport report = CheckTrace(in);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.read_error.find(": counts overflow int64"),
+              std::string::npos)
+        << report.read_error;
+  }
+  // Before the first RoundStart every event names round 0, so a trace
+  // the ledger cannot book never certifies.
+  std::vector<TraceEvent> events(3);
+  events[0].k = config.sites;
+  events[0].label = "FGM";
+  events[1].kind = TraceEventKind::kThresholdCross;
+  events[1].seq = 1;
+  events[1].label = kReasonLocalViolation;
+  events[1].value = 1.0;
+  events[2].kind = TraceEventKind::kRunEnd;
+  events[2].seq = 2;
+  events[2].count = 2;
+  EXPECT_TRUE(CheckTraceEvents(events).ok());
+  events[1].round = 3;
+  const ReplayReport early = CheckTraceEvents(events);
+  EXPECT_FALSE(early.ok());
+  EXPECT_EQ(early.read_error, "line 2: round 3 has no RoundStart");
 }
 
 TEST(ReplayChecker, DetectsTamperedCounterTotal) {
@@ -207,9 +322,10 @@ TEST(ReplayChecker, DetectsTamperedCounterTotal) {
 }
 
 TEST(ReplayChecker, MissingFileIsAnIssue) {
-  const ReplayReport report =
-      CheckTraceFile(::testing::TempDir() + "/no_such_trace.jsonl");
+  const std::string path = ::testing::TempDir() + "/no_such_trace.jsonl";
+  const ReplayReport report = CheckTraceFile(path);
   EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.read_error, "cannot open " + path);
 }
 
 }  // namespace

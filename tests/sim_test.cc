@@ -213,6 +213,24 @@ TEST(FaultPlans, CrashRejoinWithinDeadlineResyncsTheSite) {
   const ReplayReport report = Recheck(out);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.resyncs, 1);
+
+  // The rejoin's SiteResync announces the words of the resync message
+  // that ships them; every attempt of that message must restate them.
+  SimRunOutput edited = out;
+  size_t i = 0;
+  while (i < edited.trace_lines.size() &&
+         edited.trace_lines[i].find("\"reason\":\"rejoin\"") ==
+             std::string::npos) {
+    ++i;
+  }
+  ASSERT_LT(i, edited.trace_lines.size()) << "no rejoin SiteResync";
+  TraceEvent e;
+  std::string error;
+  ASSERT_TRUE(ParseTraceEventJson(edited.trace_lines[i], &e, &error)) << error;
+  ASSERT_EQ(e.kind, TraceEventKind::kSiteResync);
+  ++e.words;
+  edited.trace_lines[i] = JsonlTraceSink::EventJson(e);
+  EXPECT_FALSE(Recheck(edited).ok());
 }
 
 TEST(FaultPlans, CrashPastDeadlineDegradesToReducedKAndRecovers) {

@@ -156,6 +156,24 @@ TEST(SpanExport, ParserRejectsAnEntryWithoutAViewerField) {
   }
 }
 
+// Older span files carry an always-0 "queue" arg; they still parse.
+TEST(SpanExport, ParserAcceptsTheRetiredQueueArg) {
+  SpanSink sink;
+  sink.Begin(SpanKind::kRun);
+  sink.CloseAll(nullptr);
+  std::string text = sink.ChromeTraceJson();
+  EXPECT_EQ(text.find("\"queue\""), std::string::npos);
+  const size_t at = text.find("\"transit\":");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "\"queue\":0,");
+  std::vector<ParsedSpan> parsed;
+  std::string error;
+  ASSERT_TRUE(ParseSpanJson(text, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].kind, "run");
+  EXPECT_TRUE(parsed[0].closed);
+}
+
 TEST(SpanCheck, FlagsOpenSpansContainmentAndWordMismatch) {
   SpanSink sink;
   sink.Begin(SpanKind::kRun);

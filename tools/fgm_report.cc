@@ -13,28 +13,31 @@
 // 3k+1-word subround budget. With --json_out the same report is written
 // as machine-readable JSON.
 //
-// The three files describe one run three ways, so the report cross-checks
-// them against each other bit-exactly (the trace_check discipline):
+// The trace is read once, by the replay checker (obs/replay.h): one pass
+// certifies it, exactly as trace_check does, and books the run ledger
+// (per round, site and tier; network tallies; the alert log) that every
+// table here renders, so the input may be a pipe. The three files
+// describe one run three ways, so the report cross-checks them against
+// each other bit-exactly (the trace_check discipline):
 //
-//  * the trace replays clean through obs/replay.h, which also certifies
-//    the MsgSent ledger against RunEnd and each PlanOutcome's words and
-//    gain; the report adds that RunEnd is present and that each
-//    PlanOutcome restates its PlanChosen's predicted gain;
+//  * the trace replays clean and reaches its RunEnd;
 //  * metrics.json's run totals and words_by_kind equal the trace's;
 //  * every time-series round sample's cumulative and per-round word counts
 //    (total and per message kind), subround count and plan-audit numbers
-//    equal the values recomputed from the trace.
+//    equal the ledger's.
 //
 // --spans adds the causal-span file (--spans_out, obs/span.h) as a fourth
 // view: the span invariants must hold (every span closed, children inside
 // their parents) and the per-direction msg/datagram span word sums must
-// equal the trace's RunEnd totals. The report then prints a critical-path
+// equal the trace's RunEnd totals plus its TierEnd ledgers, the target
+// trace_check takes too. The report then prints a critical-path
 // summary: the run's time split (rounds, network) and, per subround,
 // which site's RPC or datagram gated progress — aggregated into a top-N
 // straggler table with retransmit counts.
 //
-// Exit: 0 = all checks pass, 1 = a cross-check failed (suppress with
-// --check=false), 2 = usage / file / parse error.
+// Exit: 0 = all checks pass, 1 = the replay or a cross-check failed
+// (suppress with --check=false), 2 = usage / file / parse error, or a
+// trace line the ledger cannot book (reported as "line N: ...").
 
 #include <algorithm>
 #include <array>
@@ -42,9 +45,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,7 +54,6 @@
 #include "obs/json.h"
 #include "obs/replay.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -86,313 +86,10 @@ std::string Format(const char* fmt, ...) {
   return buf;
 }
 
-/// Everything the report recomputes for one protocol round. MsgSent
-/// events are attributed to the round whose RoundStart most recently
-/// preceded them in the stream; the plan-audit events carry their round
-/// explicitly.
-struct RoundStats {
-  int64_t round = 0;
-  int64_t msgs = 0;
-  int64_t up_words = 0;
-  int64_t down_words = 0;
-  std::array<int64_t, kKinds> words_by_kind{};
-  int64_t subrounds = 0;
-  int64_t rebalances = 0;
-  int64_t net_dropped_words = 0;  ///< sim MsgDropped words in this round
-  int64_t resyncs = 0;            ///< sim SiteResync events in this round
-  double psi_start = 0.0;
-
-  bool has_plan = false;  ///< saw PlanChosen
-  int64_t full_sites = 0;
-  double pred_len = 0.0;
-  double pred_gain = 0.0;
-  double pred_rate = 0.0;
-
-  bool has_outcome = false;  ///< saw PlanOutcome
-  int64_t updates = 0;
-  double outcome_pred_gain = 0.0;
-  double actual_gain = 0.0;
-
-  int64_t words() const { return up_words + down_words; }
-};
-
-struct SiteStats {
-  int64_t flush_words = 0;
-  int64_t flush_updates = 0;
-  int64_t flushes = 0;
-  int64_t increments = 0;
-};
-
-/// One aggregator tier of a tree-topology run (tier 1 = just below the
-/// root). Words/messages come from the tier's TierEnd ledger; flushes,
-/// local polls and the composed-ψ range are tallied from the individual
-/// tier-stamped events.
-struct TierStats {
-  int endpoints = 0;  ///< child endpoints of this tier's links
-  int64_t up_words = 0, down_words = 0;
-  int64_t up_msgs = 0, down_msgs = 0;
-  int64_t flushes = 0;
-  int64_t flush_words = 0;
-  int64_t local_polls = 0;
-  bool has_psi = false;
-  double min_psi = 0.0;  ///< most negative polled subtree sum
-  double max_psi = 0.0;  ///< closest-to-zero polled subtree sum
-};
-
-/// One health-monitor alert transition (obs/health.h), as traced.
-struct AlertEvent {
-  bool raised = false;  ///< true = AlertRaised, false = AlertCleared
-  std::string rule;
-  int site = -1;  ///< -1 = run-global rule
-  int64_t round = 0;
-  double value = 0.0;
-  double threshold = 0.0;
-  std::string reason;
-};
-
-/// The whole trace, re-aggregated. rounds[0] is a pre-round bucket for
-/// messages sent before the first RoundStart (empty for FGM; CENTRAL has
-/// no rounds at all); rounds[r] is protocol round r. Only a RoundStart
-/// adds a row, and sites and tiers are keyed by id, so no table is sized
-/// by a number read from the file.
-struct TraceSummary {
-  std::string protocol = "?";
-  int k = 0;
-  int64_t lines = 0;
-  std::vector<RoundStats> rounds = std::vector<RoundStats>(1);
-  std::map<int, SiteStats> sites;
-
-  // Simulated-network tallies (src/sim); all zero on synchronous runs and
-  // in the simulator's null mode (which suppresses network events).
-  int64_t net_delivered_msgs = 0;
-  int64_t net_delivered_words = 0;
-  int64_t net_dropped_msgs = 0;
-  int64_t net_dropped_words = 0;
-  int64_t net_site_downs = 0;
-  int64_t net_resyncs = 0;
-  int64_t net_resync_words = 0;
-
-  // Health-monitor alert transitions (obs/health.h), in trace order.
-  std::vector<AlertEvent> alerts;
-  int64_t alerts_raised = 0;
-  int64_t alerts_cleared = 0;
-
-  // Tree-topology runs (src/hier): the RunStart spec string ("tree:16"),
-  // the leaf count, and one TierStats per aggregator tier. All empty on
-  // flat runs.
-  std::string topology;
-  int64_t leaves = 0;
-  std::map<int, TierStats> tiers;
-
-  bool has_tiers() const { return !tiers.empty(); }
-
-  bool has_net() const {
-    return net_delivered_msgs + net_dropped_msgs + net_site_downs +
-               net_resyncs >
-           0;
-  }
-
-  bool saw_run_end = false;
-  int64_t run_events = 0;  ///< RunEnd's count: total trace events emitted
-  int64_t run_up_words = 0;
-  int64_t run_down_words = 0;
-
-  /// Completed-round count = highest round number seen.
-  int64_t last_round() const { return rounds.back().round; }
-};
-
-/// Maps a MsgSent label back to its MsgKind slot; -1 for unknown labels.
-int KindIndex(const char* label) {
-  if (label == nullptr) return -1;
-  for (int i = 0; i < kKinds; ++i) {
-    if (std::strcmp(label, fgm::MsgKindName(static_cast<fgm::MsgKind>(i))) ==
-        0) {
-      return i;
-    }
-  }
-  return -1;
-}
-
-bool ReadTrace(const std::string& path, TraceSummary* out,
-               std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::string line;
-  int64_t current_round = 0;  // bucket 0 until the first RoundStart
-  // Each event's counts also go into `volume`, once: a volume past
-  // INT64_MAX fails the read, so no sum the report takes can overflow.
-  int64_t volume = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    fgm::TraceEvent e;
-    std::string parse_error;
-    if (!fgm::ParseTraceEventJson(line, &e, &parse_error)) {
-      *error = Format("line %lld: %s", static_cast<long long>(out->lines + 1),
-                      parse_error.c_str());
-      return false;
-    }
-    ++out->lines;
-    if (e.kind == fgm::TraceEventKind::kRoundStart &&
-        e.round == static_cast<int64_t>(out->rounds.size())) {
-      out->rounds.emplace_back().round = e.round;
-    }
-    if (e.round >= static_cast<int64_t>(out->rounds.size())) {
-      *error = Format("line %lld: round %lld has no RoundStart",
-                      static_cast<long long>(out->lines),
-                      static_cast<long long>(e.round));
-      return false;
-    }
-    if (__builtin_add_overflow(volume, e.words, &volume) ||
-        __builtin_add_overflow(volume, e.count, &volume) ||
-        __builtin_add_overflow(volume, e.up_words, &volume) ||
-        __builtin_add_overflow(volume, e.down_words, &volume)) {
-      *error = Format("line %lld: counts overflow int64",
-                      static_cast<long long>(out->lines));
-      return false;
-    }
-    RoundStats& round = out->rounds[static_cast<size_t>(e.round)];
-    // Tier-stamped events (src/hier aggregator tiers) never touch the flat
-    // per-round/per-site tables; they only feed the tier tallies. This
-    // mirrors the replay checker's routing (obs/replay.cc).
-    if (e.tier != 0) {
-      TierStats& t = out->tiers[e.tier];
-      switch (e.kind) {
-        case fgm::TraceEventKind::kSubroundEnd: {
-          // An aggregator's local poll: e.psi is the polled subtree sum.
-          ++t.local_polls;
-          if (!t.has_psi || e.psi < t.min_psi) t.min_psi = e.psi;
-          if (!t.has_psi || e.psi > t.max_psi) t.max_psi = e.psi;
-          t.has_psi = true;
-          break;
-        }
-        case fgm::TraceEventKind::kDriftFlush:
-          ++t.flushes;
-          t.flush_words += e.words;
-          break;
-        case fgm::TraceEventKind::kTierEnd:
-          t.endpoints = e.k;
-          t.up_words = e.up_words;
-          t.down_words = e.down_words;
-          t.up_msgs = e.up_msgs;
-          t.down_msgs = e.down_msgs;
-          break;
-        default:
-          break;  // kMsgSent etc. already summed by the TierEnd ledger
-      }
-      continue;
-    }
-    switch (e.kind) {
-      case fgm::TraceEventKind::kRunStart:
-        out->protocol = e.label;
-        out->k = e.k;
-        if (e.reason != nullptr) {
-          out->topology = e.reason;
-          out->leaves = e.counter;
-        }
-        break;
-      case fgm::TraceEventKind::kRoundStart:
-        current_round = e.round;
-        round.psi_start = e.psi;
-        break;
-      case fgm::TraceEventKind::kSubroundStart:
-        ++round.subrounds;
-        break;
-      case fgm::TraceEventKind::kSubroundEnd:
-        break;
-      case fgm::TraceEventKind::kIncrementMsg:
-        ++out->sites[e.site].increments;
-        break;
-      case fgm::TraceEventKind::kDriftFlush: {
-        SiteStats& s = out->sites[e.site];
-        ++s.flushes;
-        s.flush_words += e.words;
-        s.flush_updates += e.count;
-        break;
-      }
-      case fgm::TraceEventKind::kRebalance:
-        ++round.rebalances;
-        break;
-      case fgm::TraceEventKind::kThresholdCross:
-        break;
-      case fgm::TraceEventKind::kMsgSent: {
-        RoundStats& r = out->rounds[static_cast<size_t>(current_round)];
-        ++r.msgs;
-        if (e.dir > 0) {
-          r.up_words += e.words;
-        } else {
-          r.down_words += e.words;
-        }
-        const int kind = KindIndex(e.label);
-        if (kind >= 0) r.words_by_kind[static_cast<size_t>(kind)] += e.words;
-        break;
-      }
-      case fgm::TraceEventKind::kPlanChosen:
-        round.has_plan = true;
-        round.full_sites = e.counter;
-        round.pred_len = e.pred_len;
-        round.pred_gain = e.pred_gain;
-        round.pred_rate = e.pred_rate;
-        break;
-      case fgm::TraceEventKind::kPlanSite:
-        break;
-      case fgm::TraceEventKind::kPlanOutcome:
-        round.has_outcome = true;
-        round.updates = e.count;
-        round.outcome_pred_gain = e.pred_gain;
-        round.actual_gain = e.actual_gain;
-        break;
-      case fgm::TraceEventKind::kMsgDelivered:
-        ++out->net_delivered_msgs;
-        out->net_delivered_words += e.words;
-        break;
-      case fgm::TraceEventKind::kMsgDropped:
-        ++out->net_dropped_msgs;
-        out->net_dropped_words += e.words;
-        out->rounds[static_cast<size_t>(current_round)].net_dropped_words +=
-            e.words;
-        break;
-      case fgm::TraceEventKind::kSiteDown:
-        ++out->net_site_downs;
-        break;
-      case fgm::TraceEventKind::kSiteResync:
-        ++out->net_resyncs;
-        out->net_resync_words += e.words;
-        ++round.resyncs;
-        break;
-      case fgm::TraceEventKind::kAlertRaised:
-      case fgm::TraceEventKind::kAlertCleared: {
-        AlertEvent a;
-        a.raised = e.kind == fgm::TraceEventKind::kAlertRaised;
-        a.rule = e.label;
-        a.site = e.site;
-        a.round = e.round;
-        a.value = e.value;
-        a.threshold = e.theta;
-        a.reason = e.reason != nullptr ? e.reason : "";
-        out->alerts.push_back(a);
-        if (a.raised) {
-          ++out->alerts_raised;
-        } else {
-          ++out->alerts_cleared;
-        }
-        break;
-      }
-      case fgm::TraceEventKind::kRunEnd:
-        out->saw_run_end = true;
-        out->run_events = e.count;
-        out->run_up_words = e.up_words;
-        out->run_down_words = e.down_words;
-        break;
-      case fgm::TraceEventKind::kTierEnd:
-        break;  // unreachable in valid traces: TierEnd is always tier-stamped
-      case fgm::TraceEventKind::kKindCount:
-        break;
-    }
-  }
-  return true;
+/// Whether the trace carries simulated-network events (src/sim); the
+/// simulator's null mode emits none.
+bool HasNet(const fgm::ReplayReport& t) {
+  return t.deliveries + t.drops + t.site_downs + t.resyncs > 0;
 }
 
 bool ReadJsonFile(const std::string& path, fgm::JsonNode* out,
@@ -429,21 +126,9 @@ struct Checker {
   bool ok() const { return failures.empty(); }
 };
 
-/// Trace-internal checks the replay checker does not make: the trace
-/// reached RunEnd, and every PlanOutcome restates its PlanChosen's
-/// predicted gain.
-void CheckTraceInternal(const TraceSummary& t, Checker* c) {
-  c->Expect(t.saw_run_end, "trace has no RunEnd event");
-  for (const RoundStats& r : t.rounds) {
-    if (!r.has_outcome || !r.has_plan) continue;
-    c->ExpectEqDouble(r.outcome_pred_gain, r.pred_gain,
-                      Format("round %lld PlanOutcome pred_gain vs PlanChosen",
-                             static_cast<long long>(r.round)));
-  }
-}
-
 /// metrics.json carries the same run totals the trace's RunEnd does.
-void CheckMetrics(const TraceSummary& t, const fgm::JsonNode& m, Checker* c) {
+void CheckMetrics(const fgm::ReplayReport& t, const fgm::JsonNode& m,
+                  Checker* c) {
   const fgm::JsonNode* run = m.Find("run");
   c->Expect(run != nullptr, "metrics.json has no \"run\" object");
   if (run == nullptr) return;
@@ -463,22 +148,22 @@ void CheckMetrics(const TraceSummary& t, const fgm::JsonNode& m, Checker* c) {
   // mode suppresses network events, so only compare when the trace has
   // them.
   const fgm::JsonNode* net = m.Find("net");
-  if (net != nullptr && t.has_net()) {
+  if (net != nullptr && HasNet(t)) {
     auto net_int = [&](const char* name) {
       const fgm::JsonNode* v = net->Find(name);
       return v != nullptr ? v->AsInt() : -1;
     };
-    c->ExpectEqInt(net_int("delivered_msgs"), t.net_delivered_msgs,
+    c->ExpectEqInt(net_int("delivered_msgs"), t.deliveries,
                    "metrics net.delivered_msgs vs trace MsgDelivered count");
-    c->ExpectEqInt(net_int("delivered_words"), t.net_delivered_words,
+    c->ExpectEqInt(net_int("delivered_words"), t.delivered_words,
                    "metrics net.delivered_words vs trace MsgDelivered words");
-    c->ExpectEqInt(net_int("dropped_msgs"), t.net_dropped_msgs,
+    c->ExpectEqInt(net_int("dropped_msgs"), t.drops,
                    "metrics net.dropped_msgs vs trace MsgDropped count");
-    c->ExpectEqInt(net_int("dropped_words"), t.net_dropped_words,
+    c->ExpectEqInt(net_int("dropped_words"), t.dropped_words,
                    "metrics net.dropped_words vs trace MsgDropped words");
-    c->ExpectEqInt(net_int("site_downs"), t.net_site_downs,
+    c->ExpectEqInt(net_int("site_downs"), t.site_downs,
                    "metrics net.site_downs vs trace SiteDown count");
-    c->ExpectEqInt(net_int("resyncs"), t.net_resyncs,
+    c->ExpectEqInt(net_int("resyncs"), t.resyncs,
                    "metrics net.resyncs vs trace SiteResync count");
   }
   const fgm::JsonNode* by_kind = m.Find("words_by_kind");
@@ -487,7 +172,7 @@ void CheckMetrics(const TraceSummary& t, const fgm::JsonNode& m, Checker* c) {
     for (int i = 0; i < kKinds; ++i) {
       const char* name = fgm::MsgKindName(static_cast<fgm::MsgKind>(i));
       int64_t trace_sum = 0;
-      for (const RoundStats& r : t.rounds) {
+      for (const fgm::RoundRow& r : t.round_rows) {
         trace_sum += r.words_by_kind[static_cast<size_t>(i)];
       }
       const fgm::JsonNode* v = by_kind->Find(name);
@@ -503,7 +188,7 @@ void CheckMetrics(const TraceSummary& t, const fgm::JsonNode& m, Checker* c) {
 
 /// Every retained round sample must restate the trace's per-round and
 /// cumulative ledgers bit-exactly (same booking instants by construction).
-void CheckTimeSeries(const TraceSummary& t, const fgm::JsonNode& ts,
+void CheckTimeSeries(const fgm::ReplayReport& t, const fgm::JsonNode& ts,
                      Checker* c, int64_t* round_samples,
                      int64_t* interval_samples) {
   const fgm::JsonNode* samples = ts.Find("samples");
@@ -513,18 +198,18 @@ void CheckTimeSeries(const TraceSummary& t, const fgm::JsonNode& ts,
 
   // Cumulative word prefix sums per round, matching the protocol's booking
   // instants (prefix[r] = words shipped through the end of round r).
-  const size_t n = t.rounds.size();
+  const size_t n = t.round_rows.size();
   std::vector<int64_t> prefix_words(n, 0);
   std::vector<std::array<int64_t, kKinds>> prefix_kind(n);
   std::vector<int64_t> prefix_subrounds(n, 0);
   int64_t acc = 0, acc_sub = 0;
   std::array<int64_t, kKinds> acc_kind{};
   for (size_t r = 0; r < n; ++r) {
-    acc += t.rounds[r].words();
-    acc_sub += t.rounds[r].subrounds;
+    acc += t.round_rows[r].words();
+    acc_sub += t.round_rows[r].subrounds;
     for (int i = 0; i < kKinds; ++i) {
       acc_kind[static_cast<size_t>(i)] +=
-          t.rounds[r].words_by_kind[static_cast<size_t>(i)];
+          t.round_rows[r].words_by_kind[static_cast<size_t>(i)];
     }
     prefix_words[r] = acc;
     prefix_kind[r] = acc_kind;
@@ -553,7 +238,7 @@ void CheckTimeSeries(const TraceSummary& t, const fgm::JsonNode& ts,
     c->Expect(round >= 1 && static_cast<size_t>(round) < n,
               tag + " out of trace range");
     if (round < 1 || static_cast<size_t>(round) >= n) continue;
-    const RoundStats& r = t.rounds[static_cast<size_t>(round)];
+    const fgm::RoundRow& r = t.round_rows[static_cast<size_t>(round)];
     c->ExpectEqInt(s.Find("round_words") ? s.Find("round_words")->AsInt() : -1,
                    r.words(), tag + " round_words vs trace");
     c->ExpectEqInt(s.Find("total_words") ? s.Find("total_words")->AsInt() : -1,
@@ -591,7 +276,7 @@ void CheckTimeSeries(const TraceSummary& t, const fgm::JsonNode& ts,
           r.actual_gain, tag + " actual_gain vs PlanOutcome");
       c->ExpectEqDouble(
           s.Find("pred_gain") ? s.Find("pred_gain")->AsDouble() : 0.0,
-          r.outcome_pred_gain, tag + " pred_gain vs PlanOutcome");
+          r.pred_gain, tag + " pred_gain vs PlanOutcome");
     }
     if (r.has_plan) {
       c->ExpectEqInt(
@@ -604,21 +289,20 @@ void CheckTimeSeries(const TraceSummary& t, const fgm::JsonNode& ts,
 // ---------------------------------------------------------------------------
 // Report rendering.
 
-void PrintHeader(const std::string& path, const TraceSummary& t) {
+void PrintHeader(const std::string& path, const fgm::ReplayReport& t) {
   fgm::PrintBanner("FGM run report: " + path);
-  int64_t msgs = 0;
-  for (const RoundStats& r : t.rounds) msgs += r.msgs;
   std::printf(
       "protocol %s  k=%d  trace-events=%lld  rounds=%lld  messages=%lld\n"
       "words: total=%lld  upstream=%lld  downstream=%lld\n",
       t.protocol.c_str(), t.k, static_cast<long long>(t.run_events),
-      static_cast<long long>(t.last_round()), static_cast<long long>(msgs),
+      static_cast<long long>(t.last_round()),
+      static_cast<long long>(t.messages),
       static_cast<long long>(t.run_up_words + t.run_down_words),
       static_cast<long long>(t.run_up_words),
       static_cast<long long>(t.run_down_words));
 }
 
-void PrintRoundTable(const TraceSummary& t, int64_t max_rounds) {
+void PrintRoundTable(const fgm::ReplayReport& t, int64_t max_rounds) {
   if (t.last_round() == 0) return;
   fgm::PrintBanner("Per-round communication");
   fgm::TablePrinter table({"round", "subr", "rebal", "msgs", "words", "up",
@@ -631,8 +315,8 @@ void PrintRoundTable(const TraceSummary& t, int64_t max_rounds) {
                 static_cast<long long>(t.last_round() - first + 1),
                 static_cast<long long>(t.last_round()));
   }
-  for (size_t i = static_cast<size_t>(first); i < t.rounds.size(); ++i) {
-    const RoundStats& r = t.rounds[i];
+  for (size_t i = static_cast<size_t>(first); i < t.round_rows.size(); ++i) {
+    const fgm::RoundRow& r = t.round_rows[i];
     auto kind = [&r](fgm::MsgKind k) {
       return fgm::TablePrinter::Cell(
           r.words_by_kind[static_cast<size_t>(k)]);
@@ -659,13 +343,13 @@ void PrintRoundTable(const TraceSummary& t, int64_t max_rounds) {
   table.Print();
 }
 
-void PrintSiteSkew(const TraceSummary& t) {
-  if (t.sites.empty()) return;
+void PrintSiteSkew(const fgm::ReplayReport& t) {
+  if (t.site_rows.empty()) return;
   fgm::PrintBanner("Site skew (drift flushes)");
   int64_t total_updates = 0, total_words = 0;
   int64_t max_updates = 0, max_words = 0;
   int hot_updates = -1, hot_words = -1;
-  for (const auto& [site, s] : t.sites) {
+  for (const auto& [site, s] : t.site_rows) {
     total_updates += s.flush_updates;
     total_words += s.flush_words;
     if (s.flush_updates > max_updates) {
@@ -679,7 +363,7 @@ void PrintSiteSkew(const TraceSummary& t) {
   }
   // The mean is over every site RunStart announced, flushed or not (more
   // only when the trace names a site past k, which fails its replay).
-  const size_t sites = std::max(static_cast<size_t>(t.k), t.sites.size());
+  const size_t sites = std::max(static_cast<size_t>(t.k), t.site_rows.size());
   const double n = static_cast<double>(sites);
   std::printf(
       "sites=%zu  flushed updates: mean=%.1f max=%lld (site %d, %.2fx mean)\n"
@@ -694,18 +378,18 @@ void PrintSiteSkew(const TraceSummary& t) {
       hot_words);
 }
 
-void PrintOptimizerAudit(const TraceSummary& t, int64_t max_rounds) {
+void PrintOptimizerAudit(const fgm::ReplayReport& t, int64_t max_rounds) {
   int64_t outcomes = 0;
-  for (const RoundStats& r : t.rounds) outcomes += r.has_outcome ? 1 : 0;
+  for (const fgm::RoundRow& r : t.round_rows) outcomes += r.has_outcome ? 1 : 0;
   if (outcomes == 0) return;
   fgm::PrintBanner("FGM/O plan audit: predicted vs actual gain");
   fgm::TablePrinter table({"round", "full", "pred_len", "pred_gain",
                            "actual_gain", "abs_err", "rel_err"});
   double sum_abs = 0.0, sum_rel = 0.0, max_abs = 0.0;
   int64_t shown = 0, audited = 0;
-  for (const RoundStats& r : t.rounds) {
+  for (const fgm::RoundRow& r : t.round_rows) {
     if (!r.has_outcome) continue;
-    const double err = std::fabs(r.outcome_pred_gain - r.actual_gain);
+    const double err = std::fabs(r.pred_gain - r.actual_gain);
     const double rel = err / std::max(std::fabs(r.actual_gain), 1.0);
     ++audited;
     sum_abs += err;
@@ -716,7 +400,7 @@ void PrintOptimizerAudit(const TraceSummary& t, int64_t max_rounds) {
       table.AddRow({fgm::TablePrinter::Cell(r.round),
                     fgm::TablePrinter::Cell(r.full_sites),
                     fgm::TablePrinter::Cell(r.pred_len),
-                    fgm::TablePrinter::Cell(r.outcome_pred_gain),
+                    fgm::TablePrinter::Cell(r.pred_gain),
                     fgm::TablePrinter::Cell(r.actual_gain),
                     fgm::TablePrinter::Cell(err),
                     fgm::TablePrinter::Cell(rel)});
@@ -742,21 +426,21 @@ void PrintOptimizerAudit(const TraceSummary& t, int64_t max_rounds) {
 /// counter increments + 1 — more than one subround's worth of counter
 /// traffic still queued means the network cannot keep up with the
 /// protocol's cadence).
-void PrintNetwork(const TraceSummary& t, const fgm::JsonNode* m,
+void PrintNetwork(const fgm::ReplayReport& t, const fgm::JsonNode* m,
                   const fgm::JsonNode* ts) {
   const fgm::JsonNode* net = m != nullptr ? m->Find("net") : nullptr;
-  if (!t.has_net() && net == nullptr) return;
+  if (!HasNet(t) && net == nullptr) return;
   fgm::PrintBanner("Simulated network");
   std::printf(
       "delivered: msgs=%lld words=%lld   dropped: msgs=%lld words=%lld\n"
       "site_downs=%lld  resyncs=%lld (resync words=%lld)\n",
-      static_cast<long long>(t.net_delivered_msgs),
-      static_cast<long long>(t.net_delivered_words),
-      static_cast<long long>(t.net_dropped_msgs),
-      static_cast<long long>(t.net_dropped_words),
-      static_cast<long long>(t.net_site_downs),
-      static_cast<long long>(t.net_resyncs),
-      static_cast<long long>(t.net_resync_words));
+      static_cast<long long>(t.deliveries),
+      static_cast<long long>(t.delivered_words),
+      static_cast<long long>(t.drops),
+      static_cast<long long>(t.dropped_words),
+      static_cast<long long>(t.site_downs),
+      static_cast<long long>(t.resyncs),
+      static_cast<long long>(t.resync_words));
   if (net != nullptr) {
     auto net_int = [&](const char* name) {
       const fgm::JsonNode* v = net->Find(name);
@@ -817,18 +501,18 @@ void PrintNetwork(const TraceSummary& t, const fgm::JsonNode* m,
 /// range of composed subtree sums its polls observed. fan-in is the mean
 /// child count per parent on that tier's links (endpoints[t-1] parents,
 /// endpoints[t] children; tier 1's parents are the root's k endpoints).
-void PrintTiers(const TraceSummary& t) {
-  if (!t.has_tiers()) return;
+void PrintTiers(const fgm::ReplayReport& t) {
+  if (t.tier_rows.empty()) return;
   fgm::PrintBanner("Tree topology");
   std::printf("topology=%s  tiers=%lld  leaves=%lld  root endpoints k=%d\n",
               t.topology.empty() ? "?" : t.topology.c_str(),
-              static_cast<long long>(t.tiers.size() + 1),
+              static_cast<long long>(t.tier_rows.size() + 1),
               static_cast<long long>(t.leaves), t.k);
   fgm::TablePrinter table({"tier", "endpoints", "fan-in", "up_words",
                            "down_words", "up_msgs", "down_msgs", "flushes",
                            "local_polls", "min_psi", "max_psi"});
   int prev_endpoints = t.k;
-  for (const auto& [id, tier] : t.tiers) {
+  for (const auto& [id, tier] : t.tier_rows) {
     const double fan_in =
         prev_endpoints > 0
             ? static_cast<double>(tier.endpoints) / prev_endpoints
@@ -851,8 +535,8 @@ void PrintTiers(const TraceSummary& t) {
 
 /// Health-monitor alert log: every raise/clear transition with the
 /// measured value vs the rule threshold at the instant it fired.
-void PrintAlerts(const TraceSummary& t, int64_t max_rounds) {
-  if (t.alerts.empty()) return;
+void PrintAlerts(const fgm::ReplayReport& t, int64_t max_rounds) {
+  if (t.alert_rows.empty()) return;
   fgm::PrintBanner("Health alerts");
   std::printf("raised=%lld cleared=%lld (%lld still active at run end)\n",
               static_cast<long long>(t.alerts_raised),
@@ -860,15 +544,15 @@ void PrintAlerts(const TraceSummary& t, int64_t max_rounds) {
               static_cast<long long>(t.alerts_raised - t.alerts_cleared));
   fgm::TablePrinter table(
       {"event", "rule", "site", "round", "value", "threshold", "reason"});
-  const int64_t total = static_cast<int64_t>(t.alerts.size());
+  const int64_t total = static_cast<int64_t>(t.alert_rows.size());
   const int64_t first = std::max<int64_t>(0, total - max_rounds);
   if (first > 0) {
     std::printf("(showing the last %lld of %lld transitions)\n",
                 static_cast<long long>(total - first),
                 static_cast<long long>(total));
   }
-  for (size_t i = static_cast<size_t>(first); i < t.alerts.size(); ++i) {
-    const AlertEvent& a = t.alerts[i];
+  for (size_t i = static_cast<size_t>(first); i < t.alert_rows.size(); ++i) {
+    const fgm::AlertRow& a = t.alert_rows[i];
     table.AddRow({fgm::TablePrinter::Cell(a.raised ? "RAISE" : "clear"),
                   fgm::TablePrinter::Cell(a.rule),
                   fgm::TablePrinter::Cell(static_cast<int64_t>(a.site)),
@@ -915,8 +599,7 @@ void PrintCriticalPath(const fgm::SpanCheckStats& stats,
 }
 
 void WriteJsonReport(const std::string& path, const std::string& trace_path,
-                     const TraceSummary& t, const fgm::ReplayReport& replay,
-                     const Checker& checks,
+                     const fgm::ReplayReport& t, const Checker& checks,
                      const fgm::SpanCheckStats* span_stats,
                      const fgm::CriticalPathSummary* cp) {
   fgm::JsonWriter w;
@@ -931,7 +614,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
   w.Field("down_words", t.run_down_words);
   w.Key("per_round");
   w.BeginArray();
-  for (const RoundStats& r : t.rounds) {
+  for (const fgm::RoundRow& r : t.round_rows) {
     if (r.round == 0 && r.msgs == 0) continue;  // empty pre-round bucket
     w.BeginObject();
     w.Field("round", r.round);
@@ -951,7 +634,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     }
     if (r.has_outcome) {
       w.Field("updates", r.updates);
-      w.Field("pred_gain", r.outcome_pred_gain);
+      w.Field("pred_gain", r.pred_gain);
       w.Field("actual_gain", r.actual_gain);
     }
     w.EndObject();
@@ -959,7 +642,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
   w.EndArray();
   w.Key("sites");
   w.BeginArray();
-  for (const auto& [site, s] : t.sites) {
+  for (const auto& [site, s] : t.site_rows) {
     w.BeginObject();
     w.Field("site", static_cast<int64_t>(site));
     w.Field("flushes", s.flushes);
@@ -969,12 +652,12 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.EndObject();
   }
   w.EndArray();
-  if (t.has_tiers()) {
+  if (!t.tier_rows.empty()) {
     if (!t.topology.empty()) w.Field("topology", t.topology);
     w.Field("leaves", t.leaves);
     w.Key("tiers");
     w.BeginArray();
-    for (const auto& [id, tier] : t.tiers) {
+    for (const auto& [id, tier] : t.tier_rows) {
       w.BeginObject();
       w.Field("tier", static_cast<int64_t>(id));
       w.Field("endpoints", static_cast<int64_t>(tier.endpoints));
@@ -993,16 +676,16 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     }
     w.EndArray();
   }
-  if (t.has_net()) {
+  if (HasNet(t)) {
     w.Key("net");
     w.BeginObject();
-    w.Field("delivered_msgs", t.net_delivered_msgs);
-    w.Field("delivered_words", t.net_delivered_words);
-    w.Field("dropped_msgs", t.net_dropped_msgs);
-    w.Field("dropped_words", t.net_dropped_words);
-    w.Field("site_downs", t.net_site_downs);
-    w.Field("resyncs", t.net_resyncs);
-    w.Field("resync_words", t.net_resync_words);
+    w.Field("delivered_msgs", t.deliveries);
+    w.Field("delivered_words", t.delivered_words);
+    w.Field("dropped_msgs", t.drops);
+    w.Field("dropped_words", t.dropped_words);
+    w.Field("site_downs", t.site_downs);
+    w.Field("resyncs", t.resyncs);
+    w.Field("resync_words", t.resync_words);
     w.EndObject();
   }
   if (span_stats != nullptr && cp != nullptr) {
@@ -1030,7 +713,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.EndArray();
     w.EndObject();
   }
-  if (!t.alerts.empty()) {
+  if (!t.alert_rows.empty()) {
     w.Key("alerts");
     w.BeginObject();
     w.Field("raised", t.alerts_raised);
@@ -1038,7 +721,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.Field("active_at_end", t.alerts_raised - t.alerts_cleared);
     w.Key("events");
     w.BeginArray();
-    for (const AlertEvent& a : t.alerts) {
+    for (const fgm::AlertRow& a : t.alert_rows) {
       w.BeginObject();
       w.Field("event", a.raised ? "raise" : "clear");
       w.Field("rule", a.rule);
@@ -1054,8 +737,8 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
   }
   w.Key("replay");
   w.BeginObject();
-  w.Field("ok", replay.ok());
-  w.Field("issues", replay.issue_count);
+  w.Field("ok", t.ok());
+  w.Field("issues", t.issue_count);
   w.EndObject();
   w.Key("checks");
   w.BeginObject();
@@ -1107,19 +790,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  TraceSummary trace;
-  std::string error;
-  if (!ReadTrace(trace_path, &trace, &error)) {
+  // One pass over the trace: the replay certifies it and books the run
+  // ledger every table below renders.
+  const fgm::ReplayReport trace = fgm::CheckTraceFile(trace_path);
+  if (!trace.read_error.empty()) {
     std::fprintf(stderr, "fgm_report: %s: %s\n", trace_path.c_str(),
-                 error.c_str());
+                 trace.read_error.c_str());
     return 2;
   }
 
   Checker checks;
-  const fgm::ReplayReport replay = fgm::CheckTraceFile(trace_path);
-  checks.Expect(replay.ok(), "trace replay: " + replay.Summary());
-  CheckTraceInternal(trace, &checks);
+  checks.Expect(trace.ok(), "trace replay: " + trace.Summary());
+  checks.Expect(trace.saw_run_end, "trace has no RunEnd event");
 
+  std::string error;
   fgm::JsonNode metrics;
   bool have_metrics = false;
   if (!metrics_path.empty()) {
@@ -1162,14 +846,9 @@ int main(int argc, char** argv) {
     have_spans = true;
     // The span file is the fourth view of the same run: its invariants
     // must hold and its wire-word sums must re-add to the trace's totals.
-    // Spans instrument every link tier, so on tree runs the target is
-    // the root-tier RunEnd totals plus the TierEnd ledgers.
-    int64_t span_up_target = trace.run_up_words;
-    int64_t span_down_target = trace.run_down_words;
-    for (const auto& entry : trace.tiers) {
-      span_up_target += entry.second.up_words;
-      span_down_target += entry.second.down_words;
-    }
+    // The trace read, so its bounded volume keeps these sums in range.
+    int64_t span_up_target = 0, span_down_target = 0;
+    trace.SpanWords(&span_up_target, &span_down_target);
     const std::vector<std::string> span_issues = fgm::CheckSpans(
         spans, span_up_target, span_down_target, &span_stats);
     for (const std::string& issue : span_issues) {
@@ -1200,7 +879,7 @@ int main(int argc, char** argv) {
   }
 
   fgm::PrintBanner("Cross-checks");
-  std::printf("replay: %s\n", replay.Summary().c_str());
+  std::printf("replay: %s\n", trace.Summary().c_str());
   std::printf("%lld checks, %zu failed\n",
               static_cast<long long>(checks.performed),
               checks.failures.size());
@@ -1213,7 +892,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_out.empty()) {
-    WriteJsonReport(json_out, trace_path, trace, replay, checks,
+    WriteJsonReport(json_out, trace_path, trace, checks,
                     have_spans ? &span_stats : nullptr,
                     have_spans ? &critical_path : nullptr);
     std::printf("json report: %s\n", json_out.c_str());

@@ -6,13 +6,17 @@
 // (ψ-certification, quantum arithmetic, counter totals, wire-word
 // accounting) and ends in its RunEnd event, 1 when any violation is found
 // or a trace is empty or cut short (a runner that dies before RunEnd
-// leaves a tail-truncated trace), 2 on usage errors.
+// leaves a tail-truncated trace), 2 on usage errors. Each trace is read
+// once; fgm_report reads it through the same checker, so the two tools
+// accept the same traces, and fgm_report adds only the cross-checks
+// against the run's other files.
 //
 // With --spans=S.json the Chrome Trace Event span file a runner wrote via
 // --spans_out is checked too (obs/span.h CheckSpans): every span closed,
 // children inside their parents, and — when exactly one trace file is
 // given — the per-direction msg/datagram span word sums must equal the
-// trace's replayed up/down word totals.
+// trace's RunEnd totals plus its TierEnd ledgers (ReplayReport::SpanWords,
+// the target fgm_report takes too).
 //
 // --alerts additionally requires at least one AlertRaised event across
 // the given traces (raise/clear pairing is always checked by the replay
@@ -62,13 +66,7 @@ int main(int argc, char** argv) {
                   path.c_str());
       ok = false;
     }
-    // Spans instrument every link tier, so on tree runs the conservation
-    // target is the root-tier RunEnd totals plus the certified TierEnd
-    // ledgers.
-    if (__builtin_add_overflow(report.up_words, report.tier_up_words,
-                               &up_words) ||
-        __builtin_add_overflow(report.down_words, report.tier_down_words,
-                               &down_words)) {
+    if (!report.SpanWords(&up_words, &down_words)) {
       std::printf("FAIL: %s word totals overflow int64\n", path.c_str());
       ok = false;
     }
