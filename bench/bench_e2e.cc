@@ -15,7 +15,7 @@
 //
 // Every exported field is deterministic (seeded trace, seeded network,
 // serial protocol) and none is a clock reading, so BENCH_e2e.json diffs
-// bit-exactly against bench/baselines/BENCH_e2e.json at --tol=0: a change
+// bit-exactly against bench/baselines/BENCH_e2e.json (bench_gate): a change
 // that moves one word, round or estimate bit on any workload has to
 // regenerate the baseline on purpose. Any overshoot of the certified
 // bounds exits 1.

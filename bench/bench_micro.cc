@@ -190,8 +190,9 @@ BENCHMARK(BM_FgmProcessRecordTraced)->Arg(4)->Arg(27);
 
 // The replay with ONLY the causal span sink (obs/span.h) installed.
 // BM_FgmProcessRecord runs the same hooks against a null SpanSink* (one
-// pointer test each), so the delta prices enabled span collection —
-// round/subround scopes plus one point span per wire message.
+// pointer test each), so the delta prices enabled span collection: the
+// round/subround scopes alone, since the synchronous link records its
+// messages in the trace and not as spans.
 void BM_FgmProcessRecordSpans(benchmark::State& state) {
   auto proj = Projection(5, 500);
   SelfJoinQuery query(proj, 0.1);
@@ -210,8 +211,8 @@ BENCHMARK(BM_FgmProcessRecordSpans)->Arg(4)->Arg(27);
 // Console reporter that additionally lands every per-iteration result in
 // the JsonReport (BENCH_micro.json): one run per benchmark with
 // ns_per_op / cpu_ns_per_op / items_per_second. All three are time-like,
-// so bench_gate skips them unless given --time_tol; the gate still fails
-// structurally when a benchmark disappears from the suite.
+// so bench_gate never compares them; the gate still fails structurally
+// when a benchmark disappears from the suite.
 class MicroJsonReporter : public benchmark::ConsoleReporter {
  public:
   explicit MicroJsonReporter(bench::JsonReport* report) : report_(report) {}

@@ -3,7 +3,7 @@
 //
 // Every field exported here is deterministic — the simulator is seeded
 // and the protocol is single-threaded — so BENCH_simnet.json diffs
-// bit-exactly against bench/baselines/BENCH_simnet.json at --tol=0
+// bit-exactly against bench/baselines/BENCH_simnet.json
 // (bench_gate); any divergence is a behaviour change in the simulator or
 // the protocol hardening, not noise. Wall-clock times are deliberately
 // not exported.

@@ -15,7 +15,7 @@
 //
 // Every exported field is deterministic (seeded stream, serial
 // protocol), so BENCH_tree.json diffs bit-exactly against
-// bench/baselines/BENCH_tree.json at --tol=0. The viol column must read
+// bench/baselines/BENCH_tree.json (bench_gate). The viol column must read
 // 0 in every row — topology may cost traffic, never correctness.
 
 #include <cstdio>

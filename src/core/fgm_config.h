@@ -70,10 +70,11 @@ struct FgmConfig {
   /// boundaries, never on the record path.
   TimeSeries* timeseries = nullptr;
 
-  /// Causal span sink (obs/span.h): rounds → subrounds → RPCs → wire
-  /// messages become parent/child intervals for critical-path
-  /// attribution. Non-owning; nullptr (the default) disables spans and
-  /// every hook reduces to one branch.
+  /// Causal span sink (obs/span.h): the run's rounds, subrounds and
+  /// resyncs become parent/child scopes; over a timed simulated network
+  /// (not its null mode) the root links add their RPC, attempt and
+  /// datagram spans in simulated ticks. Non-owning; nullptr (the default)
+  /// disables spans and every hook reduces to one branch.
   SpanSink* spans = nullptr;
 
   /// Live run-health monitor (obs/health.h): EWMA estimators over the

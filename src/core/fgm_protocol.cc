@@ -63,7 +63,7 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
         config_.transport, t == 0 ? config_.net : sim::NetSimConfig{},
         topo_.NodesAt(t + 1)));
     // Tier 0 keeps the default stamp (0), so root-tier traces stay in the
-    // flat schema; lower tiers stamp every event/span they emit.
+    // flat schema; lower tiers stamp every event they emit.
     transports_.back()->set_tier(t);
   }
   if (config_.net.enabled()) {
@@ -77,7 +77,9 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
     sites_.emplace_back(i, query->dimension(), zero_values);
   }
   aggs_.resize(static_cast<size_t>(depth_));
+  subtree_sums_.resize(static_cast<size_t>(depth_));
   for (int t = 1; t < depth_; ++t) {
+    subtree_sums_[static_cast<size_t>(t)] = RealVector(query->dimension());
     aggs_[static_cast<size_t>(t)].resize(static_cast<size_t>(topo_.NodesAt(t)));
     for (int j = 0; j < topo_.NodesAt(t); ++j) {
       AggNode& a = Agg(t, j);
@@ -104,8 +106,9 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
   if (health_ != nullptr && trace_ != nullptr) health_->set_trace(trace_);
   for (const std::unique_ptr<Transport>& transport : transports_) {
     if (trace_ != nullptr) transport->set_trace(trace_);
-    if (spans_ != nullptr) transport->set_spans(spans_);
   }
+  // Only the simulated root links record message spans.
+  if (sim_ != nullptr && spans_ != nullptr) sim_->set_spans(spans_);
   StartRound();
   // The very first round has no previous round to count against; its
   // setup traffic is still charged (the coordinator must distribute the
@@ -384,18 +387,21 @@ void FgmProtocol::ReportUnits(int tier, int node, int64_t units) {
 
 DriftFlushMsg FgmProtocol::CollectSubtreeFlush(int tier, int node) {
   const AggNode& a = Agg(tier, node);
-  RealVector sum(query_->dimension());
+  // The tier's one sum: the parent's FlushChild folds this subtree's
+  // message before the next sibling collects into it.
+  RealVector& sum = subtree_sums_[static_cast<size_t>(tier)];
+  sum.SetZero();
   int64_t count = 0;
   for (int c = a.child_begin; c < a.child_end; ++c) {
     count += FlushChild(tier + 1, c, {&sum});
   }
-  // One upward message for the whole subtree: the dense drift sum, or the
-  // 1-word acknowledgement when nothing flowed (update_count 0 encodes to
-  // the count word alone).
+  // One upward message for the whole subtree: the dense drift sum, lent,
+  // or the 1-word acknowledgement when nothing flowed (update_count 0
+  // encodes to the count word alone).
   DriftFlushMsg up;
   up.dense = true;
   up.update_count = count;
-  up.drift = count > 0 ? std::move(sum) : RealVector(0);
+  if (count > 0) up.drift = &sum;
   return up;
 }
 

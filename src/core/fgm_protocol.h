@@ -266,8 +266,8 @@ class FgmProtocol : public MonitoringProtocol {
   /// datagram under sim, else a synchronous increment that may poll.
   void ReportUnits(int tier, int node, int64_t units);
   /// Collects subtree (tier, node)'s drift: flush requests to every
-  /// child, drifts summed, returned as ONE dense upward message (or the
-  /// 1-word empty acknowledgement).
+  /// child, drifts summed into the tier's scratch, returned as ONE dense
+  /// upward message that lends it (or the 1-word empty acknowledgement).
   DriftFlushMsg CollectSubtreeFlush(int tier, int node);
   /// Per-tier kTierEnd traffic events (emitted once, from Finish()).
   void EmitTierEnds();
@@ -413,6 +413,9 @@ class FgmProtocol : public MonitoringProtocol {
   bool tier_ends_emitted_ = false;
 
   RealVector flush_scratch_;  // verbatim-flush re-projection target
+  /// Per aggregator tier (index 0 unused): the subtree drift sum that
+  /// CollectSubtreeFlush fills and its upward message lends.
+  std::vector<RealVector> subtree_sums_;
 };
 
 }  // namespace fgm

@@ -344,13 +344,7 @@ RunResult Run(const RunConfig& base_config,
   result.protocol_name = protocol->name();
   result.query_name = query->name();
 
-  SlidingWindowStream time_events(&trace, config.window_seconds);
-  CountWindowStream count_events(&trace,
-                                 std::max<int64_t>(config.count_window, 1));
-  const bool use_count = config.count_window > 0;
-  auto next_event = [&]() {
-    return use_count ? count_events.Next() : time_events.Next();
-  };
+  SlidingWindowStream events(&trace, config.window_seconds);
   int64_t n = 0;
   auto verify_record = [&](const StreamRecord& rec) {
     deltas.clear();
@@ -438,7 +432,7 @@ RunResult Run(const RunConfig& base_config,
     return StopRequested() || (die_at > 0 && n >= die_at);
   };
 
-  while (const StreamRecord* rec = next_event()) {
+  while (const StreamRecord* rec = events.Next()) {
     protocol->ProcessRecord(*rec);
     ++n;
     if (verify) verify_record(*rec);

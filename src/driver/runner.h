@@ -72,10 +72,6 @@ struct RunConfig {
   /// Sliding time window in seconds; <= 0 means cash-register model.
   double window_seconds = 0.0;
 
-  /// Count-based sliding window (most recent N global records); takes
-  /// precedence over window_seconds when > 0.
-  int64_t count_window = 0;
-
   /// Verify the monitoring guarantee against exact ground truth every this
   /// many events (0 = never). Verification is O(D) per check.
   int64_t check_every = 0;
@@ -113,7 +109,8 @@ struct RunConfig {
 
   /// Write causal spans (obs/span.h) here as Chrome Trace Event JSON,
   /// loadable in Perfetto (empty = off). A private SpanSink is created
-  /// when `spans` is null. FGM protocols emit round/subround/RPC spans.
+  /// when `spans` is null. FGM protocols emit round/subround spans, and
+  /// a timed simulated network its RPC, attempt and datagram spans.
   std::string spans_out;
 
   /// Write live Prometheus text-exposition snapshots here (empty = off).

@@ -2,7 +2,7 @@
 //
 //   ./build/src/driver/runner --protocol=fgm --query=selfjoin
 //       [--sites=27] [--updates=400000] [--eps=0.1] [--window=14400]
-//       [--count_window=0] [--depth=5] [--width=300] [--check_every=5000]
+//       [--depth=5] [--width=300] [--check_every=5000]
 //       [--trace_out=trace.jsonl]
 //       [--metrics_out=metrics.json] [--timeseries_out=ts.json]
 //       [--spans_out=spans.json] [--snapshot_every=0] [--strict_wire]
@@ -33,8 +33,10 @@
 // down for 4096 ticks leaves the round (src/sim/net_config.h).
 //
 // --spans_out writes causal spans (obs/span.h) as Chrome Trace Event
-// JSON loadable in Perfetto. No telemetry output changes the words on
-// the wire.
+// JSON loadable in Perfetto: the run, rounds and subrounds, plus the
+// root links' RPC, attempt and datagram spans when the simulated network
+// is timed (not null mode). No telemetry output changes the words on the
+// wire.
 //
 // --trace_out writes the structured JSONL event trace (obs/trace.h);
 // --metrics_out writes the RunResult as a JSON summary;
@@ -193,7 +195,6 @@ int main(int argc, char** argv) {
   const int64_t updates = flags.GetCount("updates", 400000);
   config.epsilon = flags.GetDouble("eps", 0.1);
   config.window_seconds = flags.GetDouble("window", 14400.0);
-  config.count_window = flags.GetCount("count_window", 0);
   config.depth = int_count("depth", 5);
   config.width = int_count(
       "width", config.query == fgm::QueryKind::kJoin ? 150 : 300);
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
   if (!flags.Validate(
           "runner --protocol=central|gm|fgm-basic|fgm|fgm-o "
           "--query=selfjoin|join|fp|variance|quantile [--sites=N] "
-          "[--updates=N] [--eps=E] [--window=S] [--count_window=N] "
+          "[--updates=N] [--eps=E] [--window=S] "
           "[--depth=N] [--width=N] [--check_every=N] "
           "[--trace_out=F] [--metrics_out=F] [--timeseries_out=F] "
           "[--spans_out=F] [--snapshot_every=N] "

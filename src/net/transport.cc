@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace fgm {
@@ -28,11 +27,6 @@ Transport::Transport(int sites, TransportMode mode)
   FGM_CHECK_GE(sites, 1);
 }
 
-void Transport::set_spans(SpanSink* spans) {
-  spans_ = spans;
-  if (spans != nullptr && clock_ != nullptr) spans->UseTickClock(clock_);
-}
-
 void Transport::Book(int child, int dir, MsgKind kind, int64_t words) {
   FGM_CHECK(child >= 0 && child < sites_);
   FGM_CHECK_GE(words, 0);
@@ -47,11 +41,6 @@ void Transport::Book(int child, int dir, MsgKind kind, int64_t words) {
   if (trace_ != nullptr) EmitSent(child, dir, kind, words);
 }
 
-void Transport::Deliver(int child, int dir, MsgKind kind, int64_t words) {
-  Book(child, dir, kind, words);
-  if (spans_ != nullptr) EmitPointSpan(child, dir, kind, words);
-}
-
 void Transport::EmitSent(int child, int dir, MsgKind kind, int64_t words) {
   TraceEvent e;
   e.kind = TraceEventKind::kMsgSent;
@@ -61,22 +50,6 @@ void Transport::EmitSent(int child, int dir, MsgKind kind, int64_t words) {
   e.words = words;
   e.tier = tier_;
   trace_->Emit(e);
-}
-
-void Transport::EmitPointSpan(int child, int dir, MsgKind kind,
-                              int64_t words) {
-  // The synchronous link transmits instantaneously, so the span is a
-  // point interval; its value is the words/kind/causal-parent record.
-  Span s;
-  s.kind = SpanKind::kMsg;
-  s.site = child;
-  s.begin = spans_->Now();
-  s.words = words;
-  s.count = 1;
-  s.dir = dir;
-  s.tier = tier_;
-  s.label = MsgKindName(kind);
-  spans_->EmitComplete(s);
 }
 
 void ReprojectRawUpdates(const ContinuousQuery& query, int site,

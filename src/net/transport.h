@@ -5,8 +5,10 @@
 // receiver decodes it.
 //
 // Transport books each message once: its words into TrafficStats (the
-// paper's cost model, §2.2), one kMsgSent trace event and one kMsg span,
-// stamped with the star's tree tier. The strict flag (TransportMode
+// paper's cost model, §2.2) and one kMsgSent trace event, stamped with
+// the star's tree tier. It records no span: the trace is the message
+// record, and only a timed link (sim::EventNetwork) gives a message an
+// interval worth a span. The strict flag (TransportMode
 // kSerializing, or FGM_STRICT_WIRE under kAuto) picks how the payload
 // crosses:
 //
@@ -23,9 +25,9 @@
 // Both modes charge identical word counts from the same message objects,
 // so reported costs are bit-identical across modes. The link itself is
 // one virtual hook, Deliver: the synchronous link books the message
-// once; sim::EventNetwork (src/sim) overrides it with latency, loss and
-// retransmission, and always runs strict. sim::MakeTransport builds the
-// right one for a run.
+// once; sim::EventNetwork (src/sim) overrides it with latency, loss,
+// retransmission and message spans, and always runs strict.
+// sim::MakeTransport builds the right one for a run.
 
 #ifndef FGM_NET_TRANSPORT_H_
 #define FGM_NET_TRANSPORT_H_
@@ -41,7 +43,6 @@
 
 namespace fgm {
 
-class SpanSink;
 class TraceSink;
 
 // What a message's type fixes on the wire. First, the cost-breakdown
@@ -98,20 +99,14 @@ class Transport {
   const TrafficStats& stats() const { return stats_; }
 
   /// Tree tier this star carries (src/hier): stamped onto every kMsgSent
-  /// event and message span. The root star keeps 0, so flat traces stay
-  /// in the flat schema.
+  /// event. The root star keeps 0, so flat traces stay in the flat
+  /// schema.
   void set_tier(int tier) { tier_ = tier; }
 
   /// Sends one kMsgSent event per booked message to `trace` (nullptr
   /// disables; the default). The event network also emits its delivery,
   /// drop and fault events there.
   void set_trace(TraceSink* trace) { trace_ = trace; }
-
-  /// Sends the link's spans to `spans` (nullptr disables; the default):
-  /// a point kMsg span per message on the synchronous link, and the
-  /// sink is rebased onto the link's clock when it has one (the event
-  /// network's simulated ticks).
-  void set_spans(SpanSink* spans);
 
   /// Parent → child: charges the message's words and returns the message
   /// as the child receives it.
@@ -129,8 +124,10 @@ class Transport {
  protected:
   /// Carries one message of `words` wire words over `child`'s link,
   /// parent → child for dir = +1 and child → parent for dir = -1. The
-  /// synchronous link books it once, under the innermost open span.
-  virtual void Deliver(int child, int dir, MsgKind kind, int64_t words);
+  /// synchronous link books it once.
+  virtual void Deliver(int child, int dir, MsgKind kind, int64_t words) {
+    Book(child, dir, kind, words);
+  }
 
   /// Books one message: its words into the traffic stats, and the
   /// kMsgSent event.
@@ -143,19 +140,14 @@ class Transport {
   Msg RoundTrip(const Msg& msg, CarryFn carry);
 
   TraceSink* trace_ = nullptr;
-  SpanSink* spans_ = nullptr;
-  /// The link's own clock, when it has one; set_spans rebases the sink
-  /// onto it.
-  const int64_t* clock_ = nullptr;
 
  private:
   template <typename Msg>
   Msg Carry(int child, int dir, Msg msg);
 
-  // Kept out of Book and Deliver, so a message with tracing and spans off
-  // pays for no event or span construction.
+  // Kept out of Book, so a message with tracing off pays for no event
+  // construction.
   void EmitSent(int child, int dir, MsgKind kind, int64_t words);
-  void EmitPointSpan(int child, int dir, MsgKind kind, int64_t words);
 
   int sites_;
   bool strict_;

@@ -224,10 +224,11 @@ struct ReplayReport {
   int64_t last_round() const { return round_rows.back().round; }
   /// Human-readable one-line summary (+ issue lines when failing).
   std::string Summary() const;
-  /// The words a run's span file re-adds to: spans instrument every link
-  /// tier, so RunEnd's root totals plus every tier's ledger. False when a
-  /// sum overflows int64 (only after a read error).
-  bool SpanWords(int64_t* up, int64_t* down) const;
+  /// The words a run's span file re-adds to. Only the timed simulated
+  /// network records message spans, and only on the root links, so this
+  /// is RunEnd's root totals when the trace carries network events
+  /// (MsgDelivered / MsgDropped), and 0 otherwise.
+  void SpanWords(int64_t* up, int64_t* down) const;
 };
 
 /// Checks a trace read line-by-line from `in`.

@@ -42,8 +42,6 @@ int64_t SpanSink::NowUnlocked() const {
       .count();
 }
 
-int64_t SpanSink::Now() const { return NowUnlocked(); }
-
 void SpanSink::UseTickClock(const int64_t* ticks) {
   std::lock_guard<std::mutex> lock(mu_);
   ticks_ = ticks;
@@ -197,7 +195,6 @@ std::string SpanSink::ChromeTraceJson() const {
     w.Field("dir", static_cast<int64_t>(s.dir));
     w.Field("transit", s.transit);
     w.Field("drain", s.drain);
-    if (s.tier != 0) w.Field("tier", static_cast<int64_t>(s.tier));
     if (s.label != nullptr) w.Field("label", s.label);
     if (s.reason != nullptr) w.Field("reason", s.reason);
     w.EndObject();
@@ -289,7 +286,6 @@ bool ParseSpanJson(const std::string& text, std::vector<ParsedSpan>* out,
     s.dir = static_cast<int>(ArgInt(*args, "dir"));
     s.transit = ArgInt(*args, "transit");
     s.drain = ArgInt(*args, "drain");
-    s.tier = static_cast<int>(ArgInt(*args, "tier"));
     s.label = ArgStr(*args, "label");
     s.reason = ArgStr(*args, "reason");
     out->push_back(std::move(s));
@@ -391,21 +387,12 @@ std::vector<std::string> CheckSpans(const std::vector<ParsedSpan>& spans,
 CriticalPathSummary SummarizeCriticalPath(
     const std::vector<ParsedSpan>& spans) {
   CriticalPathSummary out;
-  std::map<int64_t, const ParsedSpan*> by_id;
-  for (const ParsedSpan& s : spans) by_id.emplace(s.id, &s);
-
-  // Subround spans, keyed by id for parent lookup and by (round,
-  // subround) for datagram matching (datagrams parent to the run — they
-  // straddle subround boundaries — but carry their epoch).
-  std::map<int64_t, const ParsedSpan*> subrounds;
   for (const ParsedSpan& s : spans) {
     const int64_t dur = s.end - s.begin;
     if (s.kind == "run") {
       out.run_time += dur;
     } else if (s.kind == "round") {
       out.round_time += dur;
-    } else if (s.kind == "subround") {
-      subrounds.emplace(s.id, &s);
     } else if (s.kind == "rpc") {
       out.network_time += dur;
       if (s.count > 1) out.retransmits += s.count - 1;
@@ -413,64 +400,6 @@ CriticalPathSummary SummarizeCriticalPath(
       out.network_time += s.transit;
     }
   }
-
-  // Gating: per subround, the message-level child with the latest end
-  // (ties toward the lower site — deterministic). RPC spans cover their
-  // retransmit chains; datagrams match by epoch.
-  struct GateState {
-    SubroundGate gate;
-    int64_t latest_end = 0;
-  };
-  std::map<int64_t, GateState> gate_by_subround;  // subround span id
-  auto consider = [&](const ParsedSpan& sub, const ParsedSpan& child) {
-    if (child.site < 0) return;
-    GateState& g = gate_by_subround[sub.id];
-    g.gate.round = sub.round;
-    g.gate.subround = sub.subround;
-    const bool later =
-        g.gate.site < 0 || child.end > g.latest_end ||
-        (child.end == g.latest_end && child.site < g.gate.site);
-    if (later) {
-      g.gate.site = child.site;
-      g.gate.wait = child.end - child.begin;
-      g.gate.attempts = std::max<int64_t>(child.count, 1);
-      g.latest_end = child.end;
-    }
-  };
-  for (const ParsedSpan& s : spans) {
-    if (s.kind == "rpc" || s.kind == "msg") {
-      const auto it = subrounds.find(s.parent);
-      if (it != subrounds.end()) consider(*it->second, s);
-    } else if (s.kind == "datagram") {
-      for (const auto& [id, sub] : subrounds) {
-        if (sub->round == s.round && sub->subround == s.subround) {
-          consider(*sub, s);
-          break;
-        }
-      }
-    }
-  }
-  for (const auto& [id, g] : gate_by_subround) out.gates.push_back(g.gate);
-  std::sort(out.gates.begin(), out.gates.end(),
-            [](const SubroundGate& a, const SubroundGate& b) {
-              if (a.round != b.round) return a.round < b.round;
-              return a.subround < b.subround;
-            });
-
-  std::map<int, SiteGating> per_site;
-  for (const SubroundGate& g : out.gates) {
-    SiteGating& sg = per_site[g.site];
-    sg.site = g.site;
-    ++sg.gated;
-    sg.wait += g.wait;
-    sg.retransmits += g.attempts - 1;
-  }
-  for (const auto& [site, sg] : per_site) out.top_sites.push_back(sg);
-  std::sort(out.top_sites.begin(), out.top_sites.end(),
-            [](const SiteGating& a, const SiteGating& b) {
-              if (a.gated != b.gated) return a.gated > b.gated;
-              return a.site < b.site;
-            });
   return out;
 }
 

@@ -1,13 +1,16 @@
 // Causal span tracing for protocol runs.
 //
-// A trace (obs/trace.h) records *events*; spans record *intervals* with
-// causal parent/child structure: the run contains rounds, rounds contain
-// subrounds, subrounds contain the RPCs that drive them, and RPCs contain
-// their per-attempt wire messages (retransmissions included). Timestamps
-// come from the simulated event clock when the run uses
-// sim::EventNetwork (UseTickClock), else from a monotonic nanosecond
-// clock, so simulated latency is attributed per message and real compute
-// time per phase.
+// A trace (obs/trace.h) records *events*, each message once as a
+// MsgSent; spans record *intervals* with causal parent/child structure:
+// the run contains rounds, rounds contain subrounds, and resyncs hang off
+// the run. A message gets a span only where it takes time: over a timed
+// sim::EventNetwork, subrounds contain the RPCs that drive them, RPCs
+// contain their per-attempt wire messages (retransmissions included), and
+// counter datagrams span post → drain. A synchronous run (or the
+// simulator's null mode) records only the scopes. Timestamps come from
+// the simulated event clock when the event network is timed
+// (UseTickClock), else from a monotonic nanosecond clock, so simulated
+// latency is attributed per message and real compute time per phase.
 //
 // Same zero-cost discipline as TraceSink: producers hold a raw
 // `SpanSink*` that is null when disabled, and every hook is a single
@@ -63,10 +66,6 @@ struct Span {
   int dir = 0;         ///< +1 coordinator → site, -1 site → coordinator
   int64_t transit = 0; ///< ticks on the wire (the sampled latency)
   int64_t drain = 0;   ///< ticks between arrival and the protocol drain
-  /// Tree topologies (src/hier): the tier whose machinery this span
-  /// belongs to. 0 = the root star (flat runs never set it; not
-  /// exported), t ≥ 1 = a tier-t aggregator's local protocol.
-  int tier = 0;
   const char* label = nullptr;   ///< static string: msg kind, phase name
   const char* reason = nullptr;  ///< static string: loss / forced close
 };
@@ -114,9 +113,6 @@ class SpanSink {
   /// Id of the first span opened (the run span); 0 before any Begin.
   int64_t root() const;
 
-  /// Current timestamp: the registered tick clock when present, else
-  /// nanoseconds since sink construction.
-  int64_t Now() const;
   /// Switches timestamps to the simulated event clock `*ticks` and
   /// rebases any open span onto it (the run span opens on the wall clock
   /// before the network exists).
@@ -133,6 +129,8 @@ class SpanSink {
   void WriteChromeTrace(const std::string& path) const;
 
  private:
+  /// Current timestamp: the registered tick clock when present, else
+  /// nanoseconds since sink construction.
   int64_t NowUnlocked() const;
   void EndUnlocked(int64_t id, const char* reason);
 
@@ -161,7 +159,6 @@ struct ParsedSpan {
   int dir = 0;
   int64_t transit = 0;
   int64_t drain = 0;
-  int tier = 0;  ///< tree tier (src/hier); 0 = root star / flat run
   std::string label;
   std::string reason;
   bool closed = true;  ///< "ph":"X"; false for a leaked "ph":"B"
@@ -187,7 +184,8 @@ struct SpanCheckStats {
 /// unique, every parent exists and contains its child's interval, and —
 /// when `expect_up_words` / `expect_down_words` are ≥ 0 — the
 /// per-direction word sums over message-level spans (kMsg + kDatagram)
-/// equal the expectation (the trace's MsgSent totals). Returns one
+/// equal the expectation (ReplayReport::SpanWords: the root link's
+/// MsgSent totals on a timed simulated run, 0 otherwise). Returns one
 /// message per violation (empty = all invariants hold).
 std::vector<std::string> CheckSpans(const std::vector<ParsedSpan>& spans,
                                     int64_t expect_up_words,
@@ -196,32 +194,12 @@ std::vector<std::string> CheckSpans(const std::vector<ParsedSpan>& spans,
 
 // ---- Critical-path extraction ----
 
-/// Which site's response gated one subround (the child message/RPC span
-/// with the latest end; ties break toward the lower site id).
-struct SubroundGate {
-  int64_t round = 0;
-  int64_t subround = 0;
-  int site = -1;
-  int64_t wait = 0;      ///< duration of the gating span
-  int64_t attempts = 1;  ///< RPC attempts of the gating span (retransmits)
-};
-
-struct SiteGating {
-  int site = -1;
-  int64_t gated = 0;      ///< subrounds this site gated
-  int64_t wait = 0;       ///< summed gating-span duration
-  int64_t retransmits = 0;///< extra attempts across its gating spans
-};
-
-/// Run-level time split plus per-subround straggler attribution,
-/// computed purely from exported spans.
+/// Run-level time split, computed purely from exported spans.
 struct CriticalPathSummary {
   int64_t run_time = 0;        ///< run span duration
   int64_t round_time = 0;      ///< Σ round-span durations
   int64_t network_time = 0;    ///< Σ kRpc durations + datagram transit
   int64_t retransmits = 0;     ///< RPC attempts beyond the first
-  std::vector<SubroundGate> gates;     ///< one per subround with children
-  std::vector<SiteGating> top_sites;   ///< descending by subrounds gated
 };
 
 CriticalPathSummary SummarizeCriticalPath(

@@ -29,8 +29,12 @@ EventNetwork::EventNetwork(int sites, const NetSimConfig& config)
   FGM_CHECK(ParseFaultPlan(config.fault_plan, sites, &transitions_));
   null_ = latency_.kind == LatencySpec::Kind::kZero && config.drop == 0.0 &&
           transitions_.empty();
-  // Spans on these links are stamped in simulated ticks.
-  clock_ = &now_;
+}
+
+void EventNetwork::set_spans(SpanSink* spans) {
+  if (null_) return;
+  spans_ = spans;
+  if (spans != nullptr) spans->UseTickClock(&now_);
 }
 
 bool EventNetwork::SiteUp(int site) const {

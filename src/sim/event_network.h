@@ -33,10 +33,16 @@
 // (PopFault) — i.e. at record granularity — never in the middle of an
 // RPC, which keeps the site set stable across a multi-message exchange.
 //
+// Spans: the event network is the one emitter of message spans (kRpc,
+// kMsg, kDatagram), stamped in simulated ticks, because only here does a
+// message occupy time: an RPC spans its retransmit chain, each attempt
+// its wire delay or timeout, a datagram its post → drain interval.
+//
 // Null mode (zero latency, no loss, no faults):
-// every datagram is due immediately, no randomness is consumed, and the
-// MsgDelivered/MsgDropped trace events are suppressed, so traces and
-// TrafficStats are bit-identical to the synchronous transports.
+// every datagram is due immediately, no randomness is consumed, the
+// MsgDelivered/MsgDropped trace events are suppressed, and set_spans takes
+// neither the sink nor its clock, so traces, TrafficStats and span files
+// are those of the synchronous transports.
 
 #ifndef FGM_SIM_EVENT_NETWORK_H_
 #define FGM_SIM_EVENT_NETWORK_H_
@@ -53,6 +59,7 @@
 
 namespace fgm {
 
+class SpanSink;
 enum class TraceEventKind : int;
 
 namespace sim {
@@ -124,6 +131,11 @@ class EventNetwork final : public Transport {
   /// flips). Returns false when none is pending.
   bool PopFault(FaultNotice* out);
 
+  /// Sends the link's message spans to `spans` (nullptr disables; the
+  /// default) and rebases the sink onto the simulated clock. Null mode
+  /// takes neither: its messages take no time.
+  void set_spans(SpanSink* spans);
+
   /// Advances the simulated clock (protocols tick once per record; RPCs
   /// advance by their sampled delays internally).
   void Advance(int64_t ticks);
@@ -170,6 +182,7 @@ class EventNetwork final : public Transport {
                     MsgKind msg_kind, int64_t words, int64_t t,
                     const char* reason);
 
+  SpanSink* spans_ = nullptr;
   NetSimConfig config_;
   LatencySpec latency_;
   bool null_ = false;

@@ -40,29 +40,4 @@ const StreamRecord* SlidingWindowStream::Next() {
   return &current_;
 }
 
-CountWindowStream::CountWindowStream(const std::vector<StreamRecord>* trace,
-                                     int64_t capacity)
-    : trace_(trace), capacity_(capacity) {
-  FGM_CHECK(trace != nullptr);
-  FGM_CHECK(capacity >= 1);
-}
-
-const StreamRecord* CountWindowStream::Next() {
-  if (evict_pending_) {
-    evict_pending_ = false;
-    current_ = (*trace_)[next_evict_++];
-    current_.weight = -1.0;
-    // The eviction conceptually happens at the time of the insert that
-    // displaced it.
-    current_.time = (*trace_)[next_insert_ - 1].time;
-    return &current_;
-  }
-  if (next_insert_ >= trace_->size()) return nullptr;
-  current_ = (*trace_)[next_insert_++];
-  if (static_cast<int64_t>(next_insert_ - next_evict_) > capacity_) {
-    evict_pending_ = true;
-  }
-  return &current_;
-}
-
 }  // namespace fgm

@@ -4,7 +4,7 @@
 // stream: when a record falls out of the window, its deletion (weight -1)
 // is issued at the site that originally received it. SlidingWindowStream
 // turns a sorted insert-only trace into the interleaved insert/delete event
-// sequence, ordered by event time. A count-based window is also provided.
+// sequence, ordered by event time.
 
 #ifndef FGM_STREAM_WINDOW_H_
 #define FGM_STREAM_WINDOW_H_
@@ -53,23 +53,6 @@ class SlidingWindowStream {
   int64_t produced_ = 0;
   int64_t inserts_ = 0;
   int64_t deletes_ = 0;
-};
-
-/// Count-based sliding window: keeps the most recent `capacity` records of
-/// the global stream; the (n+capacity)-th insert evicts the n-th record.
-class CountWindowStream {
- public:
-  CountWindowStream(const std::vector<StreamRecord>* trace, int64_t capacity);
-
-  const StreamRecord* Next();
-
- private:
-  const std::vector<StreamRecord>* trace_;
-  int64_t capacity_;
-  size_t next_insert_ = 0;
-  size_t next_evict_ = 0;
-  bool evict_pending_ = false;
-  StreamRecord current_;
 };
 
 }  // namespace fgm

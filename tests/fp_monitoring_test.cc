@@ -1,5 +1,5 @@
-// Tests for F_p-moment monitoring (paper §3): one-shot queries, the
-// per-round progress of Lemma 3.1, and count-window driving.
+// Tests for F_p-moment monitoring (paper §3): one-shot queries and the
+// per-round progress of Lemma 3.1.
 
 #include <cmath>
 #include <memory>
@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fgm_protocol.h"
-#include "driver/runner.h"
 #include "query/oneshot.h"
-#include "stream/worldcup.h"
 #include "util/rng.h"
 
 namespace fgm {
@@ -113,27 +111,6 @@ TEST(Lemma31, F2RoundMakesTheGuaranteedProgress) {
   const double t_tilde = threshold * (1.0 - config.eps_psi);
   EXPECT_GE(protocol.Estimate() * protocol.Estimate(),
             t_tilde * t_tilde / k * (1.0 - 0.05));
-}
-
-TEST(CountWindow, DriverRunsAndPreservesGuarantee) {
-  WorldCupConfig wc;
-  wc.sites = 4;
-  wc.total_updates = 20000;
-  wc.duration = 5000.0;
-  const auto trace = GenerateWorldCupTrace(wc);
-  RunConfig config;
-  config.protocol = ProtocolKind::kFgm;
-  config.query = QueryKind::kSelfJoin;
-  config.sites = 4;
-  config.depth = 5;
-  config.width = 32;
-  config.epsilon = 0.15;
-  config.count_window = 4000;
-  config.check_every = 1;
-  const RunResult result = ::fgm::Run(config, trace);
-  EXPECT_LE(result.max_violation, 1e-6);
-  // Every insert beyond the first `count_window` evicts one record.
-  EXPECT_EQ(result.events, 2 * 20000 - 4000);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Unit and end-to-end tests for the run-health monitor (obs/health.h):
-// EWMA determinism, alert-rule raise/clear transitions with hysteresis,
+// EWMA determinism, alert-rule raise/clear transitions with hysteresis
+// (among them the latency straggler, the run's one straggler signal),
 // deterministic down/rejoin straggler alerts through a faulted simulated
 // run, the die_at partial-telemetry path, and the passive-monitor
 // bit-identity guarantee.
@@ -79,6 +80,89 @@ TEST(HealthMonitor, LossyLinkRaisesAndClearsWithHysteresis) {
   EXPECT_LT(hm.drop_fraction(1), thr * HealthMonitor::kClearFactor);
   EXPECT_EQ(hm.alerts_raised(), 1);
   EXPECT_EQ(hm.alerts_cleared(), 1);
+}
+
+// The latency form of straggler_site: a site whose delivery-latency EWMA
+// reaches kStragglerLatencyFactor times the fleet mean raises with reason
+// "slow", and clears once it falls below factor · kClearFactor times the
+// mean. The mean includes the slow site, so among five sites it must run
+// at least 6x the others to reach 3x the mean.
+TEST(HealthMonitor, SlowSiteRaisesAndClearsTheStragglerAlert) {
+  MemoryTraceSink sink;
+  const int sites = 5;
+  const int slow = 3;
+  HealthMonitor hm(sites);
+  hm.set_trace(&sink);
+  std::vector<SiteNetSample> cum(sites);
+  // One round: every site delivers 10 messages, 1 tick each, except the
+  // slow site at `slow_delay` ticks.
+  auto round = [&](int64_t slow_delay) {
+    for (int i = 0; i < sites; ++i) {
+      SiteNetSample& c = cum[static_cast<size_t>(i)];
+      c.delivered_msgs += 10;
+      c.latency_ticks += 10 * (i == slow ? slow_delay : 1);
+      c.latency_samples += 10;
+      hm.ObserveNet(i, c);
+    }
+  };
+  auto fleet_mean = [&] {
+    double sum = 0.0;
+    for (int i = 0; i < sites; ++i) sum += hm.latency(i);
+    return sum / sites;
+  };
+
+  // No site is judged before it has kStragglerMinSamples rounds.
+  int64_t r = 0;
+  while (r < HealthMonitor::kStragglerMinSamples) {
+    ++r;
+    round(100);
+    hm.EvaluateAlerts(r, r * 100);
+    EXPECT_EQ(hm.alert_active(AlertRule::kStragglerSite, slow),
+              r == HealthMonitor::kStragglerMinSamples)
+        << "round " << r;
+  }
+  const double raise_mean = fleet_mean();
+  ASSERT_GE(hm.latency(slow),
+            HealthMonitor::kStragglerLatencyFactor * raise_mean);
+  ASSERT_EQ(sink.events_log().size(), 1u);
+  const TraceEvent& raise = sink.events_log()[0];
+  EXPECT_EQ(raise.kind, TraceEventKind::kAlertRaised);
+  EXPECT_STREQ(raise.label, "straggler_site");
+  EXPECT_EQ(raise.site, slow);
+  EXPECT_STREQ(raise.reason, "slow");
+  EXPECT_DOUBLE_EQ(raise.value, 100.0);
+  EXPECT_DOUBLE_EQ(raise.theta,
+                   HealthMonitor::kStragglerLatencyFactor * raise_mean);
+
+  // The slow site recovers. Hysteresis holds the alert below the raise
+  // bar, and it clears once the EWMA falls under 1.5x the fleet mean.
+  const double clear_factor =
+      HealthMonitor::kStragglerLatencyFactor * HealthMonitor::kClearFactor;
+  bool held = false;
+  while (hm.alert_active(AlertRule::kStragglerSite, slow) && r < 60) {
+    ++r;
+    round(1);
+    const double lat = hm.latency(slow);
+    const double mean = fleet_mean();
+    hm.EvaluateAlerts(r, r * 100);
+    EXPECT_EQ(hm.alert_active(AlertRule::kStragglerSite, slow),
+              lat >= clear_factor * mean)
+        << "round " << r;
+    if (hm.alert_active(AlertRule::kStragglerSite, slow) &&
+        lat < HealthMonitor::kStragglerLatencyFactor * mean) {
+      held = true;
+    }
+  }
+  EXPECT_TRUE(held) << "hysteresis never held the alert";
+  EXPECT_FALSE(hm.alert_active(AlertRule::kStragglerSite, slow));
+  EXPECT_EQ(hm.alerts_raised(), 1);
+  EXPECT_EQ(hm.alerts_cleared(), 1);
+  ASSERT_EQ(sink.events_log().size(), 2u);
+  const TraceEvent& clear = sink.events_log()[1];
+  EXPECT_EQ(clear.kind, TraceEventKind::kAlertCleared);
+  EXPECT_STREQ(clear.label, "straggler_site");
+  EXPECT_EQ(clear.site, slow);
+  EXPECT_STREQ(clear.reason, "slow");
 }
 
 TEST(HealthMonitor, DownAndRejoinAreDeterministicAndDeduped) {

@@ -1,11 +1,13 @@
 // Causal span layer (obs/span.h): sink mechanics, Chrome Trace Event
-// export/parse round-trip, the CheckSpans invariants, critical-path
-// attribution, and end-to-end span emission — FGM, FGM/O, and the chaos
-// grid (loss × latency × crash), where every span must still close and
-// the per-direction span word sums must re-add to the run's traffic
-// totals.
+// export/parse round-trip, the CheckSpans invariants, the critical-path
+// time split, and end-to-end span emission — FGM and FGM/O on the
+// synchronous link and in the simulator's null mode, which record only
+// scopes, and the chaos grid (loss × latency × crash), where every span
+// must still close and the per-direction span word sums must re-add to
+// the run's traffic totals.
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -100,12 +102,14 @@ TEST(SpanSink, TickClockRebasesOpenSpans) {
 TEST(SpanExport, ChromeTraceRoundTripsThroughParser) {
   SpanSink sink;
   sink.Begin(SpanKind::kRun);
+  int64_t now = 10;
+  sink.UseTickClock(&now);
   const int64_t round = sink.Begin(SpanKind::kRound, -1, 1);
   Span msg;
   msg.kind = SpanKind::kMsg;
   msg.site = 2;
   msg.round = 1;
-  msg.begin = sink.Now();
+  msg.begin = now;
   msg.words = 9;
   msg.count = 1;
   msg.dir = +1;
@@ -156,16 +160,18 @@ TEST(SpanExport, ParserRejectsAnEntryWithoutAViewerField) {
   }
 }
 
-// Older span files carry an always-0 "queue" arg; they still parse.
-TEST(SpanExport, ParserAcceptsTheRetiredQueueArg) {
+// Older span files carry an always-0 "queue" arg and, on tree runs, the
+// "tier" of a synchronous link's message span; they still parse.
+TEST(SpanExport, ParserAcceptsRetiredArgs) {
   SpanSink sink;
   sink.Begin(SpanKind::kRun);
   sink.CloseAll(nullptr);
   std::string text = sink.ChromeTraceJson();
   EXPECT_EQ(text.find("\"queue\""), std::string::npos);
+  EXPECT_EQ(text.find("\"tier\""), std::string::npos);
   const size_t at = text.find("\"transit\":");
   ASSERT_NE(at, std::string::npos);
-  text.insert(at, "\"queue\":0,");
+  text.insert(at, "\"queue\":0,\"tier\":1,");
   std::vector<ParsedSpan> parsed;
   std::string error;
   ASSERT_TRUE(ParseSpanJson(text, &parsed, &error)) << error;
@@ -209,7 +215,7 @@ TEST(SpanCheck, FlagsOpenSpansContainmentAndWordMismatch) {
                    .empty());
 }
 
-TEST(CriticalPath, AttributesTheSlowestChildPerSubround) {
+TEST(CriticalPath, SplitsRunRoundAndNetworkTime) {
   SpanSink sink;
   sink.Begin(SpanKind::kRun);
   int64_t now = 0;
@@ -222,28 +228,34 @@ TEST(CriticalPath, AttributesTheSlowestChildPerSubround) {
     rpc.parent = sub;
     rpc.site = site;
     rpc.begin = 0;
-    rpc.end = site == 1 ? 40 : 10;  // site 1 is the straggler
-    rpc.count = site == 1 ? 3 : 1;  // with two retransmits
+    rpc.end = site == 1 ? 40 : 10;  // site 1 took two retransmits
+    rpc.count = site == 1 ? 3 : 1;
     sink.EmitComplete(rpc);
   }
+  Span datagram;
+  datagram.kind = SpanKind::kDatagram;
+  datagram.site = 2;
+  datagram.dir = -1;
+  datagram.begin = 5;
+  datagram.end = 30;  // 7 ticks on the wire, 18 waiting for the drain
+  datagram.transit = 7;
+  datagram.drain = 18;
+  sink.EmitComplete(datagram);
   now = 40;
   sink.End(sub);
   sink.End(round);
+  now = 50;
   sink.CloseAll(nullptr);
 
   std::vector<ParsedSpan> parsed;
   std::string error;
   ASSERT_TRUE(ParseSpanJson(sink.ChromeTraceJson(), &parsed, &error)) << error;
   const CriticalPathSummary cp = SummarizeCriticalPath(parsed);
-  ASSERT_EQ(cp.gates.size(), 1u);
-  EXPECT_EQ(cp.gates[0].site, 1);
-  EXPECT_EQ(cp.gates[0].wait, 40);
-  EXPECT_EQ(cp.gates[0].attempts, 3);
-  ASSERT_FALSE(cp.top_sites.empty());
-  EXPECT_EQ(cp.top_sites[0].site, 1);
-  EXPECT_EQ(cp.top_sites[0].gated, 1);
-  EXPECT_EQ(cp.top_sites[0].retransmits, 2);
-  EXPECT_EQ(cp.network_time, 60) << "sum of rpc durations";
+  EXPECT_EQ(cp.run_time, 50);
+  EXPECT_EQ(cp.round_time, 40);
+  EXPECT_EQ(cp.network_time, 60 + 7)
+      << "rpc durations plus datagram transit, not its drain wait";
+  EXPECT_EQ(cp.retransmits, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -256,8 +268,10 @@ struct SpanRun {
   std::vector<std::string> issues;
 };
 
+// Only a timed simulated network records message spans, so the span word
+// target is the run's traffic on a timed run and 0 otherwise.
 SpanRun RunWithSpans(ProtocolKind protocol, const sim::NetSimConfig& net,
-                     int64_t updates = 20000) {
+                     bool timed, int64_t updates = 20000) {
   RunConfig config;
   config.protocol = protocol;
   config.query = QueryKind::kSelfJoin;
@@ -278,25 +292,45 @@ SpanRun RunWithSpans(ProtocolKind protocol, const sim::NetSimConfig& net,
   std::string error;
   EXPECT_TRUE(ParseSpanJson(sink.ChromeTraceJson(), &out.spans, &error))
       << error;
-  out.issues = CheckSpans(out.spans, out.result.traffic.upstream_words,
-                          out.result.traffic.downstream_words, &out.stats);
+  out.issues = CheckSpans(out.spans,
+                          timed ? out.result.traffic.upstream_words : 0,
+                          timed ? out.result.traffic.downstream_words : 0,
+                          &out.stats);
   return out;
 }
 
-TEST(SpanEndToEnd, SerialFgmClosesEverySpanAndConservesWords) {
-  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, sim::NetSimConfig());
-  EXPECT_TRUE(out.issues.empty()) << out.issues.front();
-  EXPECT_EQ(out.stats.open, 0);
-  EXPECT_GT(out.stats.spans, out.result.rounds)
-      << "at least one span per round plus messages";
-  const CriticalPathSummary cp = SummarizeCriticalPath(out.spans);
-  EXPECT_GT(cp.run_time, 0);
-  EXPECT_EQ(cp.gates.size(), static_cast<size_t>(out.result.subrounds));
+// A synchronous run records each message in the trace alone, so its span
+// file holds only the scopes. The simulator's null mode takes no span
+// sink, so its file is the synchronous one, span for span.
+TEST(SpanEndToEnd, SynchronousAndNullModeRecordOnlyScopes) {
+  const SpanRun sync =
+      RunWithSpans(ProtocolKind::kFgm, sim::NetSimConfig(), false);
+  EXPECT_TRUE(sync.issues.empty()) << sync.issues.front();
+  EXPECT_EQ(sync.stats.open, 0);
+  std::map<std::string, int64_t> counts;
+  for (const ParsedSpan& s : sync.spans) ++counts[s.kind];
+  EXPECT_EQ(counts.size(), 3u) << "run, round and subround only";
+  EXPECT_EQ(counts.at("run"), 1);
+  EXPECT_EQ(counts.at("round"), sync.result.rounds);
+  EXPECT_EQ(counts.at("subround"), sync.result.subrounds);
+  EXPECT_GT(SummarizeCriticalPath(sync.spans).run_time, 0);
+
+  sim::NetSimConfig null_net;
+  null_net.latency = "0";
+  const SpanRun null = RunWithSpans(ProtocolKind::kFgm, null_net, false);
+  EXPECT_TRUE(null.issues.empty()) << null.issues.front();
+  ASSERT_EQ(null.spans.size(), sync.spans.size());
+  for (size_t i = 0; i < sync.spans.size(); ++i) {
+    EXPECT_EQ(null.spans[i].kind, sync.spans[i].kind) << i;
+    EXPECT_EQ(null.spans[i].parent, sync.spans[i].parent) << i;
+    EXPECT_EQ(null.spans[i].round, sync.spans[i].round) << i;
+    EXPECT_EQ(null.spans[i].subround, sync.spans[i].subround) << i;
+  }
 }
 
 TEST(SpanEndToEnd, OptimizerProtocolConserves) {
   const SpanRun out =
-      RunWithSpans(ProtocolKind::kFgmOpt, sim::NetSimConfig());
+      RunWithSpans(ProtocolKind::kFgmOpt, sim::NetSimConfig(), false);
   EXPECT_TRUE(out.issues.empty()) << out.issues.front();
   EXPECT_EQ(out.stats.open, 0);
 }
@@ -314,7 +348,7 @@ TEST_P(SpanChaosGrid, EverySpanClosesAndWordsConserve) {
   net.latency = latency;
   net.drop = drop;
   net.fault_plan = "crash:site=2,at=10000,rejoin=14000";
-  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, net);
+  const SpanRun out = RunWithSpans(ProtocolKind::kFgm, net, true);
   EXPECT_TRUE(out.issues.empty()) << out.issues.front();
   EXPECT_EQ(out.stats.open, 0);
   EXPECT_EQ(out.result.net.site_downs, 1);

@@ -254,19 +254,6 @@ TEST(SlidingWindow, MatchesDequeReferenceOnRandomTraces) {
   EXPECT_GT(compared, 100000);
 }
 
-TEST(CountWindow, KeepsExactlyCapacity) {
-  const auto trace = GenerateWorldCupTrace(SmallConfig());
-  CountWindowStream events(&trace, 100);
-  int64_t live = 0, max_live = 0;
-  while (const StreamRecord* rec = events.Next()) {
-    live += rec->weight > 0 ? 1 : -1;
-    max_live = std::max(max_live, live);
-    ASSERT_LE(live, 101);  // eviction lags the insert by one event
-  }
-  EXPECT_EQ(max_live, 101);
-  EXPECT_EQ(live, 100);  // the final window remains
-}
-
 TEST(Partition, RehashPreservesGlobalStream) {
   const auto trace = GenerateWorldCupTrace(SmallConfig());
   const auto rehashed = RehashSites(trace, 4);

@@ -273,11 +273,11 @@ struct Booked {
 Booked SendEveryMessage(const ContractCase& param) {
   const int sites = 3;
   std::unique_ptr<Transport> transport = MakeBackend(param.backend, sites);
-  const auto* net = dynamic_cast<const sim::EventNetwork*>(transport.get());
+  auto* net = dynamic_cast<sim::EventNetwork*>(transport.get());
   MemoryTraceSink trace;
   SpanSink spans;
   transport->set_trace(&trace);
-  transport->set_spans(&spans);
+  if (net != nullptr) net->set_spans(&spans);
   // Message spans nest under the run span, as in a protocol run.
   spans.Begin(SpanKind::kRun);
 
@@ -360,6 +360,20 @@ Booked SendEveryMessage(const ContractCase& param) {
     EXPECT_EQ(net->net_stats().retransmitted_msgs, sent_so_far - 12);
     EXPECT_GT(net->net_stats().retransmitted_msgs, 0);
   }
+  // Only a timed link records messages as spans, one per attempt; the
+  // synchronous links and the null event network book them in the trace
+  // alone.
+  spans.CloseAll(nullptr);
+  int64_t msg_spans = 0;
+  int64_t span_words = 0;
+  for (const Span& s : spans.Snapshot()) {
+    if (s.kind != SpanKind::kMsg) continue;
+    ++msg_spans;
+    span_words += s.words;
+  }
+  const bool timed = param.backend == Backend::kSimLossy;
+  EXPECT_EQ(msg_spans, timed ? sent_so_far : 0);
+  EXPECT_EQ(span_words, timed ? booked_words : 0);
   return out;
 }
 

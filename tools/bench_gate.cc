@@ -1,27 +1,20 @@
 // CI bench regression gate.
 //
 //   ./build/tools/bench_gate --baseline=bench/baselines/BENCH_x.json
-//       --current=BENCH_x.json [--tol=0.02] [--time_tol=0]
-//       [--tol_field=name=T[,name=T...]] [--verbose]
+//       --current=BENCH_x.json [--update]
 //
 // Diffs two BENCH_*.json reports (bench/bench_common.h JsonReport format:
 // {"bench": name, "runs": [{"x": label, ...fields...}], "scalars": {...}}).
-// Runs are matched by their "x" label; every numeric field present in the
-// baseline must exist in the current report and stay within the relative
-// tolerance; string fields (protocol, query) must match exactly.
+// Runs are matched by their "x" label; every field present in the
+// baseline must exist in the current report. Numbers must be equal and
+// strings (protocol, query) identical: rounds, words, subrounds and
+// estimates are deterministic for a fixed seed, so any drift is a
+// behaviour change.
 //
 // Machine-dependent fields — name contains "wall", "second", "speedup",
-// "per_sec", "ns_per" or "host_" — are skipped unless --time_tol > 0 is
-// given, in which case they are gated at that (looser) tolerance.
-// Everything else (rounds, words, subrounds, estimates...) is
-// deterministic for a fixed seed and gated at --tol; --tol=0 demands
-// bit-exact equality.
-//
-// --tol_field=name=T[,name=T...] overrides the tolerance for individual
-// fields by exact name, taking precedence over both --tol and the
-// time-like skip — so one noisy field can be loosened (or a time-like
-// field force-gated) without loosening the bit-exact --tol=0 gate on
-// everything else.
+// "per_sec", "ns_per" or "host_" — are skipped, so a report of timings
+// alone (BENCH_micro) gates only its structure: every benchmark must
+// still exist.
 //
 // --update inverts the gate: instead of diffing, it validates the
 // current report (parseable JSON with a "bench" name) and copies its
@@ -29,15 +22,12 @@
 // sanctioned way to refresh bench/baselines/ after an intentional
 // traffic change — the diff shows up in review as a plain file edit.
 //
-// Exit: 0 = within tolerance, 1 = regression / missing data,
+// Exit: 0 = every compared field equal, 1 = drift / missing data,
 // 2 = usage or parse error.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,7 +50,7 @@ bool ReadJsonFile(const std::string& path, fgm::JsonNode* out,
 }
 
 /// Machine-dependent fields: wall-clock measurements plus host facts
-/// (host_cores). Skipped unless --time_tol force-gates them.
+/// (host_cores). Never compared.
 bool IsTimeLike(const std::string& name) {
   for (const char* marker :
        {"wall", "second", "speedup", "per_sec", "ns_per", "host_"}) {
@@ -69,66 +59,24 @@ bool IsTimeLike(const std::string& name) {
   return false;
 }
 
-/// Parses "name=T[,name=T...]" into per-field tolerance overrides.
-/// Returns false on an empty name or a non-numeric / negative value.
-bool ParseFieldTols(const std::string& spec,
-                    std::map<std::string, double>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const size_t eq = item.find('=');
-    if (eq == 0 || eq == std::string::npos) return false;
-    const std::string name = item.substr(0, eq);
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str() + eq + 1, &end);
-    if (end == nullptr || *end != '\0' || value < 0.0) return false;
-    (*out)[name] = value;
-    pos = comma + 1;
-  }
-  return true;
-}
-
 struct Gate {
-  double tol = 0.02;
-  double time_tol = 0.0;  ///< 0 = skip time-like fields entirely
-  /// Exact-name overrides (--tol_field); win over tol AND the
-  /// time-like skip.
-  std::map<std::string, double> field_tols;
-  bool verbose = false;
   int64_t compared = 0;
   int64_t skipped = 0;
   std::vector<std::string> failures;
 
   void Fail(const std::string& what) { failures.push_back(what); }
 
-  /// Relative comparison: |cur - base| <= tol * max(|base|, 1e-12).
   void Number(const std::string& where, const std::string& name, double base,
               double cur) {
-    double limit = tol;
-    const auto it = field_tols.find(name);
-    if (it != field_tols.end()) {
-      limit = it->second;
-    } else if (IsTimeLike(name)) {
-      if (time_tol <= 0.0) {
-        ++skipped;
-        return;
-      }
-      limit = time_tol;
+    if (IsTimeLike(name)) {
+      ++skipped;
+      return;
     }
     ++compared;
-    const double scale = std::max(std::fabs(base), 1e-12);
-    const double rel = std::fabs(cur - base) / scale;
-    const bool ok = rel <= limit;
-    if (verbose || !ok) {
-      std::printf("%s %s.%s: base=%.6g cur=%.6g rel=%.4g (tol %.4g)\n",
-                  ok ? "ok  " : "FAIL", where.c_str(), name.c_str(), base,
-                  cur, rel, limit);
-    }
-    if (!ok) {
-      Fail(where + "." + name + " drifted beyond tolerance");
-    }
+    if (cur == base) return;
+    std::printf("FAIL %s.%s: base=%.17g cur=%.17g\n", where.c_str(),
+                name.c_str(), base, cur);
+    Fail(where + "." + name + " drifted");
   }
 
   void CompareMembers(const std::string& where, const fgm::JsonNode& base,
@@ -179,29 +127,15 @@ int main(int argc, char** argv) {
   const std::string baseline_path = flags.GetString("baseline", "");
   const std::string current_path = flags.GetString("current", "");
   const bool update = flags.GetBool("update", false);
-  Gate gate;
-  gate.tol = flags.GetDouble("tol", 0.02);
-  gate.time_tol = flags.GetDouble("time_tol", 0.0);
-  gate.verbose = flags.GetBool("verbose", false);
-  const std::string tol_field = flags.GetString("tol_field", "");
-  bool tol_field_ok = true;
-  if (!tol_field.empty()) {
-    tol_field_ok = ParseFieldTols(tol_field, &gate.field_tols);
-  }
-  // Validate prints one line per unknown flag or malformed value, so a
-  // mistyped --tol cannot fall back to a looser default unnoticed.
+  // Validate prints one line per unknown flag or malformed value.
   if (!flags.Validate(nullptr) || baseline_path.empty() ||
-      current_path.empty() || !tol_field_ok) {
-    if (!tol_field_ok) {
-      std::fprintf(stderr, "bad --tol_field=%s (want name=T[,name=T...])\n",
-                   tol_field.c_str());
-    }
+      current_path.empty()) {
     std::fprintf(stderr,
                  "usage: bench_gate --baseline=BENCH_x.json "
-                 "--current=BENCH_x.json [--tol=0.02] [--time_tol=0] "
-                 "[--tol_field=name=T[,name=T...]] [--update] [--verbose]\n");
+                 "--current=BENCH_x.json [--update]\n");
     return 2;
   }
+  Gate gate;
 
   fgm::JsonNode baseline, current;
   std::string error;

@@ -29,11 +29,14 @@
 // --spans adds the causal-span file (--spans_out, obs/span.h) as a fourth
 // view: the span invariants must hold (every span closed, children inside
 // their parents) and the per-direction msg/datagram span word sums must
-// equal the trace's RunEnd totals plus its TierEnd ledgers, the target
-// trace_check takes too. The report then prints a critical-path
-// summary: the run's time split (rounds, network) and, per subround,
-// which site's RPC or datagram gated progress — aggregated into a top-N
-// straggler table with retransmit counts.
+// equal ReplayReport::SpanWords, the target trace_check takes too (the
+// trace's RunEnd totals on a timed simulated run, whose root links alone
+// record message spans, else 0). The report then prints the run's time
+// split: run, rounds and network time, and the RPC retransmits. It names
+// no straggler: a synchronous run polls its children one blocking call
+// at a time, so the last reply of a subround marks poll order, not a
+// slow site; the health monitor's straggler_site rule reads per-site
+// delivery latency instead.
 //
 // Exit: 0 = all checks pass, 1 = the replay or a cross-check failed
 // (suppress with --check=false), 2 = usage / file / parse error, or a
@@ -75,7 +78,9 @@ constexpr int kKinds = static_cast<int>(fgm::MsgKind::kKindCount);
 /// v5: removed the "speculation" object and the "spans" object's
 /// speculate_time/barrier_time/replay_time/commit_time fields; runs are
 /// single-threaded and metrics.json carries no speculation numbers.
-constexpr int64_t kReportSchemaVersion = 5;
+/// v6: removed the "spans" object's gated_subrounds and top_sites
+/// (the straggler table read poll order, not stragglers).
+constexpr int64_t kReportSchemaVersion = 6;
 
 std::string Format(const char* fmt, ...) {
   char buf[512];
@@ -564,11 +569,10 @@ void PrintAlerts(const fgm::ReplayReport& t, int64_t max_rounds) {
   table.Print();
 }
 
-/// Run-level time split + straggler attribution, computed from the span
-/// file alone (SummarizeCriticalPath).
+/// Run-level time split, computed from the span file alone
+/// (SummarizeCriticalPath).
 void PrintCriticalPath(const fgm::SpanCheckStats& stats,
-                       const fgm::CriticalPathSummary& cp,
-                       int64_t max_rounds) {
+                       const fgm::CriticalPathSummary& cp) {
   fgm::PrintBanner("Critical path (spans)");
   const double run = cp.run_time > 0 ? static_cast<double>(cp.run_time) : 1.0;
   auto pct = [run](int64_t v) { return 100.0 * static_cast<double>(v) / run; };
@@ -579,23 +583,6 @@ void PrintCriticalPath(const fgm::SpanCheckStats& stats,
   std::printf("network=%lld (%.1f%%)  retransmits=%lld\n",
               static_cast<long long>(cp.network_time), pct(cp.network_time),
               static_cast<long long>(cp.retransmits));
-  if (!cp.top_sites.empty()) {
-    std::printf("gated subrounds: %zu\n", cp.gates.size());
-    fgm::TablePrinter table({"site", "gated", "wait", "retransmits"});
-    int64_t shown = 0;
-    for (const fgm::SiteGating& s : cp.top_sites) {
-      if (shown++ >= max_rounds) break;
-      table.AddRow({fgm::TablePrinter::Cell(static_cast<int64_t>(s.site)),
-                    fgm::TablePrinter::Cell(s.gated),
-                    fgm::TablePrinter::Cell(s.wait),
-                    fgm::TablePrinter::Cell(s.retransmits)});
-    }
-    table.Print();
-    if (static_cast<int64_t>(cp.top_sites.size()) > max_rounds) {
-      std::printf("(showing the top %lld of %zu gating sites)\n",
-                  static_cast<long long>(max_rounds), cp.top_sites.size());
-    }
-  }
 }
 
 void WriteJsonReport(const std::string& path, const std::string& trace_path,
@@ -699,18 +686,6 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.Field("round_time", cp->round_time);
     w.Field("network_time", cp->network_time);
     w.Field("retransmits", cp->retransmits);
-    w.Field("gated_subrounds", static_cast<int64_t>(cp->gates.size()));
-    w.Key("top_sites");
-    w.BeginArray();
-    for (const fgm::SiteGating& s : cp->top_sites) {
-      w.BeginObject();
-      w.Field("site", static_cast<int64_t>(s.site));
-      w.Field("gated", s.gated);
-      w.Field("wait", s.wait);
-      w.Field("retransmits", s.retransmits);
-      w.EndObject();
-    }
-    w.EndArray();
     w.EndObject();
   }
   if (!t.alert_rows.empty()) {
@@ -846,7 +821,6 @@ int main(int argc, char** argv) {
     have_spans = true;
     // The span file is the fourth view of the same run: its invariants
     // must hold and its wire-word sums must re-add to the trace's totals.
-    // The trace read, so its bounded volume keeps these sums in range.
     int64_t span_up_target = 0, span_down_target = 0;
     trace.SpanWords(&span_up_target, &span_down_target);
     const std::vector<std::string> span_issues = fgm::CheckSpans(
@@ -866,7 +840,7 @@ int main(int argc, char** argv) {
   PrintAlerts(trace, max_rounds);
   PrintNetwork(trace, have_metrics ? &metrics : nullptr,
                have_ts ? &ts : nullptr);
-  if (have_spans) PrintCriticalPath(span_stats, critical_path, max_rounds);
+  if (have_spans) PrintCriticalPath(span_stats, critical_path);
   if (have_ts) {
     fgm::PrintBanner("Time series");
     const fgm::JsonNode* taken = ts.Find("taken");

@@ -14,9 +14,10 @@
 // With --spans=S.json the Chrome Trace Event span file a runner wrote via
 // --spans_out is checked too (obs/span.h CheckSpans): every span closed,
 // children inside their parents, and — when exactly one trace file is
-// given — the per-direction msg/datagram span word sums must equal the
-// trace's RunEnd totals plus its TierEnd ledgers (ReplayReport::SpanWords,
-// the target fgm_report takes too).
+// given — the per-direction msg/datagram span word sums must equal
+// ReplayReport::SpanWords, the target fgm_report takes too: the trace's
+// RunEnd totals when it carries network events (only the timed simulated
+// root links record message spans), else 0.
 //
 // --alerts additionally requires at least one AlertRaised event across
 // the given traces (raise/clear pairing is always checked by the replay
@@ -66,10 +67,7 @@ int main(int argc, char** argv) {
                   path.c_str());
       ok = false;
     }
-    if (!report.SpanWords(&up_words, &down_words)) {
-      std::printf("FAIL: %s word totals overflow int64\n", path.c_str());
-      ok = false;
-    }
+    report.SpanWords(&up_words, &down_words);
     alerts_raised += report.alerts_raised;
     if (require_tiers && report.tier_ends == 0) {
       std::printf("FAIL: --tiers given but %s has no certified tier "
