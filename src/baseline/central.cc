@@ -7,7 +7,8 @@ namespace fgm {
 
 CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
                                  TransportMode transport, TraceSink* trace,
-                                 const sim::NetSimConfig& net)
+                                 const sim::NetSimConfig& net,
+                                 SpanSink* spans)
     : query_(query),
       sites_k_(num_sites),
       transport_(sim::MakeTransport(transport, net, num_sites)),
@@ -21,6 +22,7 @@ CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
     sim_ = static_cast<sim::EventNetwork*>(transport_.get());
   }
   if (trace != nullptr) transport_->set_trace(trace);
+  if (sim_ != nullptr && spans != nullptr) sim_->set_spans(spans);
 }
 
 void CentralProtocol::ProcessRecord(const StreamRecord& record) {

@@ -23,15 +23,17 @@ namespace fgm {
 
 class CentralProtocol : public MonitoringProtocol {
  public:
-  /// `trace` is a non-owning observability hook (obs/); nullptr (the
-  /// default) disables it. An enabled `net` config runs
+  /// `trace` and `spans` are non-owning observability hooks (obs/);
+  /// nullptr (the default) disables them. An enabled `net` config runs
   /// the raw-update stream over the event-simulated network (RPC
   /// discipline: every update is retransmitted until delivered, so the
-  /// estimate stays exact); fault plans are rejected.
+  /// estimate stays exact); fault plans are rejected. Only a timed
+  /// network records message spans.
   CentralProtocol(const ContinuousQuery* query, int num_sites,
                   TransportMode transport = TransportMode::kAuto,
                   TraceSink* trace = nullptr,
-                  const sim::NetSimConfig& net = {});
+                  const sim::NetSimConfig& net = {},
+                  SpanSink* spans = nullptr);
 
   std::string name() const override { return "CENTRAL"; }
   void ProcessRecord(const StreamRecord& record) override;

@@ -1076,7 +1076,7 @@ double FgmProtocol::mean_full_function_fraction() const {
 
 void FgmProtocol::SimTick() {
   sim_->Advance(1);
-  DrainNetwork();
+  if (paused_ || sim_->Due() || SilencePollDue()) DrainNetwork();
 }
 
 void FgmProtocol::DrainNetwork() {
@@ -1273,11 +1273,13 @@ void FgmProtocol::ApplyCounterDelta(int child, int64_t cumulative,
   }
 }
 
+bool FgmProtocol::SilencePollDue() const {
+  return lossy_net_ && !paused_ &&
+         sim_->now() - last_counter_activity_ >= sim::kSilenceTicks;
+}
+
 void FgmProtocol::MaybeSilencePoll() {
-  if (!lossy_net_ || paused_) return;
-  if (sim_->now() - last_counter_activity_ < sim::kSilenceTicks) {
-    return;
-  }
+  if (!SilencePollDue()) return;
   // The subround may be stalled on dropped datagrams from children that
   // have since gone quiet: re-poll every member's cumulative counter
   // (request + one-word reply, charged and retransmitted like any control

@@ -273,7 +273,10 @@ class FgmProtocol : public MonitoringProtocol {
   void EmitTierEnds();
 
   // Simulated-network machinery (all no-ops when sim_ == nullptr).
-  /// Per-record clock tick + drain, called at the top of ProcessRecord.
+  /// Per-record clock tick, called at the top of ProcessRecord. It drains
+  /// only when the drain has work: a fault or datagram is due, a round
+  /// member is paused (CheckDeadlines watches every tick) or the silence
+  /// timer is due.
   void SimTick();
   /// Drains due fault transitions and counter datagrams, then checks the
   /// dead-child deadline and the silence timeout.
@@ -288,6 +291,8 @@ class FgmProtocol : public MonitoringProtocol {
   /// a dropped datagram whose sender then goes quiet would otherwise
   /// stall the subround forever).
   void MaybeSilencePoll();
+  /// Whether MaybeSilencePoll would re-poll at the current tick.
+  bool SilencePollDue() const;
   /// Drops members dead past sim::kDeadSiteTicks from the round: ends
   /// the round over the surviving children (reduced-m graceful
   /// degradation).

@@ -111,14 +111,15 @@ std::unique_ptr<MonitoringProtocol> BuildProtocol(
       // Deep trees need the subround protocol at the aggregators, which
       // only the FGM family has.
       FGM_CHECK(topo.IsFlat());
-      return std::make_unique<CentralProtocol>(query, config.sites, mode,
-                                               config.trace, config.net);
+      return std::make_unique<CentralProtocol>(
+          query, config.sites, mode, config.trace, config.net, config.spans);
     case ProtocolKind::kGm: {
       FGM_CHECK(topo.IsFlat());
       GmConfig gm;
       gm.transport = mode;
       gm.net = config.net;
       gm.trace = config.trace;
+      gm.spans = config.spans;
       return std::make_unique<GmProtocol>(query, config.sites, gm);
     }
     case ProtocolKind::kFgmBasic:

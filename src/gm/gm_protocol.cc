@@ -37,6 +37,9 @@ GmProtocol::GmProtocol(const ContinuousQuery* query, int num_sites,
   }
   trace_ = config_.trace;
   if (trace_ != nullptr) transport_->set_trace(trace_);
+  if (sim_ != nullptr && config_.spans != nullptr) {
+    sim_->set_spans(config_.spans);
+  }
   StartRound();
 }
 

@@ -35,6 +35,8 @@
 
 namespace fgm {
 
+class SpanSink;
+
 struct GmConfig {
   /// How protocol messages travel (see FgmConfig::transport).
   TransportMode transport = TransportMode::kAuto;
@@ -55,6 +57,11 @@ struct GmConfig {
   /// Structured event sink (obs/); non-owning, nullptr disables (see
   /// FgmConfig::trace).
   TraceSink* trace = nullptr;
+
+  /// Span sink (obs/span.h); non-owning, nullptr disables. GM opens no
+  /// scopes of its own: over a timed simulated network the event network
+  /// records its RPC and attempt spans (see FgmConfig::spans).
+  SpanSink* spans = nullptr;
 };
 
 class GmProtocol : public MonitoringProtocol {

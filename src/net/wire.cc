@@ -100,10 +100,10 @@ RawUpdateMsg RawUpdateMsg::Decode(const WordBuffer& in, size_t index) {
 
 RawUpdateMsg RawUpdateMsg::FromRecord(const StreamRecord& record) {
   FGM_CHECK_EQ(record.cid >> 61, 0u);
-  FGM_CHECK(record.weight == 1.0 || record.weight == -1.0);
+  FGM_CHECK(record.weight == 1 || record.weight == -1);
   RawUpdateMsg msg;
   msg.key = (record.cid << 3) | static_cast<uint64_t>(record.type);
-  msg.is_delete = record.weight < 0.0;
+  msg.is_delete = record.weight < 0;
   return msg;
 }
 
@@ -112,14 +112,14 @@ StreamRecord RawUpdateMsg::ToRecord(int site) const {
   record.site = site;
   record.cid = key >> 3;
   record.type = static_cast<FileType>(key & 7);
-  record.weight = is_delete ? -1.0 : 1.0;
+  record.weight = is_delete ? -1 : 1;
   return record;
 }
 
 void RawUpdateLog::Record(const StreamRecord& record, size_t dense_words) {
   if (!valid_) return;
   if ((record.cid >> 61) != 0 ||
-      (record.weight != 1.0 && record.weight != -1.0)) {
+      (record.weight != 1 && record.weight != -1)) {
     Invalidate();
     return;
   }

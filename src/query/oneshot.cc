@@ -18,7 +18,8 @@ OneShotFpQuery::OneShotFpQuery(size_t dimension, double p, double threshold,
 
 void OneShotFpQuery::MapRecord(const StreamRecord& record,
                                std::vector<CellUpdate>* out) const {
-  out->push_back(CellUpdate{record.cid % dimension_, record.weight});
+  out->push_back(
+      CellUpdate{record.cid % dimension_, static_cast<double>(record.weight)});
 }
 
 double OneShotFpQuery::Evaluate(const RealVector& state) const {

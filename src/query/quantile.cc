@@ -50,8 +50,8 @@ double QuantileQuery::BucketValue(int bucket) const {
 void QuantileQuery::MapRecord(const StreamRecord& record,
                               std::vector<CellUpdate>* out) const {
   const int bucket = BucketOf(ResponseSizeOf(record));
-  out->push_back(
-      CellUpdate{static_cast<size_t>(bucket), record.weight});
+  out->push_back(CellUpdate{static_cast<size_t>(bucket),
+                            static_cast<double>(record.weight)});
 }
 
 int QuantileQuery::QuantileBucket(const RealVector& state) const {

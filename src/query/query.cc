@@ -177,7 +177,8 @@ std::string FpNormQuery::name() const {
 
 void FpNormQuery::MapRecord(const StreamRecord& record,
                             std::vector<CellUpdate>* out) const {
-  out->push_back(CellUpdate{record.cid % dimension_, record.weight});
+  out->push_back(
+      CellUpdate{record.cid % dimension_, static_cast<double>(record.weight)});
 }
 
 double FpNormQuery::Evaluate(const RealVector& state) const {

@@ -47,9 +47,10 @@ VarianceQuery::VarianceQuery(double epsilon, double threshold_floor,
 void VarianceQuery::MapRecord(const StreamRecord& record,
                               std::vector<CellUpdate>* out) const {
   const double v = ResponseSizeOf(record);
-  out->push_back(CellUpdate{0, record.weight});
-  out->push_back(CellUpdate{1, record.weight * v});
-  out->push_back(CellUpdate{2, record.weight * v * v});
+  const double w = static_cast<double>(record.weight);
+  out->push_back(CellUpdate{0, w});
+  out->push_back(CellUpdate{1, w * v});
+  out->push_back(CellUpdate{2, w * v * v});
 }
 
 double VarianceQuery::Evaluate(const RealVector& state) const {

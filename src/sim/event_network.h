@@ -131,6 +131,13 @@ class EventNetwork final : public Transport {
   /// flips). Returns false when none is pending.
   bool PopFault(FaultNotice* out);
 
+  /// Whether PopFault or PopCounter would hand something over now.
+  bool Due() const {
+    return (next_transition_ < transitions_.size() &&
+            transitions_[next_transition_].at <= now_) ||
+           (!queue_.empty() && queue_.top().due <= now_);
+  }
+
   /// Sends the link's message spans to `spans` (nullptr disables; the
   /// default) and rebases the sink onto the simulated clock. Null mode
   /// takes neither: its messages take no time.

@@ -11,30 +11,20 @@ std::vector<StreamRecord> GenerateDriftTrace(const DriftStreamConfig& config) {
   Xoshiro256ss rng(config.seed);
   const ZipfDistribution keys(config.distinct_keys, config.zipf_s);
 
-  std::vector<double> site_cdf;
-  if (config.site_power_alpha > 0.0) {
-    const std::vector<double> weights =
-        PowerLawWeights(config.sites, config.site_power_alpha);
-    double acc = 0.0;
-    for (double w : weights) {
-      acc += w;
-      site_cdf.push_back(acc);
-    }
-  }
+  // Skewed site rates draw through the guide table; uniform ones (alpha 0)
+  // draw a bounded integer.
+  const bool skewed = config.site_power_alpha > 0.0;
+  const GuidedCdf site_cdf(
+      PowerLawWeights(config.sites, config.site_power_alpha));
 
   std::vector<StreamRecord> trace;
   trace.reserve(static_cast<size_t>(config.total_updates));
   auto draw_site = [&]() {
-    if (site_cdf.empty()) {
+    if (!skewed) {
       return static_cast<int32_t>(
           rng.NextBounded(static_cast<uint64_t>(config.sites)));
     }
-    const double u = rng.NextDouble();
-    int s = 0;
-    while (s + 1 < config.sites && site_cdf[static_cast<size_t>(s)] < u) {
-      ++s;
-    }
-    return static_cast<int32_t>(s);
+    return static_cast<int32_t>(site_cdf.Pick(rng.NextDouble()));
   };
   while (static_cast<int64_t>(trace.size()) < config.total_updates) {
     StreamRecord rec;
@@ -44,7 +34,7 @@ std::vector<StreamRecord> GenerateDriftTrace(const DriftStreamConfig& config) {
                static_cast<uint64_t>(rec.site) * config.site_key_rotation) %
               config.distinct_keys;
     rec.type = FileType::kHtml;
-    rec.weight = 1.0;
+    rec.weight = 1;
     trace.push_back(rec);
     if (config.cancel_fraction > 0.0 &&
         rng.NextDouble() < config.cancel_fraction &&
@@ -57,7 +47,7 @@ std::vector<StreamRecord> GenerateDriftTrace(const DriftStreamConfig& config) {
           del.site = draw_site();
         } while (del.site == rec.site);
       }
-      del.weight = -1.0;
+      del.weight = -1;
       trace.push_back(del);
     }
   }

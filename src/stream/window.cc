@@ -30,7 +30,7 @@ const StreamRecord* SlidingWindowStream::Next() {
   if (emit_delete) {
     current_ = trace[next_delete_++];
     current_.time += window_;
-    current_.weight = -1.0;
+    current_.weight = -1;
     ++deletes_;
   } else {
     current_ = trace[next_insert_++];

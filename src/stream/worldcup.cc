@@ -76,21 +76,16 @@ std::vector<StreamRecord> GenerateWorldCupTrace(const WorldCupConfig& config) {
   const double total_mass = cumulative.back();
 
   // Per-site sampling distribution (power law over a shuffled rank order so
-  // that the "big" sites are not always ids 0..7).
-  std::vector<double> site_weights =
-      PowerLawWeights(config.sites, config.site_power_alpha);
+  // that the "big" sites are not always ids 0..7), drawn through a guide
+  // table in O(1) per record.
+  const GuidedCdf site_cdf(
+      PowerLawWeights(config.sites, config.site_power_alpha));
   std::vector<int> site_order(static_cast<size_t>(config.sites));
   for (int i = 0; i < config.sites; ++i) site_order[static_cast<size_t>(i)] = i;
   for (int i = config.sites - 1; i > 0; --i) {
     std::swap(site_order[static_cast<size_t>(i)],
               site_order[static_cast<size_t>(rng.NextBounded(
                   static_cast<uint64_t>(i) + 1))]);
-  }
-  std::vector<double> site_cdf(static_cast<size_t>(config.sites));
-  double acc = 0.0;
-  for (int i = 0; i < config.sites; ++i) {
-    acc += site_weights[static_cast<size_t>(i)];
-    site_cdf[static_cast<size_t>(i)] = acc;
   }
 
   const ZipfDistribution client_dist(config.distinct_clients,
@@ -115,11 +110,8 @@ std::vector<StreamRecord> GenerateWorldCupTrace(const WorldCupConfig& config) {
 
     StreamRecord rec;
     rec.time = t;
-    // Categorical site draw via CDF scan (k <= a few dozen).
-    const double u = rng.NextDouble();
-    int s = 0;
-    while (s + 1 < config.sites && site_cdf[static_cast<size_t>(s)] < u) ++s;
-    rec.site = site_order[static_cast<size_t>(s)];
+    rec.site =
+        site_order[static_cast<size_t>(site_cdf.Pick(rng.NextDouble()))];
     rec.cid = client_dist.Sample(rng);
     const double tu = rng.NextDouble();
     if (tu < config.html_fraction) {
@@ -134,7 +126,7 @@ std::vector<StreamRecord> GenerateWorldCupTrace(const WorldCupConfig& config) {
       rec.type = r < 0.4 ? FileType::kAudio
                          : (r < 0.6 ? FileType::kVideo : FileType::kOther);
     }
-    rec.weight = 1.0;
+    rec.weight = 1;
     trace.push_back(rec);
   }
   return trace;

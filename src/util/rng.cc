@@ -136,4 +136,24 @@ std::vector<double> PowerLawWeights(int k, double alpha) {
   return w;
 }
 
+GuidedCdf::GuidedCdf(const std::vector<double>& weights) {
+  FGM_CHECK(!weights.empty());
+  const int k = static_cast<int>(weights.size());
+  cdf_.reserve(weights.size());
+  double acc = 0.0;
+  for (double w : weights) {
+    FGM_CHECK_GE(w, 0.0);
+    acc += w;
+    cdf_.push_back(acc);
+  }
+  // The bucket edges g/k increase, so one forward scan fills the table.
+  guide_.resize(weights.size());
+  int i = 0;
+  for (int g = 0; g < k; ++g) {
+    const double edge = static_cast<double>(g) / k;
+    while (i + 1 < k && cdf_[static_cast<size_t>(i)] < edge) ++i;
+    guide_[static_cast<size_t>(g)] = i;
+  }
+}
+
 }  // namespace fgm

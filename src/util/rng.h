@@ -5,6 +5,8 @@
 //    UniformRandomBitGenerator.
 //  * ZipfDistribution — Zipf(s) over {1..n} with O(1) amortized sampling
 //    (rejection-inversion, Hörmann & Derflinger).
+//  * GuidedCdf — inverse-CDF draws over k categories in O(1) expected
+//    steps (guide table, Chen & Asau).
 //  * Small helpers for uniform doubles/ints and exponential variates.
 //
 // All generators are explicitly seeded; the library never uses global or
@@ -13,6 +15,7 @@
 #ifndef FGM_UTIL_RNG_H_
 #define FGM_UTIL_RNG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -83,6 +86,35 @@ class ZipfDistribution {
 /// `alpha` (weight of rank r ∝ r^{-alpha}), normalized to sum to 1.
 /// Used to model skewed per-site stream rates.
 std::vector<double> PowerLawWeights(int k, double alpha);
+
+/// Inverse-CDF draw over k categories with a guide table (Chen & Asau).
+/// Pick(u) returns the index of the capped linear scan
+///   i = 0; while (i + 1 < k && cdf[i] < u) ++i;
+/// in O(1) expected steps instead of O(k). guide_[g] holds that scan's
+/// answer at u = g/k, and Pick starts the scan from the entry one bucket
+/// below floor(u·k): the scan's answer never decreases in u, so the entry
+/// cannot lie past the answer even when u·k rounds up onto a bucket edge.
+class GuidedCdf {
+ public:
+  /// `weights` (k >= 1 of them, nonnegative) are summed in order into
+  /// the CDF.
+  explicit GuidedCdf(const std::vector<double>& weights);
+
+  /// The category of a uniform draw `u` in [0, 1).
+  int Pick(double u) const {
+    const int k = static_cast<int>(cdf_.size());
+    const int g = std::clamp(static_cast<int>(u * k) - 1, 0, k - 1);
+    int i = guide_[static_cast<size_t>(g)];
+    while (i + 1 < k && cdf_[static_cast<size_t>(i)] < u) ++i;
+    return i;
+  }
+
+  const std::vector<double>& cdf() const { return cdf_; }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<int> guide_;
+};
 
 }  // namespace fgm
 

@@ -85,6 +85,90 @@ TEST(WorldCup, TypeMixMatchesConfig) {
   EXPECT_NEAR(static_cast<double>(image) / trace.size(), 0.66, 0.02);
 }
 
+// FNV-1a over every field value of every record. It hashes the values,
+// not the struct bytes (which include padding), so a fingerprint outlives
+// a change of record layout.
+uint64_t FieldFingerprint(const std::vector<StreamRecord>& trace) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const StreamRecord& rec : trace) {
+    uint64_t time_bits;
+    std::memcpy(&time_bits, &rec.time, sizeof(time_bits));
+    mix(time_bits);
+    mix(rec.cid);
+    mix(static_cast<uint64_t>(static_cast<int64_t>(rec.site)));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(rec.weight)));
+    mix(static_cast<uint64_t>(rec.type));
+  }
+  return h;
+}
+
+TEST(WorldCup, FieldFingerprintIsPinned) {
+  // Pinned from the generator's O(k) site scan over the 40-byte record
+  // (double weight, 4-byte type): the guide-table draw and the 24-byte
+  // record reproduce every value.
+  const struct {
+    int sites;
+    uint64_t fingerprint;
+  } kPins[] = {{27, 0x5c37202caf30fa08ull}, {1024, 0x7d8f5050bfef3db6ull}};
+  for (const auto& pin : kPins) {
+    WorldCupConfig config;
+    config.sites = pin.sites;
+    config.total_updates = 200000;
+    EXPECT_EQ(FieldFingerprint(GenerateWorldCupTrace(config)),
+              pin.fingerprint)
+        << "k=" << pin.sites;
+  }
+}
+
+// The capped linear CDF scan the generators draw sites with; GuidedCdf
+// must return its answer for every u.
+int LinearScan(const std::vector<double>& cdf, double u) {
+  const int k = static_cast<int>(cdf.size());
+  int i = 0;
+  while (i + 1 < k && cdf[static_cast<size_t>(i)] < u) ++i;
+  return i;
+}
+
+TEST(GuidedCdf, PicksWhatTheLinearScanPicks) {
+  Xoshiro256ss rng(0x6c1de);
+  for (int k : {1, 2, 3, 27, 1024}) {
+    for (double alpha : {0.0, 1.0, 2.5}) {
+      const std::vector<double> weights = PowerLawWeights(k, alpha);
+      std::vector<double> cdf;
+      double acc = 0.0;
+      for (double w : weights) cdf.push_back(acc += w);
+      const GuidedCdf table(weights);
+      ASSERT_EQ(table.cdf(), cdf);
+
+      // Both ends, every bucket edge g/k and every CDF step with their
+      // neighbouring doubles on both sides, then random draws.
+      std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+      auto add_with_neighbours = [&us](double x) {
+        us.push_back(std::nextafter(x, 0.0));
+        us.push_back(x);
+        us.push_back(std::nextafter(x, 2.0));
+      };
+      for (int g = 0; g <= k; ++g) {
+        add_with_neighbours(static_cast<double>(g) / k);
+      }
+      for (double c : cdf) add_with_neighbours(c);
+      for (int i = 0; i < 100000; ++i) us.push_back(rng.NextDouble());
+      for (double u : us) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(table.Pick(u), LinearScan(cdf, u))
+            << "k=" << k << " alpha=" << alpha << " u=" << std::hexfloat
+            << u;
+      }
+    }
+  }
+}
+
 TEST(SlidingWindow, CashRegisterPassesThrough) {
   const auto trace = GenerateWorldCupTrace(SmallConfig());
   SlidingWindowStream events(&trace, 0.0);

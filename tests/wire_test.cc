@@ -229,7 +229,7 @@ TEST(RawUpdateLog, BacksVerbatimFlushesUntilDenseWins) {
   log.Reset();
   EXPECT_TRUE(log.valid());
   // Unpackable records (non-unit weight) invalidate the log.
-  record.weight = 2.0;
+  record.weight = 2;
   log.Record(record, 3);
   EXPECT_FALSE(log.valid());
 }
